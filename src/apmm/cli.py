@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import ap_degeneracy_study, convergence_study, regime_comparison
+from .harness import _fmt, ap_degeneracy_study, convergence_study, regime_comparison
 from .homogenization import build_homogenized, homogenized_coefficient, solve_cell_problem
 from .mesh import make_cell_mesh, make_spatial_mesh
 from .problem import (
@@ -27,10 +27,6 @@ from .solvers import (
     run_micro_macro,
     run_reference,
 )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _prepare_parent(path: str | Path) -> Path:

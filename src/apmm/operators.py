@@ -5,18 +5,20 @@ centres, and micro arrays of shape (nx, ny) whose fast axis is periodic.
 All operators act slice-by-slice in x and vectorise over the batch.
 
 Dirichlet wall data enters through ghost values ``u_ghost = 2*u_wall -
-u_first`` for the x-direction stencils.  The singular periodic solve in y
-fixes its
-nullspace with a Lagrange-multiplier border (no node pinning); the shifted
-solves are nonsingular cyclic tridiagonal systems handled by a
-Sherman-Morrison reduction to two ordinary tridiagonal sweeps, with the
-factorizations cached on the coefficient tables across time steps.
+u_first`` for the x-direction stencils.  Both periodic solves in y use one
+sparse block-diagonal matrix, with one periodic block per distinct slice
+(one block in all when the coefficient does not depend on x).  The shifted
+solve factors ``I - c*Ly``; the singular solve factors ``Ly`` bordered by
+one Lagrange row and column per slice, which fixes its nullspace without
+node pinning.  The slices sharing a block are solved together as the
+columns of one right-hand side.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .mesh import FloatArray
 from .problem import CoefficientTables
@@ -35,68 +37,14 @@ def remove_y_average(u: FloatArray) -> FloatArray:
     return u - u.mean(axis=-1, keepdims=True)
 
 
-class _CyclicTridiagonalFactor:
-    """Reusable factorization of a batch of cyclic tridiagonal systems.
-
-    Row j of a system couples unknowns j-1, j, j+1 modulo n, so the matrix
-    is tridiagonal plus two corner entries: ``sub[:, 0]`` at (0, n-1) and
-    ``sup[:, -1]`` at (n-1, 0).  The corners are removed by a rank-one
-    Sherman-Morrison update; the remaining tridiagonal factor is stored as
-    its forward-elimination coefficients so repeated solves cost one sweep.
-    Batches of shape (1, n) broadcast over any number of right-hand sides.
-    """
-
-    def __init__(self, sub: FloatArray, diag: FloatArray, sup: FloatArray):
-        m, n = diag.shape
-        if n < 3:
-            raise ValueError("cyclic tridiagonal systems need at least 3 unknowns")
-        gamma = -diag[:, 0]
-        d = diag.copy()
-        d[:, 0] = 2.0 * diag[:, 0]
-        d[:, -1] = diag[:, -1] - sup[:, -1] * sub[:, 0] / gamma
-
-        cp = np.empty((m, n))
-        den = np.empty((m, n))
-        den[:, 0] = d[:, 0]
-        cp[:, 0] = sup[:, 0] / den[:, 0]
-        for j in range(1, n):
-            den[:, j] = d[:, j] - sub[:, j] * cp[:, j - 1]
-            cp[:, j] = sup[:, j] / den[:, j]
-        self._sub = sub
-        self._cp = cp
-        self._den = den
-        self._v_last = sub[:, 0] / gamma
-
-        u = np.zeros((m, n))
-        u[:, 0] = gamma
-        u[:, -1] += sup[:, -1]
-        z = self._tridiagonal_solve(u)
-        self._z = z
-        self._sm_denom = 1.0 + z[:, 0] + self._v_last * z[:, -1]
-
-    def _tridiagonal_solve(self, rhs: FloatArray) -> FloatArray:
-        n = self._den.shape[1]
-        out = np.empty(np.broadcast_shapes(rhs.shape, self._den.shape))
-        out[:, 0] = rhs[:, 0] / self._den[:, 0]
-        for j in range(1, n):
-            out[:, j] = (rhs[:, j] - self._sub[:, j] * out[:, j - 1]) / self._den[:, j]
-        for j in range(n - 2, -1, -1):
-            out[:, j] -= self._cp[:, j] * out[:, j + 1]
-        return out
-
-    def solve(self, rhs: FloatArray) -> FloatArray:
-        y = self._tridiagonal_solve(rhs)
-        v_dot_y = y[:, 0] + self._v_last * y[:, -1]
-        return y - self._z * (v_dot_y / self._sm_denom)[:, None]
-
-
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Holds the lazily built solver factorizations, so a time stepper reuses
-    them for the whole run.  All ``bc`` arguments are ``(left, right)``
-    Dirichlet wall data: scalars for macro fields, length-ny profiles (or
-    scalars) for micro fields; ``None`` means homogeneous walls.
+    Assembles the periodic y-operator once and holds the sparse LU factors
+    of its two solves, built on first use, so a time stepper reuses them
+    for the whole run.  All ``bc`` arguments are ``(left, right)`` Dirichlet
+    wall data: scalars for macro fields, length-ny profiles (or scalars) for
+    micro fields; ``None`` means homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -107,20 +55,24 @@ class GridOperators:
         self.ny = tables.ymesh.n_points
         self.dx = tables.xmesh.dx
         self.dy = tables.ymesh.dy
+        self._blocks = 1 if tables.x_uniform else self.nx
+        self._ly = self._y_matrix()
+        self._factors: dict = {}
 
     # -- helpers ------------------------------------------------------------
 
-    def _as_micro(self, u: FloatArray) -> FloatArray:
+    @staticmethod
+    def _checked(u: FloatArray, shape: tuple[int, ...], what: str) -> FloatArray:
         u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            if u.shape != (self.nx,):
-                raise ValueError(f"macro field has shape {u.shape}, expected ({self.nx},)")
-            return np.broadcast_to(u[:, None], (self.nx, self.ny))
-        if u.shape != (self.nx, self.ny):
-            raise ValueError(
-                f"micro field has shape {u.shape}, expected ({self.nx}, {self.ny})"
-            )
+        if u.shape != shape:
+            raise ValueError(f"{what} has shape {u.shape}, expected {shape}")
         return u
+
+    def _as_micro(self, u: FloatArray) -> FloatArray:
+        if np.ndim(u) == 1:
+            u = self._checked(u, (self.nx,), "macro field")
+            return np.broadcast_to(u[:, None], (self.nx, self.ny))
+        return self._checked(u, (self.nx, self.ny), "micro field")
 
     def _traces(self, bc) -> tuple[FloatArray, FloatArray]:
         if bc is None:
@@ -145,31 +97,76 @@ class GridOperators:
 
     def apply_y_diffusion(self, u: FloatArray) -> FloatArray:
         """Flux-form periodic diffusion in y at frozen x: d/dy(a d/dy u)."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.nx, self.ny):
-            raise ValueError(
-                f"micro field has shape {u.shape}, expected ({self.nx}, {self.ny})"
-            )
+        u = self._checked(u, (self.nx, self.ny), "micro field")
         ay = self.tables.y_interfaces
         flux = ay * (np.roll(u, -1, axis=1) - u) / self.dy**2
         return flux - np.roll(flux, 1, axis=1)
 
-    def _ay_rows(self) -> FloatArray:
-        ay = self.tables.y_interfaces
-        return ay[:1] if self.tables.x_uniform else ay
+    def _y_matrix(self):
+        """Ly as one CSC matrix with a periodic ny-block per distinct slice.
+
+        Column j of a block holds rows j-1, j, j+1 (mod ny) with the flux
+        weights a_{j-1/2}, -(a_{j-1/2} + a_{j+1/2}), a_{j+1/2}; the rows are
+        sorted, so every matrix derived from this one is canonical too.
+        """
+        m, n = self._blocks, self.ny
+        ay = self.tables.y_interfaces[:m] / self.dy**2
+        j = np.arange(n)
+        rows = (j[:, None] + np.arange(-1, 2)) % n + n * np.arange(m)[:, None, None]
+        ay_prev = ay[:, j - 1]
+        vals = np.stack([ay_prev, -(ay_prev + ay), ay], axis=-1)
+        indptr = np.arange(0, 3 * m * n + 1, 3)
+        ly = sp.csc_matrix((vals.ravel(), rows.ravel(), indptr), shape=(m * n, m * n))
+        ly.sort_indices()
+        return ly
+
+    def _columns(self, u: FloatArray) -> FloatArray:
+        """Stack the x-slices of a micro field as right-hand-side columns of Ly."""
+        m = self._blocks
+        return u.reshape(m, self.nx // m, self.ny).transpose(0, 2, 1).reshape(m * self.ny, -1)
+
+    def _field(self, columns: FloatArray) -> FloatArray:
+        """Inverse of :meth:`_columns`."""
+        m = self._blocks
+        return columns.reshape(m, self.ny, -1).transpose(0, 2, 1).reshape(self.nx, self.ny)
+
+    def _factor(self, shift: float | None):
+        """Cached sparse LU of ``I - shift*Ly``, or of bordered ``Ly`` for None.
+
+        The border is one Lagrange row and column per block, the row
+        holding the block's sum at zero.  The blocks are banded apart from
+        their wrap-around corners, so the natural column order gives less
+        fill than the default one.
+        """
+        if shift in self._factors:
+            return self._factors[shift]
+        ly = self._ly
+        size = ly.shape[0]
+        if shift is not None:
+            data = -shift * ly.data
+            data[ly.indices == np.repeat(np.arange(size), 3)] += 1.0
+            matrix = sp.csc_matrix((data, ly.indices, ly.indptr), shape=ly.shape)
+        else:
+            m, n = self._blocks, self.ny
+            border = np.repeat(size + np.arange(m), n)
+            indices = np.column_stack([ly.indices.reshape(size, 3), border]).ravel()
+            data = np.column_stack([ly.data.reshape(size, 3), np.ones(size)]).ravel()
+            indptr = np.append(np.arange(0, 4 * size, 4), 4 * size + n * np.arange(m + 1))
+            matrix = sp.csc_matrix(
+                (np.append(data, np.ones(size)), np.append(indices, np.arange(size)), indptr),
+                shape=(size + m, size + m),
+            )
+        self._factors[shift] = splu(matrix, permc_spec="NATURAL")
+        return self._factors[shift]
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
         """Solve the singular periodic y-diffusion problem per slice.
 
         The right-hand side must have (numerically) zero y-average per
-        slice; the solution is returned with zero y-average.  The bordered
-        Lagrange-multiplier system is LU-factored once per slice and cached.
+        slice; the solution is returned with zero y-average.  The
+        Lagrange-bordered y-matrix is factored on first use and reused.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.nx, self.ny):
-            raise ValueError(
-                f"right-hand side has shape {rhs.shape}, expected ({self.nx}, {self.ny})"
-            )
+        rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
         scale = float(np.max(np.abs(rhs)))
         if scale > 0.0:
             worst = float(np.max(np.abs(rhs.mean(axis=-1))))
@@ -178,66 +175,24 @@ class GridOperators:
                     "solve_y_diffusion requires zero-mean data per slice "
                     f"(worst slice mean {worst:.3e} vs scale {scale:.3e})"
                 )
-
-        factors = self.tables.solver_cache.get("bordered_lu")
-        if factors is None:
-            factors = [self._bordered_matrix_lu(row) for row in self._ay_rows()]
-            self.tables.solver_cache["bordered_lu"] = factors
-
-        n = self.ny
-        if self.tables.x_uniform:
-            stacked = np.zeros((n + 1, self.nx))
-            stacked[:n] = rhs.T
-            sol = lu_solve(factors[0], stacked)
-            w = sol[:n].T
-        else:
-            w = np.empty_like(rhs)
-            padded = np.zeros(n + 1)
-            for i in range(self.nx):
-                padded[:n] = rhs[i]
-                w[i] = lu_solve(factors[i], padded)[:n]
+        size = self._blocks * self.ny
+        bordered = np.zeros((size + self._blocks, self.nx // self._blocks))
+        bordered[:size] = self._columns(rhs)
+        w = self._field(self._factor(None).solve(bordered)[:size])
         return w - w.mean(axis=-1, keepdims=True)
-
-    def _bordered_matrix_lu(self, ay_row: FloatArray):
-        n = self.ny
-        inv_dy2 = 1.0 / self.dy**2
-        ay_prev = np.roll(ay_row, 1)
-        mat = np.zeros((n + 1, n + 1))
-        idx = np.arange(n)
-        mat[idx, idx] = -(ay_row + ay_prev) * inv_dy2
-        mat[idx, (idx + 1) % n] += ay_row * inv_dy2
-        mat[idx, (idx - 1) % n] += ay_prev * inv_dy2
-        mat[:n, n] = 1.0
-        mat[n, :n] = 1.0
-        return lu_factor(mat)
 
     def solve_shifted(self, rhs: FloatArray, c: float) -> FloatArray:
         """Solve ``(I - c * Ly) w = rhs`` per slice for c >= 0.
 
-        The system is cyclic tridiagonal and strictly diagonally dominant;
-        its factorization is cached per value of c.  The y-average of the
+        The matrix is strictly diagonally dominant; its sparse LU is
+        factored once per value of c and reused.  The y-average of the
         result is pinned to the y-average of the data, which the exact
         solve preserves identically.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.nx, self.ny):
-            raise ValueError(
-                f"right-hand side has shape {rhs.shape}, expected ({self.nx}, {self.ny})"
-            )
+        rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
         if not np.isfinite(c) or c < 0.0:
             raise ValueError(f"shift must be finite and non-negative, got {c}")
-        key = ("shifted", float(c))
-        factor = self.tables.solver_cache.get(key)
-        if factor is None:
-            ay = self._ay_rows()
-            r = c / self.dy**2
-            ay_prev = np.roll(ay, 1, axis=1)
-            sub = -r * ay_prev
-            sup = -r * ay
-            diag = 1.0 + r * (ay + ay_prev)
-            factor = _CyclicTridiagonalFactor(sub, diag, sup)
-            self.tables.solver_cache[key] = factor
-        w = factor.solve(rhs)
+        w = self._field(self._factor(float(c)).solve(self._columns(rhs)))
         w += (rhs.mean(axis=-1) - w.mean(axis=-1))[:, None]
         return w
 
@@ -295,9 +250,7 @@ class GridOperators:
         cross operator that feels the traces has an exactly vanishing
         y-average.
         """
-        macro = np.asarray(macro, dtype=float)
-        if macro.shape != (self.nx,):
-            raise ValueError(f"macro field has shape {macro.shape}, expected ({self.nx},)")
+        macro = self._checked(macro, (self.nx,), "macro field")
         cross = self.apply_mixed_derivatives(macro, bc)
         w = self.solve_y_diffusion(remove_y_average(cross))
         cross_w = self.apply_mixed_derivatives(w)

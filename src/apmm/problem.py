@@ -8,7 +8,7 @@ boundary treatment used by the micro-macro scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -140,7 +140,7 @@ def benchmark_problem(
 
 @dataclass(eq=False)
 class CoefficientTables:
-    """Coefficient samples on the tensor grid, plus bookkeeping for solvers.
+    """Coefficient samples on the tensor grid.
 
     All tables are direct pointwise evaluations (no averaging):
 
@@ -149,7 +149,7 @@ class CoefficientTables:
     - ``y_interfaces[i, j]`` = a(x_i, (j+1/2)*dy), the periodic half-nodes
 
     ``x_uniform`` records whether every row of every table is identical,
-    which lets the elliptic solvers share one factorization across slices.
+    so that every x-slice sees the same coefficient.
     """
 
     xmesh: SpatialMesh
@@ -158,7 +158,6 @@ class CoefficientTables:
     x_interfaces: FloatArray
     y_interfaces: FloatArray
     x_uniform: bool = False
-    solver_cache: dict = field(default_factory=dict, repr=False)
 
 
 def _check_values(name: str, values: FloatArray, a: DiffusionField) -> None:

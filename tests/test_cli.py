@@ -1,8 +1,10 @@
 """End-to-end command-line tests (subprocess, temp working dirs)."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -11,10 +13,17 @@ from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.problem import benchmark_coefficient
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _run(args, cwd):
+    # the subprocess runs in a temporary directory, so a relative
+    # PYTHONPATH=src would not find the package
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "apmm.cli", *args],
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
         timeout=300,

@@ -5,14 +5,31 @@ frozen tolerances sit a comfortable factor above values measured on this
 implementation so roundoff jitter cannot flip them.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import GridOperators, remove_y_average, y_average
-from apmm.problem import benchmark_coefficient, constant_coefficient, sample_coefficient
+from apmm.problem import (
+    DiffusionField,
+    benchmark_coefficient,
+    constant_coefficient,
+    sample_coefficient,
+)
 
 A0 = np.sqrt(0.21)
+
+# x-dependent, so every x-slice gets its own block of the y-system
+X_DEPENDENT = DiffusionField(
+    func=lambda x, y: 1.3 + (0.5 + 0.4 * x) * np.sin(2 * np.pi * y),
+    a_min=0.4,
+    a_max=2.2,
+)
+COEFFICIENTS = pytest.mark.parametrize(
+    "coeff", [None, X_DEPENDENT], ids=["x_uniform", "x_dependent"]
+)
 
 
 def _ops(nx, ny, coeff=None):
@@ -102,9 +119,11 @@ def test_L_symmetric_in_y_inner_product():
 # -------------------------------------------------------- periodic solves
 
 
-def test_solve_roundtrip_random():
+@COEFFICIENTS
+def test_solve_roundtrip_random(coeff):
     rng = np.random.default_rng(1234)
-    ops = _ops(64, 16)
+    ops = _ops(64, 16, coeff)
+    assert ops.tables.x_uniform == (coeff is None)
     r = remove_y_average(rng.standard_normal((64, 16)))
     w = ops.solve_y_diffusion(r)
     assert np.max(np.abs(w.mean(axis=-1))) <= 1e-13
@@ -150,14 +169,33 @@ def test_shifted_solve_analytic_mode():
     assert np.max(np.abs(w - r / (1.0 + 4 * np.pi**2))) <= 5e-4
 
 
-def test_shifted_solve_residual_and_mean():
+@COEFFICIENTS
+def test_shifted_solve_residual_and_mean(coeff):
     rng = np.random.default_rng(1234)
-    ops = _ops(64, 16)
+    ops = _ops(64, 16, coeff)
+    assert ops.tables.x_uniform == (coeff is None)
     r = rng.standard_normal((64, 16))
     w = ops.solve_shifted(r, 0.37)
     residual = w - 0.37 * ops.apply_y_diffusion(w) - r
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(r))
     assert np.max(np.abs(w.mean(axis=-1) - r.mean(axis=-1))) <= 1e-12
+
+
+def test_solves_agree_across_slice_layouts():
+    # an x-independent coefficient solved as one shared block and as one
+    # block per slice: the slice-to-column stacking must not matter
+    rng = np.random.default_rng(21)
+    tables = sample_coefficient(benchmark_coefficient(), make_spatial_mesh(12), make_cell_mesh(16))
+    assert tables.x_uniform
+    shared = GridOperators(tables)
+    per_slice = GridOperators(dataclasses.replace(tables, x_uniform=False))
+    r = rng.standard_normal((12, 16))
+    for c in (0.37, 5.0):
+        a, b = shared.solve_shifted(r, c), per_slice.solve_shifted(r, c)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    r0 = remove_y_average(r)
+    a, b = shared.solve_y_diffusion(r0), per_slice.solve_y_diffusion(r0)
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
 
 def test_shifted_solve_rejects_bad_shift():
