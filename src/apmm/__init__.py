@@ -27,7 +27,7 @@ from .homogenization import (
     homogenized_coefficient,
     solve_cell_problem,
 )
-from .mesh import CellMesh, SpatialMesh, make_cell_mesh, make_spatial_mesh, refine
+from .mesh import CellMesh, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators, remove_y_average, y_average
 from .problem import (
     BC_MODES,
@@ -96,7 +96,6 @@ __all__ = [
     "reconstruct_homogenized",
     "reconstruct_micro_macro",
     "reference_cells",
-    "refine",
     "regime_comparison",
     "remove_y_average",
     "run_homogenized",

@@ -12,7 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import _fmt, ap_degeneracy_study, convergence_study, regime_comparison
+from .harness import _fmt, _write_rows
+from .harness import ap_degeneracy_study, convergence_study, regime_comparison
 from .homogenization import build_homogenized, homogenized_coefficient, solve_cell_problem
 from .mesh import make_cell_mesh, make_spatial_mesh
 from .problem import (
@@ -66,19 +67,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     written = []
     f_path = Path(f"{cfg.output}_F.csv")
-    with open(f_path, "w", newline="") as fh:
-        fh.write("x,F\n")
-        for xi, fi in zip(x, slow):
-            fh.write(f"{_fmt(xi)},{_fmt(fi)}\n")
+    _write_rows(f_path, ["x", "F"], ([_fmt(xi), _fmt(fi)] for xi, fi in zip(x, slow)))
     written.append(f_path)
 
     if micro is not None:
         g_path = Path(f"{cfg.output}_G.csv")
-        with open(g_path, "w", newline="") as fh:
-            fh.write("x,y,G\n")
-            for i, xi in enumerate(x):
-                for j, yj in enumerate(y_nodes):
-                    fh.write(f"{_fmt(xi)},{_fmt(yj)},{_fmt(micro[i, j])}\n")
+        rows = (
+            [_fmt(xi), _fmt(yj), _fmt(micro[i, j])]
+            for i, xi in enumerate(x)
+            for j, yj in enumerate(y_nodes)
+        )
+        _write_rows(g_path, ["x", "y", "G"], rows)
         written.append(g_path)
 
     meta_path = Path(f"{cfg.output}_meta.txt")
@@ -149,10 +148,8 @@ def _cmd_cell(args: argparse.Namespace) -> int:
     chi = solve_cell_problem(coeff, 0.5, ymesh)
     print(f"a0 = {_fmt(a0)}")
     out = _prepare_parent(args.out)
-    with open(out, "w", newline="") as fh:
-        fh.write("y,chi\n")
-        for yj, cj in zip(ymesh.nodes, chi):
-            fh.write(f"{_fmt(yj)},{_fmt(cj)}\n")
+    rows = ([_fmt(yj), _fmt(cj)] for yj, cj in zip(ymesh.nodes, chi))
+    _write_rows(out, ["y", "chi"], rows)
     print(out)
     return 0
 

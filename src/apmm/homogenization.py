@@ -26,6 +26,11 @@ def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise ValueError("macro_gradient needs a 1-D array with at least 3 entries")
+    return _x_gradient(v, dx)
+
+
+def _x_gradient(v: FloatArray, dx: float) -> FloatArray:
+    """:func:`macro_gradient` along axis 0, unchecked; also used on (nx, ny)."""
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)

@@ -88,15 +88,3 @@ def make_spatial_mesh(n_cells: int) -> SpatialMesh:
 def make_cell_mesh(n_points: int) -> CellMesh:
     """Build the periodic cell mesh with ``n_points`` (even) nodes."""
     return CellMesh(n_points=int(n_points))
-
-
-def refine(mesh: SpatialMesh | CellMesh, factor: int):
-    """Return a mesh of the same kind with ``factor`` times the resolution."""
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"refinement factor must be a positive integer, got {factor!r}")
-    factor = int(factor)
-    if isinstance(mesh, SpatialMesh):
-        return SpatialMesh(n_cells=mesh.n_cells * factor)
-    if isinstance(mesh, CellMesh):
-        return CellMesh(n_points=mesh.n_points * factor)
-    raise TypeError(f"cannot refine object of type {type(mesh).__name__}")

@@ -11,15 +11,19 @@ sparse block-diagonal matrix, with one periodic block per distinct slice
 solve factors ``I - c*Ly``; the singular solve factors ``Ly`` bordered by
 one Lagrange row and column per slice, which fixes its nullspace without
 node pinning.  The slices sharing a block are solved together as the
-columns of one right-hand side.
+columns of one right-hand side.  The effective operator is a 1-D stencil
+whose coefficients take one singular solve, done on first use.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .homogenization import _x_gradient, macro_gradient
 from .mesh import FloatArray
 from .problem import CoefficientTables
 
@@ -40,11 +44,11 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Assembles the periodic y-operator once and holds the sparse LU factors
-    of its two solves, built on first use, so a time stepper reuses them
-    for the whole run.  All ``bc`` arguments are ``(left, right)`` Dirichlet
-    wall data: scalars for macro fields, length-ny profiles (or scalars) for
-    micro fields; ``None`` means homogeneous walls.
+    Assembles the periodic y-operator once and holds the LU factors of its
+    two solves and the effective coefficients, built on first use, so a time
+    stepper reuses them for the whole run.  All ``bc`` arguments are ``(left,
+    right)`` Dirichlet wall data: scalars for macro fields, length-ny
+    profiles (or scalars) for micro fields; ``None`` means homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -74,23 +78,14 @@ class GridOperators:
             return np.broadcast_to(u[:, None], (self.nx, self.ny))
         return self._checked(u, (self.nx, self.ny), "micro field")
 
-    def _traces(self, bc) -> tuple[FloatArray, FloatArray]:
-        if bc is None:
-            zero = np.zeros(self.ny)
-            return zero, zero
-        left, right = bc
-        left = np.broadcast_to(np.asarray(left, dtype=float), (self.ny,))
-        right = np.broadcast_to(np.asarray(right, dtype=float), (self.ny,))
-        return left, right
-
     def _with_ghosts(self, u: FloatArray, bc) -> FloatArray:
         """Pad a field with Dirichlet ghost rows (2*wall - first interior)."""
         u2 = self._as_micro(u)
-        left, right = self._traces(bc)
+        left, right = (0.0, 0.0) if bc is None else bc
         padded = np.empty((self.nx + 2, self.ny))
         padded[1:-1] = u2
-        padded[0] = 2.0 * left - u2[0]
-        padded[-1] = 2.0 * right - u2[-1]
+        padded[0] = 2.0 * np.asarray(left, dtype=float) - u2[0]
+        padded[-1] = 2.0 * np.asarray(right, dtype=float) - u2[-1]
         return padded
 
     # -- fast-direction (periodic) operators --------------------------------
@@ -227,10 +222,7 @@ class GridOperators:
         r = self.tables.centers * (np.roll(u2, -1, axis=1) - np.roll(u2, 1, axis=1)) / (
             2.0 * self.dy
         )
-        term1 = np.empty_like(r)
-        term1[1:-1] = (r[2:] - r[:-2]) / (2.0 * self.dx)
-        term1[0] = (-3.0 * r[0] + 4.0 * r[1] - r[2]) / (2.0 * self.dx)
-        term1[-1] = (3.0 * r[-1] - 4.0 * r[-2] + r[-3]) / (2.0 * self.dx)
+        term1 = _x_gradient(r, self.dx)
 
         padded = self._with_ghosts(u, bc)
         dudx = (padded[2:] - padded[:-2]) / (2.0 * self.dx)
@@ -238,21 +230,33 @@ class GridOperators:
         term2 = (s - np.roll(s, 1, axis=1)) / self.dy
         return term1 + term2
 
+    @cached_property
+    def _effective_coefficients(self) -> tuple[FloatArray, FloatArray]:
+        """``abar`` and ``beta``; the (nx, ny) corrector is not kept."""
+        ay = self.tables.y_interfaces
+        g = (ay - np.roll(ay, 1, axis=1)) / self.dy
+        chi = self.solve_y_diffusion(remove_y_average(g))
+        dchi = (np.roll(chi, -1, axis=1) - np.roll(chi, 1, axis=1)) / (2.0 * self.dy)
+        return y_average(self.tables.x_interfaces), y_average(self.tables.centers * dchi)
+
     def apply_effective(self, macro: FloatArray, bc=None) -> FloatArray:
         """Upscaled diffusion block acting on a macro field.
 
-        Combines the y-averaged x-diffusion with the y-averaged
-        cross-derivative of the periodic solve of the fluctuating
-        cross-derivative data.  For a y-independent coefficient this reduces
-        exactly to the averaged x-diffusion; in general it is a second-order
-        discretisation of diffusion with the harmonic-average coefficient.
-        No wall data is needed for the inner field: the only part of the
-        cross operator that feels the traces has an exactly vanishing
-        y-average.
+        The y-averaged x-diffusion minus the y-averaged cross-derivative of
+        ``w``, the periodic solve of the fluctuating cross-derivative data.
+        With scalar walls that data is ``d * g``, where ``d`` is the centred
+        x-gradient of the ghost-padded field ``p`` and ``g = (a_{j+1/2} -
+        a_{j-1/2})/dy``.  So ``w = d * chi`` for the fixed solution ``chi``
+        of ``Ly chi = g``, and the block is the 1-D stencil
+        ``diff(abar * diff(p))/dx**2 - grad(beta * d)``: ``abar`` is the
+        y-averaged x-interface coefficient, ``beta`` the y-average of
+        ``a * dchi/dy`` (zero for a y-independent coefficient), both built on
+        first use.  A y-profile wall raises ``TypeError``: ``w`` would no
+        longer be ``d * chi``.
         """
         macro = self._checked(macro, (self.nx,), "macro field")
-        cross = self.apply_mixed_derivatives(macro, bc)
-        w = self.solve_y_diffusion(remove_y_average(cross))
-        cross_w = self.apply_mixed_derivatives(w)
-        diff = self.apply_x_diffusion(macro, bc)
-        return y_average(diff) - y_average(cross_w)
+        left, right = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
+        p = np.concatenate(([2.0 * left - macro[0]], macro, [2.0 * right - macro[-1]]))
+        abar, beta = self._effective_coefficients
+        d = (p[2:] - p[:-2]) / (2.0 * self.dx)
+        return np.diff(abar * np.diff(p)) / self.dx**2 - macro_gradient(beta * d, self.dx)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from apmm.homogenization import (
+    _x_gradient,
     build_homogenized,
     first_order_corrector,
     homogenized_coefficient,
@@ -143,6 +144,14 @@ def test_macro_gradient_quadratic_exact():
     v = 3.0 - 2.0 * x + 5.0 * x**2
     grad = macro_gradient(v, xm.dx)
     assert np.max(np.abs(grad - (-2.0 + 10.0 * x))) <= 1e-11
+
+
+def test_x_gradient_applies_macro_stencil_per_column():
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((10, 4))
+    grad = _x_gradient(v, 0.1)
+    for j in range(4):
+        assert np.array_equal(grad[:, j], macro_gradient(v[:, j], 0.1))
 
 
 def test_macro_gradient_rejects_short_input():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apmm.mesh import CellMesh, SpatialMesh, make_cell_mesh, make_spatial_mesh, refine
+from apmm.mesh import CellMesh, SpatialMesh, make_cell_mesh, make_spatial_mesh
 
 
 def test_spatial_centers_four_cells():
@@ -45,26 +45,3 @@ def test_cell_mesh_rejects_odd_and_tiny():
         make_cell_mesh(2)
     with pytest.raises(TypeError):
         CellMesh(n_points=16.0)
-
-
-def test_refine_scales_both_kinds():
-    assert refine(make_spatial_mesh(64), 16).n_cells == 1024
-    assert refine(make_cell_mesh(16), 4).n_points == 64
-
-
-def test_refine_identity_and_composition():
-    m = make_spatial_mesh(32)
-    assert refine(m, 1) == m
-    assert refine(refine(m, 2), 3) == refine(m, 6)
-    c = make_cell_mesh(8)
-    assert refine(refine(c, 4), 2) == refine(c, 8)
-
-
-def test_refine_rejects_bad_factor():
-    m = make_spatial_mesh(8)
-    with pytest.raises(ValueError):
-        refine(m, 0)
-    with pytest.raises(ValueError):
-        refine(m, 1.5)
-    with pytest.raises(TypeError):
-        refine("not a mesh", 2)

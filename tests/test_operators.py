@@ -196,6 +196,9 @@ def test_solves_agree_across_slice_layouts():
     r0 = remove_y_average(r)
     a, b = shared.solve_y_diffusion(r0), per_slice.solve_y_diffusion(r0)
     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    f, bc = r[:, 0], (0.4, -1.1)
+    a, b = shared.apply_effective(f, bc), per_slice.apply_effective(f, bc)
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
 
 
 def test_shifted_solve_rejects_bad_shift():
@@ -328,3 +331,21 @@ def test_effective_zero_and_shape():
     assert np.max(np.abs(ops.apply_effective(np.zeros(64)))) == 0.0
     with pytest.raises(ValueError):
         ops.apply_effective(np.zeros((64, 16)))
+    # macro fields take scalar walls only
+    with pytest.raises(TypeError):
+        ops.apply_effective(np.zeros(64), bc=(np.ones(16), 0.0))
+
+
+@COEFFICIENTS
+def test_effective_matches_composite_definition(coeff):
+    # the y-averaged x-diffusion minus the y-averaged cross-derivative of
+    # the periodic solve of the fluctuating cross-derivative data
+    ops = _ops(48, 16, coeff)
+    x = ops.xmesh.centers
+    f = np.sin(2 * np.pi * x) + 0.7 * x**2
+    bc = (0.3, -0.8)
+    w = ops.solve_y_diffusion(remove_y_average(ops.apply_mixed_derivatives(f, bc)))
+    want = y_average(ops.apply_x_diffusion(f, bc))
+    want -= y_average(ops.apply_mixed_derivatives(w))
+    got = ops.apply_effective(f, bc)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
