@@ -45,10 +45,11 @@ class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
     Assembles the periodic y-operator once and holds the LU factors of its
-    two solves and the effective coefficients, built on first use, so a time
-    stepper reuses them for the whole run.  All ``bc`` arguments are ``(left,
-    right)`` Dirichlet wall data: scalars for macro fields, length-ny
-    profiles (or scalars) for micro fields; ``None`` means homogeneous walls.
+    shifted solves and the effective coefficients, built on first use, so a
+    time stepper reuses them for the whole run.  All ``bc`` arguments are
+    ``(left, right)`` Dirichlet wall data: scalars for macro fields,
+    length-ny profiles (or scalars) for micro fields; ``None`` means
+    homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -125,41 +126,28 @@ class GridOperators:
         m = self._blocks
         return columns.reshape(m, self.ny, -1).transpose(0, 2, 1).reshape(self.nx, self.ny)
 
-    def _factor(self, shift: float | None):
-        """Cached sparse LU of ``I - shift*Ly``, or of bordered ``Ly`` for None.
+    def _factor(self, shift: float):
+        """Cached sparse LU of ``I - shift*Ly``.
 
-        The border is one Lagrange row and column per block, the row
-        holding the block's sum at zero.  The blocks are banded apart from
-        their wrap-around corners, so the natural column order gives less
-        fill than the default one.
+        The blocks are banded apart from their wrap-around corners, so the
+        natural column order gives less fill than the default one.
         """
-        if shift in self._factors:
-            return self._factors[shift]
-        ly = self._ly
-        size = ly.shape[0]
-        if shift is not None:
+        if shift not in self._factors:
+            ly = self._ly
             data = -shift * ly.data
-            data[ly.indices == np.repeat(np.arange(size), 3)] += 1.0
+            data[ly.indices == np.repeat(np.arange(ly.shape[0]), 3)] += 1.0
             matrix = sp.csc_matrix((data, ly.indices, ly.indptr), shape=ly.shape)
-        else:
-            m, n = self._blocks, self.ny
-            border = np.repeat(size + np.arange(m), n)
-            indices = np.column_stack([ly.indices.reshape(size, 3), border]).ravel()
-            data = np.column_stack([ly.data.reshape(size, 3), np.ones(size)]).ravel()
-            indptr = np.append(np.arange(0, 4 * size, 4), 4 * size + n * np.arange(m + 1))
-            matrix = sp.csc_matrix(
-                (np.append(data, np.ones(size)), np.append(indices, np.arange(size)), indptr),
-                shape=(size + m, size + m),
-            )
-        self._factors[shift] = splu(matrix, permc_spec="NATURAL")
+            self._factors[shift] = splu(matrix, permc_spec="NATURAL")
         return self._factors[shift]
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
         """Solve the singular periodic y-diffusion problem per slice.
 
         The right-hand side must have (numerically) zero y-average per
-        slice; the solution is returned with zero y-average.  The
-        Lagrange-bordered y-matrix is factored on first use and reused.
+        slice; the solution is returned with zero y-average.  ``Ly`` is
+        bordered by one Lagrange row and column per block, the row holding
+        the block's sum at zero, and factored on each call: a time stepper
+        needs this solve once, for the effective coefficients.
         """
         rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
         scale = float(np.max(np.abs(rhs)))
@@ -170,26 +158,31 @@ class GridOperators:
                     "solve_y_diffusion requires zero-mean data per slice "
                     f"(worst slice mean {worst:.3e} vs scale {scale:.3e})"
                 )
-        size = self._blocks * self.ny
-        bordered = np.zeros((size + self._blocks, self.nx // self._blocks))
+        ly, m, n = self._ly, self._blocks, self.ny
+        size = ly.shape[0]
+        border = np.repeat(size + np.arange(m), n)
+        indices = np.column_stack([ly.indices.reshape(size, 3), border]).ravel()
+        data = np.column_stack([ly.data.reshape(size, 3), np.ones(size)]).ravel()
+        indptr = np.append(np.arange(0, 4 * size, 4), 4 * size + n * np.arange(m + 1))
+        matrix = sp.csc_matrix(
+            (np.append(data, np.ones(size)), np.append(indices, np.arange(size)), indptr),
+            shape=(size + m, size + m),
+        )
+        bordered = np.zeros((size + m, self.nx // m))
         bordered[:size] = self._columns(rhs)
-        w = self._field(self._factor(None).solve(bordered)[:size])
+        w = self._field(splu(matrix, permc_spec="NATURAL").solve(bordered)[:size])
         return w - w.mean(axis=-1, keepdims=True)
 
     def solve_shifted(self, rhs: FloatArray, c: float) -> FloatArray:
         """Solve ``(I - c * Ly) w = rhs`` per slice for c >= 0.
 
         The matrix is strictly diagonally dominant; its sparse LU is
-        factored once per value of c and reused.  The y-average of the
-        result is pinned to the y-average of the data, which the exact
-        solve preserves identically.
+        factored once per value of c and reused.
         """
         rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
         if not np.isfinite(c) or c < 0.0:
             raise ValueError(f"shift must be finite and non-negative, got {c}")
-        w = self._field(self._factor(float(c)).solve(self._columns(rhs)))
-        w += (rhs.mean(axis=-1) - w.mean(axis=-1))[:, None]
-        return w
+        return self._field(self._factor(float(c)).solve(self._columns(rhs)))
 
     # -- slow-direction and mixed operators ----------------------------------
 

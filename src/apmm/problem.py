@@ -222,9 +222,6 @@ def sample_coefficient(
 # Run-configuration files
 # --------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("epsilon", "nx", "ny", "t_end", "scheme", "coeff", "bc", "dt_factor", "output")
-
-
 @dataclass
 class RunConfig:
     """Parsed contents of a plain-text run configuration."""
@@ -274,6 +271,34 @@ def coefficient_from_name(spec: str) -> DiffusionField:
     raise ConfigError(f"unknown coeff {spec!r}; expected 'paper' or 'constant:<value>'")
 
 
+def _choice(key: str, allowed: tuple[str, ...]) -> Callable[[str], str]:
+    def parse(value: str) -> str:
+        if value not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _coeff(value: str) -> str:
+    coefficient_from_name(value)  # validate eagerly
+    return value
+
+
+# config key -> parser of its value; every key is a RunConfig field
+_CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
+    "epsilon": float,
+    "nx": int,
+    "ny": int,
+    "t_end": float,
+    "scheme": _choice("scheme", SCHEMES),
+    "coeff": _coeff,
+    "bc": _choice("bc", BC_MODES),
+    "dt_factor": float,
+    "output": str,
+}
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Parse a ``key = value`` configuration file.
 
@@ -294,42 +319,16 @@ def parse_config(path: str | Path) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         try:
-            if key == "epsilon":
-                cfg.epsilon = float(value)
-            elif key == "nx":
-                cfg.nx = int(value)
-            elif key == "ny":
-                cfg.ny = int(value)
-            elif key == "t_end":
-                cfg.t_end = float(value)
-            elif key == "dt_factor":
-                cfg.dt_factor = float(value)
-            elif key == "scheme":
-                if value not in SCHEMES:
-                    raise ConfigError(
-                        f"{path}:{lineno}: scheme must be one of {SCHEMES}, got {value!r}"
-                    )
-                cfg.scheme = value
-            elif key == "bc":
-                if value not in BC_MODES:
-                    raise ConfigError(
-                        f"{path}:{lineno}: bc must be one of {BC_MODES}, got {value!r}"
-                    )
-                cfg.bc = value
-            elif key == "coeff":
-                coefficient_from_name(value)  # validate eagerly
-                cfg.coeff = value
-            elif key == "output":
-                cfg.output = value
+            setattr(cfg, key, _CONFIG_PARSERS[key](value))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from exc
 
     try:

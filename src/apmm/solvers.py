@@ -236,14 +236,16 @@ class MicroMacroResult:
 class MicroMacroSolver:
     """Two-scale splitting integrator on a coarse tensor grid.
 
-    One instance fixes the meshes, coefficient tables, cell-problem data and
-    the cached elliptic factorizations; ``step`` advances a state by one
-    level.  The micro remainder is kept exactly mean-free in the fast
-    variable, the slow update blends the effective operator with the plain
-    averaged diffusion through the stiffness weight exp(-dt/epsilon**2)
-    (which underflows to zero in the strongly oscillatory regime, exactly as
-    the splitting is designed to do), and the wall corrector data comes from
-    a companion integration of the effective equation.
+    One instance fixes the meshes, coefficient tables, cell-problem data,
+    the wall corrector traces and the operators (which cache the shifted
+    factorizations); ``step`` advances a state by one level.  The micro
+    remainder is made mean-free in the fast variable once per step, after
+    the shifted solve; the slow update blends the effective operator with
+    the plain averaged diffusion through the stiffness weight
+    exp(-dt/epsilon**2) (which underflows to zero in the strongly
+    oscillatory regime, exactly as the splitting is designed to do), and the
+    wall corrector data comes from a companion integration of the effective
+    equation.
     """
 
     def __init__(
@@ -252,23 +254,21 @@ class MicroMacroSolver:
         n_x: int,
         n_y: int,
         dt_factor: float = 0.2,
-        hom: HomogenizedData | None = None,
     ):
         _validate_dt_factor(dt_factor, problem.coefficient.a_max)
         self.problem = problem
         self.xmesh = make_spatial_mesh(n_x)
         self.ymesh = make_cell_mesh(n_y)
         self.tables = sample_coefficient(problem.coefficient, self.xmesh, self.ymesh)
-        if hom is None:
-            hom = build_homogenized(problem.coefficient, self.xmesh, self.ymesh)
-        elif hom.xmesh.n_cells != n_x or hom.ymesh.n_points != n_y:
-            raise ValueError("homogenized data was built on different meshes")
-        self.hom = hom
+        self.hom = build_homogenized(problem.coefficient, self.xmesh, self.ymesh)
         self.ops = GridOperators(self.tables)
         self.dt = dt_factor * self.xmesh.dx**2
         self.epsilon = problem.epsilon
-        # fast coordinate of the right wall, (1/epsilon) mod 1
-        self._y_right_wall = (1.0 / problem.epsilon) % 1.0
+        # corrector at each wall's own fast coordinate, 0 and (1/epsilon) mod 1
+        self._wall_traces = (
+            trig_interpolate(self.hom.chi_walls[0], 0.0),
+            trig_interpolate(self.hom.chi_walls[1], (1.0 / problem.epsilon) % 1.0),
+        )
 
     def initial_state(self) -> MicroMacroState:
         macro = np.asarray(self.problem.initial(self.xmesh.centers), dtype=float)
@@ -294,8 +294,8 @@ class MicroMacroSolver:
         profile_left = self.hom.chi_walls[0] * grad_left
         profile_right = self.hom.chi_walls[1] * grad_right
         eps = self.epsilon
-        macro_left = -eps * trig_interpolate(profile_left, 0.0)
-        macro_right = -eps * trig_interpolate(profile_right, self._y_right_wall)
+        macro_left = -eps * self._wall_traces[0] * grad_left
+        macro_right = -eps * self._wall_traces[1] * grad_right
         return (macro_left, macro_right), (eps * profile_left, eps * profile_right)
 
     def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:

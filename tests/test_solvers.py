@@ -265,6 +265,23 @@ def test_emm_micro_mean_free_along_run():
             assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * scale
 
 
+@pytest.fixture(scope="module")
+def emm_eps_1e11():
+    return run_micro_macro(benchmark_problem(1e-11, t_end=0.001), 32, 8)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-15, 1e-100])
+def test_emm_runs_uniformly_at_tiny_eps(eps, emm_eps_1e11):
+    # the shifted solve's data is O(dt/eps) while its result is O(eps): the
+    # rounding of that data must not come back as a fast-average drift
+    res = run_micro_macro(benchmark_problem(eps, t_end=0.001), 32, 8)
+    g = res.final_micro
+    assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * np.max(np.abs(g))
+    # the eps = 1e-11 run sits O(eps) from the limit: measured 6.2e-12 .. 6.9e-12
+    base = emm_eps_1e11.final_macro
+    assert np.max(np.abs(res.final_macro - base)) <= 1e-11 * np.max(np.abs(base))
+
+
 def test_emm_step_count_and_overrides():
     problem = benchmark_problem(0.5, t_end=0.01)
     solver = MicroMacroSolver(problem, 16, 8)
@@ -277,13 +294,6 @@ def test_emm_step_count_and_overrides():
     assert fixed.times[-1] == pytest.approx(5 * solver.dt, abs=1e-15)
     with pytest.raises(ValueError):
         solver.run(n_steps=0)
-
-
-def test_emm_rejects_mismatched_homogenized_data():
-    problem = benchmark_problem(0.1, t_end=0.01)
-    hom = build_homogenized(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8))
-    with pytest.raises(ValueError):
-        MicroMacroSolver(problem, 32, 8, hom=hom)
 
 
 def test_emm_rejects_unstable_dt():
