@@ -9,9 +9,11 @@ Three schemes share one explicit finite-volume backbone:
 - ``MicroMacroSolver`` / ``run_micro_macro``: the stiff two-scale splitting
   scheme whose micro part is integrated implicitly in the fast direction.
 
-All loops use a fixed step dt = dt_factor * dx**2 with the final step
+All schemes use a fixed step dt = dt_factor * dx**2 with the final step
 shortened to land exactly on t_end, and abort with ``StabilityError`` when a
-field stops being finite.
+field stops being finite.  The explicit runs without a source are not
+stepped: their snapshots are evaluated in the eigenbasis of the step matrix,
+which gives the same discrete solution.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstebz, dstein
 
 from .homogenization import (
     HomogenizedData,
@@ -35,6 +38,8 @@ from .reconstruct import trig_interpolate
 
 _FINITE_CHECK_EVERY = 256  # step interval of the NaN/Inf scan in the fine loop
 _MEAN_DRIFT_TOL = 1e-11
+_MODE_TOL = 1e-17  # modes whose gain by the first snapshot is below this are dropped
+_MODE_BLOCK = 8  # eigenvectors computed per dstein call
 
 
 class StabilityError(RuntimeError):
@@ -87,31 +92,81 @@ class HomogenizedResult(MacroResult):
     hom: HomogenizedData
 
 
-def _explicit_heat_loop(
-    u0: FloatArray,
-    a_interfaces: FloatArray,
-    dx: float,
-    dt: float,
-    t_end: float,
-    source,
-    centers: FloatArray,
-    record_times,
-) -> tuple[FloatArray, FloatArray, int]:
-    """Shared explicit flux-form loop for the reference and effective runs."""
-    n = u0.shape[0]
-    n_steps = _step_count(t_end, dt)
-    record = _snapshot_steps(record_times, dt, n_steps)
+def _growth(mu: FloatArray, powers) -> FloatArray:
+    """``(1 + mu)**k`` for every power k (rows) and eigenvalue mu (columns).
 
+    Binary powering of ``mu`` itself, ``(1 + b)**2 - 1 = b * (2 + b)``, so
+    ``1 + mu`` is never rounded: near 1 that rounding would cost k ulps.
+    """
+    k = np.array(powers, dtype=np.int64)[:, None]
+    acc = np.zeros((k.shape[0], mu.shape[0]))  # (1 + mu)**(bits of k done) - 1
+    base = acc + mu
+    while k.any():
+        acc = np.where(k & 1, acc + base + acc * base, acc)
+        base = base * (2.0 + base)
+        k = k >> 1
+    return 1.0 + acc
+
+
+def _modal_snapshots(
+    u0: FloatArray, a_interfaces: FloatArray, r: float, last_ratio: float,
+    n_steps: int, steps: list[int],
+) -> FloatArray:
+    """Source-free explicit snapshots from the eigenmodes of the step matrix.
+
+    One step is ``u + B u`` with ``B`` the symmetric tridiagonal flux
+    difference times ``r = dt/dx**2`` (the odd wall ghosts count the wall
+    interfaces twice on the diagonal); the shortened last step is ``u +
+    last_ratio * B u``, with the same eigenvectors.  So snapshot k is ``sum
+    g_k(mu) (z . u0) z`` over the eigenpairs ``(mu, z)`` of ``B``.  Only the
+    modes whose ``|1 + mu|`` keeps a gain above ``_MODE_TOL`` over the fewest
+    full steps of any snapshot matter: bisection (``dstebz``) finds them by
+    value near ``1 + mu = 1`` and, for dt at the stability bound, near -1,
+    and inverse iteration (``dstein``) gives their eigenvectors a block at a
+    time, so no n x n matrix is ever formed.
+    """
+    diag = -r * (a_interfaces[:-1] + a_interfaces[1:])
+    diag[0] -= r * a_interfaces[0]
+    diag[-1] -= r * a_interfaces[-1]
+    off = r * a_interfaces[1:-1]
+    full = [min(k, n_steps - 1) for k in steps]  # full steps before each snapshot
+    fewest = min(f for f, k in zip(full, steps) if k > 0)
+    cut = _MODE_TOL ** (1.0 / fewest) if fewest else 0.0
+    snaps = np.zeros((len(steps), u0.shape[0]))
+    # the stability bound keeps every mu in [-2, 0]
+    for lower, upper in ((cut - 1.0, 1.0), (-3.0, -1.0 - cut)):
+        found, mu, block, split, info = dstebz(diag, off, 1, lower, upper, 0, 0, 0.0, b"B")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
+        for i in range(0, found, _MODE_BLOCK):
+            j = min(i + _MODE_BLOCK, found)
+            mu_i = mu[i:j]
+            # dstein reads the split-off block of each eigenvalue from the
+            # front of iblock; that front is spent, so it is overwritten
+            block[: j - i] = block[i:j]
+            z, info = dstein(diag, off, mu_i, block, split)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dstein failed with info={info}")
+            gains = _growth(mu_i, full)
+            gains[-1] *= 1.0 + last_ratio * mu_i  # the final snapshot is step n_steps
+            snaps += (gains * (u0 @ z)) @ z.T
+    if steps[0] == 0:
+        snaps[0] = u0
+    return snaps
+
+
+def _stepped_snapshots(
+    u0: FloatArray, a_interfaces: FloatArray, dx: float, dt: float, t_end: float,
+    n_steps: int, steps: list[int], source, centers: FloatArray,
+) -> FloatArray:
+    """Step the explicit scheme with its source, keeping the listed steps."""
+    n = u0.shape[0]
     u = u0.copy()
     padded = np.empty(n + 2)
     flux = np.empty(n + 1)
     update = np.empty(n)
-
-    times: list[float] = []
-    snaps: list[FloatArray] = []
-    if 0 in record:
-        times.append(0.0)
-        snaps.append(u.copy())
+    kept = set(steps)
+    snaps: list[FloatArray] = [u.copy()] if 0 in kept else []
 
     t = 0.0
     for k in range(1, n_steps + 1):
@@ -124,18 +179,43 @@ def _explicit_heat_loop(
         np.subtract(flux[1:], flux[:-1], out=update)
         update *= step_dt / dx**2
         u += update
-        if source is not None:
-            u += step_dt * np.asarray(source(t, centers), dtype=float)
+        u += step_dt * np.asarray(source(t, centers), dtype=float)
         t = t_end if k == n_steps else k * dt
         if k % _FINITE_CHECK_EVERY == 0 and not np.all(np.isfinite(u)):
             raise StabilityError(f"non-finite field at step {k} (t={t:.6g})")
-        if k in record:
-            times.append(t)
+        if k in kept:
             snaps.append(u.copy())
+    return np.array(snaps)
 
-    if not np.all(np.isfinite(u)):
+
+def _explicit_heat_loop(
+    u0: FloatArray,
+    a_interfaces: FloatArray,
+    dx: float,
+    dt: float,
+    t_end: float,
+    source,
+    centers: FloatArray,
+    record_times,
+) -> tuple[FloatArray, FloatArray, int]:
+    """Shared explicit flux-form scheme for the reference and effective runs.
+
+    Without a source the recorded states are evaluated in the eigenbasis of
+    the step matrix; with one the scheme is stepped.
+    """
+    n_steps = _step_count(t_end, dt)
+    steps = sorted(_snapshot_steps(record_times, dt, n_steps))
+    times = np.array([t_end if k == n_steps else k * dt for k in steps])
+    if source is None:
+        last_ratio = (t_end - (n_steps - 1) * dt) / dt
+        snaps = _modal_snapshots(u0, a_interfaces, dt / dx**2, last_ratio, n_steps, steps)
+    else:
+        snaps = _stepped_snapshots(
+            u0, a_interfaces, dx, dt, t_end, n_steps, steps, source, centers
+        )
+    if not np.all(np.isfinite(snaps[-1])):
         raise StabilityError(f"non-finite field at the final step (t={t_end:.6g})")
-    return np.array(times), np.array(snaps), n_steps
+    return times, snaps, n_steps
 
 
 def run_reference(
@@ -240,12 +320,15 @@ class MicroMacroSolver:
     the wall corrector traces and the operators (which cache the shifted
     factorizations); ``step`` advances a state by one level.  The micro
     remainder is made mean-free in the fast variable once per step, after
-    the shifted solve; the slow update blends the effective operator with
-    the plain averaged diffusion through the stiffness weight
-    exp(-dt/epsilon**2) (which underflows to zero in the strongly
-    oscillatory regime, exactly as the splitting is designed to do), and the
-    wall corrector data comes from a companion integration of the effective
-    equation.
+    the shifted solve with shift dt/epsilon**2.  Once that shift is too
+    large for the identity to survive rounding in ``I - shift*Ly`` (when
+    epsilon**2 underflows, for one), the solve is its c = inf limit, the
+    projection onto the y-mean, so the new remainder is zero.  The slow
+    update blends the effective operator with the plain averaged diffusion
+    through the stiffness weight exp(-dt/epsilon**2) (which underflows to
+    zero in the strongly oscillatory regime, exactly as the splitting is
+    designed to do), and the wall corrector data comes from a companion
+    integration of the effective equation.
     """
 
     def __init__(
@@ -264,6 +347,12 @@ class MicroMacroSolver:
         self.ops = GridOperators(self.tables)
         self.dt = dt_factor * self.xmesh.dx**2
         self.epsilon = problem.epsilon
+        # past this shift 1/shift is lost to rounding against every diagonal
+        # entry of -Ly, so I - shift*Ly is numerically the singular -shift*Ly
+        ay = self.tables.y_interfaces
+        ay_prev = ay[:, np.arange(-1, self.ymesh.n_points - 1)]
+        min_diag = float((ay_prev + ay).min()) / self.ymesh.dy**2
+        self._max_shift = 1.0 / (np.finfo(float).eps * min_diag)
         # corrector at each wall's own fast coordinate, 0 and (1/epsilon) mod 1
         self._wall_traces = (
             trig_interpolate(self.hom.chi_walls[0], 0.0),
@@ -307,14 +396,19 @@ class MicroMacroSolver:
         macro_bc, micro_bc = self.boundary_data(state.effective)
         total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
 
-        combined = macro[:, None] + micro
-        coupled = ops.apply_mixed_derivatives(combined, total_bc)
-        coupled += eps * ops.apply_x_diffusion(combined, total_bc)
-        rhs = micro + (dt / eps) * remove_y_average(coupled)
-        micro_new = ops.solve_shifted(rhs, dt / eps**2)
-        micro_new = remove_y_average(micro_new)
+        shift = (dt / eps) / eps
+        if shift > self._max_shift:
+            # the c = inf limit: the solve projects onto the y-mean, which
+            # the centring then removes
+            micro_new = np.zeros_like(micro)
+        else:
+            combined = macro[:, None] + micro
+            coupled = ops.apply_mixed_derivatives(combined, total_bc)
+            coupled += eps * ops.apply_x_diffusion(combined, total_bc)
+            rhs = micro + (dt / eps) * remove_y_average(coupled)
+            micro_new = remove_y_average(ops.solve_shifted(rhs, shift))
 
-        weight = math.exp(-dt / eps**2)
+        weight = math.exp(-shift)
         macro_new = macro + dt * (1.0 - weight) * ops.apply_effective(macro, macro_bc)
         if weight > 0.0:
             macro_new += dt * weight * y_average(ops.apply_x_diffusion(macro, macro_bc))

@@ -64,6 +64,24 @@ def test_run_micro_macro_outputs(tmp_path):
     assert "dt_factor = 0.2" in meta_text
 
 
+def test_run_micro_macro_where_eps_squared_underflows(tmp_path):
+    # eps**2 is 0.0 in floating point: the step must take its c = inf limit
+    cfg = _write_config(
+        tmp_path / "run.cfg",
+        epsilon=1e-160,
+        nx=16,
+        ny=8,
+        t_end=0.001,
+        scheme="emm",
+        output="tiny",
+    )
+    proc = _run(["run", "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    micro = np.loadtxt(tmp_path / "tiny_G.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.all(micro == 0.0)
+
+
 def test_run_reference_emits_no_oscillatory_file(tmp_path):
     cfg = _write_config(
         tmp_path / "run.cfg",

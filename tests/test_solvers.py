@@ -5,6 +5,7 @@ of its own one-step formula, so any accidental reordering of the blended
 terms shows up even where the dynamics would hide it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from apmm.homogenization import build_homogenized, first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import remove_y_average, y_average
+from apmm.harness import ap_degeneracy_study
 from apmm.problem import (
     ConfigError,
     ProblemSpec,
@@ -79,6 +81,64 @@ def test_reference_snapshot_times():
     assert res.times[-1] == pytest.approx(0.01)
     assert res.snapshots.shape == (3, 32)
     assert np.max(np.abs(res.snapshots[0] - np.sin(np.pi * res.mesh.centers))) == 0.0
+
+
+def _stepped_reference(problem, n_cells, dt_factor, steps):
+    """The explicit reference scheme stepped one level at a time."""
+    mesh = make_spatial_mesh(n_cells)
+    x_if = mesh.interfaces
+    a_if = problem.coefficient(x_if, np.mod(x_if / problem.epsilon, 1.0))
+    dt = dt_factor * mesh.dx**2
+    n_steps = math.ceil(problem.t_end / dt - 1e-9)
+    u = problem.initial(mesh.centers)
+    kept = {0: u.copy()}
+    for k in range(1, n_steps + 1):
+        h = dt if k < n_steps else problem.t_end - (n_steps - 1) * dt
+        padded = np.concatenate(([-u[0]], u, [-u[-1]]))
+        u = u + (h / mesh.dx**2) * np.diff(a_if * np.diff(padded))
+        kept[k] = u.copy()
+    return np.array([kept[min(k, n_steps)] for k in steps]), n_steps
+
+
+@pytest.mark.filterwarnings("ignore:n_cells=256 under-resolves")
+@pytest.mark.parametrize("case", ["oscillatory", "stability bound", "undamped mode"])
+def test_reference_modes_match_stepping(case):
+    # 0.0017 is no multiple of dt, so the last step is shortened; at the
+    # stability bound the step matrix has eigenvalues near -1, and exactly
+    # -1 for a constant coefficient, whose mode the jump in g excites
+    problem = benchmark_problem(0.05, t_end=0.0017)
+    dt_factor = 0.05 if case == "oscillatory" else 1.0 / (2.0 * problem.coefficient.a_max)
+    if case == "undamped mode":
+        problem = ProblemSpec(
+            coefficient=constant_coefficient(1.0),
+            epsilon=1.0,
+            initial=lambda x: np.where((x > 0.3) & (x < 0.6), 1.0, 0.0),
+            bc_mode="dirichlet_homogeneous",
+            t_end=0.0017,
+        )
+        dt_factor = 0.5
+    dt = dt_factor / 256**2
+    res = run_reference(problem, 256, dt_factor=dt_factor, record_times=(0.0, dt, 0.3 * 0.0017))
+    steps = [round(t / dt) for t in res.times[:-1]] + [res.steps]
+    assert steps[:2] == [0, 1]
+    expected, n_steps = _stepped_reference(problem, 256, dt_factor, steps)
+    assert res.steps == n_steps and res.dt == dt
+    assert n_steps * dt > 0.0017 > (n_steps - 1) * dt
+    assert np.array_equal(res.snapshots[0], expected[0])
+    scale = np.max(np.abs(expected), axis=1)
+    assert np.all(np.max(np.abs(res.snapshots - expected), axis=1) <= 1e-10 * scale)
+
+
+@pytest.mark.filterwarnings("ignore:n_cells=256 under-resolves")
+def test_reference_zero_source_matches_source_free():
+    problem = benchmark_problem(0.05, t_end=0.0017)
+    stepped = dataclasses.replace(problem, source=lambda t, x: 0 * x)
+    res = run_reference(problem, 256, record_times=(0.0, 0.001))
+    res_stepped = run_reference(stepped, 256, record_times=(0.0, 0.001))
+    assert np.array_equal(res.times, res_stepped.times)
+    scale = np.max(np.abs(res_stepped.snapshots), axis=1)
+    diff = np.max(np.abs(res.snapshots - res_stepped.snapshots), axis=1)
+    assert np.all(diff <= 1e-10 * scale)
 
 
 def test_reference_warns_when_underresolved():
@@ -270,7 +330,7 @@ def emm_eps_1e11():
     return run_micro_macro(benchmark_problem(1e-11, t_end=0.001), 32, 8)
 
 
-@pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-15, 1e-100])
+@pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-15, 1e-100, 1e-160, 1e-300])
 def test_emm_runs_uniformly_at_tiny_eps(eps, emm_eps_1e11):
     # the shifted solve's data is O(dt/eps) while its result is O(eps): the
     # rounding of that data must not come back as a fast-average drift
@@ -280,6 +340,14 @@ def test_emm_runs_uniformly_at_tiny_eps(eps, emm_eps_1e11):
     # the eps = 1e-11 run sits O(eps) from the limit: measured 6.2e-12 .. 6.9e-12
     base = emm_eps_1e11.final_macro
     assert np.max(np.abs(res.final_macro - base)) <= 1e-11 * np.max(np.abs(base))
+
+
+def test_ap_degeneracy_holds_where_eps_squared_underflows():
+    # dt/eps**2 is past every representable shift here: the step is the
+    # c = inf limit, plain effective Euler up to the O(eps) wall data
+    rows = ap_degeneracy_study(eps_values=(1e-100, 1e-160, 1e-300))
+    assert [eps for eps, _ in rows] == [1e-100, 1e-160, 1e-300]
+    assert all(math.isfinite(dev) and dev <= 1e-12 for _, dev in rows)
 
 
 def test_emm_step_count_and_overrides():
