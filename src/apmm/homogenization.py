@@ -85,18 +85,19 @@ def solve_cell_problem(a: DiffusionField, x, ymesh: CellMesh) -> FloatArray:
     (len(x), n_points).
     """
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 0
-    b_half = np.atleast_2d(1.0 / a(x[..., None], ymesh.half_nodes))
-    dy = ymesh.dy
+    chi = _cell_corrector(np.atleast_2d(1.0 / a(x[..., None], ymesh.half_nodes)), ymesh)
+    return chi[0] if x.ndim == 0 else chi
+
+
+def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
+    """Closed-form corrector rows from ``b_half``, the rows of 1/a at the half-nodes."""
     # the a0 inside the increments must be the half-node harmonic mean, so
     # that the last increment wraps around the period exactly
     a0 = 1.0 / b_half.mean(axis=-1)
-
     cumulative = np.zeros_like(b_half)
-    np.cumsum(b_half[:, :-1] * dy, axis=-1, out=cumulative[:, 1:])
+    np.cumsum(b_half[:, :-1] * ymesh.dy, axis=-1, out=cumulative[:, 1:])
     chi = a0[:, None] * cumulative - ymesh.nodes[None, :]
-    chi -= chi.mean(axis=-1, keepdims=True)
-    return chi[0] if squeeze else chi
+    return chi - chi.mean(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,18 @@ centres, and micro arrays of shape (nx, ny) whose fast axis is periodic.
 All operators act slice-by-slice in x and vectorise over the batch.
 
 Dirichlet wall data enters through ghost values ``u_ghost = 2*u_wall -
-u_first`` for the x-direction stencils.  Both periodic solves in y use one
-sparse block-diagonal matrix, with one periodic block per distinct slice
-(one block in all when the coefficient does not depend on x).  The shifted
-solve factors ``I - c*Ly``; the singular solve factors ``Ly`` bordered by
-one Lagrange row and column per slice, which fixes its nullspace without
-node pinning.  The slices sharing a block are solved together as the
-columns of one right-hand side.  The effective operator is a 1-D stencil
-whose coefficients take one singular solve, done on first use.
+u_first`` for the x-direction stencils.  Every periodic solve in y is one
+solve with the bordered matrix ``K(s) = [[s*I - Ly, B], [B^T, 0]]``, where
+``B`` holds one column of ones per distinct slice (one in all when the
+coefficient does not depend on x): the Lagrange border removes each slice's
+mean from the data and holds the solution's mean at zero, which fixes the
+nullspace of ``Ly`` at s = 0 without node pinning.  ``s >= 0`` is the
+inverse of the time-step shift, so it stays finite as the shift grows
+without bound.  ``K`` is assembled once with each border next to its block,
+and its sparse LU is cached per value of s; the slices sharing a block are
+solved together as the columns of one right-hand side.  The effective
+operator is a 1-D stencil whose coefficients come from the closed-form cell
+corrector.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .homogenization import _x_gradient, macro_gradient
+from .homogenization import _cell_corrector, _x_gradient, macro_gradient
 from .mesh import FloatArray
 from .problem import CoefficientTables
 
@@ -44,9 +48,9 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Assembles the periodic y-operator once and holds the LU factors of its
-    shifted solves and the effective coefficients, built on first use, so a
-    time stepper reuses them for the whole run.  All ``bc`` arguments are
+    Assembles the bordered y-operator once and holds the LU factors of its
+    solves and the effective coefficients, built on first use, so a time
+    stepper reuses them for the whole run.  All ``bc`` arguments are
     ``(left, right)`` Dirichlet wall data: scalars for macro fields,
     length-ny profiles (or scalars) for micro fields; ``None`` means
     homogeneous walls.
@@ -61,7 +65,7 @@ class GridOperators:
         self.dx = tables.xmesh.dx
         self.dy = tables.ymesh.dy
         self._blocks = 1 if tables.x_uniform else self.nx
-        self._ly = self._y_matrix()
+        self._bordered, self._diagonal = self._bordered_matrix()
         self._factors: dict = {}
 
     # -- helpers ------------------------------------------------------------
@@ -98,56 +102,62 @@ class GridOperators:
         flux = ay * (np.roll(u, -1, axis=1) - u) / self.dy**2
         return flux - np.roll(flux, 1, axis=1)
 
-    def _y_matrix(self):
-        """Ly as one CSC matrix with a periodic ny-block per distinct slice.
+    def _bordered_matrix(self):
+        """``K(0) = [[-Ly, B], [B^T, 0]]`` as CSC, one (ny+1)-block per distinct slice.
 
-        Column j of a block holds rows j-1, j, j+1 (mod ny) with the flux
-        weights a_{j-1/2}, -(a_{j-1/2} + a_{j+1/2}), a_{j+1/2}; the rows are
-        sorted, so every matrix derived from this one is canonical too.
+        Node column j of a block holds rows j-1, j, j+1 (mod ny) with the
+        flux weights -a_{j-1/2}, a_{j-1/2} + a_{j+1/2}, -a_{j+1/2}, then the
+        block's border row; the border column holds the ny node rows.  With
+        each border next to its block the LU has no fill between blocks.
+        Also returns the data positions of the node diagonal.
         """
         m, n = self._blocks, self.ny
         ay = self.tables.y_interfaces[:m] / self.dy**2
         j = np.arange(n)
-        rows = (j[:, None] + np.arange(-1, 2)) % n + n * np.arange(m)[:, None, None]
-        ay_prev = ay[:, j - 1]
-        vals = np.stack([ay_prev, -(ay_prev + ay), ay], axis=-1)
-        indptr = np.arange(0, 3 * m * n + 1, 3)
-        ly = sp.csc_matrix((vals.ravel(), rows.ravel(), indptr), shape=(m * n, m * n))
-        ly.sort_indices()
-        return ly
+        rows = np.column_stack([(j - 1) % n, j, (j + 1) % n, np.full(n, n)]).ravel()
+        rows = np.append(rows, j) + (n + 1) * np.arange(m)[:, None]
+        weights = np.stack([-ay[:, j - 1], ay[:, j - 1] + ay, -ay, np.ones((m, n))], axis=-1)
+        data = np.concatenate([weights.reshape(m, 4 * n), np.ones((m, n))], axis=1)
+        indptr = np.append(np.arange(0, 4 * n + 1, 4) + 5 * n * np.arange(m)[:, None], 5 * m * n)
+        size = m * (n + 1)
+        matrix = sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(size, size))
+        matrix.sort_indices()  # splu would sort the shared index array in place
+        columns = np.repeat(np.arange(size), np.diff(matrix.indptr))
+        return matrix, np.flatnonzero(matrix.indices == columns)
 
-    def _columns(self, u: FloatArray) -> FloatArray:
-        """Stack the x-slices of a micro field as right-hand-side columns of Ly."""
-        m = self._blocks
-        return u.reshape(m, self.nx // m, self.ny).transpose(0, 2, 1).reshape(m * self.ny, -1)
+    def _factor(self, s: float):
+        """Cached sparse LU of ``K(s)``: ``K(0)`` with s added on the node diagonal.
 
-    def _field(self, columns: FloatArray) -> FloatArray:
-        """Inverse of :meth:`_columns`."""
-        m = self._blocks
-        return columns.reshape(m, self.ny, -1).transpose(0, 2, 1).reshape(self.nx, self.ny)
-
-    def _factor(self, shift: float):
-        """Cached sparse LU of ``I - shift*Ly``.
-
-        The blocks are banded apart from their wrap-around corners, so the
+        The blocks are banded apart from their corners and border, so the
         natural column order gives less fill than the default one.
         """
-        if shift not in self._factors:
-            ly = self._ly
-            data = -shift * ly.data
-            data[ly.indices == np.repeat(np.arange(ly.shape[0]), 3)] += 1.0
-            matrix = sp.csc_matrix((data, ly.indices, ly.indptr), shape=ly.shape)
-            self._factors[shift] = splu(matrix, permc_spec="NATURAL")
-        return self._factors[shift]
+        if s not in self._factors:
+            k = self._bordered
+            data = k.data.copy()
+            data[self._diagonal] += s
+            matrix = sp.csc_matrix((data, k.indices, k.indptr), shape=k.shape)
+            self._factors[s] = splu(matrix, permc_spec="NATURAL")
+        return self._factors[s]
+
+    def solve_bordered(self, rhs: FloatArray, s: float) -> FloatArray:
+        """Mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, s >= 0.
+
+        One solve with ``K(s)``: the Lagrange multiplier of each slice takes
+        the slice mean of ``rhs`` and the border row holds the sum of ``w``
+        at zero.  The shapes are not checked.
+        """
+        m, n = self._blocks, self.ny
+        columns = np.zeros((m, n + 1, self.nx // m))
+        columns[:, :n] = rhs.reshape(m, self.nx // m, n).transpose(0, 2, 1)
+        w = self._factor(s).solve(columns.reshape(m * (n + 1), -1)).reshape(m, n + 1, -1)
+        return w[:, :n].transpose(0, 2, 1).reshape(self.nx, n)
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
         """Solve the singular periodic y-diffusion problem per slice.
 
         The right-hand side must have (numerically) zero y-average per
-        slice; the solution is returned with zero y-average.  ``Ly`` is
-        bordered by one Lagrange row and column per block, the row holding
-        the block's sum at zero, and factored on each call: a time stepper
-        needs this solve once, for the effective coefficients.
+        slice; the solution, the s = 0 bordered solve negated, has zero
+        y-average.
         """
         rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
         scale = float(np.max(np.abs(rhs)))
@@ -158,31 +168,22 @@ class GridOperators:
                     "solve_y_diffusion requires zero-mean data per slice "
                     f"(worst slice mean {worst:.3e} vs scale {scale:.3e})"
                 )
-        ly, m, n = self._ly, self._blocks, self.ny
-        size = ly.shape[0]
-        border = np.repeat(size + np.arange(m), n)
-        indices = np.column_stack([ly.indices.reshape(size, 3), border]).ravel()
-        data = np.column_stack([ly.data.reshape(size, 3), np.ones(size)]).ravel()
-        indptr = np.append(np.arange(0, 4 * size, 4), 4 * size + n * np.arange(m + 1))
-        matrix = sp.csc_matrix(
-            (np.append(data, np.ones(size)), np.append(indices, np.arange(size)), indptr),
-            shape=(size + m, size + m),
-        )
-        bordered = np.zeros((size + m, self.nx // m))
-        bordered[:size] = self._columns(rhs)
-        w = self._field(splu(matrix, permc_spec="NATURAL").solve(bordered)[:size])
-        return w - w.mean(axis=-1, keepdims=True)
+        return -self.solve_bordered(rhs, 0.0)
 
     def solve_shifted(self, rhs: FloatArray, c: float) -> FloatArray:
         """Solve ``(I - c * Ly) w = rhs`` per slice for c >= 0.
 
-        The matrix is strictly diagonally dominant; its sparse LU is
-        factored once per value of c and reused.
+        The slice means pass through unchanged; the rest is the bordered
+        solve with ``s = 1/c``.
         """
         rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
+        c = float(c)
         if not np.isfinite(c) or c < 0.0:
             raise ValueError(f"shift must be finite and non-negative, got {c}")
-        return self._field(self._factor(float(c)).solve(self._columns(rhs)))
+        s = 1.0 / c if c > 0.0 else np.inf
+        if s == np.inf:  # c = 0, or so small that 1/c overflows: the identity
+            return rhs.copy()
+        return rhs.mean(axis=-1, keepdims=True) + self.solve_bordered(s * rhs, s)
 
     # -- slow-direction and mixed operators ----------------------------------
 
@@ -225,10 +226,12 @@ class GridOperators:
 
     @cached_property
     def _effective_coefficients(self) -> tuple[FloatArray, FloatArray]:
-        """``abar`` and ``beta``; the (nx, ny) corrector is not kept."""
-        ay = self.tables.y_interfaces
-        g = (ay - np.roll(ay, 1, axis=1)) / self.dy
-        chi = self.solve_y_diffusion(remove_y_average(g))
+        """``abar`` and ``beta``; the (nx, ny) corrector is not kept.
+
+        ``Ly chi = g`` is the discrete cell problem with the sign of its
+        data flipped, so ``chi`` is minus the closed-form cell corrector.
+        """
+        chi = -_cell_corrector(1.0 / self.tables.y_interfaces, self.ymesh)
         dchi = (np.roll(chi, -1, axis=1) - np.roll(chi, 1, axis=1)) / (2.0 * self.dy)
         return y_average(self.tables.x_interfaces), y_average(self.tables.centers * dchi)
 

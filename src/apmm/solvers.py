@@ -317,18 +317,20 @@ class MicroMacroSolver:
     """Two-scale splitting integrator on a coarse tensor grid.
 
     One instance fixes the meshes, coefficient tables, cell-problem data,
-    the wall corrector traces and the operators (which cache the shifted
-    factorizations); ``step`` advances a state by one level.  The micro
-    remainder is made mean-free in the fast variable once per step, after
-    the shifted solve with shift dt/epsilon**2.  Once that shift is too
-    large for the identity to survive rounding in ``I - shift*Ly`` (when
-    epsilon**2 underflows, for one), the solve is its c = inf limit, the
-    projection onto the y-mean, so the new remainder is zero.  The slow
-    update blends the effective operator with the plain averaged diffusion
-    through the stiffness weight exp(-dt/epsilon**2) (which underflows to
-    zero in the strongly oscillatory regime, exactly as the splitting is
-    designed to do), and the wall corrector data comes from a companion
-    integration of the effective equation.
+    the wall corrector traces and the operators (which cache the bordered
+    factorizations); ``step`` advances a state by one level.  The implicit
+    fast update ``(I - (dt/epsilon**2) Ly) G' = G + (dt/epsilon) r``, with
+    ``r`` the fluctuating part of the coupling terms, is multiplied through
+    by ``s = (epsilon/dt)*epsilon`` and solved on the mean-free subspace:
+    ``(s*I - Ly) G' = s*G + epsilon*r``.  ``s`` underflows to zero without
+    error and never overflows, so this one solve holds for every epsilon,
+    and at ``s = 0`` it is the singular cell solve, whose ``G'`` is the
+    O(epsilon) corrector limit.  The slow update blends the effective
+    operator with the plain averaged diffusion through the stiffness weight
+    exp(-dt/epsilon**2) (which underflows to zero in the strongly
+    oscillatory regime, exactly as the splitting is designed to do), and
+    the wall corrector data comes from a companion integration of the
+    effective equation.
     """
 
     def __init__(
@@ -347,12 +349,6 @@ class MicroMacroSolver:
         self.ops = GridOperators(self.tables)
         self.dt = dt_factor * self.xmesh.dx**2
         self.epsilon = problem.epsilon
-        # past this shift 1/shift is lost to rounding against every diagonal
-        # entry of -Ly, so I - shift*Ly is numerically the singular -shift*Ly
-        ay = self.tables.y_interfaces
-        ay_prev = ay[:, np.arange(-1, self.ymesh.n_points - 1)]
-        min_diag = float((ay_prev + ay).min()) / self.ymesh.dy**2
-        self._max_shift = 1.0 / (np.finfo(float).eps * min_diag)
         # corrector at each wall's own fast coordinate, 0 and (1/epsilon) mod 1
         self._wall_traces = (
             trig_interpolate(self.hom.chi_walls[0], 0.0),
@@ -396,19 +392,13 @@ class MicroMacroSolver:
         macro_bc, micro_bc = self.boundary_data(state.effective)
         total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
 
-        shift = (dt / eps) / eps
-        if shift > self._max_shift:
-            # the c = inf limit: the solve projects onto the y-mean, which
-            # the centring then removes
-            micro_new = np.zeros_like(micro)
-        else:
-            combined = macro[:, None] + micro
-            coupled = ops.apply_mixed_derivatives(combined, total_bc)
-            coupled += eps * ops.apply_x_diffusion(combined, total_bc)
-            rhs = micro + (dt / eps) * remove_y_average(coupled)
-            micro_new = remove_y_average(ops.solve_shifted(rhs, shift))
+        combined = macro[:, None] + micro
+        coupled = ops.apply_mixed_derivatives(combined, total_bc)
+        coupled += eps * ops.apply_x_diffusion(combined, total_bc)
+        s = (eps / dt) * eps
+        micro_new = ops.solve_bordered(s * micro + eps * remove_y_average(coupled), s)
 
-        weight = math.exp(-shift)
+        weight = math.exp(-(dt / eps) / eps)
         macro_new = macro + dt * (1.0 - weight) * ops.apply_effective(macro, macro_bc)
         if weight > 0.0:
             macro_new += dt * weight * y_average(ops.apply_x_diffusion(macro, macro_bc))

@@ -10,7 +10,8 @@ import numpy as np
 
 from apmm.homogenization import build_homogenized, first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.problem import benchmark_coefficient
+from apmm.problem import benchmark_coefficient, parse_config
+from apmm.solvers import run_micro_macro
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -65,21 +66,21 @@ def test_run_micro_macro_outputs(tmp_path):
 
 
 def test_run_micro_macro_where_eps_squared_underflows(tmp_path):
-    # eps**2 is 0.0 in floating point: the step must take its c = inf limit
-    cfg = _write_config(
-        tmp_path / "run.cfg",
-        epsilon=1e-160,
-        nx=16,
-        ny=8,
-        t_end=0.001,
-        scheme="emm",
-        output="tiny",
-    )
+    # eps**2 is 0.0 in floating point: the fast solve is the singular cell
+    # solve, and G keeps its O(eps) corrector shape
+    keys = dict(nx=16, ny=8, t_end=0.001, scheme="emm", output="tiny")
+    cfg = _write_config(tmp_path / "run.cfg", epsilon=1e-160, **keys)
     proc = _run(["run", "--config", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     micro = np.loadtxt(tmp_path / "tiny_G.csv", delimiter=",", skiprows=1)[:, 2]
-    assert np.all(micro == 0.0)
+    scaled = micro.reshape(16, 8) / 1e-160
+    assert np.max(np.abs(scaled)) > 0.0
+    # the eps = 1e-11 run of the same config sits O(eps) from the limit:
+    # measured 3.4e-11
+    near = parse_config(_write_config(tmp_path / "near.cfg", epsilon=1e-11, **keys))
+    base = run_micro_macro(near.problem(), 16, 8).final_micro / 1e-11
+    assert np.max(np.abs(scaled - base)) <= 1e-10 * np.max(np.abs(base))
 
 
 def test_run_reference_emits_no_oscillatory_file(tmp_path):

@@ -179,6 +179,17 @@ def test_shifted_solve_residual_and_mean(coeff):
     residual = w - 0.37 * ops.apply_y_diffusion(w) - r
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(r))
     assert np.max(np.abs(w.mean(axis=-1) - r.mean(axis=-1))) <= 1e-12
+    for s in (0.0, 1e-300, 1.0, 1e8):
+        _check_bordered(ops, r, s)
+
+
+def _check_bordered(ops, r, s):
+    """The bordered solve is mean-free and solves (s*I - Ly) w = r - mean(r)."""
+    w = ops.solve_bordered(r, s)
+    assert np.max(np.abs(w.mean(axis=-1))) <= 1e-13 * np.max(np.abs(w))
+    residual = s * w - ops.apply_y_diffusion(w) - remove_y_average(r)
+    assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(r))
+    return w
 
 
 def test_solves_agree_across_slice_layouts():
@@ -192,6 +203,9 @@ def test_solves_agree_across_slice_layouts():
     r = rng.standard_normal((12, 16))
     for c in (0.37, 5.0):
         a, b = shared.solve_shifted(r, c), per_slice.solve_shifted(r, c)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    for s in (0.0, 1e-300, 1.0, 1e8):
+        a, b = _check_bordered(shared, r, s), _check_bordered(per_slice, r, s)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     r0 = remove_y_average(r)
     a, b = shared.solve_y_diffusion(r0), per_slice.solve_y_diffusion(r0)

@@ -332,19 +332,31 @@ def emm_eps_1e11():
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-15, 1e-100, 1e-160, 1e-300])
 def test_emm_runs_uniformly_at_tiny_eps(eps, emm_eps_1e11):
-    # the shifted solve's data is O(dt/eps) while its result is O(eps): the
-    # rounding of that data must not come back as a fast-average drift
+    # one bordered fast solve for every eps, also where eps**2 underflows:
+    # the micro field stays mean-free and keeps its O(eps) corrector shape
     res = run_micro_macro(benchmark_problem(eps, t_end=0.001), 32, 8)
     g = res.final_micro
     assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * np.max(np.abs(g))
     # the eps = 1e-11 run sits O(eps) from the limit: measured 6.2e-12 .. 6.9e-12
     base = emm_eps_1e11.final_macro
     assert np.max(np.abs(res.final_macro - base)) <= 1e-11 * np.max(np.abs(base))
+    # G/eps: measured <= 4.1e-11
+    scaled, near = g / eps, emm_eps_1e11.final_micro / 1e-11
+    assert np.max(np.abs(scaled)) > 0.0
+    assert np.max(np.abs(scaled - near)) <= 1e-10 * np.max(np.abs(near))
+
+
+def test_emm_fast_average_drift_trips_the_guard(monkeypatch):
+    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
+    solve = solver.ops.solve_bordered
+    monkeypatch.setattr(solver.ops, "solve_bordered", lambda rhs, s: solve(rhs, s) + 1e-3)
+    with pytest.raises(StabilityError, match="fast-average drift"):
+        solver.step(solver.initial_state())
 
 
 def test_ap_degeneracy_holds_where_eps_squared_underflows():
-    # dt/eps**2 is past every representable shift here: the step is the
-    # c = inf limit, plain effective Euler up to the O(eps) wall data
+    # eps**2 underflows here, so s = 0 and the weight is 0: the step is
+    # plain effective Euler up to the O(eps) micro and wall terms
     rows = ap_degeneracy_study(eps_values=(1e-100, 1e-160, 1e-300))
     assert [eps for eps, _ in rows] == [1e-100, 1e-160, 1e-300]
     assert all(math.isfinite(dev) and dev <= 1e-12 for _, dev in rows)
