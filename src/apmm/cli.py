@@ -81,18 +81,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         written.append(g_path)
 
     meta_path = Path(f"{cfg.output}_meta.txt")
+    meta = [
+        ("epsilon", _fmt(cfg.epsilon)), ("nx", cfg.nx), ("ny", cfg.ny), ("t_end", _fmt(cfg.t_end)),
+        ("scheme", cfg.scheme), ("coeff", cfg.coeff), ("bc", cfg.bc),
+        ("dt_factor", _fmt(dt_factor)), ("output", cfg.output), ("steps", result.steps),
+        ("dt", _fmt(result.dt)),
+    ]
     with open(meta_path, "w", newline="") as fh:
-        fh.write(f"epsilon = {_fmt(cfg.epsilon)}\n")
-        fh.write(f"nx = {cfg.nx}\n")
-        fh.write(f"ny = {cfg.ny}\n")
-        fh.write(f"t_end = {_fmt(cfg.t_end)}\n")
-        fh.write(f"scheme = {cfg.scheme}\n")
-        fh.write(f"coeff = {cfg.coeff}\n")
-        fh.write(f"bc = {cfg.bc}\n")
-        fh.write(f"dt_factor = {_fmt(dt_factor)}\n")
-        fh.write(f"output = {cfg.output}\n")
-        fh.write(f"steps = {result.steps}\n")
-        fh.write(f"dt = {_fmt(result.dt)}\n")
+        fh.writelines(f"{key} = {value}\n" for key, value in meta)
     written.append(meta_path)
 
     for path in written:

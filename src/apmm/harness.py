@@ -93,13 +93,10 @@ class RegimeRecord:
     csv_path: str
 
     def __post_init__(self):
-        pairs = [
-            (self.error_u_inf_emm, self.error_u_l2_emm),
-            (self.error_du_inf_emm, self.error_du_l2_emm),
-            (self.error_u_inf_hmm, self.error_u_l2_hmm),
-            (self.error_du_inf_hmm, self.error_du_l2_hmm),
-        ]
-        for l_inf, l2 in pairs:
+        for name in ("u_emm", "du_emm", "u_hmm", "du_hmm"):
+            quantity, scheme = name.split("_")
+            l_inf = getattr(self, f"error_{quantity}_inf_{scheme}")
+            l2 = getattr(self, f"error_{quantity}_l2_{scheme}")
             if not (np.isfinite(l_inf) and np.isfinite(l2)):
                 raise ValueError("error norms must be finite")
             if l_inf < 0.0 or l2 < 0.0:
@@ -123,14 +120,7 @@ class RunReport:
 
 
 _REGIME_COLUMNS = ["x", "u_ref", "u_emm", "u_hmm", "du_ref", "du_emm", "du_hmm"]
-_SUMMARY_COLUMNS = [
-    "eps",
-    "scheme",
-    "error_u_inf",
-    "error_u_l2",
-    "error_du_inf",
-    "error_du_l2",
-]
+_SUMMARY_COLUMNS = ["eps", "scheme", "error_u_inf", "error_u_l2", "error_du_inf", "error_du_l2"]
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
@@ -141,28 +131,12 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def _write_summary(path: Path, records) -> None:
-    rows = []
-    for rec in records:
-        rows.append(
-            [
-                _fmt(rec.epsilon),
-                "emm",
-                _fmt(rec.error_u_inf_emm),
-                _fmt(rec.error_u_l2_emm),
-                _fmt(rec.error_du_inf_emm),
-                _fmt(rec.error_du_l2_emm),
-            ]
-        )
-        rows.append(
-            [
-                _fmt(rec.epsilon),
-                "hmm",
-                _fmt(rec.error_u_inf_hmm),
-                _fmt(rec.error_u_l2_hmm),
-                _fmt(rec.error_du_inf_hmm),
-                _fmt(rec.error_du_l2_hmm),
-            ]
-        )
+    rows = (
+        [_fmt(rec.epsilon), scheme]
+        + [_fmt(getattr(rec, f"{column}_{scheme}")) for column in _SUMMARY_COLUMNS[2:]]
+        for rec in records
+        for scheme in ("emm", "hmm")
+    )
     _write_rows(path, _SUMMARY_COLUMNS, rows)
 
 
@@ -194,11 +168,9 @@ def regime_comparison(
     records: list[RegimeRecord] = []
     for eps in eps_values:
         problem = benchmark_problem(eps, t_end=t_end, bc_mode=bc_mode)
-        n_ref = (
-            reference_cells(eps, periods_per_oscillation)
-            if ref_cells is None
-            else int(ref_cells)
-        )
+        n_ref = reference_cells(eps, periods_per_oscillation)
+        if ref_cells is not None:
+            n_ref = int(ref_cells)
 
         t0 = time.perf_counter()
         ref = run_reference(problem, n_ref)
@@ -222,16 +194,18 @@ def regime_comparison(
         du_emm = derivative_on_fine(u_emm, fine)
         du_hmm = derivative_on_fine(u_hmm, fine)
 
-        u_inf_e, u_l2_e = error_norms(u_emm, u_ref, fine)
-        du_inf_e, du_l2_e = error_norms(du_emm, du_ref, fine)
-        u_inf_h, u_l2_h = error_norms(u_hmm, u_ref, fine)
-        du_inf_h, du_l2_h = error_norms(du_hmm, du_ref, fine)
+        errors = {}
+        for scheme, u, du in (("emm", u_emm, du_emm), ("hmm", u_hmm, du_hmm)):
+            errors[f"error_u_inf_{scheme}"], errors[f"error_u_l2_{scheme}"] = error_norms(
+                u, u_ref, fine
+            )
+            errors[f"error_du_inf_{scheme}"], errors[f"error_du_l2_{scheme}"] = error_norms(
+                du, du_ref, fine
+            )
 
         csv_path = out / f"regime_eps_{eps:g}.csv"
         columns = [fine.centers, u_ref, u_emm, u_hmm, du_ref, du_emm, du_hmm]
-        rows = (
-            [_fmt(col[i]) for col in columns] for i in range(fine.n_cells)
-        )
+        rows = ([_fmt(col[i]) for col in columns] for i in range(fine.n_cells))
         _write_rows(csv_path, _REGIME_COLUMNS, rows)
 
         records.append(
@@ -241,14 +215,7 @@ def regime_comparison(
                 n_x=n_x,
                 n_y=n_y,
                 t_end=t_end,
-                error_u_inf_emm=u_inf_e,
-                error_u_l2_emm=u_l2_e,
-                error_du_inf_emm=du_inf_e,
-                error_du_l2_emm=du_l2_e,
-                error_u_inf_hmm=u_inf_h,
-                error_u_l2_hmm=u_l2_h,
-                error_du_inf_hmm=du_inf_h,
-                error_du_l2_hmm=du_l2_h,
+                **errors,
                 wall_time_ref=wall_ref,
                 wall_time_emm=wall_emm,
                 wall_time_hmm=wall_hmm,
@@ -293,11 +260,7 @@ def ap_degeneracy_study(
         deviation = float(np.max(np.abs(result.final_macro - euler)))
         rows.append((float(eps), deviation))
     if out_path is not None:
-        _write_rows(
-            Path(out_path),
-            ["eps", "deviation"],
-            ([_fmt(e), _fmt(d)] for e, d in rows),
-        )
+        _write_rows(Path(out_path), ["eps", "deviation"], ([_fmt(e), _fmt(d)] for e, d in rows))
     return tuple(rows)
 
 
@@ -346,12 +309,7 @@ def _spatial_study(levels: int) -> ConvergenceReport:
         errors.append(float(np.max(np.abs(result.final - exact))))
     dxs = [1.0 / n for n in sizes]
     order = float(np.polyfit(np.log(dxs), np.log(errors), 1)[0])
-    return ConvergenceReport(
-        scheme="ref",
-        resolutions=tuple(dxs),
-        errors=tuple(errors),
-        order=order,
-    )
+    return ConvergenceReport("ref", tuple(dxs), tuple(errors), order)
 
 
 def _temporal_study(levels: int) -> ConvergenceReport:
@@ -366,9 +324,4 @@ def _temporal_study(levels: int) -> ConvergenceReport:
         dts.append(run.dt)
         errors.append(float(np.max(np.abs(run.final_macro - reference.final_macro))))
     order = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
-    return ConvergenceReport(
-        scheme="emm",
-        resolutions=tuple(dts),
-        errors=tuple(errors),
-        order=order,
-    )
+    return ConvergenceReport("emm", tuple(dts), tuple(errors), order)

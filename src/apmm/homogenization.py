@@ -32,7 +32,8 @@ def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
 def _x_gradient(v: FloatArray, dx: float) -> FloatArray:
     """:func:`macro_gradient` along axis 0, unchecked; also used on (nx, ny)."""
     out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dx
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dx)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dx)
     return out

@@ -4,19 +4,22 @@ Fields come in two layouts: macro arrays of shape (nx,) on the spatial cell
 centres, and micro arrays of shape (nx, ny) whose fast axis is periodic.
 All operators act slice-by-slice in x and vectorise over the batch.
 
-Dirichlet wall data enters through ghost values ``u_ghost = 2*u_wall -
-u_first`` for the x-direction stencils.  Every periodic solve in y is one
-solve with the bordered matrix ``K(s) = [[s*I - Ly, B], [B^T, 0]]``, where
-``B`` holds one column of ones per distinct slice (one in all when the
-coefficient does not depend on x): the Lagrange border removes each slice's
-mean from the data and holds the solution's mean at zero, which fixes the
-nullspace of ``Ly`` at s = 0 without node pinning.  ``s >= 0`` is the
-inverse of the time-step shift, so it stays finite as the shift grows
-without bound.  ``K`` is assembled once with each border next to its block,
-and its sparse LU is cached per value of s; the slices sharing a block are
-solved together as the columns of one right-hand side.  The effective
-operator is a 1-D stencil whose coefficients come from the closed-form cell
-corrector.
+Every stencil reads a padded copy of its field: ghost rows ``u_ghost =
+2*u_wall - u_first`` carry the Dirichlet wall data in x, and ghost columns
+holding the opposite edge carry the periodic fast axis, so every neighbour
+is a slice of the buffer and no stencil uses ``np.roll``.
+``apply_y_diffusion`` keeps the flux form, as the reference the solves are
+tested against.  Every periodic solve in y is one solve with the bordered
+matrix ``K(s) = [[s*I - Ly, B], [B^T, 0]]``, where ``B`` holds one column
+of ones per distinct slice (one in all when the coefficient does not depend
+on x): the Lagrange border removes each slice's mean from the data and
+holds the solution's mean at zero, which fixes the nullspace of ``Ly`` at
+s = 0 without node pinning.  ``s >= 0`` is the inverse of the time-step
+shift, so it stays finite as the shift grows without bound.  ``K`` is
+assembled once with each border next to its block, and its sparse LU is
+cached per value of s; the slices sharing a block are solved together as
+the columns of one right-hand side.  The effective operator is a 1-D
+stencil whose coefficients come from the closed-form cell corrector.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .homogenization import _cell_corrector, _x_gradient, macro_gradient
+from .homogenization import _cell_corrector, _x_gradient
 from .mesh import FloatArray
 from .problem import CoefficientTables
 
@@ -67,6 +70,8 @@ class GridOperators:
         self._blocks = 1 if tables.x_uniform else self.nx
         self._bordered, self._diagonal = self._bordered_matrix()
         self._factors: dict = {}
+        # a_{j-1/2} for j = 0 .. ny, the weights between padded columns, per distinct slice
+        self._y_weights = tables.y_interfaces[: self._blocks, np.arange(-1, self.ny)]
 
     # -- helpers ------------------------------------------------------------
 
@@ -83,24 +88,45 @@ class GridOperators:
             return np.broadcast_to(u[:, None], (self.nx, self.ny))
         return self._checked(u, (self.nx, self.ny), "micro field")
 
-    def _with_ghosts(self, u: FloatArray, bc) -> FloatArray:
-        """Pad a field with Dirichlet ghost rows (2*wall - first interior)."""
-        u2 = self._as_micro(u)
+    @staticmethod
+    def _x_padded(u: FloatArray, bc) -> FloatArray:
+        """Copy of ``u`` with the Dirichlet ghost rows ``2*wall - first interior``."""
         left, right = (0.0, 0.0) if bc is None else bc
-        padded = np.empty((self.nx + 2, self.ny))
-        padded[1:-1] = u2
-        padded[0] = 2.0 * np.asarray(left, dtype=float) - u2[0]
-        padded[-1] = 2.0 * np.asarray(right, dtype=float) - u2[-1]
-        return padded
+        first, last = 2.0 * np.asarray(left) - u[0], 2.0 * np.asarray(right) - u[-1]
+        return np.concatenate((first[None], u, last[None]))
+
+    def _padded(self, u: FloatArray, bc) -> FloatArray:
+        """``(nx+2, ny+2)`` copy of a field: ghost rows, then periodic ghost columns."""
+        rows = self._x_padded(self._as_micro(u), bc)
+        return np.concatenate((rows[:, -1:], rows, rows[:, :1]), axis=1)
+
+    def _x_flux(self, p: FloatArray) -> FloatArray:
+        """``a * dp/dx / dx`` at the nx+1 x-interfaces of an x-padded field."""
+        return self.tables.x_interfaces * (p[1:] - p[:-1]) / self.dx**2
+
+    def _centre_y_flux(self, padded: FloatArray) -> FloatArray:
+        """``a du/dy`` at the cell centres, by periodic centred differences in y."""
+        return self.tables.centers * (padded[1:-1, 2:] - padded[1:-1, :-2]) / (2.0 * self.dy)
+
+    def _mixed(self, padded: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """The mixed block of a padded field, and the y-average of its first term
+        (that of the whole block: the second term's telescopes to zero)."""
+        out = _x_gradient(self._centre_y_flux(padded), self.dx)
+        first_average = y_average(out)
+        half_dudx = (padded[2:] - padded[:-2]) / (4.0 * self.dx)  # nodes j = -1 .. ny
+        flux = half_dudx[:, :-1] + half_dudx[:, 1:]  # du/dx at the half-nodes j - 1/2, j = 0 .. ny
+        flux *= self._y_weights
+        term = np.subtract(flux[:, 1:], flux[:, :-1], out=half_dudx[:, 1:-1])  # half_dudx is spent
+        out += np.divide(term, self.dy, out=term)
+        return out, first_average
 
     # -- fast-direction (periodic) operators --------------------------------
 
     def apply_y_diffusion(self, u: FloatArray) -> FloatArray:
         """Flux-form periodic diffusion in y at frozen x: d/dy(a d/dy u)."""
-        u = self._checked(u, (self.nx, self.ny), "micro field")
-        ay = self.tables.y_interfaces
-        flux = ay * (np.roll(u, -1, axis=1) - u) / self.dy**2
-        return flux - np.roll(flux, 1, axis=1)
+        padded = self._padded(self._checked(u, (self.nx, self.ny), "micro field"), None)
+        flux = self._y_weights * np.diff(padded[1:-1], axis=1) / self.dy**2  # at j - 1/2
+        return np.diff(flux, axis=1)
 
     def _bordered_matrix(self):
         """``K(0) = [[-Ly, B], [B^T, 0]]`` as CSC, one (ny+1)-block per distinct slice.
@@ -144,13 +170,15 @@ class GridOperators:
 
         One solve with ``K(s)``: the Lagrange multiplier of each slice takes
         the slice mean of ``rhs`` and the border row holds the sum of ``w``
-        at zero.  The shapes are not checked.
+        at zero.  The columns are built in the Fortran order ``SuperLU`` copies
+        without a transpose.  The shapes are not checked.
         """
         m, n = self._blocks, self.ny
-        columns = np.zeros((m, n + 1, self.nx // m))
-        columns[:, :n] = rhs.reshape(m, self.nx // m, n).transpose(0, 2, 1)
-        w = self._factor(s).solve(columns.reshape(m * (n + 1), -1)).reshape(m, n + 1, -1)
-        return w[:, :n].transpose(0, 2, 1).reshape(self.nx, n)
+        k = self.nx // m  # right-hand side columns: the slices sharing a block
+        columns = np.zeros((k, m, n + 1))
+        columns[:, :, :n] = rhs.reshape(m, k, n).transpose(1, 0, 2)
+        w = self._factor(s).solve(columns.reshape(k, m * (n + 1)).T).T.reshape(k, m, n + 1)
+        return w[:, :, :n].transpose(1, 0, 2).reshape(self.nx, n)
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
         """Solve the singular periodic y-diffusion problem per slice.
@@ -193,9 +221,18 @@ class GridOperators:
         Macro input is broadcast across the fast axis; the result is always
         a micro field because the coefficient varies in y.
         """
-        padded = self._with_ghosts(u, bc)
-        ax = self.tables.x_interfaces
-        flux = ax * (padded[1:] - padded[:-1]) / self.dx**2
+        return self._x_diffusion(self._padded(u, bc))
+
+    def _x_diffusion(self, padded: FloatArray) -> FloatArray:
+        flux = self._x_flux(padded[:, 1:-1])
+        return flux[1:] - flux[:-1]
+
+    def _y_averaged_x_diffusion(self, u: FloatArray, bc) -> FloatArray:
+        """``y_average(apply_x_diffusion(u, bc))`` of a micro field, padded in x only.
+
+        The flux is averaged before it is differenced.  The shape is not checked.
+        """
+        flux = y_average(self._x_flux(self._x_padded(u, bc)))
         return flux[1:] - flux[:-1]
 
     def apply_mixed_derivatives(self, u: FloatArray, bc=None) -> FloatArray:
@@ -210,30 +247,43 @@ class GridOperators:
         y-average telescopes to exactly zero for any input; Dirichlet traces
         enter it through the usual ghost rule.
         """
-        u2 = self._as_micro(u)
-        ay = self.tables.y_interfaces
+        return self._mixed(self._padded(u, bc))[0]
 
-        r = self.tables.centers * (np.roll(u2, -1, axis=1) - np.roll(u2, 1, axis=1)) / (
-            2.0 * self.dy
-        )
-        term1 = _x_gradient(r, self.dx)
+    def _coupling(self, macro, micro, bc, eps: float) -> tuple[FloatArray, FloatArray]:
+        """``Mixed(u) + eps * Xdiff(u)`` for ``u = macro + micro``, padded once.
 
-        padded = self._with_ghosts(u, bc)
-        dudx = (padded[2:] - padded[:-2]) / (2.0 * self.dx)
-        s = ay * 0.5 * (dudx + np.roll(dudx, -1, axis=1))
-        term2 = (s - np.roll(s, 1, axis=1)) / self.dy
-        return term1 + term2
+        Also returns the mixed block's y-average (see :meth:`_mixed`).  The
+        shapes are not checked.
+        """
+        padded = self._padded(micro + macro[:, None], bc)
+        out, mixed_average = self._mixed(padded)
+        out += eps * self._x_diffusion(padded)
+        return out, mixed_average
 
     @cached_property
     def _effective_coefficients(self) -> tuple[FloatArray, FloatArray]:
-        """``abar`` and ``beta``; the (nx, ny) corrector is not kept.
+        """``abar`` and ``beta`` as columns; the (nx, ny) corrector is not kept.
 
         ``Ly chi = g`` is the discrete cell problem with the sign of its
         data flipped, so ``chi`` is minus the closed-form cell corrector.
         """
         chi = -_cell_corrector(1.0 / self.tables.y_interfaces, self.ymesh)
-        dchi = (np.roll(chi, -1, axis=1) - np.roll(chi, 1, axis=1)) / (2.0 * self.dy)
-        return y_average(self.tables.x_interfaces), y_average(self.tables.centers * dchi)
+        beta = y_average(self._centre_y_flux(self._padded(chi, None)))
+        return y_average(self.tables.x_interfaces)[:, None], beta[:, None]
+
+    def _effective_parts(self, columns: FloatArray, bc) -> tuple[FloatArray, FloatArray]:
+        """Diffusion and drift of the effective stencil on macro columns (nx, k).
+
+        The diffusion ``diff(abar * diff(p))/dx**2`` of the ghost-padded
+        columns ``p`` is also the y-average of ``apply_x_diffusion`` of a
+        macro field.  Walls are scalars or length-k arrays; shapes are not
+        checked.
+        """
+        abar, beta = self._effective_coefficients
+        p = self._x_padded(columns, bc)
+        d = (p[2:] - p[:-2]) / (2.0 * self.dx)
+        flux = abar * (p[1:] - p[:-1])
+        return (flux[1:] - flux[:-1]) / self.dx**2, _x_gradient(beta * d, self.dx)
 
     def apply_effective(self, macro: FloatArray, bc=None) -> FloatArray:
         """Upscaled diffusion block acting on a macro field.
@@ -251,8 +301,6 @@ class GridOperators:
         longer be ``d * chi``.
         """
         macro = self._checked(macro, (self.nx,), "macro field")
-        left, right = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
-        p = np.concatenate(([2.0 * left - macro[0]], macro, [2.0 * right - macro[-1]]))
-        abar, beta = self._effective_coefficients
-        d = (p[2:] - p[:-2]) / (2.0 * self.dx)
-        return np.diff(abar * np.diff(p)) / self.dx**2 - macro_gradient(beta * d, self.dx)
+        bc = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
+        diffusion, drift = self._effective_parts(macro[:, None], bc)
+        return (diffusion - drift)[:, 0]

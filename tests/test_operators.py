@@ -363,3 +363,42 @@ def test_effective_matches_composite_definition(coeff):
     want -= y_average(ops.apply_mixed_derivatives(w))
     got = ops.apply_effective(f, bc)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@COEFFICIENTS
+def test_padded_stencils_match_roll_definitions(coeff):
+    # the np.roll formulas the padded-buffer stencils replaced, written out
+    nx, ny = 24, 12
+    ops = _ops(nx, ny, coeff)
+    t, dx, dy = ops.tables, ops.dx, ops.dy
+    rng = np.random.default_rng(11)
+    walls = [None, (0.4, -1.3), (rng.standard_normal(ny), rng.standard_normal(ny))]
+    for u in (rng.standard_normal(nx), rng.standard_normal((nx, ny))):
+        u2 = np.broadcast_to(u[:, None], (nx, ny)) if u.ndim == 1 else u
+        for bc in walls:
+            left, right = (0.0, 0.0) if bc is None else bc
+            padded = np.empty((nx + 2, ny))
+            padded[1:-1] = u2
+            padded[0] = 2.0 * np.asarray(left) - u2[0]
+            padded[-1] = 2.0 * np.asarray(right) - u2[-1]
+            flux = t.x_interfaces * (padded[1:] - padded[:-1]) / dx**2
+            x_diffusion = flux[1:] - flux[:-1]
+
+            r = t.centers * (np.roll(u2, -1, axis=1) - np.roll(u2, 1, axis=1)) / (2.0 * dy)
+            term1 = np.empty_like(r)
+            term1[1:-1] = (r[2:] - r[:-2]) / (2.0 * dx)
+            term1[0] = (-3.0 * r[0] + 4.0 * r[1] - r[2]) / (2.0 * dx)
+            term1[-1] = (3.0 * r[-1] - 4.0 * r[-2] + r[-3]) / (2.0 * dx)
+            dudx = (padded[2:] - padded[:-2]) / (2.0 * dx)
+            s = t.y_interfaces * 0.5 * (dudx + np.roll(dudx, -1, axis=1))
+            mixed = term1 + (s - np.roll(s, 1, axis=1)) / dy
+
+            for got, want in (
+                (ops.apply_x_diffusion(u, bc), x_diffusion),
+                (ops.apply_mixed_derivatives(u, bc), mixed),
+            ):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    v = rng.standard_normal((nx, ny))
+    y_flux = t.y_interfaces * (np.roll(v, -1, axis=1) - v) / dy**2
+    want = y_flux - np.roll(y_flux, 1, axis=1)
+    assert np.max(np.abs(ops.apply_y_diffusion(v) - want)) <= 1e-14 * np.max(np.abs(want))

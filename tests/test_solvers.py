@@ -17,6 +17,7 @@ from apmm.operators import remove_y_average, y_average
 from apmm.harness import ap_degeneracy_study
 from apmm.problem import (
     ConfigError,
+    DiffusionField,
     ProblemSpec,
     benchmark_problem,
     constant_coefficient,
@@ -245,6 +246,46 @@ def test_emm_one_step_matches_update_formula():
         ops.solve_shifted(micro + (dt / eps) * remove_y_average(coupled), dt / eps**2)
     )
     w = math.exp(-dt / eps**2)
+    f_new = (
+        macro
+        + dt * (1.0 - w) * ops.apply_effective(macro, macro_bc)
+        + dt * w * y_average(ops.apply_x_diffusion(macro, macro_bc))
+        + (dt * w / eps) * y_average(ops.apply_mixed_derivatives(micro, micro_bc))
+        + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
+    )
+    assert np.max(np.abs(out.micro - g_new)) <= 1e-13
+    assert np.max(np.abs(out.macro - f_new)) <= 1e-13
+
+
+def test_emm_one_step_matches_update_formula_xdep():
+    """The same transcription on an x-dependent coefficient, where every x-slice
+    has its own bordered block, at an eps with 0 < exp(-dt/eps**2) < 1."""
+    eps = 0.3
+    coefficient = DiffusionField(
+        func=lambda x, y: 1.3
+        + (0.5 + 0.4 * x) * np.sin(2.0 * np.pi * y)
+        + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(4.0 * np.pi * y),
+        a_min=0.1,
+        a_max=2.5,
+    )
+    problem = dataclasses.replace(benchmark_problem(eps, t_end=1.0), coefficient=coefficient)
+    solver = MicroMacroSolver(problem, 32, 8)
+    assert problem.bc_mode == "dirichlet_corrector" and not solver.tables.x_uniform
+    state = solver.step(solver.initial_state())  # nonzero micro going in
+    out = solver.step(state)
+
+    ops, dt = solver.ops, solver.dt
+    macro, micro = state.macro, state.micro
+    macro_bc, micro_bc = solver.boundary_data(state.effective)
+    total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
+    combined = macro[:, None] + micro
+    coupled = ops.apply_mixed_derivatives(combined, total_bc)
+    coupled += eps * ops.apply_x_diffusion(combined, total_bc)
+    g_new = remove_y_average(
+        ops.solve_shifted(micro + (dt / eps) * remove_y_average(coupled), dt / eps**2)
+    )
+    w = math.exp(-dt / eps**2)
+    assert 0.0 < w < 1.0
     f_new = (
         macro
         + dt * (1.0 - w) * ops.apply_effective(macro, macro_bc)
