@@ -19,6 +19,7 @@ from .mesh import make_cell_mesh, make_spatial_mesh
 from .problem import (
     ConfigError,
     EllipticityError,
+    benchmark_problem,
     coefficient_from_name,
     parse_config,
 )
@@ -28,6 +29,14 @@ from .solvers import (
     run_micro_macro,
     run_reference,
 )
+
+
+def _checked(option: str, build, *args):
+    """``build(*args)``, with a rejected command-line value as a ConfigError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{option}: {exc}") from exc
 
 
 def _prepare_parent(path: str | Path) -> Path:
@@ -101,6 +110,10 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     t_end = args.t_end
     if t_end is None:
         t_end = 1.0 if args.paper_scale else 0.02
+    for eps in args.eps:
+        _checked("--eps/--t-end", benchmark_problem, eps, t_end)
+    if args.ref_cells is not None:
+        _checked("--ref-cells", make_spatial_mesh, args.ref_cells)
     report = regime_comparison(
         eps_values=tuple(args.eps),
         out_dir=args.out,
@@ -139,7 +152,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_cell(args: argparse.Namespace) -> int:
     coeff = coefficient_from_name(args.coeff)
-    ymesh = make_cell_mesh(args.ny)
+    ymesh = _checked("--ny", make_cell_mesh, args.ny)
     a0 = homogenized_coefficient(coeff, 0.5, ymesh)
     chi = solve_cell_problem(coeff, 0.5, ymesh)
     print(f"a0 = {_fmt(a0)}")

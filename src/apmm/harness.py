@@ -296,7 +296,6 @@ def _spatial_study(levels: int) -> ConvergenceReport:
         coefficient=constant_coefficient(1.0),
         epsilon=1.0,
         initial=lambda x: np.sin(np.pi * x),
-        source=None,
         bc_mode="dirichlet_homogeneous",
         t_end=t_end,
     )

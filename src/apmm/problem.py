@@ -2,8 +2,9 @@
 
 A diffusion coefficient is a strictly positive field a(x, y) that is
 1-periodic in the fast variable y.  A problem specification bundles the
-coefficient with the scale parameter, initial data, source, horizon and the
-boundary treatment used by the micro-macro scheme.
+coefficient with the scale parameter, initial data, horizon and the
+boundary treatment used by the micro-macro scheme.  The equation has no
+forcing term.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mesh import CellMesh, FloatArray, SpatialMesh
+from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 
 BC_MODES = ("dirichlet_corrector", "dirichlet_homogeneous")
 SCHEMES = ("ref", "emm", "hmm")
@@ -85,11 +86,10 @@ def constant_coefficient(value: float) -> DiffusionField:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Complete description of one initial-boundary value problem.
+    """Complete description of one unforced initial-boundary value problem.
 
     ``initial`` is g(x); it must vanish at both walls (compatible Dirichlet
-    data).  ``source`` maps (t, x_array) to an array; ``None`` means zero.
-    ``bc_mode`` selects how the micro-macro scheme treats the walls:
+    data).  ``bc_mode`` selects how the micro-macro scheme treats the walls:
     ``dirichlet_corrector`` feeds first-order corrector traces to the micro
     unknown, ``dirichlet_homogeneous`` forces plain zero traces.
     """
@@ -97,7 +97,6 @@ class ProblemSpec:
     coefficient: DiffusionField
     epsilon: float
     initial: Callable[[FloatArray], FloatArray]
-    source: Callable[[float, FloatArray], FloatArray] | None = None
     bc_mode: str = "dirichlet_corrector"
     t_end: float = 1.0
 
@@ -115,24 +114,17 @@ class ProblemSpec:
                 f"(got g(0)={walls[0]:.3e}, g(1)={walls[1]:.3e})"
             )
 
-    def source_at(self, t: float, x: FloatArray) -> FloatArray | None:
-        """Sampled source at time t, or None when the problem has no source."""
-        if self.source is None:
-            return None
-        return np.asarray(self.source(t, x), dtype=float)
-
 
 def benchmark_problem(
     epsilon: float,
     t_end: float = 1.0,
     bc_mode: str = "dirichlet_corrector",
 ) -> ProblemSpec:
-    """Standard benchmark: oscillatory coefficient, g = sin(2*pi*x), no source."""
+    """Standard benchmark: oscillatory coefficient, g = sin(2*pi*x)."""
     return ProblemSpec(
         coefficient=benchmark_coefficient(),
         epsilon=epsilon,
         initial=lambda x: np.sin(2.0 * np.pi * x),
-        source=None,
         bc_mode=bc_mode,
         t_end=t_end,
     )
@@ -249,7 +241,6 @@ class RunConfig:
             coefficient=self.coefficient(),
             epsilon=self.epsilon,
             initial=lambda x: np.sin(2.0 * np.pi * x),
-            source=None,
             bc_mode=self.bc,
             t_end=self.t_end,
         )
@@ -333,6 +324,8 @@ def parse_config(path: str | Path) -> RunConfig:
 
     try:
         cfg.problem()
-    except (ValueError, ConfigError) as exc:
+        make_spatial_mesh(cfg.nx)
+        make_cell_mesh(cfg.ny)
+    except ValueError as exc:
         raise ConfigError(f"{path}: inconsistent configuration: {exc}") from exc
     return cfg

@@ -68,16 +68,15 @@ def reconstruct_micro_macro(
     epsilon: float,
     coarse: SpatialMesh,
     fine: SpatialMesh,
-    wall_values: tuple[float, float] = (0.0, 0.0),
 ) -> FloatArray:
     """Evaluate macro + micro(x, x/epsilon) on the centres of a finer mesh.
 
     Between two coarse centres the two single-cell evaluations are blended
     linearly in x; both use the fast coordinate (x/epsilon) mod 1 of the fine
     point itself.  In the half-cells outside the outermost centres the whole
-    single-cell evaluation is blended linearly towards the wall value of the
-    solution (zero for homogeneous Dirichlet data), so the evaluation honours
-    the physical wall condition and its slope stays meaningful there.
+    single-cell evaluation is blended linearly towards the homogeneous
+    Dirichlet wall value zero, so the evaluation honours the physical wall
+    condition and its slope stays meaningful there.
     """
     macro = np.asarray(macro, dtype=float)
     micro = np.asarray(micro, dtype=float)
@@ -102,14 +101,14 @@ def reconstruct_micro_macro(
     if np.any(head):
         lam = 2.0 * s[head] + 1.0  # 0 at the wall, 1 at the first centre
         cell = macro[0] + _eval_micro_rows(coeffs, np.zeros(head.sum(), int), y_fast[head])
-        values[head] = (1.0 - lam) * wall_values[0] + lam * cell
+        values[head] = lam * cell
     tail = s > nx - 1.0
     if np.any(tail):
         lam = 2.0 * (s[tail] - (nx - 1))  # 0 at the last centre, 1 at the wall
         cell = macro[nx - 1] + _eval_micro_rows(
             coeffs, np.full(tail.sum(), nx - 1, int), y_fast[tail]
         )
-        values[tail] = (1.0 - lam) * cell + lam * wall_values[1]
+        values[tail] = (1.0 - lam) * cell
     return values
 
 
@@ -119,13 +118,10 @@ def reconstruct_homogenized(
     epsilon: float,
     coarse: SpatialMesh,
     fine: SpatialMesh,
-    wall_values: tuple[float, float] = (0.0, 0.0),
 ) -> FloatArray:
     """Same blend applied to a homogenized solution and its scaled corrector."""
     corrector = np.asarray(corrector, dtype=float)
-    return reconstruct_micro_macro(
-        macro, epsilon * corrector, epsilon, coarse, fine, wall_values
-    )
+    return reconstruct_micro_macro(macro, epsilon * corrector, epsilon, coarse, fine)
 
 
 def derivative_on_fine(values: FloatArray, fine: SpatialMesh) -> FloatArray:

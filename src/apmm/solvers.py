@@ -10,10 +10,12 @@ Three schemes share one explicit finite-volume backbone:
   scheme whose micro part is integrated implicitly in the fast direction.
 
 All schemes use a fixed step dt = dt_factor * dx**2 with the final step
-shortened to land exactly on t_end, and abort with ``StabilityError`` when a
-field stops being finite.  The explicit runs without a source are not
-stepped: their snapshots are evaluated in the eigenbasis of the step matrix,
-which gives the same discrete solution.
+shortened to land exactly on t_end, abort with ``StabilityError`` when a
+field stops being finite, and return the final state only.  The explicit
+runs are not stepped: their final state is evaluated in the eigenbasis of
+the step matrix, which gives the same discrete solution.  Trajectories of
+the splitting scheme come from ``MicroMacroSolver.initial_state`` and
+``step``.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .operators import GridOperators, remove_y_average
 from .problem import ConfigError, ProblemSpec, sample_coefficient
 from .reconstruct import trig_interpolate
 
-_FINITE_CHECK_EVERY = 256  # step interval of the NaN/Inf scan in the fine loop
 _MEAN_DRIFT_TOL = 1e-11
-_MODE_TOL = 1e-17  # modes whose gain by the first snapshot is below this are dropped
+_MODE_TOL = 1e-17  # modes whose gain over the full steps is below this are dropped
 _MODE_BLOCK = 8  # eigenvectors computed per dstein call
 
 
@@ -61,29 +62,14 @@ def _step_count(t_end: float, dt: float) -> int:
     return max(1, int(math.ceil(t_end / dt - 1e-9)))
 
 
-def _snapshot_steps(record_times, dt: float, n_steps: int) -> dict[int, float]:
-    """Map requested output times to completed-step indices (nearest snap)."""
-    chosen: dict[int, float] = {}
-    for t in record_times:
-        k = int(round(float(t) / dt))
-        chosen[min(max(k, 0), n_steps)] = float(t)
-    chosen[n_steps] = math.nan  # final state is always recorded
-    return chosen
-
-
 @dataclass(frozen=True)
 class MacroResult:
-    """Trajectory of a macro-only run: snapshots at the recorded times."""
+    """Final state of a macro-only run."""
 
     mesh: SpatialMesh
-    times: FloatArray
-    snapshots: FloatArray
+    final: FloatArray
     steps: int
     dt: float
-
-    @property
-    def final(self) -> FloatArray:
-        return self.snapshots[-1]
 
 
 @dataclass(frozen=True)
@@ -92,47 +78,50 @@ class HomogenizedResult(MacroResult):
     hom: HomogenizedData
 
 
-def _growth(mu: FloatArray, powers) -> FloatArray:
-    """``(1 + mu)**k`` for every power k (rows) and eigenvalue mu (columns).
+def _growth(mu: FloatArray, k: int) -> FloatArray:
+    """``(1 + mu)**k`` for every eigenvalue mu.
 
     Binary powering of ``mu`` itself, ``(1 + b)**2 - 1 = b * (2 + b)``, so
     ``1 + mu`` is never rounded: near 1 that rounding would cost k ulps.
     """
-    k = np.array(powers, dtype=np.int64)[:, None]
-    acc = np.zeros((k.shape[0], mu.shape[0]))  # (1 + mu)**(bits of k done) - 1
+    acc = np.zeros_like(mu)  # (1 + mu)**(bits of k done) - 1
     base = acc + mu
-    while k.any():
-        acc = np.where(k & 1, acc + base + acc * base, acc)
+    while k:
+        if k & 1:
+            acc = acc + base + acc * base
         base = base * (2.0 + base)
-        k = k >> 1
+        k >>= 1
     return 1.0 + acc
 
 
-def _modal_snapshots(
-    u0: FloatArray, a_interfaces: FloatArray, r: float, last_ratio: float,
-    n_steps: int, steps: list[int],
-) -> FloatArray:
-    """Source-free explicit snapshots from the eigenmodes of the step matrix.
+def _explicit_heat_loop(
+    u0: FloatArray, a_interfaces: FloatArray, dx: float, dt: float, t_end: float
+) -> tuple[FloatArray, int]:
+    """Final state and step count of the explicit flux-form scheme shared by
+    the reference and effective runs, evaluated from the step matrix's modes.
 
     One step is ``u + B u`` with ``B`` the symmetric tridiagonal flux
     difference times ``r = dt/dx**2`` (the odd wall ghosts count the wall
     interfaces twice on the diagonal); the shortened last step is ``u +
-    last_ratio * B u``, with the same eigenvectors.  So snapshot k is ``sum
-    g_k(mu) (z . u0) z`` over the eigenpairs ``(mu, z)`` of ``B``.  Only the
-    modes whose ``|1 + mu|`` keeps a gain above ``_MODE_TOL`` over the fewest
-    full steps of any snapshot matter: bisection (``dstebz``) finds them by
-    value near ``1 + mu = 1`` and, for dt at the stability bound, near -1,
-    and inverse iteration (``dstein``) gives their eigenvectors a block at a
-    time, so no n x n matrix is ever formed.
+    last_ratio * B u``, with the same eigenvectors.  So the final state is
+    ``sum (1 + mu)**(n - 1) (1 + last_ratio*mu) (z . u0) z`` over the
+    eigenpairs ``(mu, z)`` of ``B``.  Only the modes whose ``|1 + mu|``
+    keeps a gain above ``_MODE_TOL`` over the ``n - 1`` full steps matter:
+    bisection (``dstebz``) finds them by value near ``1 + mu = 1`` and, for
+    dt at the stability bound, near -1, and inverse iteration (``dstein``)
+    gives their eigenvectors a block at a time, so no n x n matrix is ever
+    formed.
     """
+    n_steps = _step_count(t_end, dt)
+    last_ratio = (t_end - (n_steps - 1) * dt) / dt
+    r = dt / dx**2
     diag = -r * (a_interfaces[:-1] + a_interfaces[1:])
     diag[0] -= r * a_interfaces[0]
     diag[-1] -= r * a_interfaces[-1]
     off = r * a_interfaces[1:-1]
-    full = [min(k, n_steps - 1) for k in steps]  # full steps before each snapshot
-    fewest = min(f for f, k in zip(full, steps) if k > 0)
-    cut = _MODE_TOL ** (1.0 / fewest) if fewest else 0.0
-    snaps = np.zeros((len(steps), u0.shape[0]))
+    full = n_steps - 1
+    cut = _MODE_TOL ** (1.0 / full) if full else 0.0
+    final = np.zeros(u0.shape[0])
     # the stability bound keeps every mu in [-2, 0]
     for lower, upper in ((cut - 1.0, 1.0), (-3.0, -1.0 - cut)):
         found, mu, block, split, info = dstebz(diag, off, 1, lower, upper, 0, 0, 0.0, b"B")
@@ -147,82 +136,17 @@ def _modal_snapshots(
             z, info = dstein(diag, off, mu_i, block, split)
             if info != 0:
                 raise np.linalg.LinAlgError(f"dstein failed with info={info}")
-            gains = _growth(mu_i, full)
-            gains[-1] *= 1.0 + last_ratio * mu_i  # the final snapshot is step n_steps
-            snaps += (gains * (u0 @ z)) @ z.T
-    if steps[0] == 0:
-        snaps[0] = u0
-    return snaps
-
-
-def _stepped_snapshots(
-    u0: FloatArray, a_interfaces: FloatArray, dx: float, dt: float, t_end: float,
-    n_steps: int, steps: list[int], source, centers: FloatArray,
-) -> FloatArray:
-    """Step the explicit scheme with its source, keeping the listed steps."""
-    n = u0.shape[0]
-    u = u0.copy()
-    padded = np.empty(n + 2)
-    flux = np.empty(n + 1)
-    update = np.empty(n)
-    kept = set(steps)
-    snaps: list[FloatArray] = [u.copy()] if 0 in kept else []
-
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        step_dt = dt if k < n_steps else t_end - (n_steps - 1) * dt
-        padded[1:-1] = u
-        padded[0] = -u[0]
-        padded[-1] = -u[-1]
-        np.subtract(padded[1:], padded[:-1], out=flux)
-        flux *= a_interfaces
-        np.subtract(flux[1:], flux[:-1], out=update)
-        update *= step_dt / dx**2
-        u += update
-        u += step_dt * np.asarray(source(t, centers), dtype=float)
-        t = t_end if k == n_steps else k * dt
-        if k % _FINITE_CHECK_EVERY == 0 and not np.all(np.isfinite(u)):
-            raise StabilityError(f"non-finite field at step {k} (t={t:.6g})")
-        if k in kept:
-            snaps.append(u.copy())
-    return np.array(snaps)
-
-
-def _explicit_heat_loop(
-    u0: FloatArray,
-    a_interfaces: FloatArray,
-    dx: float,
-    dt: float,
-    t_end: float,
-    source,
-    centers: FloatArray,
-    record_times,
-) -> tuple[FloatArray, FloatArray, int]:
-    """Shared explicit flux-form scheme for the reference and effective runs.
-
-    Without a source the recorded states are evaluated in the eigenbasis of
-    the step matrix; with one the scheme is stepped.
-    """
-    n_steps = _step_count(t_end, dt)
-    steps = sorted(_snapshot_steps(record_times, dt, n_steps))
-    times = np.array([t_end if k == n_steps else k * dt for k in steps])
-    if source is None:
-        last_ratio = (t_end - (n_steps - 1) * dt) / dt
-        snaps = _modal_snapshots(u0, a_interfaces, dt / dx**2, last_ratio, n_steps, steps)
-    else:
-        snaps = _stepped_snapshots(
-            u0, a_interfaces, dx, dt, t_end, n_steps, steps, source, centers
-        )
-    if not np.all(np.isfinite(snaps[-1])):
+            gains = _growth(mu_i, full) * (1.0 + last_ratio * mu_i)
+            final += (gains * (u0 @ z)) @ z.T
+    if not np.all(np.isfinite(final)):
         raise StabilityError(f"non-finite field at the final step (t={t_end:.6g})")
-    return times, snaps, n_steps
+    return final, n_steps
 
 
 def run_reference(
     problem: ProblemSpec,
     n_cells: int,
     dt_factor: float = 0.05,
-    record_times=(),
 ) -> MacroResult:
     """Fine-grid explicit run with the coefficient frozen along the diagonal.
 
@@ -243,35 +167,28 @@ def run_reference(
     a_if = np.asarray(a(x_if, np.mod(x_if / problem.epsilon, 1.0)), dtype=float)
     dt = dt_factor * mesh.dx**2
     u0 = np.asarray(problem.initial(mesh.centers), dtype=float)
-    times, snaps, steps = _explicit_heat_loop(
-        u0, a_if, mesh.dx, dt, problem.t_end, problem.source, mesh.centers, record_times
-    )
-    return MacroResult(mesh=mesh, times=times, snapshots=snaps, steps=steps, dt=dt)
+    final, steps = _explicit_heat_loop(u0, a_if, mesh.dx, dt, problem.t_end)
+    return MacroResult(mesh=mesh, final=final, steps=steps, dt=dt)
 
 
 def run_homogenized(
     problem: ProblemSpec,
     hom: HomogenizedData,
     dt_factor: float = 0.2,
-    record_times=(),
 ) -> HomogenizedResult:
     """Explicit run of the effective equation on hom's macro mesh.
 
-    Returns the macro trajectory together with the first-order corrector
-    evaluated from the final field.
+    Returns the final macro field together with the first-order corrector
+    evaluated from it.
     """
     mesh = hom.xmesh
     _validate_dt_factor(dt_factor, problem.coefficient.a_max)
     dt = dt_factor * mesh.dx**2
     u0 = np.asarray(problem.initial(mesh.centers), dtype=float)
-    times, snaps, steps = _explicit_heat_loop(
-        u0, hom.a0_interfaces, mesh.dx, dt, problem.t_end, problem.source,
-        mesh.centers, record_times,
-    )
-    corrector = first_order_corrector(hom, snaps[-1])
+    final, steps = _explicit_heat_loop(u0, hom.a0_interfaces, mesh.dx, dt, problem.t_end)
     return HomogenizedResult(
-        mesh=mesh, times=times, snapshots=snaps, steps=steps, dt=dt,
-        corrector=corrector, hom=hom,
+        mesh=mesh, final=final, steps=steps, dt=dt,
+        corrector=first_order_corrector(hom, final), hom=hom,
     )
 
 
@@ -295,22 +212,15 @@ class MicroMacroState:
 
 @dataclass(frozen=True)
 class MicroMacroResult:
+    """Final state of a splitting run."""
+
     xmesh: SpatialMesh
     ymesh: CellMesh
-    times: FloatArray
-    macro_snapshots: FloatArray  # (n_times, nx)
-    micro_snapshots: FloatArray  # (n_times, nx, ny)
+    final_macro: FloatArray  # (nx,)
+    final_micro: FloatArray  # (nx, ny)
     steps: int
     dt: float
     hom: HomogenizedData
-
-    @property
-    def final_macro(self) -> FloatArray:
-        return self.macro_snapshots[-1]
-
-    @property
-    def final_micro(self) -> FloatArray:
-        return self.micro_snapshots[-1]
 
 
 class MicroMacroSolver:
@@ -412,10 +322,6 @@ class MicroMacroSolver:
         if weight > 0.0:
             macro_new += (dt * weight / eps) * mixed_average
         macro_new += dt * ops._y_averaged_x_diffusion(micro_new, micro_bc)
-        source = self.problem.source_at(state.t, self.xmesh.centers)
-        if source is not None:
-            macro_new += dt * source
-            effective_new += dt * source
 
         t_new = state.t + dt
         # the max of a field is non-finite exactly when some entry is
@@ -437,7 +343,7 @@ class MicroMacroSolver:
             step=state.step + 1,
         )
 
-    def run(self, record_times=(), n_steps: int | None = None) -> MicroMacroResult:
+    def run(self, n_steps: int | None = None) -> MicroMacroResult:
         """Iterate to t_end (or for exactly n_steps full steps when given)."""
         if n_steps is None:
             total = _step_count(self.problem.t_end, self.dt)
@@ -447,28 +353,15 @@ class MicroMacroSolver:
             if total < 1:
                 raise ValueError(f"n_steps must be >= 1, got {n_steps}")
             last_dt = self.dt
-        record = _snapshot_steps(record_times, self.dt, total)
 
         state = self.initial_state()
-        times: list[float] = []
-        macro_snaps: list[FloatArray] = []
-        micro_snaps: list[FloatArray] = []
-        if 0 in record:
-            times.append(0.0)
-            macro_snaps.append(state.macro.copy())
-            micro_snaps.append(state.micro.copy())
         for k in range(1, total + 1):
             state = self.step(state, dt=last_dt if k == total else None)
-            if k in record:
-                times.append(state.t)
-                macro_snaps.append(state.macro.copy())
-                micro_snaps.append(state.micro.copy())
         return MicroMacroResult(
             xmesh=self.xmesh,
             ymesh=self.ymesh,
-            times=np.array(times),
-            macro_snapshots=np.array(macro_snaps),
-            micro_snapshots=np.array(micro_snaps),
+            final_macro=state.macro,
+            final_micro=state.micro,
             steps=total,
             dt=self.dt,
             hom=self.hom,
@@ -480,9 +373,6 @@ def run_micro_macro(
     n_x: int,
     n_y: int,
     dt_factor: float = 0.2,
-    record_times=(),
-    n_steps: int | None = None,
 ) -> MicroMacroResult:
-    """Convenience wrapper: build a MicroMacroSolver and run it."""
-    solver = MicroMacroSolver(problem, n_x, n_y, dt_factor=dt_factor)
-    return solver.run(record_times=record_times, n_steps=n_steps)
+    """Convenience wrapper: build a MicroMacroSolver and run it to t_end."""
+    return MicroMacroSolver(problem, n_x, n_y, dt_factor=dt_factor).run()

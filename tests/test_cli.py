@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from apmm.homogenization import build_homogenized, first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
@@ -140,6 +141,29 @@ def test_run_rejects_bad_configs(tmp_path):
     proc = _run(["run", "--config", str(tmp_path / "missing.cfg")], cwd=tmp_path)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+    for key, value in (("nx", 3), ("ny", 5)):
+        mesh = _write_config(tmp_path / f"{key}.cfg", **{key: value})
+        proc = _run(["run", "--config", str(mesh)], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["figure1", "--eps", "0.5", "2"],
+        ["figure1", "--t-end", "-1"],
+        ["figure1", "--ref-cells", "3"],
+        ["cell", "--ny", "5"],
+    ],
+    ids=["figure1-eps", "figure1-t-end", "figure1-ref-cells", "cell-ny"],
+)
+def test_out_of_range_arguments_exit_2(tmp_path, args):
+    proc = _run([*args, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()  # rejected before anything runs
 
 
 def test_converge_command(tmp_path):

@@ -76,8 +76,6 @@ def test_benchmark_problem_fields():
     p = benchmark_problem(0.1, t_end=0.02)
     x = np.array([0.0, 0.25, 0.5, 1.0])
     assert np.allclose(p.initial(x), np.sin(2 * np.pi * x), atol=1e-15)
-    assert p.source is None
-    assert p.source_at(0.0, x) is None
     assert p.t_end == 0.02
     assert p.bc_mode == "dirichlet_corrector"
 

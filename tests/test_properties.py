@@ -10,9 +10,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apmm.homogenization import build_homogenized
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import GridOperators, y_average
-from apmm.problem import DiffusionField, sample_coefficient
+from apmm.problem import DiffusionField, ProblemSpec, sample_coefficient
+from apmm.solvers import run_homogenized, run_reference
 
 
 def _coefficient(c0, p, q, r, phi) -> DiffusionField:
@@ -66,3 +68,37 @@ def test_mixed_block_y_average_is_its_first_terms(
     mixed = ops.apply_mixed_derivatives(u, bc)
     scale = np.max(np.abs(mixed)) + np.max(np.abs(first))
     assert np.max(np.abs(y_average(mixed) - y_average(first))) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=1000)
+@given(
+    c0=st.floats(1.0, 2.0),
+    p=st.floats(-0.4, 0.4),
+    q=st.floats(-0.4, 0.4),
+    r=st.floats(-0.15, 0.15),
+    phi=st.floats(0.0, 1.0),
+    eps=st.floats(0.125, 1.0),
+    t_end=st.floats(1e-6, 0.05),
+    dt_share=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_energy_does_not_increase(c0, p, q, r, phi, eps, t_end, dt_share, seed):
+    # with dt_factor at most 1/(2 a_max) every eigenvalue of the explicit
+    # step lies in [-1, 1], so without forcing ||u||_2 cannot grow; random
+    # cell values excite every mode, also the ones near -1 at the bound
+    coeff = _coefficient(c0, p, q, r, phi)
+    values = np.random.default_rng(seed).standard_normal(128)
+
+    def initial(x):
+        cells = np.minimum((np.asarray(x) * 128).astype(int), 127)
+        return np.where((x > 0.0) & (x < 1.0), values[cells], 0.0)
+
+    problem = ProblemSpec(coefficient=coeff, epsilon=eps, initial=initial, t_end=t_end)
+    dt_factor = dt_share / (2.0 * coeff.a_max)
+    hom = build_homogenized(coeff, make_spatial_mesh(64), make_cell_mesh(16))
+    for res in (
+        run_reference(problem, 128, dt_factor=dt_factor),
+        run_homogenized(problem, hom, dt_factor=dt_factor),
+    ):
+        norm0 = np.linalg.norm(initial(res.mesh.centers))
+        assert np.linalg.norm(res.final) <= norm0 * (1.0 + 1e-13)

@@ -71,16 +71,6 @@ def test_trig_rejects_bad_samples():
 # ------------------------------------------------------------- reconstruction
 
 
-def test_reconstruct_linear_macro_exact_with_wall_values():
-    coarse = make_spatial_mesh(8)
-    fine = make_spatial_mesh(512)
-    macro = 0.25 + 1.5 * coarse.centers
-    vals = reconstruct_micro_macro(
-        macro, np.zeros((8, 16)), 0.1, coarse, fine, wall_values=(0.25, 1.75)
-    )
-    assert np.max(np.abs(vals - (0.25 + 1.5 * fine.centers))) <= 1e-12
-
-
 def test_reconstruct_zero_micro_blends_to_homogeneous_walls():
     # default wall value is zero: the outer half-cells slope down to it
     coarse = make_spatial_mesh(8)
