@@ -7,7 +7,8 @@ All operators act slice-by-slice in x and vectorise over the batch.
 Every stencil reads a padded copy of its field: ghost rows ``u_ghost =
 2*u_wall - u_first`` carry the Dirichlet wall data in x, and ghost columns
 holding the opposite edge carry the periodic fast axis, so every neighbour
-is a slice of the buffer and no stencil uses ``np.roll``.
+is a slice of the buffer and no stencil uses ``np.roll``; the y-averaged
+x-flux of the step's micro field differences straight to the ghost rows.
 ``apply_y_diffusion`` keeps the flux form, as the reference the solves are
 tested against.  Every periodic solve in y is one solve with the bordered
 matrix ``K(s) = [[s*I - Ly, B], [B^T, 0]]``, where ``B`` holds one column
@@ -39,13 +40,12 @@ _MEAN_PRE_TOL = 1e-10
 
 def y_average(u: FloatArray) -> FloatArray:
     """Average over the periodic fast axis (exact trapezoid on equal nodes)."""
-    return np.asarray(u, dtype=float).mean(axis=-1)
+    return np.add.reduce(u, axis=-1) / np.shape(u)[-1]  # the bits of u.mean(axis=-1)
 
 
 def remove_y_average(u: FloatArray) -> FloatArray:
     """Fluctuating part of a micro field: subtract the per-slice y-average."""
-    u = np.asarray(u, dtype=float)
-    return u - u.mean(axis=-1, keepdims=True)
+    return u - y_average(u)[..., None]
 
 
 class GridOperators:
@@ -70,8 +70,8 @@ class GridOperators:
         self._blocks = 1 if tables.x_uniform else self.nx
         self._bordered, self._diagonal = self._bordered_matrix()
         self._factors: dict = {}
-        # a_{j-1/2} for j = 0 .. ny, the weights between padded columns, per distinct slice
-        self._y_weights = tables.y_interfaces[: self._blocks, np.arange(-1, self.ny)]
+        # a_{j-1/2}/(2*dx), j = 0 .. ny, the weights between padded columns, per distinct slice
+        self._y_weights = tables.y_interfaces[: self._blocks, np.arange(-1, self.ny)] / self.dx / 2
 
     # -- helpers ------------------------------------------------------------
 
@@ -89,43 +89,49 @@ class GridOperators:
         return self._checked(u, (self.nx, self.ny), "micro field")
 
     @staticmethod
-    def _x_padded(u: FloatArray, bc) -> FloatArray:
-        """Copy of ``u`` with the Dirichlet ghost rows ``2*wall - first interior``."""
+    def _ghost_rows(p: FloatArray, bc) -> None:
+        """Fill the Dirichlet ghost rows ``2*wall - first interior`` of an x-padded buffer."""
         left, right = (0.0, 0.0) if bc is None else bc
-        first, last = 2.0 * np.asarray(left) - u[0], 2.0 * np.asarray(right) - u[-1]
-        return np.concatenate((first[None], u, last[None]))
+        np.subtract(np.multiply(2.0, left), p[1], out=p[0])
+        np.subtract(np.multiply(2.0, right), p[-2], out=p[-1])
 
-    def _padded(self, u: FloatArray, bc) -> FloatArray:
-        """``(nx+2, ny+2)`` copy of a field: ghost rows, then periodic ghost columns."""
-        rows = self._x_padded(self._as_micro(u), bc)
-        return np.concatenate((rows[:, -1:], rows, rows[:, :1]), axis=1)
+    def _padded(self, u: FloatArray, bc, column=0.0) -> FloatArray:
+        """``(nx+2, ny+2)`` buffer of ``u + column``: ghost rows, then periodic ghost columns."""
+        p = np.empty((self.nx + 2, self.ny + 2))
+        np.add(u, column, out=p[1:-1, 1:-1])
+        self._ghost_rows(p[:, 1:-1], bc)
+        p[:, 0] = p[:, -2]
+        p[:, -1] = p[:, 1]
+        return p
 
-    def _x_flux(self, p: FloatArray) -> FloatArray:
-        """``a * dp/dx / dx`` at the nx+1 x-interfaces of an x-padded field."""
-        return self.tables.x_interfaces * (p[1:] - p[:-1]) / self.dx**2
+    def _centre_y_flux(self, p: FloatArray) -> FloatArray:
+        """``2*dy * a du/dy`` at the cell centres of a padded field, by centred differences."""
+        return np.multiply(p[1:-1, 2:] - p[1:-1, :-2], self.tables.centers)
 
-    def _centre_y_flux(self, padded: FloatArray) -> FloatArray:
-        """``a du/dy`` at the cell centres, by periodic centred differences in y."""
-        return self.tables.centers * (padded[1:-1, 2:] - padded[1:-1, :-2]) / (2.0 * self.dy)
-
-    def _mixed(self, padded: FloatArray) -> tuple[FloatArray, FloatArray]:
-        """The mixed block of a padded field, and the y-average of its first term
-        (that of the whole block: the second term's telescopes to zero)."""
-        out = _x_gradient(self._centre_y_flux(padded), self.dx)
-        first_average = y_average(out)
-        half_dudx = (padded[2:] - padded[:-2]) / (4.0 * self.dx)  # nodes j = -1 .. ny
-        flux = half_dudx[:, :-1] + half_dudx[:, 1:]  # du/dx at the half-nodes j - 1/2, j = 0 .. ny
+    def _mixed(self, p: FloatArray) -> tuple[FloatArray, FloatArray]:
+        """``2*dy`` times the mixed block of a padded field, and the y-sums of its
+        first term, those of the whole block (the second term's telescope to zero)."""
+        out = _x_gradient(self._centre_y_flux(p), self.dx)
+        first_sums = np.add.reduce(out, axis=-1)
+        half = p[:, :-1] + p[:, 1:]  # 2 * u at the half-nodes j - 1/2, j = 0 .. ny
+        flux = half[2:] - half[:-2]  # 4*dx * du/dx there, times a/(2*dx) below
+        del half  # the step's memory peak is here: one temporary at a time
         flux *= self._y_weights
-        term = np.subtract(flux[:, 1:], flux[:, :-1], out=half_dudx[:, 1:-1])  # half_dudx is spent
-        out += np.divide(term, self.dy, out=term)
-        return out, first_average
+        out += flux[:, 1:]
+        out -= flux[:, :-1]
+        return out, first_sums
+
+    def _x_diffusion(self, p: FloatArray) -> FloatArray:
+        """``dx**2`` times the flux-form x-diffusion of a padded field."""
+        flux = np.multiply(p[1:, 1:-1] - p[:-1, 1:-1], self.tables.x_interfaces)
+        return flux[1:] - flux[:-1]
 
     # -- fast-direction (periodic) operators --------------------------------
 
     def apply_y_diffusion(self, u: FloatArray) -> FloatArray:
         """Flux-form periodic diffusion in y at frozen x: d/dy(a d/dy u)."""
         padded = self._padded(self._checked(u, (self.nx, self.ny), "micro field"), None)
-        flux = self._y_weights * np.diff(padded[1:-1], axis=1) / self.dy**2  # at j - 1/2
+        flux = self._y_weights * np.diff(padded[1:-1], axis=1) * (2.0 * self.dx / self.dy**2)
         return np.diff(flux, axis=1)
 
     def _bordered_matrix(self):
@@ -173,12 +179,12 @@ class GridOperators:
         at zero.  The columns are built in the Fortran order ``SuperLU`` copies
         without a transpose.  The shapes are not checked.
         """
-        m, n = self._blocks, self.ny
-        k = self.nx // m  # right-hand side columns: the slices sharing a block
-        columns = np.zeros((k, m, n + 1))
-        columns[:, :, :n] = rhs.reshape(m, k, n).transpose(1, 0, 2)
-        w = self._factor(s).solve(columns.reshape(k, m * (n + 1)).T).T.reshape(k, m, n + 1)
-        return w[:, :, :n].transpose(1, 0, 2).reshape(self.nx, n)
+        # row i: slice i, then its border entry; with one block, or one per
+        # slice, the reshape makes the slices sharing a block one column each
+        columns = np.zeros((self.nx, self.ny + 1))
+        columns[:, :-1] = rhs
+        w = self._factor(s).solve(columns.reshape(self.nx // self._blocks, -1).T)
+        return np.ascontiguousarray(w.T.reshape(self.nx, self.ny + 1)[:, :-1])
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
         """Solve the singular periodic y-diffusion problem per slice.
@@ -221,19 +227,19 @@ class GridOperators:
         Macro input is broadcast across the fast axis; the result is always
         a micro field because the coefficient varies in y.
         """
-        return self._x_diffusion(self._padded(u, bc))
+        return self._x_diffusion(self._padded(self._as_micro(u), bc)) / self.dx**2
 
-    def _x_diffusion(self, padded: FloatArray) -> FloatArray:
-        flux = self._x_flux(padded[:, 1:-1])
-        return flux[1:] - flux[:-1]
-
-    def _y_averaged_x_diffusion(self, u: FloatArray, bc) -> FloatArray:
-        """``y_average(apply_x_diffusion(u, bc))`` of a micro field, padded in x only.
-
-        The flux is averaged before it is differenced.  The shape is not checked.
-        """
-        flux = y_average(self._x_flux(self._x_padded(u, bc)))
-        return flux[1:] - flux[:-1]
+    def _y_averaged_x_flux(self, u: FloatArray, bc) -> FloatArray:
+        """y-averaged ``a du/dx / dx`` at the x-interfaces of a micro field, unchecked:
+        its differences are ``y_average(apply_x_diffusion(u, bc))``.  The wall
+        rows difference to the ghost rows directly: ``2*(first - wall)``."""
+        d = np.empty((self.nx + 1, self.ny))
+        np.subtract(u[1:], u[:-1], out=d[1:-1])
+        np.subtract(u[0], bc[0], out=d[0])
+        np.subtract(bc[1], u[-1], out=d[-1])
+        d[:: self.nx] *= 2.0  # both wall rows
+        d *= self.tables.x_interfaces
+        return np.add.reduce(d, axis=-1) / (self.ny * self.dx**2)
 
     def apply_mixed_derivatives(self, u: FloatArray, bc=None) -> FloatArray:
         """The cross-derivative block d/dx(a d/dy u) + d/dy(a d/dx u).
@@ -247,43 +253,40 @@ class GridOperators:
         y-average telescopes to exactly zero for any input; Dirichlet traces
         enter it through the usual ghost rule.
         """
-        return self._mixed(self._padded(u, bc))[0]
+        return self._mixed(self._padded(self._as_micro(u), bc))[0] / (2.0 * self.dy)
 
     def _coupling(self, macro, micro, bc, eps: float) -> tuple[FloatArray, FloatArray]:
-        """``Mixed(u) + eps * Xdiff(u)`` for ``u = macro + micro``, padded once.
-
-        Also returns the mixed block's y-average (see :meth:`_mixed`).  The
-        shapes are not checked.
-        """
-        padded = self._padded(micro + macro[:, None], bc)
-        out, mixed_average = self._mixed(padded)
-        out += eps * self._x_diffusion(padded)
-        return out, mixed_average
+        """``2*dy * (Mixed(u) + eps * Xdiff(u))`` for ``u = macro + micro``, padded
+        once, and the y-sums of the mixed block (see :meth:`_mixed`); unchecked."""
+        p = self._padded(micro, bc, macro[:, None])
+        out, first_sums = self._mixed(p)
+        x_diffusion = self._x_diffusion(p)
+        x_diffusion *= 2.0 * self.dy * eps / self.dx**2
+        out += x_diffusion
+        return out, first_sums
 
     @cached_property
     def _effective_coefficients(self) -> tuple[FloatArray, FloatArray]:
-        """``abar`` and ``beta`` as columns; the (nx, ny) corrector is not kept.
+        """``abar/dx**2`` and ``beta/(2*dx)`` as columns; the (nx, ny) corrector is not kept.
 
         ``Ly chi = g`` is the discrete cell problem with the sign of its
         data flipped, so ``chi`` is minus the closed-form cell corrector.
         """
         chi = -_cell_corrector(1.0 / self.tables.y_interfaces, self.ymesh)
-        beta = y_average(self._centre_y_flux(self._padded(chi, None)))
-        return y_average(self.tables.x_interfaces)[:, None], beta[:, None]
+        beta = y_average(self._centre_y_flux(self._padded(chi, None))) / (2.0 * self.dy)
+        abar = y_average(self.tables.x_interfaces)
+        return (abar / self.dx**2)[:, None], (beta / (2.0 * self.dx))[:, None]
 
-    def _effective_parts(self, columns: FloatArray, bc) -> tuple[FloatArray, FloatArray]:
-        """Diffusion and drift of the effective stencil on macro columns (nx, k).
-
-        The diffusion ``diff(abar * diff(p))/dx**2`` of the ghost-padded
-        columns ``p`` is also the y-average of ``apply_x_diffusion`` of a
-        macro field.  Walls are scalars or length-k arrays; shapes are not
-        checked.
-        """
+    def _effective_parts(self, columns, bc) -> tuple[FloatArray, FloatArray]:
+        """Flux and drift of the effective stencil on k macro fields side by side, with
+        ``p`` their ghost-padded (nx+2, k) buffer (scalar or length-k walls): the flux
+        differences are ``diff(abar * diff(p))/dx**2``, also the y-average of
+        ``apply_x_diffusion`` of a macro field, and the drift is ``grad(beta * d)``."""
+        p = np.empty((self.nx + 2, len(columns)))
+        p[1:-1] = np.transpose(columns)
+        self._ghost_rows(p, bc)
         abar, beta = self._effective_coefficients
-        p = self._x_padded(columns, bc)
-        d = (p[2:] - p[:-2]) / (2.0 * self.dx)
-        flux = abar * (p[1:] - p[:-1])
-        return (flux[1:] - flux[:-1]) / self.dx**2, _x_gradient(beta * d, self.dx)
+        return abar * (p[1:] - p[:-1]), _x_gradient(beta * (p[2:] - p[:-2]), self.dx)
 
     def apply_effective(self, macro: FloatArray, bc=None) -> FloatArray:
         """Upscaled diffusion block acting on a macro field.
@@ -302,5 +305,5 @@ class GridOperators:
         """
         macro = self._checked(macro, (self.nx,), "macro field")
         bc = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
-        diffusion, drift = self._effective_parts(macro[:, None], bc)
-        return (diffusion - drift)[:, 0]
+        flux, drift = self._effective_parts((macro,), bc)
+        return (flux[1:] - flux[:-1] - drift)[:, 0]

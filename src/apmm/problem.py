@@ -108,7 +108,7 @@ class ProblemSpec:
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         walls = np.asarray(self.initial(np.array([0.0, 1.0])), dtype=float)
-        if np.max(np.abs(walls)) > 1e-12:
+        if not np.max(np.abs(walls)) <= 1e-12:  # NaN walls fail this too
             raise ValueError(
                 "initial data must vanish at x=0 and x=1 "
                 f"(got g(0)={walls[0]:.3e}, g(1)={walls[1]:.3e})"

@@ -34,7 +34,7 @@ from .homogenization import (
     wall_gradients,
 )
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
-from .operators import GridOperators, remove_y_average
+from .operators import GridOperators, y_average
 from .problem import ConfigError, ProblemSpec, sample_coefficient
 from .reconstruct import trig_interpolate
 
@@ -112,6 +112,8 @@ def _explicit_heat_loop(
     gives their eigenvectors a block at a time, so no n x n matrix is ever
     formed.
     """
+    if not np.all(np.isfinite(u0)):  # before numpy warns on inf - inf
+        raise StabilityError("non-finite initial data")
     n_steps = _step_count(t_end, dt)
     last_ratio = (t_end - (n_steps - 1) * dt) / dt
     r = dt / dx**2
@@ -262,19 +264,20 @@ class MicroMacroSolver:
         self.hom = build_homogenized(problem.coefficient, self.xmesh, self.ymesh)
         self.ops = GridOperators(self.tables)
         self.dt = dt_factor * self.xmesh.dx**2
-        self.epsilon = problem.epsilon
-        # corrector at each wall's own fast coordinate, 0 and (1/epsilon) mod 1
+        self.epsilon = eps = problem.epsilon
+        # wall data per unit gradient: -eps*chi at each wall's fast coordinate for F, eps*chi for G
         self._wall_traces = (
-            trig_interpolate(self.hom.chi_walls[0], 0.0),
-            trig_interpolate(self.hom.chi_walls[1], (1.0 / problem.epsilon) % 1.0),
+            -eps * trig_interpolate(self.hom.chi_walls[0], 0.0),
+            -eps * trig_interpolate(self.hom.chi_walls[1], (1.0 / eps) % 1.0),
         )
+        self._wall_profiles = eps * self.hom.chi_walls
 
     def initial_state(self) -> MicroMacroState:
         macro = np.asarray(self.problem.initial(self.xmesh.centers), dtype=float)
+        if not np.all(np.isfinite(macro)):  # before numpy warns on inf - inf
+            raise StabilityError("non-finite initial data")
         micro = np.zeros((self.xmesh.n_cells, self.ymesh.n_points))
-        return MicroMacroState(
-            macro=macro, micro=micro, effective=macro.copy(), t=0.0, step=0
-        )
+        return MicroMacroState(macro, micro, effective=macro.copy(), t=0.0, step=0)
 
     def boundary_data(self, effective: FloatArray):
         """Wall data for the current step, built from the companion field.
@@ -285,17 +288,12 @@ class MicroMacroSolver:
         solution does.  Homogeneous mode zeroes everything (and exhibits a
         wall layer).
         """
-        ny = self.ymesh.n_points
         if self.problem.bc_mode == "dirichlet_homogeneous":
-            zero = np.zeros(ny)
+            zero = np.zeros(self.ymesh.n_points)
             return (0.0, 0.0), (zero, zero)
-        grad_left, grad_right = wall_gradients(effective, self.xmesh.dx)
-        profile_left = self.hom.chi_walls[0] * grad_left
-        profile_right = self.hom.chi_walls[1] * grad_right
-        eps = self.epsilon
-        macro_left = -eps * self._wall_traces[0] * grad_left
-        macro_right = -eps * self._wall_traces[1] * grad_right
-        return (macro_left, macro_right), (eps * profile_left, eps * profile_right)
+        left, right = wall_gradients(effective, self.xmesh.dx)
+        traces, profiles = self._wall_traces, self._wall_profiles
+        return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
     def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:
         """Advance one level: implicit fast solve, then the slow update."""
@@ -306,42 +304,44 @@ class MicroMacroSolver:
         macro_bc, micro_bc = self.boundary_data(state.effective)
         total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
 
-        coupled, mixed_average = ops._coupling(macro, micro, total_bc, eps)
+        # 2*dy times the coupling terms.  The bordered solve removes their slice
+        # means too, but only to rounding, and a y-independent coupling must
+        # leave G' exactly zero.
+        coupled, first_sums = ops._coupling(macro, micro, total_bc, eps)
+        coupled -= y_average(coupled)[:, None]
+        coupled *= eps / (2.0 * ops.dy)
         s = (eps / dt) * eps
-        micro_new = ops.solve_bordered(s * micro + eps * remove_y_average(coupled), s)
+        coupled += s * micro
+        micro_new = ops.solve_bordered(coupled, s)
+        del coupled  # keeps the first step's set-up of the effective stencil off the peak
 
-        # F and the companion field (homogeneous walls) in one stencil evaluation
-        diffusion, drift = ops._effective_parts(
-            np.array((macro, state.effective)).T, ((macro_bc[0], 0.0), (macro_bc[1], 0.0))
-        )
+        # F and the companion field (homogeneous walls) in one stencil
+        # evaluation; F's flux also takes the y-averaged x-flux of G'
+        walls = ((macro_bc[0], 0.0), (macro_bc[1], 0.0))
+        flux, drift = ops._effective_parts((macro, state.effective), walls)
+        flux[:, 0] += ops._y_averaged_x_flux(micro_new, micro_bc)
         weight = math.exp(-(dt / eps) / eps)
         drift[:, 0] *= 1.0 - weight
-        update = dt * (diffusion - drift)
+        update = flux[1:] - flux[:-1]
+        update -= drift
+        update *= dt
         macro_new = macro + update[:, 0]
         effective_new = state.effective + update[:, 1]
         if weight > 0.0:
-            macro_new += (dt * weight / eps) * mixed_average
-        macro_new += dt * ops._y_averaged_x_diffusion(micro_new, micro_bc)
+            macro_new += (dt * weight / eps / (2.0 * ops.dy * ops.ny)) * first_sums
 
         t_new = state.t + dt
         # the max of a field is non-finite exactly when some entry is
-        scale = float(np.abs(micro_new).max())
-        if not (math.isfinite(scale) and math.isfinite(float(np.abs(macro_new).max()))):
+        scale = np.maximum.reduce(np.abs(micro_new), axis=None)
+        if not (math.isfinite(scale) and math.isfinite(np.maximum.reduce(np.abs(macro_new)))):
             raise StabilityError(f"non-finite field at step {state.step + 1} (t={t_new:.6g})")
-        if scale > 0.0:
-            mean_drift = float(np.max(np.abs(micro_new.mean(axis=-1))))
-            if mean_drift > _MEAN_DRIFT_TOL * scale:
-                raise StabilityError(
-                    f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
-                    f"* max|micro| at step {state.step + 1}"
-                )
-        return MicroMacroState(
-            macro=macro_new,
-            micro=micro_new,
-            effective=effective_new,
-            t=t_new,
-            step=state.step + 1,
-        )
+        mean_drift = np.maximum.reduce(np.abs(y_average(micro_new)))
+        if mean_drift > _MEAN_DRIFT_TOL * scale:
+            raise StabilityError(
+                f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
+                f"* max|micro| at step {state.step + 1}"
+            )
+        return MicroMacroState(macro_new, micro_new, effective_new, t_new, state.step + 1)
 
     def run(self, n_steps: int | None = None) -> MicroMacroResult:
         """Iterate to t_end (or for exactly n_steps full steps when given)."""
@@ -358,13 +358,7 @@ class MicroMacroSolver:
         for k in range(1, total + 1):
             state = self.step(state, dt=last_dt if k == total else None)
         return MicroMacroResult(
-            xmesh=self.xmesh,
-            ymesh=self.ymesh,
-            final_macro=state.macro,
-            final_micro=state.micro,
-            steps=total,
-            dt=self.dt,
-            hom=self.hom,
+            self.xmesh, self.ymesh, state.macro, state.micro, total, self.dt, self.hom
         )
 
 

@@ -72,6 +72,18 @@ def test_problem_spec_validation():
         ProblemSpec(coefficient=a, epsilon=0.1, initial=lambda x: np.cos(2 * np.pi * x))
 
 
+@pytest.mark.parametrize("wall", [0.0, 1.0])
+def test_problem_spec_rejects_nan_wall_data(wall):
+    # NaN compares false against the wall tolerance, so it must fail the check itself
+    a = benchmark_coefficient()
+
+    def g(x):
+        return np.where(np.asarray(x) == wall, np.nan, np.sin(np.pi * np.asarray(x)))
+
+    with pytest.raises(ValueError, match="must vanish"):
+        ProblemSpec(coefficient=a, epsilon=0.1, initial=g)
+
+
 def test_benchmark_problem_fields():
     p = benchmark_problem(0.1, t_end=0.02)
     x = np.array([0.0, 0.25, 0.5, 1.0])

@@ -6,15 +6,17 @@ and wall profiles come from a seeded generator, so a failing example is
 reproducible from what hypothesis prints.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmm.homogenization import build_homogenized
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.operators import GridOperators, y_average
-from apmm.problem import DiffusionField, ProblemSpec, sample_coefficient
-from apmm.solvers import run_homogenized, run_reference
+from apmm.operators import GridOperators, remove_y_average, y_average
+from apmm.problem import BC_MODES, DiffusionField, ProblemSpec, sample_coefficient
+from apmm.solvers import MicroMacroSolver, MicroMacroState, run_homogenized, run_reference
 
 
 def _coefficient(c0, p, q, r, phi) -> DiffusionField:
@@ -102,3 +104,70 @@ def test_energy_does_not_increase(c0, p, q, r, phi, eps, t_end, dt_share, seed):
     ):
         norm0 = np.linalg.norm(initial(res.mesh.centers))
         assert np.linalg.norm(res.final) <= norm0 * (1.0 + 1e-13)
+
+
+def _step_by_public_operators(solver, state, dt):
+    """The transcription of test_emm_one_step_matches_update_formula, with the
+    fast solve multiplied through by s = eps**2/dt so that it holds where
+    eps**2 underflows."""
+    ops, eps = solver.ops, solver.epsilon
+    macro, micro = state.macro, state.micro
+    macro_bc, micro_bc = solver.boundary_data(state.effective)
+    total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
+    combined = macro[:, None] + micro
+    coupled = ops.apply_mixed_derivatives(combined, total_bc)
+    coupled += eps * ops.apply_x_diffusion(combined, total_bc)
+    s = (eps / dt) * eps
+    g_new = ops.solve_bordered(s * micro + eps * remove_y_average(coupled), s)
+    w = math.exp(-(dt / eps) / eps)
+    f_new = (
+        macro
+        + dt * (1.0 - w) * ops.apply_effective(macro, macro_bc)
+        + dt * w * y_average(ops.apply_x_diffusion(macro, macro_bc))
+        + (dt * w / eps) * y_average(ops.apply_mixed_derivatives(micro, micro_bc))
+        + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
+    )
+    return f_new, g_new, state.effective + dt * ops.apply_effective(state.effective)
+
+
+@settings(max_examples=40, deadline=1000)
+@given(
+    c0=st.floats(1.0, 2.0),
+    p=st.floats(-0.4, 0.4),
+    q=st.floats(-0.4, 0.4),
+    r=st.floats(-0.15, 0.15),
+    phi=st.floats(0.0, 1.0),
+    log_eps=st.floats(-300.0, 0.0),
+    bc_mode=st.sampled_from(BC_MODES),
+    nx=st.integers(4, 16),
+    half_ny=st.integers(2, 6),  # the cell mesh takes an even ny >= 4
+    dt_share=st.floats(0.05, 1.0),
+    last_share=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_emm_step_matches_public_operators(
+    c0, p, q, r, phi, log_eps, bc_mode, nx, half_ny, dt_share, last_share, seed
+):
+    # the fused step against the public stencils it shares kernels with, on a
+    # random state with a mean-free micro field, for full and shortened steps
+    coeff = _coefficient(c0, p, q, r, phi)
+    problem = ProblemSpec(
+        coefficient=coeff,
+        epsilon=10.0**log_eps,
+        initial=lambda x: np.sin(np.pi * x),
+        bc_mode=bc_mode,
+    )
+    solver = MicroMacroSolver(problem, nx, 2 * half_ny, dt_factor=dt_share / (2.0 * coeff.a_max))
+    rng = np.random.default_rng(seed)
+    state = MicroMacroState(
+        macro=rng.standard_normal(nx),
+        micro=remove_y_average(rng.standard_normal((nx, 2 * half_ny))),
+        effective=rng.standard_normal(nx),
+        t=0.0,
+        step=0,
+    )
+    dt = solver.dt * last_share
+    out = solver.step(state, dt)
+    expected = _step_by_public_operators(solver, state, dt)
+    for got, want in zip((out.macro, out.micro, out.effective), expected):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -33,6 +33,26 @@ from apmm.solvers import (
 
 A0 = math.sqrt(0.21)
 
+# x-dependent, so every x-slice has its own bordered block
+X_DEPENDENT = DiffusionField(
+    func=lambda x, y: 1.3
+    + (0.5 + 0.4 * x) * np.sin(2.0 * np.pi * y)
+    + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(4.0 * np.pi * y),
+    a_min=0.1,
+    a_max=2.5,
+)
+
+
+def _inf_initial_problem():
+    # inf in the interior, zero at the walls; inf - inf in the first stencil
+    # would only warn, which the suite turns into an error
+    return ProblemSpec(
+        coefficient=benchmark_problem(0.1).coefficient,
+        epsilon=0.1,
+        initial=lambda x: np.where((x > 0.4) & (x < 0.6), np.inf, np.sin(np.pi * x)),
+        t_end=0.01,
+    )
+
 
 def _heat_problem(t_end=0.1):
     return ProblemSpec(
@@ -136,6 +156,11 @@ def test_reference_detects_blowup():
         run_reference(problem, 16, dt_factor=0.05)
 
 
+def test_reference_rejects_inf_initial_data():
+    with pytest.raises(StabilityError, match="non-finite initial data"):
+        run_reference(_inf_initial_problem(), 256)
+
+
 # --------------------------------------------------------------- homogenized
 
 
@@ -174,6 +199,13 @@ def test_homogenized_zero_data():
     res = run_homogenized(problem, hom)
     assert np.max(np.abs(res.final)) == 0.0
     assert np.max(np.abs(res.corrector)) == 0.0
+
+
+def test_homogenized_rejects_inf_initial_data():
+    problem = _inf_initial_problem()
+    hom = build_homogenized(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8))
+    with pytest.raises(StabilityError, match="non-finite initial data"):
+        run_homogenized(problem, hom)
 
 
 def test_homogenized_corrector_consistency():
@@ -229,14 +261,7 @@ def test_emm_one_step_matches_update_formula_xdep():
     """The same transcription on an x-dependent coefficient, where every x-slice
     has its own bordered block, at an eps with 0 < exp(-dt/eps**2) < 1."""
     eps = 0.3
-    coefficient = DiffusionField(
-        func=lambda x, y: 1.3
-        + (0.5 + 0.4 * x) * np.sin(2.0 * np.pi * y)
-        + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(4.0 * np.pi * y),
-        a_min=0.1,
-        a_max=2.5,
-    )
-    problem = dataclasses.replace(benchmark_problem(eps, t_end=1.0), coefficient=coefficient)
+    problem = dataclasses.replace(benchmark_problem(eps, t_end=1.0), coefficient=X_DEPENDENT)
     solver = MicroMacroSolver(problem, 32, 8)
     assert problem.bc_mode == "dirichlet_corrector" and not solver.tables.x_uniform
     state = solver.step(solver.initial_state())  # nonzero micro going in
@@ -325,8 +350,15 @@ def test_emm_single_step_ap_degeneracy():
     assert 50.0 <= devs[1e-4] / devs[1e-6] <= 200.0  # measured 100.0
 
 
-def test_emm_micro_mean_free_along_run():
-    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.001), 32, 8)
+@pytest.mark.parametrize("coeff", [None, X_DEPENDENT], ids=["x_uniform", "x_dependent"])
+@pytest.mark.parametrize("eps", [1.0, 0.1, 1e-6, 1e-300])
+def test_emm_micro_mean_free_along_run(eps, coeff):
+    # every slice of G' leaves the bordered solve mean-free, also where s
+    # underflows to 0 and for per-slice blocks
+    problem = benchmark_problem(eps, t_end=0.001)
+    if coeff is not None:
+        problem = dataclasses.replace(problem, coefficient=coeff)
+    solver = MicroMacroSolver(problem, 32, 8)
     state = solver.initial_state()
     for _ in range(6):
         state = solver.step(state)
@@ -402,6 +434,12 @@ def test_emm_detects_blowup():
     solver = MicroMacroSolver(problem, 16, 8)
     with pytest.raises(StabilityError):
         solver.step(solver.initial_state())
+
+
+def test_emm_rejects_inf_initial_data():
+    solver = MicroMacroSolver(_inf_initial_problem(), 16, 8)
+    with pytest.raises(StabilityError, match="non-finite initial data"):
+        solver.run()
 
 
 def test_emm_homogeneous_walls_mode():
