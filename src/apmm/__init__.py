@@ -2,7 +2,7 @@
 
 The package integrates the 1D parabolic problem
 
-    du/dt = d/dx ( a(x, x/eps) du/dx ) + f,   u = 0 on the walls,
+    du/dt = d/dx ( a(x, x/eps) du/dx ),   u = 0 on the walls,
 
 whose coefficient oscillates on the fast scale eps, three ways: a brute-force
 fine-grid reference, the homogenized equation with its first-order corrector,

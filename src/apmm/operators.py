@@ -10,17 +10,20 @@ holding the opposite edge carry the periodic fast axis, so every neighbour
 is a slice of the buffer and no stencil uses ``np.roll``; the y-averaged
 x-flux of the step's micro field differences straight to the ghost rows.
 ``apply_y_diffusion`` keeps the flux form, as the reference the solves are
-tested against.  Every periodic solve in y is one solve with the bordered
-matrix ``K(s) = [[s*I - Ly, B], [B^T, 0]]``, where ``B`` holds one column
-of ones per distinct slice (one in all when the coefficient does not depend
-on x): the Lagrange border removes each slice's mean from the data and
-holds the solution's mean at zero, which fixes the nullspace of ``Ly`` at
-s = 0 without node pinning.  ``s >= 0`` is the inverse of the time-step
-shift, so it stays finite as the shift grows without bound.  ``K`` is
-assembled once with each border next to its block, and its sparse LU is
-cached per value of s; the slices sharing a block are solved together as
-the columns of one right-hand side.  The effective operator is a 1-D
-stencil whose coefficients come from the closed-form cell corrector.
+tested against.  Every periodic solve in y returns the mean-free ``w`` with
+``(s*I - Ly) w = rhs - mean(rhs)`` per slice; ``s >= 0`` is the inverse of
+the time-step shift, so it stays finite as the shift grows without bound.
+``T(s)``, ``s*I - Ly`` with the periodic link ``c`` dropped from its two
+corners, is SPD for every s >= 0; the distinct slices (one in all when the
+coefficient does not depend on x) make one tridiagonal, factored by LAPACK
+once per s, and the slices sharing a block are the columns of one
+right-hand side.  With ``V = [e_0, e_{ny-1}, 1]`` and ``sigma`` the slice
+mean of ``a/dy**2``, ``A = s*I - Ly + (sigma/ny) 1 1^T = T + V M V^T`` is
+SPD and equals ``s*I - Ly`` on mean-free data (``1^T Ly = 0``), so the
+Woodbury identity gives ``w = (I - Z V^T) T^{-1} rhs`` with a cached
+(ny, 3) ``Z`` per block that also removes the slice mean: no node pinning,
+and no singular matrix at s = 0.  The effective operator is a 1-D stencil
+whose coefficients come from the closed-form cell corrector.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import _cell_corrector, _x_gradient
 from .mesh import FloatArray
@@ -51,12 +53,11 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Assembles the bordered y-operator once and holds the LU factors of its
-    solves and the effective coefficients, built on first use, so a time
-    stepper reuses them for the whole run.  All ``bc`` arguments are
-    ``(left, right)`` Dirichlet wall data: scalars for macro fields,
-    length-ny profiles (or scalars) for micro fields; ``None`` means
-    homogeneous walls.
+    Holds the factors of the fast solves, per shift, and the effective
+    coefficients, built on first use, so a time stepper reuses them for the
+    whole run.  All ``bc`` arguments are ``(left, right)`` Dirichlet wall
+    data: scalars for macro fields, length-ny profiles (or scalars) for
+    micro fields; ``None`` means homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -68,8 +69,10 @@ class GridOperators:
         self.dx = tables.xmesh.dx
         self.dy = tables.ymesh.dy
         self._blocks = 1 if tables.x_uniform else self.nx
-        self._bordered, self._diagonal = self._bordered_matrix()
         self._factors: dict = {}
+        self._v = np.zeros((self.ny, 3))  # V = [e_0, e_{ny-1}, 1]
+        self._v[[0, -1], [0, 1]] = 1.0
+        self._v[:, 2] = 1.0
         # a_{j-1/2}/(2*dx), j = 0 .. ny, the weights between padded columns, per distinct slice
         self._y_weights = tables.y_interfaces[: self._blocks, np.arange(-1, self.ny)] / self.dx / 2
 
@@ -134,63 +137,54 @@ class GridOperators:
         flux = self._y_weights * np.diff(padded[1:-1], axis=1) * (2.0 * self.dx / self.dy**2)
         return np.diff(flux, axis=1)
 
-    def _bordered_matrix(self):
-        """``K(0) = [[-Ly, B], [B^T, 0]]`` as CSC, one (ny+1)-block per distinct slice.
-
-        Node column j of a block holds rows j-1, j, j+1 (mod ny) with the
-        flux weights -a_{j-1/2}, a_{j-1/2} + a_{j+1/2}, -a_{j+1/2}, then the
-        block's border row; the border column holds the ny node rows.  With
-        each border next to its block the LU has no fill between blocks.
-        Also returns the data positions of the node diagonal.
-        """
-        m, n = self._blocks, self.ny
-        ay = self.tables.y_interfaces[:m] / self.dy**2
-        j = np.arange(n)
-        rows = np.column_stack([(j - 1) % n, j, (j + 1) % n, np.full(n, n)]).ravel()
-        rows = np.append(rows, j) + (n + 1) * np.arange(m)[:, None]
-        weights = np.stack([-ay[:, j - 1], ay[:, j - 1] + ay, -ay, np.ones((m, n))], axis=-1)
-        data = np.concatenate([weights.reshape(m, 4 * n), np.ones((m, n))], axis=1)
-        indptr = np.append(np.arange(0, 4 * n + 1, 4) + 5 * n * np.arange(m)[:, None], 5 * m * n)
-        size = m * (n + 1)
-        matrix = sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(size, size))
-        matrix.sort_indices()  # splu would sort the shared index array in place
-        columns = np.repeat(np.arange(size), np.diff(matrix.indptr))
-        return matrix, np.flatnonzero(matrix.indices == columns)
-
     def _factor(self, s: float):
-        """Cached sparse LU of ``K(s)``: ``K(0)`` with s added on the node diagonal.
+        """Cached ``dpttrf`` factors of ``T(s)`` and the (blocks, 3, ny) ``Z^T``.
 
-        The blocks are banded apart from their corners and border, so the
-        natural column order gives less fill than the default one.
+        ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's
+        correction for ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]``
+        plus the mean projection: ``T 1 = V (c, c, s)``, so with ``q = (c, c,
+        s)/(ny*(s + sigma))`` the term ``1 q^T V^T T^{-1} rhs`` is ``1
+        mean(rhs)/(s + sigma)``, ``A^{-1}`` on the slice mean.
         """
         if s not in self._factors:
-            k = self._bordered
-            data = k.data.copy()
-            data[self._diagonal] += s
-            matrix = sp.csc_matrix((data, k.indices, k.indptr), shape=k.shape)
-            self._factors[s] = splu(matrix, permc_spec="NATURAL")
+            m, n = self._blocks, self.ny
+            ay = self.tables.y_interfaces[:m] / self.dy**2  # a_{j+1/2}/dy**2
+            link, sigma = ay[:, -1], y_average(ay)
+            off = -ay
+            off[:, -1] = 0.0  # the periodic link, and the seam between blocks
+            d, e, info = dpttrf((s + ay + np.roll(ay, 1, axis=1)).ravel(), off.ravel()[:-1])
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
+            # (T^{-1} V)^T per block, from a Fortran-ordered V per block solved in place
+            tvt = dpttrs(d, e, np.tile(self._v.T, m).T, overwrite_b=1)[0].T.reshape(3, m, n)
+            tvt = tvt.transpose(1, 0, 2)
+            m_inv = np.zeros((m, 3, 3))
+            m_inv[:, 0, 1] = m_inv[:, 1, 0] = -1.0 / link
+            m_inv[:, 2, 2] = n / sigma
+            zt = np.swapaxes(np.linalg.inv(m_inv + tvt @ self._v), 1, 2) @ tvt
+            q = np.stack([link, link, np.full(m, s)], axis=1) / (n * (s + sigma))[:, None]
+            zt += q[:, :, None]
+            self._factors[s] = d, e, zt
         return self._factors[s]
 
     def solve_bordered(self, rhs: FloatArray, s: float) -> FloatArray:
         """Mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, s >= 0.
 
-        One solve with ``K(s)``: the Lagrange multiplier of each slice takes
-        the slice mean of ``rhs`` and the border row holds the sum of ``w``
-        at zero.  The columns are built in the Fortran order ``SuperLU`` copies
-        without a transpose.  The shapes are not checked.
+        One ``dpttrs`` with ``T(s)``, then ``w -= Z (V^T w)`` per slice (see
+        the module docstring).  The shapes are not checked.
         """
-        # row i: slice i, then its border entry; with one block, or one per
-        # slice, the reshape makes the slices sharing a block one column each
-        columns = np.zeros((self.nx, self.ny + 1))
-        columns[:, :-1] = rhs
-        w = self._factor(s).solve(columns.reshape(self.nx // self._blocks, -1).T)
-        return np.ascontiguousarray(w.T.reshape(self.nx, self.ny + 1)[:, :-1])
+        d, e, zt = self._factor(s)
+        # with one block, or one per slice, the reshapes make the slices
+        # sharing a block one column each, and one batch row per block
+        w = dpttrs(d, e, rhs.reshape(-1, self._blocks * self.ny).T)[0].T.reshape(self.nx, self.ny)
+        w -= ((w @ self._v).reshape(self._blocks, -1, 3) @ zt).reshape(self.nx, self.ny)
+        return w
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
         """Solve the singular periodic y-diffusion problem per slice.
 
         The right-hand side must have (numerically) zero y-average per
-        slice; the solution, the s = 0 bordered solve negated, has zero
+        slice; the solution, the s = 0 fast solve negated, has zero
         y-average.
         """
         rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
@@ -207,8 +201,8 @@ class GridOperators:
     def solve_shifted(self, rhs: FloatArray, c: float) -> FloatArray:
         """Solve ``(I - c * Ly) w = rhs`` per slice for c >= 0.
 
-        The slice means pass through unchanged; the rest is the bordered
-        solve with ``s = 1/c``.
+        The slice means pass through unchanged; the rest is the fast solve
+        with ``s = 1/c``.
         """
         rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
         c = float(c)

@@ -229,8 +229,8 @@ class MicroMacroSolver:
     """Two-scale splitting integrator on a coarse tensor grid.
 
     One instance fixes the meshes, coefficient tables, cell-problem data,
-    the wall corrector traces and the operators (which cache the bordered
-    factorizations); ``step`` advances a state by one level.  The implicit
+    the wall corrector traces and the operators (which cache the factors
+    of the fast solve); ``step`` advances a state by one level.  The implicit
     fast update ``(I - (dt/epsilon**2) Ly) G' = G + (dt/epsilon) r``, with
     ``r`` the fluctuating part of the coupling terms, is multiplied through
     by ``s = (epsilon/dt)*epsilon`` and solved on the mean-free subspace:
@@ -264,7 +264,7 @@ class MicroMacroSolver:
         self.hom = build_homogenized(problem.coefficient, self.xmesh, self.ymesh)
         self.ops = GridOperators(self.tables)
         self.dt = dt_factor * self.xmesh.dx**2
-        self.epsilon = eps = problem.epsilon
+        self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
         # wall data per unit gradient: -eps*chi at each wall's fast coordinate for F, eps*chi for G
         self._wall_traces = (
             -eps * trig_interpolate(self.hom.chi_walls[0], 0.0),
@@ -304,7 +304,7 @@ class MicroMacroSolver:
         macro_bc, micro_bc = self.boundary_data(state.effective)
         total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
 
-        # 2*dy times the coupling terms.  The bordered solve removes their slice
+        # 2*dy times the coupling terms.  The fast solve removes their slice
         # means too, but only to rounding, and a y-independent coupling must
         # leave G' exactly zero.
         coupled, first_sums = ops._coupling(macro, micro, total_bc, eps)

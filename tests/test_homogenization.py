@@ -80,7 +80,7 @@ def test_corrector_matches_generic_elliptic_solve():
     The discrete cell problem is  d/dy( a (chi' + 1) ) = 0, i.e.
     L chi = -(a_{j+1/2} - a_{j-1/2})/dy with the flux-form L of the operator
     module.  The two routes are algebraically independent: one integrates
-    1/a in closed form, the other factorizes the bordered periodic system.
+    1/a in closed form, the other is the fast periodic solve at s = 0.
     """
     a = benchmark_coefficient()
     for ny, tol in ((16, 1e-12), (64, 1e-12), (256, 1e-12)):

@@ -184,7 +184,7 @@ def test_shifted_solve_residual_and_mean(coeff):
 
 
 def _check_bordered(ops, r, s):
-    """The bordered solve is mean-free and solves (s*I - Ly) w = r - mean(r)."""
+    """The fast solve is mean-free and solves (s*I - Ly) w = r - mean(r)."""
     w = ops.solve_bordered(r, s)
     assert np.max(np.abs(w.mean(axis=-1))) <= 1e-13 * np.max(np.abs(w))
     residual = s * w - ops.apply_y_diffusion(w) - remove_y_average(r)

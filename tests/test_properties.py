@@ -6,6 +6,7 @@ and wall profiles come from a seeded generator, so a failing example is
 reproducible from what hypothesis prints.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,51 @@ def test_energy_does_not_increase(c0, p, q, r, phi, eps, t_end, dt_share, seed):
     ):
         norm0 = np.linalg.norm(initial(res.mesh.centers))
         assert np.linalg.norm(res.final) <= norm0 * (1.0 + 1e-13)
+
+
+def _checked_fast_solve(ops, rhs, s):
+    """The fast solve's contract: mean-free w with (s*I - Ly) w = rhs - mean(rhs)."""
+    w = ops.solve_bordered(rhs, s)
+    residual = s * w - ops.apply_y_diffusion(w) - remove_y_average(rhs)
+    assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(rhs))
+    assert np.max(np.abs(y_average(w))) <= 1e-13 * np.max(np.abs(w))
+    return w
+
+
+@settings(max_examples=40, deadline=1000)
+@given(
+    c0=st.floats(1.0, 2.0),
+    p=st.floats(-0.4, 0.4),
+    q=st.floats(-0.4, 0.4),
+    r=st.floats(-0.15, 0.15),
+    phi=st.floats(0.0, 1.0),
+    x0=st.floats(0.0, 1.0),
+    singular=st.booleans(),
+    log_s=st.floats(-300.0, 300.0),
+    nx=st.integers(4, 12),
+    half_ny=st.integers(2, 16),  # the cell mesh takes an even ny >= 4
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_solve_inverts_shifted_operator_on_mean_free_data(
+    c0, p, q, r, phi, x0, singular, log_s, nx, half_ny, seed
+):
+    # one tridiagonal solve and a rank-3 correction for every s >= 0, down to
+    # the singular s = 0; the data carries slice means the solve must remove
+    s = 0.0 if singular else 10.0**log_s
+    meshes = make_spatial_mesh(nx), make_cell_mesh(2 * half_ny)
+    coeff = _coefficient(c0, p, q, r, phi)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((nx, 2 * half_ny)) + rng.standard_normal((nx, 1))
+    _checked_fast_solve(GridOperators(sample_coefficient(coeff, *meshes)), rhs, s)
+    # the coefficient frozen at x0, solved as one shared block and as one block per slice
+    frozen = dataclasses.replace(coeff, func=lambda x, y: coeff.func(x0 + 0.0 * x, y))
+    tables = sample_coefficient(frozen, *meshes)
+    assert tables.x_uniform
+    shared = _checked_fast_solve(GridOperators(tables), rhs, s)
+    per_slice = _checked_fast_solve(
+        GridOperators(dataclasses.replace(tables, x_uniform=False)), rhs, s
+    )
+    assert np.max(np.abs(shared - per_slice)) <= 1e-13 * np.max(np.abs(shared))
 
 
 def _step_by_public_operators(solver, state, dt):
