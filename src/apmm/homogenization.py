@@ -97,11 +97,13 @@ def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
     """Closed-form corrector rows from ``b_half``, the rows of 1/a at the half-nodes."""
     # the a0 inside the increments must be the half-node harmonic mean, so
     # that the last increment wraps around the period exactly
-    a0 = 1.0 / b_half.mean(axis=-1)
-    cumulative = np.zeros_like(b_half)
-    np.cumsum(b_half[:, :-1] * ymesh.dy, axis=-1, out=cumulative[:, 1:])
-    chi = a0[:, None] * cumulative - ymesh.nodes[None, :]
-    return chi - chi.mean(axis=-1, keepdims=True)
+    ones = np.ones(ymesh.n_points)  # row sums by BLAS
+    chi = np.cumsum(b_half, axis=-1, out=np.empty_like(b_half))  # then, in place, the sums
+    chi -= b_half  # before each node
+    chi *= (ymesh.n_points * ymesh.dy / np.dot(b_half, ones))[:, None]  # times a0 * dy
+    chi -= ymesh.nodes
+    chi -= (np.dot(chi, ones) / ymesh.n_points)[:, None]
+    return chi
 
 
 @dataclass(frozen=True)

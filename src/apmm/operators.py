@@ -4,11 +4,11 @@ Fields come in two layouts: macro arrays of shape (nx,) on the spatial cell
 centres, and micro arrays of shape (nx, ny) whose fast axis is periodic.
 All operators act slice-by-slice in x and vectorise over the batch.
 
-Every stencil reads a padded copy of its field: ghost rows ``u_ghost =
-2*u_wall - u_first`` carry the Dirichlet wall data in x, and ghost columns
-holding the opposite edge carry the periodic fast axis, so every neighbour
-is a slice of the buffer and no stencil uses ``np.roll``; the y-averaged
-x-flux of the step's micro field differences straight to the ghost rows.
+Every stencil reads a contiguous (nx+2, ny) copy of its field whose ghost
+rows ``u_ghost = 2*u_wall - u_first`` carry the Dirichlet wall data: its
+rows are the x-neighbours and its flat slices shifted by one entry the
+y-neighbours, the columns where the shift wraps patched to the periodic
+ones, so every operand is contiguous and the (nx, ny) tables fit as they are.
 ``apply_y_diffusion`` keeps the flux form, as the reference the solves are
 tested against.  Every periodic solve in y returns the mean-free ``w`` with
 ``(s*I - Ly) w = rhs - mean(rhs)`` per slice; ``s >= 0`` is the inverse of
@@ -22,8 +22,9 @@ mean of ``a/dy**2``, ``A = s*I - Ly + (sigma/ny) 1 1^T = T + V M V^T`` is
 SPD and equals ``s*I - Ly`` on mean-free data (``1^T Ly = 0``), so the
 Woodbury identity gives ``w = (I - Z V^T) T^{-1} rhs`` with a cached
 (ny, 3) ``Z`` per block that also removes the slice mean: no node pinning,
-and no singular matrix at s = 0.  The effective operator is a 1-D stencil
-whose coefficients come from the closed-form cell corrector.
+and no singular matrix at s = 0.  The effective operator is one band,
+assembled from the closed-form cell corrector and applied by BLAS to
+``[left wall, macro field, right wall]``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import _cell_corrector, _x_gradient
@@ -53,10 +55,10 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Holds the factors of the fast solves, per shift, and the effective
-    coefficients, built on first use, so a time stepper reuses them for the
-    whole run.  All ``bc`` arguments are ``(left, right)`` Dirichlet wall
-    data: scalars for macro fields, length-ny profiles (or scalars) for
+    Holds the factors of the fast solves, per shift, and the band of the
+    effective operator, built on first use, so a time stepper reuses them
+    for the whole run.  All ``bc`` arguments are ``(left, right)`` Dirichlet
+    wall data: scalars for macro fields, length-ny profiles (or scalars) for
     micro fields; ``None`` means homogeneous walls.
     """
 
@@ -73,8 +75,9 @@ class GridOperators:
         self._v = np.zeros((self.ny, 3))  # V = [e_0, e_{ny-1}, 1]
         self._v[[0, -1], [0, 1]] = 1.0
         self._v[:, 2] = 1.0
-        # a_{j-1/2}/(2*dx), j = 0 .. ny, the weights between padded columns, per distinct slice
-        self._y_weights = tables.y_interfaces[: self._blocks, np.arange(-1, self.ny)] / self.dx / 2
+        self._ones = np.ones(self.ny)  # row sums by BLAS, where their rounding is free
+        self._x_sums = np.add.reduce(tables.x_interfaces, axis=-1)  # y-sums of x-interface a,
+        self._x_sums[:: self.nx] *= 2.0  # the wall rows doubled by the ghost rule
 
     # -- helpers ------------------------------------------------------------
 
@@ -91,51 +94,58 @@ class GridOperators:
             return np.broadcast_to(u[:, None], (self.nx, self.ny))
         return self._checked(u, (self.nx, self.ny), "micro field")
 
-    @staticmethod
-    def _ghost_rows(p: FloatArray, bc) -> None:
-        """Fill the Dirichlet ghost rows ``2*wall - first interior`` of an x-padded buffer."""
-        left, right = (0.0, 0.0) if bc is None else bc
-        np.subtract(np.multiply(2.0, left), p[1], out=p[0])
-        np.subtract(np.multiply(2.0, right), p[-2], out=p[-1])
+    def _padded_field(self, u: FloatArray, bc) -> FloatArray:
+        """:meth:`_padded` of a checked macro or micro field with Dirichlet walls ``bc``."""
+        twice = (0.0, 0.0) if bc is None else (np.multiply(2.0, bc[0]), np.multiply(2.0, bc[1]))
+        return self._padded(self._as_micro(u), twice)
 
-    def _padded(self, u: FloatArray, bc, column=0.0) -> FloatArray:
-        """``(nx+2, ny+2)`` buffer of ``u + column``: ghost rows, then periodic ghost columns."""
-        p = np.empty((self.nx + 2, self.ny + 2))
-        np.add(u, column, out=p[1:-1, 1:-1])
-        self._ghost_rows(p[:, 1:-1], bc)
-        p[:, 0] = p[:, -2]
-        p[:, -1] = p[:, 1]
+    def _padded(self, u: FloatArray, twice, column=0.0) -> FloatArray:
+        """``(nx+2, ny)`` buffer of ``u + column``, ghost rows ``twice - first`` per wall."""
+        p = np.empty((self.nx + 2, self.ny))
+        np.copyto(p[1:-1], column)  # broadcast by a copy: a broadcast ufunc operand costs a buffer
+        p[1:-1] += u
+        np.subtract(twice[0], p[1], out=p[0])
+        np.subtract(twice[1], p[-2], out=p[-1])
         return p
 
     def _centre_y_flux(self, p: FloatArray) -> FloatArray:
-        """``2*dy * a du/dy`` at the cell centres of a padded field, by centred differences."""
-        return np.multiply(p[1:-1, 2:] - p[1:-1, :-2], self.tables.centers)
+        """``2*dy * a du/dy`` at the cell centres of a padded field, centred differences."""
+        f, ny = p.ravel(), self.ny
+        out = np.subtract(f[ny + 1 : 1 - ny], f[ny - 1 : -1 - ny]).reshape(self.nx, ny)
+        np.subtract(p[1:-1, 1::-1], p[1:-1, :-3:-1], out=out[:, :: ny - 1])  # the wrapped columns
+        out *= self.tables.centers
+        return out
 
     def _mixed(self, p: FloatArray) -> tuple[FloatArray, FloatArray]:
-        """``2*dy`` times the mixed block of a padded field, and the y-sums of its
+        """``4*dx*dy`` times the mixed block of a padded field, and the y-sums of its
         first term, those of the whole block (the second term's telescope to zero)."""
-        out = _x_gradient(self._centre_y_flux(p), self.dx)
-        first_sums = np.add.reduce(out, axis=-1)
-        half = p[:, :-1] + p[:, 1:]  # 2 * u at the half-nodes j - 1/2, j = 0 .. ny
-        flux = half[2:] - half[:-2]  # 4*dx * du/dx there, times a/(2*dx) below
-        del half  # the step's memory peak is here: one temporary at a time
-        flux *= self._y_weights
-        out += flux[:, 1:]
-        out -= flux[:, :-1]
+        out = _x_gradient(self._centre_y_flux(p), 0.5)  # 2*dx times the gradient
+        first_sums = np.dot(out, self._ones)
+        half = np.empty_like(p)  # 2 * u at the half-nodes j + 1/2
+        f, h = p.ravel(), half.ravel()
+        np.add(f[:-1], f[1:], out=h[:-1])
+        np.add(p[:, -1], p[:, 0], out=half[:, -1])
+        flux = half[2:] - half[:-2]  # 4*dx * du/dx there, times a below
+        flux *= self.tables.y_interfaces
+        # flux_{j+1/2} - flux_{j-1/2}, into the spent rows of the half-node buffer
+        g = flux.ravel()
+        np.subtract(g[1:], g[:-1], out=h[1 : g.size])
+        np.subtract(flux[:, 0], flux[:, -1], out=half[:-2, 0])
+        out += half[:-2]
         return out, first_sums
 
     def _x_diffusion(self, p: FloatArray) -> FloatArray:
         """``dx**2`` times the flux-form x-diffusion of a padded field."""
-        flux = np.multiply(p[1:, 1:-1] - p[:-1, 1:-1], self.tables.x_interfaces)
+        flux = np.multiply(p[1:] - p[:-1], self.tables.x_interfaces)
         return flux[1:] - flux[:-1]
 
     # -- fast-direction (periodic) operators --------------------------------
 
     def apply_y_diffusion(self, u: FloatArray) -> FloatArray:
         """Flux-form periodic diffusion in y at frozen x: d/dy(a d/dy u)."""
-        padded = self._padded(self._checked(u, (self.nx, self.ny), "micro field"), None)
-        flux = self._y_weights * np.diff(padded[1:-1], axis=1) * (2.0 * self.dx / self.dy**2)
-        return np.diff(flux, axis=1)
+        u = self._checked(u, (self.nx, self.ny), "micro field")
+        flux = self.tables.y_interfaces * (np.roll(u, -1, axis=1) - u) / self.dy**2
+        return flux - np.roll(flux, 1, axis=1)
 
     def _factor(self, s: float):
         """Cached ``dpttrf`` factors of ``T(s)`` and the (blocks, 3, ny) ``Z^T``.
@@ -221,19 +231,17 @@ class GridOperators:
         Macro input is broadcast across the fast axis; the result is always
         a micro field because the coefficient varies in y.
         """
-        return self._x_diffusion(self._padded(self._as_micro(u), bc)) / self.dx**2
+        return self._x_diffusion(self._padded_field(u, bc)) / self.dx**2
 
-    def _y_averaged_x_flux(self, u: FloatArray, bc) -> FloatArray:
-        """y-averaged ``a du/dx / dx`` at the x-interfaces of a micro field, unchecked:
-        its differences are ``y_average(apply_x_diffusion(u, bc))``.  The wall
-        rows difference to the ghost rows directly: ``2*(first - wall)``."""
+    def _x_flux_sums(self, u: FloatArray) -> FloatArray:
+        """y-sums of ``a * dx * du/dx`` at the x-interfaces, homogeneous walls, unchecked: their
+        differences over ``ny*dx**2`` are ``y_average(apply_x_diffusion(u))``."""
         d = np.empty((self.nx + 1, self.ny))
         np.subtract(u[1:], u[:-1], out=d[1:-1])
-        np.subtract(u[0], bc[0], out=d[0])
-        np.subtract(bc[1], u[-1], out=d[-1])
-        d[:: self.nx] *= 2.0  # both wall rows
+        np.add(u[0], u[0], out=d[0])
+        np.multiply(u[-1], -2.0, out=d[-1])
         d *= self.tables.x_interfaces
-        return np.add.reduce(d, axis=-1) / (self.ny * self.dx**2)
+        return np.dot(d, self._ones)
 
     def apply_mixed_derivatives(self, u: FloatArray, bc=None) -> FloatArray:
         """The cross-derivative block d/dx(a d/dy u) + d/dy(a d/dx u).
@@ -247,40 +255,64 @@ class GridOperators:
         y-average telescopes to exactly zero for any input; Dirichlet traces
         enter it through the usual ghost rule.
         """
-        return self._mixed(self._padded(self._as_micro(u), bc))[0] / (2.0 * self.dy)
+        return self._mixed(self._padded_field(u, bc))[0] / (4.0 * self.dx * self.dy)
 
-    def _coupling(self, macro, micro, bc, eps: float) -> tuple[FloatArray, FloatArray]:
-        """``2*dy * (Mixed(u) + eps * Xdiff(u))`` for ``u = macro + micro``, padded
-        once, and the y-sums of the mixed block (see :meth:`_mixed`); unchecked."""
-        p = self._padded(micro, bc, macro[:, None])
+    def _coupling(self, macro, micro, twice, eps: float) -> tuple[FloatArray, FloatArray]:
+        """``4*dx*dy * (Mixed(u) + eps * Xdiff(u))`` for ``u = macro + micro`` with twice the
+        wall data ``twice``, padded once, and the y-sums of the mixed block (see
+        :meth:`_mixed`); unchecked."""
+        p = self._padded(micro, twice, macro[:, None])
         out, first_sums = self._mixed(p)
         x_diffusion = self._x_diffusion(p)
-        x_diffusion *= 2.0 * self.dy * eps / self.dx**2
+        x_diffusion *= 4.0 * self.dy * eps / self.dx
         out += x_diffusion
         return out, first_sums
 
     @cached_property
-    def _effective_coefficients(self) -> tuple[FloatArray, FloatArray]:
-        """``abar/dx**2`` and ``beta/(2*dx)`` as columns; the (nx, ny) corrector is not kept.
+    def _effective_band(self) -> FloatArray:
+        """``dgbmv`` storage (kl = 2, ku = 4) of ``[K u, 0, 0, K v]`` from ``[left, u, right,
+        left', v, right']``: row i of the effective operator ``K`` weighs the padded
+        field ``p_{i-2} .. p_{i+4}`` (``p_m = u_{m-1}``), ``diff(abar * diff(p))/dx**2``
+        minus ``grad(beta * (p_{k+2} - p_k))/(2*dx)``, whose one-sided rows reach three
+        cells in, the ghosts ``2*wall - u`` folded into the wall columns.  The zero
+        rows make the matrix as tall as ``dgbmv`` needs for every nx >= 4."""
+        n, dx2 = self.nx, self.dx**2
+        # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector
+        corrector = _cell_corrector(1.0 / self.tables.y_interfaces, self.ymesh)
+        beta = -y_average(self._centre_y_flux(self._padded(corrector, (0.0, 0.0)))) / (2 * self.dy)
+        del corrector  # off the first step's memory peak
+        q = np.concatenate(([0.0], beta / (4.0 * dx2), [0.0]))  # with q_{-1} = q_nx = 0
+        # storage [4 - o, m] holds the weight of p_m in row i = m - o, for each block
+        band = np.zeros((7, 2, n + 2))
+        k = band[:, 0]
+        k[5, :-3] = -q[1:-2]  # minus the centred drift, o = -1, 1, 3
+        k[3, 1:-1] = q[:-2] + q[2:]
+        k[1, 3:] = -q[2:-1]
+        # the one-sided first and last rows (-3 g_0 + 4 g_1 - g_2, mirrored) less the centred
+        flat, down_left = band.ravel(), 2 * (n + 2) - 1  # a storage row down, a column left
+        for start, step, (q0, q1, q2) in (
+            (8 * (n + 2), -down_left, q[1:4].tolist()),  # [4, 0] up to [0, 4]
+            (4 * (n + 2) + n + 1, down_left, q[-2:-5:-1].tolist()),  # [2, nx+1] down to [6, nx-3]
+        ):
+            flat[start::step][:5] += [-3.0 * q0, 3.0 * q1, 3.0 * q0 - q2, -3.0 * q1, q2]
+        # fold the drift's ghosts p_0 = 2*left - p_1 (rows 0, 1) and p_{nx+1} = 2*right
+        # - p_nx (rows nx-2, nx-1): the columns become [left, u, right]
+        k[3:5, 1] -= k[4:6, 0]
+        k[4:6, 0] *= 2.0
+        k[2:4, -2] -= k[1:3, -1]
+        k[1:3, -1] *= 2.0
+        # the flux part: its wall rows' doubled y-sums are already the folded ghosts'
+        a = self._x_sums / (self.ny * dx2)
+        k[4, :-2] += a[:-1]
+        k[3, 1:-1] -= a[:-1] + a[1:]
+        k[2, 2:] += a[1:]
+        band[:, 1] = k
+        return band.reshape(7, -1)
 
-        ``Ly chi = g`` is the discrete cell problem with the sign of its
-        data flipped, so ``chi`` is minus the closed-form cell corrector.
-        """
-        chi = -_cell_corrector(1.0 / self.tables.y_interfaces, self.ymesh)
-        beta = y_average(self._centre_y_flux(self._padded(chi, None))) / (2.0 * self.dy)
-        abar = y_average(self.tables.x_interfaces)
-        return (abar / self.dx**2)[:, None], (beta / (2.0 * self.dx))[:, None]
-
-    def _effective_parts(self, columns, bc) -> tuple[FloatArray, FloatArray]:
-        """Flux and drift of the effective stencil on k macro fields side by side, with
-        ``p`` their ghost-padded (nx+2, k) buffer (scalar or length-k walls): the flux
-        differences are ``diff(abar * diff(p))/dx**2``, also the y-average of
-        ``apply_x_diffusion`` of a macro field, and the drift is ``grad(beta * d)``."""
-        p = np.empty((self.nx + 2, len(columns)))
-        p[1:-1] = np.transpose(columns)
-        self._ghost_rows(p, bc)
-        abar, beta = self._effective_coefficients
-        return abar * (p[1:] - p[:-1]), _x_gradient(beta * (p[2:] - p[:-2]), self.dx)
+    def _effective_pair(self, pair: FloatArray, alpha: float, out: FloatArray) -> FloatArray:
+        """``out += alpha * [K u, 0, 0, K v]`` in place (see ``_effective_band``)."""
+        m = 2 * self.nx + 2  # beta = 1 and overwrite_y = 1 by position: keywords cost f2py 1 us
+        return dgbmv(m, m + 2, 2, 4, alpha, self._effective_band, pair, 1, 0, 1.0, out, 1, 0, 0, 1)
 
     def apply_effective(self, macro: FloatArray, bc=None) -> FloatArray:
         """Upscaled diffusion block acting on a macro field.
@@ -293,11 +325,11 @@ class GridOperators:
         of ``Ly chi = g``, and the block is the 1-D stencil
         ``diff(abar * diff(p))/dx**2 - grad(beta * d)``: ``abar`` is the
         y-averaged x-interface coefficient, ``beta`` the y-average of
-        ``a * dchi/dy`` (zero for a y-independent coefficient), both built on
-        first use.  A y-profile wall raises ``TypeError``: ``w`` would no
-        longer be ``d * chi``.
+        ``a * dchi/dy`` (zero for a y-independent coefficient), applied as one
+        band.  A y-profile wall raises ``TypeError``: ``w`` would no longer be
+        ``d * chi``.
         """
         macro = self._checked(macro, (self.nx,), "macro field")
         bc = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
-        flux, drift = self._effective_parts((macro,), bc)
-        return (flux[1:] - flux[:-1] - drift)[:, 0]
+        pair = np.concatenate(([bc[0]], macro, [bc[1]], np.zeros(self.nx + 2)))
+        return self._effective_pair(pair, 1.0, np.zeros(2 * self.nx + 2))[: self.nx]

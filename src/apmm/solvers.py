@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy, dger
 from scipy.linalg.lapack import dstebz, dstein
 
 from .homogenization import (
@@ -238,15 +239,13 @@ class MicroMacroSolver:
     error and never overflows, so this one solve holds for every epsilon,
     and at ``s = 0`` it is the singular cell solve, whose ``G'`` is the
     O(epsilon) corrector limit.  The slow update blends the effective
-    operator with the plain averaged diffusion through the stiffness weight
-    ``w = exp(-dt/epsilon**2)``, which underflows to zero in the strongly
-    oscillatory regime, exactly as the splitting is designed to do.  The
-    effective operator is ``diffusion - drift`` and the y-averaged
-    x-diffusion of a macro field is that same ``diffusion``, so the blend is
-    ``diffusion - (1 - w)*drift``; and the y-average of the mixed block of
-    ``G`` is that of its first term, because its second term's telescopes to
-    zero.  The wall corrector data comes from a companion integration of the
-    effective equation.
+    operator ``K`` with the plain averaged diffusion through the stiffness
+    weight ``w = exp(-dt/epsilon**2)``, which underflows to zero in the
+    strongly oscillatory regime, exactly as the splitting is designed to do.
+    ``K``, one assembled band, acts on ``(1 - w)`` F and on the companion
+    field (the effective equation's run that supplies the wall corrector
+    data) in one BLAS product; ``w`` F rides with ``G'`` in the y-summed
+    x-fluxes.  The coupling terms read flat slices of one padded buffer.
     """
 
     def __init__(
@@ -265,12 +264,14 @@ class MicroMacroSolver:
         self.ops = GridOperators(self.tables)
         self.dt = dt_factor * self.xmesh.dx**2
         self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
-        # wall data per unit gradient: -eps*chi at each wall's fast coordinate for F, eps*chi for G
-        self._wall_traces = (
-            -eps * trig_interpolate(self.hom.chi_walls[0], 0.0),
-            -eps * trig_interpolate(self.hom.chi_walls[1], (1.0 / eps) % 1.0),
-        )
-        self._wall_profiles = eps * self.hom.chi_walls
+        # wall data per unit companion gradient (none with homogeneous walls): eps*chi for G,
+        # minus its value at the wall's fast coordinate for F; twice their sum; G's flux y-sums
+        self._wall_profiles = eps * (problem.bc_mode == "dirichlet_corrector") * self.hom.chi_walls
+        walls = zip(self._wall_profiles, (0.0, (1.0 / eps) % 1.0))
+        self._wall_traces = [-trig_interpolate(profile, y) for profile, y in walls]
+        self._wall_totals = 2.0 * (self._wall_profiles + np.array(self._wall_traces)[:, None])
+        wall_rows = 2.0 * self.tables.x_interfaces[[0, -1]]
+        self._wall_sums = np.add.reduce(wall_rows * self._wall_profiles, axis=-1).tolist()
 
     def initial_state(self) -> MicroMacroState:
         macro = np.asarray(self.problem.initial(self.xmesh.centers), dtype=float)
@@ -288,54 +289,58 @@ class MicroMacroSolver:
         solution does.  Homogeneous mode zeroes everything (and exhibits a
         wall layer).
         """
-        if self.problem.bc_mode == "dirichlet_homogeneous":
-            zero = np.zeros(self.ymesh.n_points)
-            return (0.0, 0.0), (zero, zero)
         left, right = wall_gradients(effective, self.xmesh.dx)
         traces, profiles = self._wall_traces, self._wall_profiles
         return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
     def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:
-        """Advance one level: implicit fast solve, then the slow update."""
+        """Advance one level (by 0 < dt <= self.dt): implicit fast solve, then the slow update."""
         dt = self.dt if dt is None else float(dt)
-        eps = self.epsilon
-        ops = self.ops
-        macro, micro = state.macro, state.micro
-        macro_bc, micro_bc = self.boundary_data(state.effective)
-        total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
+        if not 0.0 < dt <= self.dt:  # also false for nan
+            raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g}, got {dt}")
+        eps, ops, n = self.epsilon, self.ops, self.ops.nx
+        macro, micro, effective = state.macro, state.micro, state.effective
+        left, right = wall_gradients(effective, ops.dx)
+        walls, traces, wall_sums = self._wall_totals, self._wall_traces, self._wall_sums
 
-        # 2*dy times the coupling terms.  The fast solve removes their slice
-        # means too, but only to rounding, and a y-independent coupling must
-        # leave G' exactly zero.
-        coupled, first_sums = ops._coupling(macro, micro, total_bc, eps)
-        coupled -= y_average(coupled)[:, None]
-        coupled *= eps / (2.0 * ops.dy)
+        # 4*dx*dy times the coupling terms, less their slice means by a rank-one update: the
+        # fast solve removes them only to rounding, and G' of a y-independent one must be 0
+        coupled, first_sums = ops._coupling(macro, micro, (left * walls[0], right * walls[1]), eps)
+        dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
+        coupled *= eps / (4.0 * ops.dx * ops.dy)
         s = (eps / dt) * eps
-        coupled += s * micro
+        daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
         micro_new = ops.solve_bordered(coupled, s)
-        del coupled  # keeps the first step's set-up of the effective stencil off the peak
+        del coupled  # keeps the first step's assembly of the effective band off the peak
 
-        # F and the companion field (homogeneous walls) in one stencil
-        # evaluation; F's flux also takes the y-averaged x-flux of G'
-        walls = ((macro_bc[0], 0.0), (macro_bc[1], 0.0))
-        flux, drift = ops._effective_parts((macro, state.effective), walls)
-        flux[:, 0] += ops._y_averaged_x_flux(micro_new, micro_bc)
-        weight = math.exp(-(dt / eps) / eps)
-        drift[:, 0] *= 1.0 - weight
-        update = flux[1:] - flux[:-1]
-        update -= drift
-        update *= dt
-        macro_new = macro + update[:, 0]
-        effective_new = state.effective + update[:, 1]
+        # the band applies K to [wall, F, wall] times 1 - w and to [0, E, 0]
+        # at once; the x-flux y-sums of G' and of w * F give the rest
+        pair = np.zeros((2, n + 2))
+        pair[0, 1:-1], pair[1, 1:-1] = macro, effective
+        pair[0, 0], pair[0, -1] = left * traces[0], right * traces[1]
+        sums = ops._x_flux_sums(micro_new)
+        sums[0] -= left * wall_sums[0]
+        sums[-1] += right * wall_sums[1]
+        weight, kick = math.exp(-(dt / eps) / eps), 0.0
         if weight > 0.0:
-            macro_new += (dt * weight / eps / (2.0 * ops.dy * ops.ny)) * first_sums
+            daxpy(np.multiply(pair[0, 1:] - pair[0, :-1], ops._x_sums), sums, a=weight)
+            pair[0] *= 1.0 - weight
+            kick = dt * weight / eps / (4.0 * ops.dx * ops.dy * ops.ny)
+        out = np.zeros(2 * n + 2)  # F', a gap of two, E'
+        macro_new, effective_new = out[:n], out[n + 2 :]
+        np.subtract(sums[1:], sums[:-1], out=macro_new)
+        macro_new *= dt / (ops.ny * ops.dx**2)
+        macro_new += macro
+        daxpy(first_sums, macro_new, a=kick)  # a no-op for kick = 0
+        effective_new[:] = effective
+        ops._effective_pair(pair.ravel(), dt, out)
 
         t_new = state.t + dt
         # the max of a field is non-finite exactly when some entry is
         scale = np.maximum.reduce(np.abs(micro_new), axis=None)
         if not (math.isfinite(scale) and math.isfinite(np.maximum.reduce(np.abs(macro_new)))):
             raise StabilityError(f"non-finite field at step {state.step + 1} (t={t_new:.6g})")
-        mean_drift = np.maximum.reduce(np.abs(y_average(micro_new)))
+        mean_drift = np.maximum.reduce(np.abs(np.dot(micro_new, ops._ones))) / ops.ny
         if mean_drift > _MEAN_DRIFT_TOL * scale:
             raise StabilityError(
                 f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
@@ -347,7 +352,8 @@ class MicroMacroSolver:
         """Iterate to t_end (or for exactly n_steps full steps when given)."""
         if n_steps is None:
             total = _step_count(self.problem.t_end, self.dt)
-            last_dt = self.problem.t_end - (total - 1) * self.dt
+            # not past the step the stability bound allows, for all rounding
+            last_dt = min(self.problem.t_end - (total - 1) * self.dt, self.dt)
         else:
             total = int(n_steps)
             if total < 1:
@@ -357,8 +363,8 @@ class MicroMacroSolver:
         state = self.initial_state()
         for k in range(1, total + 1):
             state = self.step(state, dt=last_dt if k == total else None)
-        return MicroMacroResult(
-            self.xmesh, self.ymesh, state.macro, state.micro, total, self.dt, self.hom
+        return MicroMacroResult(  # a copy frees the buffer F shares with the companion
+            self.xmesh, self.ymesh, state.macro.copy(), state.micro, total, self.dt, self.hom
         )
 
 

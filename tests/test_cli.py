@@ -1,4 +1,5 @@
-"""End-to-end command-line tests (subprocess, temp working dirs)."""
+"""End-to-end command-line tests: ``apmm.cli.main`` in this process, in temp
+working dirs, and the ``python -m apmm.cli`` entry point once as a subprocess."""
 
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from apmm.cli import main
 from apmm.homogenization import build_homogenized, first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.problem import benchmark_coefficient, parse_config
@@ -18,7 +20,24 @@ from apmm.solvers import run_micro_macro
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run(args, cwd):
+@pytest.fixture
+def _run(monkeypatch, capsys):
+    """Run the CLI in this process from ``cwd``; argparse's exits become exit codes."""
+
+    def run(args, cwd):
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()  # only this command's output
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
+    return run
+
+
+def _run_subprocess(args, cwd):
     # the subprocess runs in a temporary directory, so a relative
     # PYTHONPATH=src would not find the package
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -37,7 +56,7 @@ def _write_config(path, **keys):
     return path
 
 
-def test_run_micro_macro_outputs(tmp_path):
+def test_run_micro_macro_outputs(tmp_path, _run):
     cfg = _write_config(
         tmp_path / "run.cfg",
         epsilon=1.0,
@@ -66,7 +85,7 @@ def test_run_micro_macro_outputs(tmp_path):
     assert "dt_factor = 0.2" in meta_text
 
 
-def test_run_micro_macro_where_eps_squared_underflows(tmp_path):
+def test_run_micro_macro_where_eps_squared_underflows(tmp_path, _run):
     # eps**2 is 0.0 in floating point: the fast solve is the singular cell
     # solve, and G keeps its O(eps) corrector shape
     keys = dict(nx=16, ny=8, t_end=0.001, scheme="emm", output="tiny")
@@ -84,7 +103,7 @@ def test_run_micro_macro_where_eps_squared_underflows(tmp_path):
     assert np.max(np.abs(scaled - base)) <= 1e-10 * np.max(np.abs(base))
 
 
-def test_run_reference_emits_no_oscillatory_file(tmp_path):
+def test_run_reference_emits_no_oscillatory_file(tmp_path, _run):
     cfg = _write_config(
         tmp_path / "run.cfg",
         epsilon=1.0,
@@ -100,7 +119,7 @@ def test_run_reference_emits_no_oscillatory_file(tmp_path):
     assert "dt_factor = 0.05" in (tmp_path / "ref_run_meta.txt").read_text()
 
 
-def test_run_homogenized_writes_scaled_corrector(tmp_path):
+def test_run_homogenized_writes_scaled_corrector(tmp_path, _run):
     cfg = _write_config(
         tmp_path / "run.cfg",
         epsilon=0.1,
@@ -125,7 +144,7 @@ def test_run_homogenized_writes_scaled_corrector(tmp_path):
     assert np.max(np.abs(g_data["y"].reshape(32, 16)[0] - hom.ymesh.nodes)) == 0.0
 
 
-def test_run_rejects_bad_configs(tmp_path):
+def test_run_rejects_bad_configs(tmp_path, _run):
     bad = _write_config(tmp_path / "bad.cfg", epsilon=0.1, fluxcap=3)
     assert _run(["run", "--config", str(bad)], cwd=tmp_path).returncode == 2
 
@@ -159,14 +178,14 @@ def test_run_rejects_bad_configs(tmp_path):
     ],
     ids=["figure1-eps", "figure1-t-end", "figure1-ref-cells", "cell-ny"],
 )
-def test_out_of_range_arguments_exit_2(tmp_path, args):
+def test_out_of_range_arguments_exit_2(tmp_path, args, _run):
     proc = _run([*args, "--out", "out"], cwd=tmp_path)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()  # rejected before anything runs
 
 
-def test_converge_command(tmp_path):
+def test_converge_command(tmp_path, _run):
     proc = _run(["converge", "--scheme", "ref", "--levels", "3"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     order_line = [l for l in proc.stdout.splitlines() if l.startswith("order =")]
@@ -178,7 +197,8 @@ def test_converge_command(tmp_path):
 
 
 def test_cell_command(tmp_path):
-    proc = _run(["cell", "--out", "chi.csv"], cwd=tmp_path)
+    # the module entry point, as a user starts it
+    proc = _run_subprocess(["cell", "--out", "chi.csv"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     a0_lines = [l for l in proc.stdout.splitlines() if l.startswith("a0 = ")]
     assert len(a0_lines) == 1
@@ -187,12 +207,12 @@ def test_cell_command(tmp_path):
     assert lines[0] == "y,chi"
     assert len(lines) == 257  # default 256 nodes
 
-    proc = _run(["cell", "--coeff", "constant:2.0", "--ny", "16"], cwd=tmp_path)
+    proc = _run_subprocess(["cell", "--coeff", "constant:2.0", "--ny", "16"], cwd=tmp_path)
     assert proc.returncode == 0
     assert abs(float(proc.stdout.splitlines()[0].split("=")[1]) - 2.0) <= 1e-14
 
 
-def test_figure1_command(tmp_path):
+def test_figure1_command(tmp_path, _run):
     proc = _run(
         [
             "figure1",
@@ -209,7 +229,7 @@ def test_figure1_command(tmp_path):
     assert "eps=0.5" in proc.stdout
 
 
-def test_ap_study_command(tmp_path):
+def test_ap_study_command(tmp_path, _run):
     proc = _run(["ap-study", "--steps", "5", "--out", "ap.csv"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = (tmp_path / "ap.csv").read_text().splitlines()

@@ -430,6 +430,33 @@ def test_emm_step_count_and_overrides():
         solver.run(n_steps=0)
 
 
+@pytest.mark.parametrize("share", [0.0, -1.0, math.nan, math.inf, 10.0])
+def test_emm_step_rejects_bad_dt(share):
+    # 0 divided by zero, a negative dt failed in dpttrf, nan and inf only after
+    # a full step's work, and 10*dt ran past the stability bound
+    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
+    state = solver.initial_state()
+    with pytest.raises(ValueError, match="dt must satisfy"):
+        solver.step(state, dt=share * solver.dt)
+    assert solver.ops._factors == {}  # rejected before any work
+
+
+def test_emm_run_keeps_small_caches():
+    # fast-solve factors for the run's full and shortened steps only, and one
+    # slow operator whatever dt is: the band of the effective pair
+    eps, t_end = 0.1, 0.01
+    solver = MicroMacroSolver(benchmark_problem(eps, t_end=t_end), 16, 8)
+    res = solver.run()
+    last = t_end - (res.steps - 1) * solver.dt
+    assert 0.0 < last < solver.dt
+    ops = solver.ops
+    assert set(ops._factors) == {(eps / solver.dt) * eps, (eps / last) * eps}
+    assert [name for name, value in vars(ops).items() if isinstance(value, dict)] == ["_factors"]
+    band = ops._effective_band
+    solver.run(n_steps=2)
+    assert ops._effective_band is band and band.shape == (7, 2 * (16 + 2))
+
+
 def test_emm_rejects_unstable_dt():
     with pytest.raises(ConfigError):
         MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8, dt_factor=0.5)
