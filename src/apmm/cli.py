@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .harness import _fmt, _write_rows
 from .harness import ap_degeneracy_study, convergence_study, regime_comparison
-from .homogenization import build_homogenized, homogenized_coefficient, solve_cell_problem
+from .homogenization import homogenized_coefficient, solve_cell_problem
 from .mesh import make_cell_mesh, make_spatial_mesh
 from .problem import (
     ConfigError,
@@ -22,7 +22,9 @@ from .problem import (
     benchmark_problem,
     coefficient_from_name,
     parse_config,
+    sample_coefficient,
 )
+from .reconstruct import diagnostic_mesh
 from .solvers import (
     StabilityError,
     run_homogenized,
@@ -65,9 +67,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         micro = result.final_micro
         y_nodes = result.ymesh.nodes
     else:  # hmm: the oscillatory column holds the scaled corrector
-        hom = build_homogenized(
-            problem.coefficient, make_spatial_mesh(cfg.nx), make_cell_mesh(cfg.ny)
-        )
+        meshes = make_spatial_mesh(cfg.nx), make_cell_mesh(cfg.ny)
+        hom = sample_coefficient(problem.coefficient, *meshes).hom
         result = run_homogenized(problem, hom, dt_factor=dt_factor)
         x = result.mesh.centers
         slow = result.final
@@ -113,7 +114,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     for eps in args.eps:
         _checked("--eps/--t-end", benchmark_problem, eps, t_end)
     if args.ref_cells is not None:
-        _checked("--ref-cells", make_spatial_mesh, args.ref_cells)
+        _checked("--ref-cells", diagnostic_mesh, args.ref_cells)
     report = regime_comparison(
         eps_values=tuple(args.eps),
         out_dir=args.out,

@@ -1,20 +1,21 @@
-"""Periodic cell problems and the homogenized (effective) diffusion data.
+"""Periodic cell problems, the first-order corrector and macro gradients.
 
 In one space dimension the effective coefficient is the harmonic y-average
 of a(x, .), and the periodic cell corrector has a closed form built from
-the cumulative integral of 1/a.  The generic elliptic solver in
+the cumulative integral of 1/a.  The functions here evaluate both at given
+points x; the cell data of a whole tensor grid (``HomogenizedData``) is
+derived from the checked coefficient samples by
+:func:`apmm.problem.sample_coefficient`.  The generic elliptic solver in
 :mod:`apmm.operators` provides an independent route to the same corrector
 and is used as a cross-check in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .mesh import CellMesh, FloatArray, SpatialMesh
-from .problem import DiffusionField
+from .mesh import CellMesh, FloatArray
+from .problem import DiffusionField, HomogenizedData, _cell_corrector
 
 
 def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
@@ -55,13 +56,6 @@ def wall_gradients(values: FloatArray, dx: float) -> tuple[float, float]:
     return (-2.0 * a + 3.0 * b - c) / dx, (2.0 * z - 3.0 * y + x) / dx
 
 
-def _inverse_at_nodes(a: DiffusionField, x, ymesh: CellMesh) -> FloatArray:
-    """1/a sampled at the cell-mesh nodes; shape (..., n_points)."""
-    x = np.asarray(x, dtype=float)
-    vals = a(x[..., None], ymesh.nodes)
-    return 1.0 / vals
-
-
 def homogenized_coefficient(a: DiffusionField, x, ymesh: CellMesh):
     """Harmonic y-average of a(x, .) via periodic trapezoid quadrature.
 
@@ -69,8 +63,8 @@ def homogenized_coefficient(a: DiffusionField, x, ymesh: CellMesh):
     mean and converges geometrically for analytic coefficients.  Scalar x
     gives a float; an array of x gives an array.
     """
-    b = _inverse_at_nodes(a, x, ymesh)
-    out = 1.0 / b.mean(axis=-1)
+    x = np.asarray(x, dtype=float)
+    out = 1.0 / (1.0 / a(x[..., None], ymesh.nodes)).mean(axis=-1)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -91,55 +85,6 @@ def solve_cell_problem(a: DiffusionField, x, ymesh: CellMesh) -> FloatArray:
     x = np.asarray(x, dtype=float)
     chi = _cell_corrector(np.atleast_2d(1.0 / a(x[..., None], ymesh.half_nodes)), ymesh)
     return chi[0] if x.ndim == 0 else chi
-
-
-def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
-    """Closed-form corrector rows from ``b_half``, the rows of 1/a at the half-nodes."""
-    # the a0 inside the increments must be the half-node harmonic mean, so
-    # that the last increment wraps around the period exactly
-    ones = np.ones(ymesh.n_points)  # row sums by BLAS
-    chi = np.cumsum(b_half, axis=-1, out=np.empty_like(b_half))  # then, in place, the sums
-    chi -= b_half  # before each node
-    chi *= (ymesh.n_points * ymesh.dy / np.dot(b_half, ones))[:, None]  # times a0 * dy
-    chi -= ymesh.nodes
-    chi -= (np.dot(chi, ones) / ymesh.n_points)[:, None]
-    return chi
-
-
-@dataclass(frozen=True)
-class HomogenizedData:
-    """Effective coefficient and cell correctors sampled on a tensor grid.
-
-    - ``a0``: effective coefficient at the spatial cell centres, shape (nx,)
-    - ``a0_interfaces``: the same at all nx+1 cell interfaces (walls included)
-    - ``chi``: corrector at (centre, node) pairs, shape (nx, ny), zero y-mean
-    - ``chi_walls``: corrector profiles at x = 0 and x = 1, shape (2, ny)
-    """
-
-    xmesh: SpatialMesh
-    ymesh: CellMesh
-    a0: FloatArray
-    a0_interfaces: FloatArray
-    chi: FloatArray
-    chi_walls: FloatArray
-
-
-def build_homogenized(
-    a: DiffusionField, xmesh: SpatialMesh, ymesh: CellMesh
-) -> HomogenizedData:
-    """Solve the cell problems for every spatial cell (and both walls)."""
-    a0 = homogenized_coefficient(a, xmesh.centers, ymesh)
-    a0_if = homogenized_coefficient(a, xmesh.interfaces, ymesh)
-    chi = solve_cell_problem(a, xmesh.centers, ymesh)
-    chi_walls = solve_cell_problem(a, np.array([0.0, 1.0]), ymesh)
-    return HomogenizedData(
-        xmesh=xmesh,
-        ymesh=ymesh,
-        a0=a0,
-        a0_interfaces=a0_if,
-        chi=chi,
-        chi_walls=chi_walls,
-    )
 
 
 def first_order_corrector(hom: HomogenizedData, macro: FloatArray) -> FloatArray:

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .homogenization import _cell_corrector, _x_gradient
+from .homogenization import _x_gradient
 from .mesh import FloatArray
 from .problem import CoefficientTables
 
@@ -278,9 +278,8 @@ class GridOperators:
         rows make the matrix as tall as ``dgbmv`` needs for every nx >= 4."""
         n, dx2 = self.nx, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector
-        corrector = _cell_corrector(1.0 / self.tables.y_interfaces, self.ymesh)
+        corrector = self.tables.hom.chi
         beta = -y_average(self._centre_y_flux(self._padded(corrector, (0.0, 0.0)))) / (2 * self.dy)
-        del corrector  # off the first step's memory peak
         q = np.concatenate(([0.0], beta / (4.0 * dx2), [0.0]))  # with q_{-1} = q_nx = 0
         # storage [4 - o, m] holds the weight of p_m in row i = m - o, for each block
         band = np.zeros((7, 2, n + 2))

@@ -75,8 +75,8 @@ def benchmark_coefficient() -> DiffusionField:
 
 def constant_coefficient(value: float) -> DiffusionField:
     """A spatially constant coefficient (useful for exact cross-checks)."""
-    if value <= 0.0:
-        raise ValueError(f"constant coefficient must be positive, got {value}")
+    if not 0.0 < value < np.inf:  # also false for nan
+        raise ValueError(f"constant coefficient must be finite and positive, got {value}")
     return DiffusionField(
         func=lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), float(value)),
         a_min=float(value),
@@ -130,9 +130,39 @@ def benchmark_problem(
     )
 
 
+def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
+    """Closed-form corrector rows from ``b_half``, the rows of 1/a at the half-nodes."""
+    # the a0 inside the increments must be the half-node harmonic mean, so
+    # that the last increment wraps around the period exactly
+    ones = np.ones(ymesh.n_points)  # row sums by BLAS
+    chi = np.cumsum(b_half, axis=-1, out=np.empty_like(b_half))  # then, in place, the sums
+    chi -= b_half  # before each node
+    chi *= (ymesh.n_points * ymesh.dy / np.dot(b_half, ones))[:, None]  # times a0 * dy
+    chi -= ymesh.nodes
+    chi -= (np.dot(chi, ones) / ymesh.n_points)[:, None]
+    return chi
+
+
+@dataclass(frozen=True)
+class HomogenizedData:
+    """Cell data on a tensor grid, derived by :func:`sample_coefficient`.
+
+    - ``a0_interfaces``: effective coefficient (harmonic y-mean) at all nx+1
+      cell interfaces, walls included
+    - ``chi``: corrector at (centre, node) pairs, shape (nx, ny), zero y-mean
+    - ``chi_walls``: corrector profiles at x = 0 and x = 1, shape (2, ny)
+    """
+
+    xmesh: SpatialMesh
+    ymesh: CellMesh
+    a0_interfaces: FloatArray
+    chi: FloatArray
+    chi_walls: FloatArray
+
+
 @dataclass(eq=False)
 class CoefficientTables:
-    """Coefficient samples on the tensor grid.
+    """Coefficient samples on the tensor grid, and the cell data they give.
 
     All tables are direct pointwise evaluations (no averaging):
 
@@ -140,8 +170,9 @@ class CoefficientTables:
     - ``x_interfaces[k, j]`` = a(k*dx, y_j), k = 0 .. nx (walls included)
     - ``y_interfaces[i, j]`` = a(x_i, (j+1/2)*dy), the periodic half-nodes
 
-    ``x_uniform`` records whether every row of every table is identical,
-    so that every x-slice sees the same coefficient.
+    ``hom`` holds the effective coefficient and the correctors computed
+    from them.  ``x_uniform`` records whether every row of every table is
+    identical, so that every x-slice sees the same coefficient.
     """
 
     xmesh: SpatialMesh
@@ -149,6 +180,7 @@ class CoefficientTables:
     centers: FloatArray
     x_interfaces: FloatArray
     y_interfaces: FloatArray
+    hom: HomogenizedData
     x_uniform: bool = False
 
 
@@ -171,7 +203,11 @@ def sample_coefficient(
 ) -> CoefficientTables:
     """Tabulate the coefficient at cell centres and both families of interfaces.
 
-    Also verifies positivity, the declared bounds, and 1-periodicity in y.
+    The only evaluation of ``a`` on the tensor grid: it also samples the
+    half-nodes of both walls, verifies positivity, the declared bounds and
+    1-periodicity in y, and then derives the cell data from the checked
+    samples, the effective coefficient from ``x_interfaces`` and the
+    correctors from the half-node rows.
     """
     xc = xmesh.centers[:, None]
     xi = xmesh.interfaces[:, None]
@@ -181,11 +217,13 @@ def sample_coefficient(
     centers = a(xc, yn)
     x_interfaces = a(xi, yn)
     y_interfaces = a(xc, yh)
+    wall_half_nodes = a(xi[[0, -1]], yh)
 
     for name, table in (
         ("centers", centers),
         ("x_interfaces", x_interfaces),
         ("y_interfaces", y_interfaces),
+        ("wall_half_nodes", wall_half_nodes),
     ):
         _check_values(name, table, a)
 
@@ -200,12 +238,20 @@ def sample_coefficient(
         and np.all(x_interfaces == x_interfaces[:1])
         and np.all(y_interfaces == y_interfaces[:1])
     )
+    hom = HomogenizedData(
+        xmesh=xmesh,
+        ymesh=ymesh,
+        a0_interfaces=1.0 / (1.0 / x_interfaces).mean(axis=-1),
+        chi=_cell_corrector(1.0 / y_interfaces, ymesh),
+        chi_walls=_cell_corrector(1.0 / wall_half_nodes, ymesh),
+    )
     return CoefficientTables(
         xmesh=xmesh,
         ymesh=ymesh,
         centers=centers,
         x_interfaces=x_interfaces,
         y_interfaces=y_interfaces,
+        hom=hom,
         x_uniform=x_uniform,
     )
 
@@ -253,12 +299,9 @@ def coefficient_from_name(spec: str) -> DiffusionField:
         return benchmark_coefficient()
     if name.startswith("constant:"):
         try:
-            value = float(name.partition(":")[2])
+            return constant_coefficient(float(name.partition(":")[2]))
         except ValueError as exc:
-            raise ConfigError(f"bad constant coefficient {spec!r}") from exc
-        if value <= 0.0:
-            raise ConfigError(f"constant coefficient must be positive, got {value}")
-        return constant_coefficient(value)
+            raise ConfigError(f"bad constant coefficient {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown coeff {spec!r}; expected 'paper' or 'constant:<value>'")
 
 

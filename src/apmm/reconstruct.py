@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .homogenization import macro_gradient
-from .mesh import FloatArray, SpatialMesh
+from .mesh import FloatArray, SpatialMesh, make_spatial_mesh
 
 
 def _balanced_coefficients(profiles: FloatArray) -> np.ndarray:
@@ -124,6 +124,14 @@ def reconstruct_homogenized(
     return reconstruct_micro_macro(macro, epsilon * corrector, epsilon, coarse, fine)
 
 
+def diagnostic_mesh(n_cells: int) -> SpatialMesh:
+    """The spatial mesh of ``n_cells`` cells, if :func:`derivative_on_fine` accepts it."""
+    fine = make_spatial_mesh(n_cells)
+    if fine.n_cells < 8:
+        raise ValueError(f"diagnostic mesh needs >= 8 cells, got {fine.n_cells}")
+    return fine
+
+
 def derivative_on_fine(values: FloatArray, fine: SpatialMesh) -> FloatArray:
     """Spatial derivative on the diagnostic mesh.
 
@@ -131,8 +139,7 @@ def derivative_on_fine(values: FloatArray, fine: SpatialMesh) -> FloatArray:
     two boundary cells — applied uniformly to every scheme's reconstruction
     so derivative comparisons are like-for-like.
     """
-    if fine.n_cells < 8:
-        raise ValueError(f"diagnostic mesh needs >= 8 cells, got {fine.n_cells}")
+    diagnostic_mesh(fine.n_cells)
     values = np.asarray(values, dtype=float)
     if values.shape != (fine.n_cells,):
         raise ValueError(f"field has shape {values.shape}, expected ({fine.n_cells},)")

@@ -28,15 +28,10 @@ import numpy as np
 from scipy.linalg.blas import daxpy, dger
 from scipy.linalg.lapack import dstebz, dstein
 
-from .homogenization import (
-    HomogenizedData,
-    build_homogenized,
-    first_order_corrector,
-    wall_gradients,
-)
+from .homogenization import first_order_corrector, wall_gradients
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators, y_average
-from .problem import ConfigError, ProblemSpec, sample_coefficient
+from .problem import ConfigError, HomogenizedData, ProblemSpec, sample_coefficient
 from .reconstruct import trig_interpolate
 
 _MEAN_DRIFT_TOL = 1e-11
@@ -76,7 +71,6 @@ class MacroResult:
 @dataclass(frozen=True)
 class HomogenizedResult(MacroResult):
     corrector: FloatArray  # first-order two-scale corrector at t_end, (nx, ny)
-    hom: HomogenizedData
 
 
 def _growth(mu: FloatArray, k: int) -> FloatArray:
@@ -191,7 +185,7 @@ def run_homogenized(
     final, steps = _explicit_heat_loop(u0, hom.a0_interfaces, mesh.dx, dt, problem.t_end)
     return HomogenizedResult(
         mesh=mesh, final=final, steps=steps, dt=dt,
-        corrector=first_order_corrector(hom, final), hom=hom,
+        corrector=first_order_corrector(hom, final),
     )
 
 
@@ -260,13 +254,14 @@ class MicroMacroSolver:
         self.xmesh = make_spatial_mesh(n_x)
         self.ymesh = make_cell_mesh(n_y)
         self.tables = sample_coefficient(problem.coefficient, self.xmesh, self.ymesh)
-        self.hom = build_homogenized(problem.coefficient, self.xmesh, self.ymesh)
         self.ops = GridOperators(self.tables)
         self.dt = dt_factor * self.xmesh.dx**2
         self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
         # wall data per unit companion gradient (none with homogeneous walls): eps*chi for G,
         # minus its value at the wall's fast coordinate for F; twice their sum; G's flux y-sums
-        self._wall_profiles = eps * (problem.bc_mode == "dirichlet_corrector") * self.hom.chi_walls
+        self._wall_profiles = (
+            eps * (problem.bc_mode == "dirichlet_corrector") * self.tables.hom.chi_walls
+        )
         walls = zip(self._wall_profiles, (0.0, (1.0 / eps) % 1.0))
         self._wall_traces = [-trig_interpolate(profile, y) for profile, y in walls]
         self._wall_totals = 2.0 * (self._wall_profiles + np.array(self._wall_traces)[:, None])
@@ -364,7 +359,7 @@ class MicroMacroSolver:
         for k in range(1, total + 1):
             state = self.step(state, dt=last_dt if k == total else None)
         return MicroMacroResult(  # a copy frees the buffer F shares with the companion
-            self.xmesh, self.ymesh, state.macro.copy(), state.micro, total, self.dt, self.hom
+            self.xmesh, self.ymesh, state.macro.copy(), state.micro, total, self.dt, self.tables.hom
         )
 
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from apmm.cli import main
-from apmm.homogenization import build_homogenized, first_order_corrector
+from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.problem import benchmark_coefficient, parse_config
+from apmm.problem import benchmark_coefficient, parse_config, sample_coefficient
 from apmm.solvers import run_micro_macro
 
 
@@ -136,9 +136,9 @@ def test_run_homogenized_writes_scaled_corrector(tmp_path, _run):
     g_data = np.genfromtxt(tmp_path / "hom_G.csv", delimiter=",", names=True)
     macro = f_data["F"]
     micro = g_data["G"].reshape(32, 16)
-    hom = build_homogenized(
+    hom = sample_coefficient(
         benchmark_coefficient(), make_spatial_mesh(32), make_cell_mesh(16)
-    )
+    ).hom
     expected = 0.1 * first_order_corrector(hom, macro)
     assert np.max(np.abs(micro - expected)) <= 1e-12
     assert np.max(np.abs(g_data["y"].reshape(32, 16)[0] - hom.ymesh.nodes)) == 0.0
@@ -174,9 +174,20 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         ["figure1", "--eps", "0.5", "2"],
         ["figure1", "--t-end", "-1"],
         ["figure1", "--ref-cells", "3"],
+        ["figure1", "--ref-cells", "5"],  # a mesh, but too coarse for the derivative stencils
         ["cell", "--ny", "5"],
+        ["cell", "--coeff", "constant:nan"],
+        ["cell", "--coeff", "constant:inf"],
     ],
-    ids=["figure1-eps", "figure1-t-end", "figure1-ref-cells", "cell-ny"],
+    ids=[
+        "figure1-eps",
+        "figure1-t-end",
+        "figure1-ref-cells",
+        "figure1-ref-cells-5",
+        "cell-ny",
+        "cell-coeff-nan",
+        "cell-coeff-inf",
+    ],
 )
 def test_out_of_range_arguments_exit_2(tmp_path, args, _run):
     proc = _run([*args, "--out", "out"], cwd=tmp_path)

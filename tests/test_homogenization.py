@@ -5,7 +5,6 @@ import pytest
 
 from apmm.homogenization import (
     _x_gradient,
-    build_homogenized,
     first_order_corrector,
     homogenized_coefficient,
     macro_gradient,
@@ -125,17 +124,34 @@ def test_harmonic_mean_below_arithmetic():
         assert c0 - c1 - 1e-9 <= a0 <= node_mean + 1e-12
 
 
-def test_build_homogenized_layout():
+def test_sampled_cell_data_layout_and_pointwise_agreement():
     xm, ym = make_spatial_mesh(8), make_cell_mesh(16)
-    hom = build_homogenized(benchmark_coefficient(), xm, ym)
-    assert hom.a0.shape == (8,)
+    hom = sample_coefficient(benchmark_coefficient(), xm, ym).hom
     assert hom.a0_interfaces.shape == (9,)
     assert hom.chi.shape == (8, 16)
     assert hom.chi_walls.shape == (2, 16)
     # coefficient is x-independent: every cell problem is the same
     assert np.max(np.abs(hom.chi - hom.chi[:1])) <= 1e-14
     assert np.max(np.abs(hom.chi_walls - hom.chi[:1])) <= 1e-14
-    assert np.max(np.abs(hom.a0 - hom.a0[0])) <= 1e-15
+    assert np.max(np.abs(hom.a0_interfaces - hom.a0_interfaces[0])) <= 1e-15
+
+    # the data derived from the sample tables is the pointwise cell data, bit for bit
+    x_dependent = DiffusionField(
+        func=lambda x, y: 1.3
+        + (0.5 + 0.4 * x) * np.sin(2.0 * np.pi * y)
+        + 0.2 * np.cos(2.0 * np.pi * x) * np.cos(4.0 * np.pi * y),
+        a_min=0.1,
+        a_max=2.5,
+    )
+    for a in (x_dependent, benchmark_coefficient(), constant_coefficient(0.7)):
+        for nx, ny in ((8, 4), (64, 16), (128, 32)):
+            xm, ym = make_spatial_mesh(nx), make_cell_mesh(ny)
+            hom = sample_coefficient(a, xm, ym).hom
+            assert np.array_equal(hom.chi, solve_cell_problem(a, xm.centers, ym))
+            assert np.array_equal(hom.chi_walls, solve_cell_problem(a, np.array([0.0, 1.0]), ym))
+            assert np.array_equal(hom.a0_interfaces, homogenized_coefficient(a, xm.interfaces, ym))
+    hom = sample_coefficient(x_dependent, xm, ym).hom
+    assert np.max(np.abs(hom.chi_walls[0] - hom.chi_walls[1])) > 0.1  # x-dependent indeed
 
 
 def test_macro_gradient_quadratic_exact():
@@ -171,7 +187,7 @@ def test_wall_gradients_quadratic_exact():
 
 def test_first_order_corrector_linear_macro():
     xm, ym = make_spatial_mesh(8), make_cell_mesh(16)
-    hom = build_homogenized(benchmark_coefficient(), xm, ym)
+    hom = sample_coefficient(benchmark_coefficient(), xm, ym).hom
     macro = 0.75 * xm.centers
     u1 = first_order_corrector(hom, macro)
     assert u1.shape == (8, 16)

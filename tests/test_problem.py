@@ -39,8 +39,9 @@ def test_constant_coefficient():
     assert np.all(a(x, 0.3) == 1.7)
     with pytest.raises(ValueError):
         constant_coefficient(0.0)
-    with pytest.raises(ValueError):
-        constant_coefficient(-2.0)
+    for bad in (-2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            constant_coefficient(bad)
 
 
 def test_diffusion_field_broadcasts():
@@ -134,7 +135,7 @@ def test_sample_coefficient_rejects_aperiodic():
 def test_coefficient_from_name():
     assert coefficient_from_name("paper").a_max == 2.1
     assert coefficient_from_name("constant:2.5")(0.1, 0.9) == 2.5
-    for bad in ("constant:-1", "constant:abc", "piecewise", ""):
+    for bad in ("constant:-1", "constant:abc", "constant:nan", "constant:inf", "piecewise", ""):
         with pytest.raises(ConfigError):
             coefficient_from_name(bad)
 

@@ -13,7 +13,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apmm.homogenization import build_homogenized
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import GridOperators, remove_y_average, y_average
 from apmm.problem import BC_MODES, DiffusionField, ProblemSpec, sample_coefficient
@@ -98,7 +97,7 @@ def test_energy_does_not_increase(c0, p, q, r, phi, eps, t_end, dt_share, seed):
 
     problem = ProblemSpec(coefficient=coeff, epsilon=eps, initial=initial, t_end=t_end)
     dt_factor = dt_share / (2.0 * coeff.a_max)
-    hom = build_homogenized(coeff, make_spatial_mesh(64), make_cell_mesh(16))
+    hom = sample_coefficient(coeff, make_spatial_mesh(64), make_cell_mesh(16)).hom
     for res in (
         run_reference(problem, 128, dt_factor=dt_factor),
         run_homogenized(problem, hom, dt_factor=dt_factor),

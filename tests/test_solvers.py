@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from apmm.homogenization import build_homogenized, first_order_corrector
+from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import remove_y_average, y_average
 from apmm.harness import ap_degeneracy_study
@@ -19,8 +19,10 @@ from apmm.problem import (
     ConfigError,
     DiffusionField,
     ProblemSpec,
+    _cell_corrector,
     benchmark_problem,
     constant_coefficient,
+    sample_coefficient,
 )
 from apmm.solvers import (
     MicroMacroSolver,
@@ -164,23 +166,25 @@ def test_reference_rejects_inf_initial_data():
 # --------------------------------------------------------------- homogenized
 
 
-def test_homogenized_equals_reference_for_constant_coefficient():
+@pytest.mark.parametrize("value", [0.7, 1.3, 1.7, 2.0])
+def test_homogenized_equals_reference_for_constant_coefficient(value):
     problem = ProblemSpec(
-        coefficient=constant_coefficient(1.7),
+        coefficient=constant_coefficient(value),
         epsilon=1.0,
         initial=lambda x: np.sin(2 * np.pi * x),
         t_end=0.01,
     )
-    hom = build_homogenized(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(8))
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(8)).hom
     u_hmm = run_homogenized(problem, hom, dt_factor=0.2)
     u_ref = run_reference(problem, 64, dt_factor=0.2)
     assert u_hmm.steps == u_ref.steps
-    assert np.max(np.abs(u_hmm.final - u_ref.final)) <= 1e-12
+    assert np.max(np.abs(u_hmm.final - u_ref.final)) <= 1e-13  # measured 0
+    assert np.max(np.abs(u_hmm.corrector)) <= 1e-14  # measured <= 3.4e-16
 
 
 def test_homogenized_analytic_decay():
     problem = benchmark_problem(0.1, t_end=0.02)
-    hom = build_homogenized(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(16))
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(16)).hom
     res = run_homogenized(problem, hom)
     x = res.mesh.centers
     exact = math.exp(-A0 * 4 * math.pi**2 * 0.02) * np.sin(2 * np.pi * x)
@@ -195,7 +199,7 @@ def test_homogenized_zero_data():
         initial=lambda x: np.zeros(np.shape(x)),
         t_end=0.001,
     )
-    hom = build_homogenized(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8))
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8)).hom
     res = run_homogenized(problem, hom)
     assert np.max(np.abs(res.final)) == 0.0
     assert np.max(np.abs(res.corrector)) == 0.0
@@ -203,14 +207,14 @@ def test_homogenized_zero_data():
 
 def test_homogenized_rejects_inf_initial_data():
     problem = _inf_initial_problem()
-    hom = build_homogenized(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8))
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8)).hom
     with pytest.raises(StabilityError, match="non-finite initial data"):
         run_homogenized(problem, hom)
 
 
 def test_homogenized_corrector_consistency():
     problem = benchmark_problem(0.1, t_end=0.002)
-    hom = build_homogenized(problem.coefficient, make_spatial_mesh(32), make_cell_mesh(16))
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(32), make_cell_mesh(16)).hom
     res = run_homogenized(problem, hom)
     assert res.corrector.shape == (32, 16)
     assert np.max(np.abs(res.corrector - first_order_corrector(hom, res.final))) == 0.0
@@ -226,6 +230,38 @@ def test_emm_initial_state():
     assert np.max(np.abs(state.micro)) == 0.0
     assert np.max(np.abs(state.effective - state.macro)) == 0.0
     assert state.t == 0.0 and state.step == 0
+
+
+def test_emm_set_up_samples_the_coefficient_once(monkeypatch):
+    """Set-up and a first step evaluate the coefficient only inside sample_coefficient,
+    whose cell data are two corrector builds: the cell centres and the walls."""
+    calls = {"inside": 0, "outside": 0, "corrector": 0}
+    inside = [False]
+    base = benchmark_problem(0.1)
+
+    def counted(x, y):
+        calls["inside" if inside[0] else "outside"] += 1
+        return base.coefficient.func(x, y)
+
+    def sampling(*args):
+        inside[0] = True
+        try:
+            return sample_coefficient(*args)
+        finally:
+            inside[0] = False
+
+    def corrector(*args):
+        calls["corrector"] += 1
+        return _cell_corrector(*args)
+
+    monkeypatch.setattr("apmm.solvers.sample_coefficient", sampling)
+    monkeypatch.setattr("apmm.problem._cell_corrector", corrector)
+    coefficient = dataclasses.replace(base.coefficient, func=counted)
+    solver = MicroMacroSolver(dataclasses.replace(base, coefficient=coefficient), 16, 8)
+    solver.step(solver.initial_state())
+    assert calls["inside"] > 0
+    assert calls["outside"] == 0
+    assert calls["corrector"] == 2
 
 
 def test_emm_one_step_matches_update_formula():
