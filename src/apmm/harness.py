@@ -19,6 +19,7 @@ from .mesh import FloatArray, SpatialMesh
 from .problem import ConfigError, benchmark_problem, constant_coefficient, ProblemSpec
 from .reconstruct import (
     derivative_on_fine,
+    diagnostic_mesh,
     reconstruct_homogenized,
     reconstruct_micro_macro,
 )
@@ -158,6 +159,8 @@ def regime_comparison(
     are flushed before later regimes run, so a failing case leaves the
     earlier results on disk.
     """
+    if ref_cells is not None:
+        diagnostic_mesh(int(ref_cells))  # before any run or directory
     eps_values = tuple(float(e) for e in eps_values)
     if not eps_values:
         return RunReport(records=(), summary_path=None)
@@ -168,9 +171,7 @@ def regime_comparison(
     records: list[RegimeRecord] = []
     for eps in eps_values:
         problem = benchmark_problem(eps, t_end=t_end, bc_mode=bc_mode)
-        n_ref = reference_cells(eps, periods_per_oscillation)
-        if ref_cells is not None:
-            n_ref = int(ref_cells)
+        n_ref = int(ref_cells) if ref_cells else reference_cells(eps, periods_per_oscillation)
 
         t0 = time.perf_counter()
         ref = run_reference(problem, n_ref)

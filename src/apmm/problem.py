@@ -46,9 +46,9 @@ class DiffusionField:
     a_max: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a_min <= self.a_max):
-            raise ValueError(
-                f"need 0 < a_min <= a_max, got a_min={self.a_min}, a_max={self.a_max}"
+        if not (0.0 < self.a_min <= self.a_max and 1.0 / float(self.a_min) < np.inf):
+            raise ValueError(  # the cell data divide by a, so 1/a_min must not overflow
+                f"need 0 < a_min <= a_max and a finite 1/a_min, got {self.a_min}, {self.a_max}"
             )
 
     def __call__(self, x, y) -> FloatArray:

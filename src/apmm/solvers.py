@@ -37,6 +37,8 @@ from .reconstruct import trig_interpolate
 _MEAN_DRIFT_TOL = 1e-11
 _MODE_TOL = 1e-17  # modes whose gain over the full steps is below this are dropped
 _MODE_BLOCK = 8  # eigenvectors computed per dstein call
+_COARSE_TOL = 1e-7  # bisection tolerance per unit width of a window of kept modes
+_GAP_SHARE = 1e-4  # the coarse tolerance must be below this share of every gap
 
 
 class StabilityError(RuntimeError):
@@ -98,14 +100,17 @@ def _explicit_heat_loop(
     One step is ``u + B u`` with ``B`` the symmetric tridiagonal flux
     difference times ``r = dt/dx**2`` (the odd wall ghosts count the wall
     interfaces twice on the diagonal); the shortened last step is ``u +
-    last_ratio * B u``, with the same eigenvectors.  So the final state is
-    ``sum (1 + mu)**(n - 1) (1 + last_ratio*mu) (z . u0) z`` over the
-    eigenpairs ``(mu, z)`` of ``B``.  Only the modes whose ``|1 + mu|``
-    keeps a gain above ``_MODE_TOL`` over the ``n - 1`` full steps matter:
-    bisection (``dstebz``) finds them by value near ``1 + mu = 1`` and, for
-    dt at the stability bound, near -1, and inverse iteration (``dstein``)
-    gives their eigenvectors a block at a time, so no n x n matrix is ever
-    formed.
+    last_ratio * B u``.  So the final state is ``sum (1 + mu)**(n - 1) (1 +
+    last_ratio*mu) (z . u0) z`` over the eigenpairs ``(mu, z)`` of ``B``
+    whose gain stays above ``_MODE_TOL``: near ``1 + mu = 1`` and, at the
+    stability bound, near -1.  Bisection (``dstebz``) finds them to
+    ``_COARSE_TOL`` times the window's width, or finer where the tolerance
+    exceeds ``_GAP_SHARE`` times a gap (also to the window's ends), as the
+    vectors of separate ``dstein`` calls are orthogonal only to that extent.
+    ``dstein`` gives ``_MODE_BLOCK`` vectors a call, to bound the peak memory,
+    and each ``mu`` becomes the Rayleigh quotient ``-r * sum a d**2`` over
+    the jumps ``d`` of the ghost-padded ``z``, whose error is quadratic in
+    the vector's and free of cancellation, as the power n - 1 needs.
     """
     if not np.all(np.isfinite(u0)):  # before numpy warns on inf - inf
         raise StabilityError("non-finite initial data")
@@ -113,26 +118,35 @@ def _explicit_heat_loop(
     last_ratio = (t_end - (n_steps - 1) * dt) / dt
     r = dt / dx**2
     diag = -r * (a_interfaces[:-1] + a_interfaces[1:])
-    diag[0] -= r * a_interfaces[0]
-    diag[-1] -= r * a_interfaces[-1]
+    diag[[0, -1]] -= r * a_interfaces[[0, -1]]
     off = r * a_interfaces[1:-1]
+    # B's quadratic form per squared jump; the odd ghosts double the wall jumps
+    weights = -r * np.r_[0.5 * a_interfaces[0], a_interfaces[1:-1], 0.5 * a_interfaces[-1]]
     full = n_steps - 1
     cut = _MODE_TOL ** (1.0 / full) if full else 0.0
     final = np.zeros(u0.shape[0])
     # the stability bound keeps every mu in [-2, 0]
     for lower, upper in ((cut - 1.0, 1.0), (-3.0, -1.0 - cut)):
-        found, mu, block, split, info = dstebz(diag, off, 1, lower, upper, 0, 0, 0.0, b"B")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
+        tol = _COARSE_TOL * (1.0 - cut)
+        while True:
+            found, mu, block, split, info = dstebz(diag, off, 1, lower, upper, 0, 0, tol, b"B")
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
+            gap = np.min(np.diff(np.sort(np.r_[lower, mu[:found], upper])))
+            if tol <= _GAP_SHARE * gap:
+                break
+            # true gaps exceed gap - 2 tol; tol at least halves; tol <= 0 is full precision
+            tol = 0.5 * _GAP_SHARE * (gap - 2.0 * tol)
         for i in range(0, found, _MODE_BLOCK):
             j = min(i + _MODE_BLOCK, found)
-            mu_i = mu[i:j]
             # dstein reads the split-off block of each eigenvalue from the
             # front of iblock; that front is spent, so it is overwritten
             block[: j - i] = block[i:j]
-            z, info = dstein(diag, off, mu_i, block, split)
+            z, info = dstein(diag, off, mu[i:j], block, split)
             if info != 0:
                 raise np.linalg.LinAlgError(f"dstein failed with info={info}")
+            jumps = np.diff(np.concatenate((-z[:1], z, -z[-1:])), axis=0)
+            mu_i = weights @ (jumps * jumps)
             gains = _growth(mu_i, full) * (1.0 + last_ratio * mu_i)
             final += (gains * (u0 @ z)) @ z.T
     if not np.all(np.isfinite(final)):

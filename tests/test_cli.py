@@ -157,6 +157,15 @@ def test_run_rejects_bad_configs(tmp_path, _run):
     assert proc.returncode == 2
     assert "dt_factor" in proc.stderr
 
+    # positive, but 1/a overflows: the hmm run's cell data would be all NaN
+    tiny = _write_config(
+        tmp_path / "tiny.cfg", epsilon=0.1, scheme="hmm", coeff="constant:1e-320", output="out/hom"
+    )
+    proc = _run(["run", "--config", str(tiny)], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "1/a_min" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
     proc = _run(["run", "--config", str(tmp_path / "missing.cfg")], cwd=tmp_path)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
@@ -178,6 +187,7 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         ["cell", "--ny", "5"],
         ["cell", "--coeff", "constant:nan"],
         ["cell", "--coeff", "constant:inf"],
+        ["cell", "--coeff", "constant:1e-320"],  # positive, but 1/a overflows
     ],
     ids=[
         "figure1-eps",
@@ -187,6 +197,7 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         "cell-ny",
         "cell-coeff-nan",
         "cell-coeff-inf",
+        "cell-coeff-reciprocal-overflow",
     ],
 )
 def test_out_of_range_arguments_exit_2(tmp_path, args, _run):

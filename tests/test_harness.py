@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from apmm import harness
 from apmm.harness import (
     RegimeRecord,
     RunReport,
@@ -101,6 +102,19 @@ def test_regime_comparison_empty_is_a_no_op(tmp_path):
     report = regime_comparison(eps_values=(), out_dir=out)
     assert report.records == ()
     assert report.summary_path is None
+    assert not out.exists()
+
+
+def test_regime_comparison_rejects_coarse_ref_cells_before_any_work(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("run_reference", "run_micro_macro", "run_homogenized"):
+        monkeypatch.setattr(harness, name, refuse)
+    out = tmp_path / "untouched"
+    for ref_cells in (5, 7):  # meshes, but too coarse for the derivative stencils
+        with pytest.raises(ValueError, match="needs >= 8 cells"):
+            regime_comparison(eps_values=(0.5,), out_dir=out, ref_cells=ref_cells)
     assert not out.exists()
 
 

@@ -39,7 +39,7 @@ def test_constant_coefficient():
     assert np.all(a(x, 0.3) == 1.7)
     with pytest.raises(ValueError):
         constant_coefficient(0.0)
-    for bad in (-2.0, float("nan"), float("inf")):
+    for bad in (-2.0, float("nan"), float("inf"), 1e-320):  # 1/1e-320 overflows
         with pytest.raises(ValueError):
             constant_coefficient(bad)
 
@@ -55,6 +55,9 @@ def test_diffusion_field_bound_validation():
         DiffusionField(func=lambda x, y: 1.0 + 0 * x, a_min=2.0, a_max=1.0)
     with pytest.raises(ValueError):
         DiffusionField(func=lambda x, y: 1.0 + 0 * x, a_min=0.0, a_max=1.0)
+    with pytest.raises(ValueError, match="finite 1/a_min"):
+        DiffusionField(func=lambda x, y: 1.0 + 0 * x, a_min=1e-320, a_max=1.0)
+    DiffusionField(func=lambda x, y: 1.0 + 0 * x, a_min=1e-300, a_max=1.0)  # 1/a_min is finite
 
 
 def test_problem_spec_validation():

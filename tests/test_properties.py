@@ -10,6 +10,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,3 +217,62 @@ def test_emm_step_matches_public_operators(
     expected = _step_by_public_operators(solver, state, dt)
     for got, want in zip((out.macro, out.micro, out.effective), expected):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _stepped(u0, a_interfaces, dx, dt, t_end):
+    """The explicit flux-form scheme stepped one level at a time to t_end."""
+    n_steps = math.ceil(t_end / dt - 1e-9)
+    u = u0
+    for k in range(1, n_steps + 1):
+        h = dt if k < n_steps else t_end - (n_steps - 1) * dt
+        padded = np.concatenate(([-u[0]], u, [-u[-1]]))
+        u = u + (h / dx**2) * np.diff(a_interfaces * np.diff(padded))
+    return u, n_steps
+
+
+@pytest.mark.filterwarnings("ignore:n_cells=.* under-resolves")
+@settings(max_examples=40, deadline=1000)
+@given(
+    c0=st.floats(1.0, 2.0),
+    p=st.floats(-0.4, 0.4),
+    q=st.floats(-0.4, 0.4),
+    r=st.floats(-0.15, 0.15),
+    phi=st.floats(0.0, 1.0),
+    eps=st.floats(0.125, 1.0),
+    n=st.integers(8, 64),
+    full_steps=st.one_of(st.integers(0, 3), st.integers(100, 400)),
+    last_share=st.floats(0.05, 1.0),
+    at_bound=st.booleans(),
+    dt_share=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modal_runs_match_stepping(
+    c0, p, q, r, phi, eps, n, full_steps, last_share, at_bound, dt_share, seed
+):
+    # the reference and homogenized runs evaluate the final state from the
+    # step matrix's modes; random cell values excite every mode, also the
+    # ones near -1 that a dt at the stability bound keeps
+    coeff = _coefficient(c0, p, q, r, phi)
+    dt_factor = (1.0 if at_bound else dt_share) / (2.0 * coeff.a_max)
+    mesh = make_spatial_mesh(n)
+    dt = dt_factor * mesh.dx**2
+    values = np.random.default_rng(seed).standard_normal(n)
+
+    def initial(x):
+        cells = np.minimum((np.asarray(x) * n).astype(int), n - 1)
+        return np.where((x > 0.0) & (x < 1.0), values[cells], 0.0)
+
+    t_end = (full_steps + last_share) * dt
+    problem = ProblemSpec(coefficient=coeff, epsilon=eps, initial=initial, t_end=t_end)
+    x_if = mesh.interfaces
+    hom = sample_coefficient(coeff, mesh, make_cell_mesh(8)).hom
+    for res, a_if in (
+        (run_reference(problem, n, dt_factor=dt_factor), coeff(x_if, np.mod(x_if / eps, 1.0))),
+        (run_homogenized(problem, hom, dt_factor=dt_factor), hom.a0_interfaces),
+    ):
+        expected, n_steps = _stepped(values, a_if, mesh.dx, dt, t_end)
+        assert res.steps == n_steps and res.dt == dt
+        # the projections on the modes carry rounding of about 1e-16 max|g|,
+        # so a field decayed below 1e-5 of its start is held to that floor
+        scale = max(np.max(np.abs(expected)), 1e-5 * np.max(np.abs(values)))
+        assert np.max(np.abs(res.final - expected)) <= 1e-10 * scale

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dstebz, dstein
 
+from apmm import solvers
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import remove_y_average, y_average
@@ -131,6 +133,52 @@ def test_reference_modes_match_stepping(case):
             assert n_steps * dt > t_end > (n_steps - 1) * dt
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(res.final - expected)) <= 1e-10 * scale
+
+
+def _full_precision_reference(problem, n_cells, dt_factor):
+    """The reference's final state from eigenpairs bisected to full precision
+    (``dstebz`` at abstol 0) and one ``dstein`` call for all kept modes."""
+    mesh = make_spatial_mesh(n_cells)
+    x_if = mesh.interfaces
+    a_if = problem.coefficient(x_if, np.mod(x_if / problem.epsilon, 1.0))
+    dt = dt_factor * mesh.dx**2
+    n_steps = math.ceil(problem.t_end / dt - 1e-9)
+    last_ratio = (problem.t_end - (n_steps - 1) * dt) / dt
+    r = dt_factor  # dt / dx**2
+    diag = -r * (a_if[:-1] + a_if[1:])
+    diag[[0, -1]] -= r * a_if[[0, -1]]
+    off = r * a_if[1:-1]
+    cut = 1e-17 ** (1.0 / (n_steps - 1))
+    u0 = problem.initial(mesh.centers)
+    final = np.zeros(n_cells)
+    for lower, upper in ((cut - 1.0, 1.0), (-3.0, -1.0 - cut)):
+        found, mu, block, split, info = dstebz(diag, off, 1, lower, upper, 0, 0, 0.0, b"B")
+        assert info == 0
+        if found:
+            z, info = dstein(diag, off, mu[:found], block, split)
+            assert info == 0
+            gains = np.exp((n_steps - 1) * np.log1p(mu[:found])) * (1.0 + last_ratio * mu[:found])
+            final += (gains * (u0 @ z)) @ z.T
+    return final
+
+
+def test_reference_at_a_long_horizon_matches_full_precision_modes(monkeypatch):
+    # the benchmark's figure1 case: 419,431 steps, so each gain is a power
+    # (1 + mu)**419430 and an eigenvalue error is amplified by the step count
+    tolerances = []
+
+    def recording_dstebz(*args):
+        tolerances.append(args[7])
+        return dstebz(*args)
+
+    monkeypatch.setattr(solvers, "dstebz", recording_dstebz)
+    problem = benchmark_problem(0.01, t_end=0.005)
+    res = run_reference(problem, 2048)
+    assert res.steps == 419431
+    assert len(tolerances) == 2 and min(tolerances) > 0.0  # one coarse pass per window
+    expected = _full_precision_reference(problem, 2048, 0.05)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(res.final - expected)) <= 1e-10 * scale  # measured 1.5e-11
 
 
 def test_reference_warns_when_underresolved():
