@@ -55,7 +55,7 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Holds the factors of the fast solves, per shift, and the band of the
+    Holds the factors of the fast solves, for two shifts, and the band of the
     effective operator, built on first use, so a time stepper reuses them
     for the whole run.  All ``bc`` arguments are ``(left, right)`` Dirichlet
     wall data: scalars for macro fields, length-ny profiles (or scalars) for
@@ -148,7 +148,8 @@ class GridOperators:
         return flux - np.roll(flux, 1, axis=1)
 
     def _factor(self, s: float):
-        """Cached ``dpttrf`` factors of ``T(s)`` and the (blocks, 3, ny) ``Z^T``.
+        """Cached ``dpttrf`` factors of ``T(s)`` and the (blocks, 3, ny) ``Z^T``,
+        for the first shift (a run's full step) and the latest other one.
 
         ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's
         correction for ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]``
@@ -174,6 +175,8 @@ class GridOperators:
             zt = np.swapaxes(np.linalg.inv(m_inv + tvt @ self._v), 1, 2) @ tvt
             q = np.stack([link, link, np.full(m, s)], axis=1) / (n * (s + sigma))[:, None]
             zt += q[:, :, None]
+            if len(self._factors) > 1:
+                self._factors.popitem()  # the latest other shift
             self._factors[s] = d, e, zt
         return self._factors[s]
 

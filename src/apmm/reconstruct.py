@@ -54,14 +54,6 @@ def trig_interpolate(samples: FloatArray, y_star):
     return values.reshape(np.shape(y_star))
 
 
-def _eval_micro_rows(coeffs: np.ndarray, rows: np.ndarray, y: FloatArray) -> FloatArray:
-    """Evaluate precomputed interpolant rows: row[p] at fast coordinate y[p]."""
-    n_modes = coeffs.shape[-1]
-    modes = np.arange(n_modes)
-    phases = np.exp(2j * np.pi * y[:, None] * modes[None, :])
-    return np.einsum("pk,pk->p", phases, coeffs[rows]).real / (2 * (n_modes - 1))
-
-
 def reconstruct_micro_macro(
     macro: FloatArray,
     micro: FloatArray,
@@ -90,25 +82,21 @@ def reconstruct_micro_macro(
     s = x / coarse.dx - 0.5
     left = np.clip(np.floor(s).astype(int), 0, nx - 2)
     frac = np.clip(s - left, 0.0, 1.0)
-    y_fast = (x / epsilon) % 1.0
-
     coeffs = _balanced_coefficients(micro)
-    value_left = macro[left] + _eval_micro_rows(coeffs, left, y_fast)
-    value_right = macro[left + 1] + _eval_micro_rows(coeffs, left + 1, y_fast)
-    values = (1.0 - frac) * value_left + frac * value_right
+    # the modes' phases at each fine point's fast coordinate, one table for all cells
+    phases = np.multiply.outer(2j * np.pi * ((x / epsilon) % 1.0), np.arange(coeffs.shape[-1]))
+    np.exp(phases, out=phases)
 
-    head = s < 0.0
-    if np.any(head):
-        lam = 2.0 * s[head] + 1.0  # 0 at the wall, 1 at the first centre
-        cell = macro[0] + _eval_micro_rows(coeffs, np.zeros(head.sum(), int), y_fast[head])
-        values[head] = lam * cell
-    tail = s > nx - 1.0
-    if np.any(tail):
-        lam = 2.0 * (s[tail] - (nx - 1))  # 0 at the last centre, 1 at the wall
-        cell = macro[nx - 1] + _eval_micro_rows(
-            coeffs, np.full(tail.sum(), nx - 1, int), y_fast[tail]
-        )
-        values[tail] = (1.0 - lam) * cell
+    def cell_values(rows):  # macro + micro of the cells ``rows``, one per fine point
+        fluctuation = np.einsum("pk,pk->p", phases, coeffs[rows]).real
+        return macro[rows] + fluctuation / (2 * (coeffs.shape[-1] - 1))
+
+    # outside the outermost centres frac is 0 or 1: the nearest cell's value, blended
+    # linearly towards the wall's zero
+    values = (1.0 - frac) * cell_values(left) + frac * cell_values(left + 1)
+    head, tail = s < 0.0, s > nx - 1.0
+    values[head] *= 2.0 * s[head] + 1.0  # 0 at the wall, 1 at the first centre
+    values[tail] *= 1.0 - 2.0 * (s[tail] - (nx - 1))  # 1 at the last centre, 0 at the wall
     return values
 
 

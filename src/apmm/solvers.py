@@ -12,10 +12,10 @@ Three schemes share one explicit finite-volume backbone:
 All schemes use a fixed step dt = dt_factor * dx**2 with the final step
 shortened to land exactly on t_end, abort with ``StabilityError`` when a
 field stops being finite, and return the final state only.  The explicit
-runs are not stepped: their final state is evaluated in the eigenbasis of
-the step matrix, which gives the same discrete solution.  Trajectories of
-the splitting scheme come from ``MicroMacroSolver.initial_state`` and
-``step``.
+runs are not stepped: their final state, a polynomial of the step matrix
+applied to the initial data, comes from a rational Krylov projection.
+Trajectories of the splitting scheme come from
+``MicroMacroSolver.initial_state`` and ``step``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dger
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.blas import daxpy, dger, dnrm2
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import first_order_corrector, wall_gradients
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
@@ -36,9 +36,7 @@ from .reconstruct import trig_interpolate
 
 _MEAN_DRIFT_TOL = 1e-11
 _MODE_TOL = 1e-17  # modes whose gain over the full steps is below this are dropped
-_MODE_BLOCK = 8  # eigenvectors computed per dstein call
-_COARSE_TOL = 1e-7  # bisection tolerance per unit width of a window of kept modes
-_GAP_SHARE = 1e-4  # the coarse tolerance must be below this share of every gap
+_KRYLOV_TOL = 1e-11  # settling tolerance of the projection, a share of the final state's norm
 
 
 class StabilityError(RuntimeError):
@@ -75,80 +73,109 @@ class HomogenizedResult(MacroResult):
     corrector: FloatArray  # first-order two-scale corrector at t_end, (nx, ny)
 
 
-def _growth(mu: FloatArray, k: int) -> FloatArray:
-    """``(1 + mu)**k`` for every eigenvalue mu.
-
-    Binary powering of ``mu`` itself, ``(1 + b)**2 - 1 = b * (2 + b)``, so
-    ``1 + mu`` is never rounded: near 1 that rounding would cost k ulps.
-    """
-    acc = np.zeros_like(mu)  # (1 + mu)**(bits of k done) - 1
-    base = acc + mu
-    while k:
-        if k & 1:
-            acc = acc + base + acc * base
-        base = base * (2.0 + base)
-        k >>= 1
-    return 1.0 + acc
-
-
 def _explicit_heat_loop(
     u0: FloatArray, a_interfaces: FloatArray, dx: float, dt: float, t_end: float
 ) -> tuple[FloatArray, int]:
     """Final state and step count of the explicit flux-form scheme shared by
-    the reference and effective runs, evaluated from the step matrix's modes.
+    the reference and effective runs, from a rational Krylov projection.
 
     One step is ``u + B u`` with ``B`` the symmetric tridiagonal flux
     difference times ``r = dt/dx**2`` (the odd wall ghosts count the wall
-    interfaces twice on the diagonal); the shortened last step is ``u +
-    last_ratio * B u``.  So the final state is ``sum (1 + mu)**(n - 1) (1 +
-    last_ratio*mu) (z . u0) z`` over the eigenpairs ``(mu, z)`` of ``B``
-    whose gain stays above ``_MODE_TOL``: near ``1 + mu = 1`` and, at the
-    stability bound, near -1.  Bisection (``dstebz``) finds them to
-    ``_COARSE_TOL`` times the window's width, or finer where the tolerance
-    exceeds ``_GAP_SHARE`` times a gap (also to the window's ends), as the
-    vectors of separate ``dstein`` calls are orthogonal only to that extent.
-    ``dstein`` gives ``_MODE_BLOCK`` vectors a call, to bound the peak memory,
-    and each ``mu`` becomes the Rayleigh quotient ``-r * sum a d**2`` over
-    the jumps ``d`` of the ghost-padded ``z``, whose error is quadratic in
-    the vector's and free of cancellation, as the power n - 1 needs.
+    interfaces twice on the diagonal), the shortened last one ``u + last_ratio
+    * B u``: the final state is ``f(B) u0``, ``f(mu) = (1 + mu)**(n - 1) (1 +
+    last_ratio*mu)``.  The basis grows by solves with ``I - gamma*B``,
+    alternating with ``(1 + 2 gamma) I + gamma*B`` when a mode near -2 can keep
+    a gain; Rayleigh-Ritz with ``B`` gives the pairs.  Gains that n - 1 times
+    theta's rounding would blur take theta from the Rayleigh quotient over the
+    jumps of the Ritz vector instead, free of cancellation.
     """
     if not np.all(np.isfinite(u0)):  # before numpy warns on inf - inf
         raise StabilityError("non-finite initial data")
     n_steps = _step_count(t_end, dt)
     last_ratio = (t_end - (n_steps - 1) * dt) / dt
-    r = dt / dx**2
-    diag = -r * (a_interfaces[:-1] + a_interfaces[1:])
-    diag[[0, -1]] -= r * a_interfaces[[0, -1]]
-    off = r * a_interfaces[1:-1]
-    # B's quadratic form per squared jump; the odd ghosts double the wall jumps
-    weights = -r * np.r_[0.5 * a_interfaces[0], a_interfaces[1:-1], 0.5 * a_interfaces[-1]]
-    full = n_steps - 1
-    cut = _MODE_TOL ** (1.0 / full) if full else 0.0
-    final = np.zeros(u0.shape[0])
-    # the stability bound keeps every mu in [-2, 0]
-    for lower, upper in ((cut - 1.0, 1.0), (-3.0, -1.0 - cut)):
-        tol = _COARSE_TOL * (1.0 - cut)
-        while True:
-            found, mu, block, split, info = dstebz(diag, off, 1, lower, upper, 0, 0, tol, b"B")
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
-            gap = np.min(np.diff(np.sort(np.r_[lower, mu[:found], upper])))
-            if tol <= _GAP_SHARE * gap:
+    full, n, norm = n_steps - 1, u0.shape[0], dnrm2(u0)
+    if norm == 0.0:
+        return np.zeros(n), n_steps
+    flux = (dt / dx**2) * a_interfaces
+    diag = -(flux[:-1] + flux[1:])
+    diag[[0, -1]] -= flux[[0, -1]]
+    weights = -flux  # B's quadratic form per squared jump; the odd ghosts double the wall jumps
+    weights[[0, -1]] *= 0.5
+    bound = 2.0 * np.max(flux[:-1] + flux[1:])  # Gershgorin: every mu >= -bound
+    cut = _MODE_TOL ** (1.0 / full) if full else -1.0  # a mode is kept where |1 + mu| > cut
+    gamma = 0.1 * n_steps
+    poles = [dpttrf(1.0 - gamma * diag, -gamma * flux[1:-1])]
+    if abs(1.0 - bound) > cut:  # a mode near -2 may keep a gain
+        poles.append(dpttrf(1.0 + 2.0 * gamma + gamma * diag, gamma * flux[1:-1]))
+
+    jumps = np.empty(n + 1)
+
+    def jumps_of(v):  # of the ghost-padded v, in the shared buffer
+        np.subtract(v[1:], v[:-1], out=jumps[1:-1])
+        jumps[0], jumps[-1] = 2.0 * v[0], -2.0 * v[-1]
+        return jumps
+
+    def gains(mu):  # f(mu); |1 + mu| from log1p of mu or, below -1, of -2 - mu (exact)
+        x = np.maximum(np.where(mu < -1.0, -2.0 - mu, mu), 2.0**-53 - 1.0)  # log1p(-1) warns
+        power = np.exp(full * np.log1p(x))
+        return np.where((mu < -1.0) & (full % 2 == 1), -power, power) * (1.0 + last_ratio * mu)
+
+    basis = np.empty((4, n))  # grown in place, four rows at a time
+    basis[0] = u0 / norm
+    proj, prev = np.zeros((64, 64)), np.zeros(64)  # V^T B V, the coordinates at the last check
+    last = best = math.inf  # the last move, and the least that halved the one before
+    stalls = m = 0
+    while True:
+        proj[: m + 1, m] = basis[: m + 1] @ np.diff(flux * jumps_of(basis[m]))
+        proj[m, :m] = proj[:m, m]
+        m += 1
+        if m % 2 == 0:
+            theta, s = np.linalg.eigh(proj[:m, :m])
+            parts = gains(theta) * s[0]  # f(theta) (V s . u0) / |u0|
+            size = dnrm2(parts)
+            # slow pairs, whose gains n - 1 times theta's rounding would blur: from
+            # their Ritz vectors, theta and the residual rho
+            blur = full * 2.0**-53 * np.max(np.abs(theta)) * np.abs(parts)
+            slow = np.flatnonzero(blur * math.sqrt(m) > 0.5 * _KRYLOV_TOL * size)
+            rho = np.zeros(slow.size)
+            for k, i in enumerate(slow):
+                vector = s[:, i] @ basis[:m]
+                theta[i] = weights @ jumps_of(vector) ** 2
+                rho[k] = dnrm2(np.diff(flux * jumps) - theta[i] * vector)  # the same jumps
+            parts[slow] = gains(theta[slow]) * s[0, slow]
+            coords = s @ parts
+            moved = dnrm2(coords - prev[:m]) / size if size else 0.0  # of the coordinates' norm
+            best, stalls = (moved, 0) if moved < 0.5 * best else (best, stalls + 1)
+            # settled: the move and the next one, extrapolated, are below the tolerance,
+            # and the slow residuals bound the gains' errors, (n - 1) rho**2 / gap, as tightly
+            if moved <= _KRYLOV_TOL and moved**2 <= _KRYLOV_TOL * last:
+                edges = np.concatenate(([-np.inf], theta, [np.inf]))
+                gap = np.minimum(theta[slow] - edges[slow], edges[slow + 2] - theta[slow])
+                if np.all(full * rho**2 * np.abs(parts[slow]) <= _KRYLOV_TOL * size * gap):
+                    break
+            if stalls >= 3 and best <= 1e-6:  # stuck at the small eigenproblem's rounding
                 break
-            # true gaps exceed gap - 2 tol; tol at least halves; tol <= 0 is full precision
-            tol = 0.5 * _GAP_SHARE * (gap - 2.0 * tol)
-        for i in range(0, found, _MODE_BLOCK):
-            j = min(i + _MODE_BLOCK, found)
-            # dstein reads the split-off block of each eigenvalue from the
-            # front of iblock; that front is spent, so it is overwritten
-            block[: j - i] = block[i:j]
-            z, info = dstein(diag, off, mu[i:j], block, split)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dstein failed with info={info}")
-            jumps = np.diff(np.concatenate((-z[:1], z, -z[-1:])), axis=0)
-            mu_i = weights @ (jumps * jumps)
-            gains = _growth(mu_i, full) * (1.0 + last_ratio * mu_i)
-            final += (gains * (u0 @ z)) @ z.T
+            prev[:m], last = coords, moved
+        d, e, _ = poles[(m - 1) % len(poles)]
+        w = dpttrs(d, e, basis[m - 1])[0]
+        h = basis[:m] @ w  # classical Gram-Schmidt, twice
+        w -= h @ basis[:m]
+        w -= (basis[:m] @ w) @ basis[:m]
+        step = dnrm2(w)
+        if m == n or step <= 1e-15 * dnrm2(h):  # V spans an invariant space: exact
+            theta, s = np.linalg.eigh(proj[:m, :m])
+            break
+        if m == basis.shape[0]:  # no view of the basis is alive here
+            basis.resize((min(m + 4, n), n), refcheck=False)
+        if m == proj.shape[0]:
+            proj, prev = np.pad(proj, (0, m)), np.pad(prev, (0, m))
+        basis[m] = w / step
+    kept = np.flatnonzero(np.abs(1.0 + theta) > cut)
+    mu, along = np.empty(kept.size), np.empty(kept.size)
+    for k, i in enumerate(kept):  # one Ritz vector at a time
+        vector = s[:, i] @ basis[:m]
+        mu[k], along[k] = weights @ jumps_of(vector) ** 2, vector @ u0
+    final = (s[:, kept] @ (gains(mu) * along)) @ basis[:m]
     if not np.all(np.isfinite(final)):
         raise StabilityError(f"non-finite field at the final step (t={t_end:.6g})")
     return final, n_steps
