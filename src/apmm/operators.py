@@ -20,11 +20,14 @@ once per s, and the slices sharing a block are the columns of one
 right-hand side.  With ``V = [e_0, e_{ny-1}, 1]`` and ``sigma`` the slice
 mean of ``a/dy**2``, ``A = s*I - Ly + (sigma/ny) 1 1^T = T + V M V^T`` is
 SPD and equals ``s*I - Ly`` on mean-free data (``1^T Ly = 0``), so the
-Woodbury identity gives ``w = (I - Z V^T) T^{-1} rhs`` with a cached
-(ny, 3) ``Z`` per block that also removes the slice mean: no node pinning,
-and no singular matrix at s = 0.  The effective operator is one band,
-assembled from the closed-form cell corrector and applied by BLAS to
-``[left wall, macro field, right wall]``.
+Woodbury identity gives ``w = R(s) rhs = (I - Z V^T) T^{-1} rhs`` with a
+cached (ny, 3) ``Z`` per block that also removes the slice mean: no node
+pinning, and no singular matrix at s = 0.  One block caches the dense
+``R(s)^T`` instead, that solve of the identity, so its solve is one product.
+The effective operator is one band, assembled from the closed-form cell
+corrector and applied by BLAS to ``[left wall, macro field, right wall]``; it
+holds the operator twice, and the copy for a stepper's slow field takes the
+stiffness blend.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Holds the factors of the fast solves, for two shifts, and the band of the
-    effective operator, built on first use, so a time stepper reuses them
-    for the whole run.  All ``bc`` arguments are ``(left, right)`` Dirichlet
-    wall data: scalars for macro fields, length-ny profiles (or scalars) for
-    micro fields; ``None`` means homogeneous walls.
+    Holds the fast solves for two shifts (a dense matrix with one block) and the
+    effective band with a stepper's stiffness blend, built on first use, so a
+    time stepper reuses them for the whole run.  All ``bc`` arguments are
+    ``(left, right)`` Dirichlet wall data: scalars for macro fields, length-ny
+    profiles (or scalars) for micro fields; ``None`` means homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -78,6 +81,7 @@ class GridOperators:
         self._ones = np.ones(self.ny)  # row sums by BLAS, where their rounding is free
         self._x_sums = np.add.reduce(tables.x_interfaces, axis=-1)  # y-sums of x-interface a,
         self._x_sums[:: self.nx] *= 2.0  # the wall rows doubled by the ghost rule
+        self._weight = 0.0  # the stiffness weight the band's F-block holds
 
     # -- helpers ------------------------------------------------------------
 
@@ -148,8 +152,8 @@ class GridOperators:
         return flux - np.roll(flux, 1, axis=1)
 
     def _factor(self, s: float):
-        """Cached ``dpttrf`` factors of ``T(s)`` and the (blocks, 3, ny) ``Z^T``,
-        for the first shift (a run's full step) and the latest other one.
+        """For the first shift (a run's full step) and the latest other one, cached: the dense
+        ``R(s)^T`` of one block, else ``T(s)``'s ``dpttrf`` factors and the (blocks, 3, ny) ``Z^T``.
 
         ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's
         correction for ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]``
@@ -175,17 +179,22 @@ class GridOperators:
             zt = np.swapaxes(np.linalg.inv(m_inv + tvt @ self._v), 1, 2) @ tvt
             q = np.stack([link, link, np.full(m, s)], axis=1) / (n * (s + sigma))[:, None]
             zt += q[:, :, None]
+            if m == 1:  # R(s)^T: the solve below of the identity's rows, R e_k
+                w = dpttrs(d, e, np.eye(n))[0].T
+                w -= (w @ self._v) @ zt[0]
             if len(self._factors) > 1:
                 self._factors.popitem()  # the latest other shift
-            self._factors[s] = d, e, zt
+            self._factors[s] = w if m == 1 else (d, e, zt)
         return self._factors[s]
 
     def solve_bordered(self, rhs: FloatArray, s: float) -> FloatArray:
         """Mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, s >= 0.
 
-        One ``dpttrs`` with ``T(s)``, then ``w -= Z (V^T w)`` per slice (see
-        the module docstring).  The shapes are not checked.
+        One product with the cached ``R(s)^T`` for one block, else one ``dpttrs`` with
+        ``T(s)`` and ``w -= Z (V^T w)`` per slice (see the module docstring); unchecked.
         """
+        if self._blocks == 1:
+            return np.dot(rhs, self._factor(s))
         d, e, zt = self._factor(s)
         # with one block, or one per slice, the reshapes make the slices
         # sharing a block one column each, and one batch row per block
@@ -243,6 +252,8 @@ class GridOperators:
         np.subtract(u[1:], u[:-1], out=d[1:-1])
         np.add(u[0], u[0], out=d[0])
         np.multiply(u[-1], -2.0, out=d[-1])
+        if self._blocks == 1:  # one row of coefficients: one product
+            return np.dot(d, self.tables.x_interfaces[0])
         d *= self.tables.x_interfaces
         return np.dot(d, self._ones)
 
@@ -273,12 +284,13 @@ class GridOperators:
 
     @cached_property
     def _effective_band(self) -> FloatArray:
-        """``dgbmv`` storage (kl = 2, ku = 4) of ``[K u, 0, 0, K v]`` from ``[left, u, right,
-        left', v, right']``: row i of the effective operator ``K`` weighs the padded
-        field ``p_{i-2} .. p_{i+4}`` (``p_m = u_{m-1}``), ``diff(abar * diff(p))/dx**2``
-        minus ``grad(beta * (p_{k+2} - p_k))/(2*dx)``, whose one-sided rows reach three
-        cells in, the ghosts ``2*wall - u`` folded into the wall columns.  The zero
-        rows make the matrix as tall as ``dgbmv`` needs for every nx >= 4."""
+        """``dgbmv`` storage (kl = 2, ku = 4) of ``[B u, 0, 0, K v]`` from ``[left, u, right,
+        left', v, right']``, the F-block ``B`` equal to ``K`` until :meth:`_blend`: row i of
+        the effective operator ``K`` weighs the padded field ``p_{i-2} .. p_{i+4}`` (``p_m =
+        u_{m-1}``), ``diff(abar * diff(p))/dx**2`` minus ``grad(beta * (p_{k+2} -
+        p_k))/(2*dx)``, whose one-sided rows reach three cells in, the ghosts ``2*wall - u``
+        folded into the wall columns.  The zero rows make the matrix as tall as ``dgbmv``
+        needs for every nx >= 4."""
         n, dx2 = self.nx, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector
         corrector = self.tables.hom.chi
@@ -303,16 +315,29 @@ class GridOperators:
         k[4:6, 0] *= 2.0
         k[2:4, -2] -= k[1:3, -1]
         k[1:3, -1] *= 2.0
-        # the flux part: its wall rows' doubled y-sums are already the folded ghosts'
-        a = self._x_sums / (self.ny * dx2)
-        k[4, :-2] += a[:-1]
-        k[3, 1:-1] -= a[:-1] + a[1:]
-        k[2, 2:] += a[1:]
+        self._add_flux(k, 1.0)
         band[:, 1] = k
-        return band.reshape(7, -1)
+        return np.asfortranarray(band.reshape(7, -1))  # as dgbmv reads it: no copy per call
+
+    def _add_flux(self, block: FloatArray, weight: float) -> None:
+        """Add ``weight`` times the flux part ``A`` of ``K`` to a band block (see ``_blend``)."""
+        a = weight * self._x_sums / (self.ny * self.dx**2)
+        block[4, :-2] += a[:-1]
+        block[3, 1:-1] -= a[:-1] + a[1:]
+        block[2, 2:] += a[1:]
+
+    def _blend(self, weight: float) -> None:
+        """Make the band's F-block ``(1 - w) K + w A`` in place for the stiffness weight ``w``,
+        ``A = diff(abar * diff(p))/dx**2`` the flux part of ``K`` (its wall rows' doubled
+        y-sums are the folded ghosts'); the E-block, read by ``apply_effective``, stays ``K``."""
+        if weight != self._weight:
+            band, n = self._effective_band, self.nx + 2
+            np.multiply(band[:, n:], 1.0 - weight, out=band[:, :n])
+            self._add_flux(band[:, :n], weight)
+            self._weight = weight
 
     def _effective_pair(self, pair: FloatArray, alpha: float, out: FloatArray) -> FloatArray:
-        """``out += alpha * [K u, 0, 0, K v]`` in place (see ``_effective_band``)."""
+        """``out += alpha * [B u, 0, 0, K v]`` in place (see ``_effective_band``)."""
         m = 2 * self.nx + 2  # beta = 1 and overwrite_y = 1 by position: keywords cost f2py 1 us
         return dgbmv(m, m + 2, 2, 4, alpha, self._effective_band, pair, 1, 0, 1.0, out, 1, 0, 0, 1)
 
@@ -333,5 +358,5 @@ class GridOperators:
         """
         macro = self._checked(macro, (self.nx,), "macro field")
         bc = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
-        pair = np.concatenate(([bc[0]], macro, [bc[1]], np.zeros(self.nx + 2)))
-        return self._effective_pair(pair, 1.0, np.zeros(2 * self.nx + 2))[: self.nx]
+        pair = np.concatenate((np.zeros(self.nx + 2), [bc[0]], macro, [bc[1]]))
+        return self._effective_pair(pair, 1.0, np.zeros(2 * self.nx + 2))[self.nx + 2 :]

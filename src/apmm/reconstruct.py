@@ -83,17 +83,19 @@ def reconstruct_micro_macro(
     left = np.clip(np.floor(s).astype(int), 0, nx - 2)
     frac = np.clip(s - left, 0.0, 1.0)
     coeffs = _balanced_coefficients(micro)
-    # the modes' phases at each fine point's fast coordinate, one table for all cells
-    phases = np.multiply.outer(2j * np.pi * ((x / epsilon) % 1.0), np.arange(coeffs.shape[-1]))
-    np.exp(phases, out=phases)
 
     def cell_values(rows):  # macro + micro of the cells ``rows``, one per fine point
         fluctuation = np.einsum("pk,pk->p", phases, coeffs[rows]).real
         return macro[rows] + fluctuation / (2 * (coeffs.shape[-1] - 1))
 
-    # outside the outermost centres frac is 0 or 1: the nearest cell's value, blended
-    # linearly towards the wall's zero
-    values = (1.0 - frac) * cell_values(left) + frac * cell_values(left + 1)
+    values = np.empty(x.size)
+    for b in (slice(i, i + 512) for i in range(0, x.size, 512)):  # small tables, in blocks
+        # the modes' phases at each fine point's fast coordinate, for both cells
+        phases = np.multiply.outer(2j * np.pi * (x[b] / epsilon % 1.0), np.arange(coeffs.shape[-1]))
+        np.exp(phases, out=phases)
+        # outside the outermost centres frac is 0 or 1: the nearest cell's value, blended
+        # linearly towards the wall's zero
+        values[b] = (1.0 - frac[b]) * cell_values(left[b]) + frac[b] * cell_values(left[b] + 1)
     head, tail = s < 0.0, s > nx - 1.0
     values[head] *= 2.0 * s[head] + 1.0  # 0 at the wall, 1 at the first centre
     values[tail] *= 1.0 - 2.0 * (s[tail] - (nx - 1))  # 1 at the last centre, 0 at the wall

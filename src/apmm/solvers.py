@@ -277,10 +277,10 @@ class MicroMacroSolver:
     operator ``K`` with the plain averaged diffusion through the stiffness
     weight ``w = exp(-dt/epsilon**2)``, which underflows to zero in the
     strongly oscillatory regime, exactly as the splitting is designed to do.
-    ``K``, one assembled band, acts on ``(1 - w)`` F and on the companion
-    field (the effective equation's run that supplies the wall corrector
-    data) in one BLAS product; ``w`` F rides with ``G'`` in the y-summed
-    x-fluxes.  The coupling terms read flat slices of one padded buffer.
+    One assembled band applies ``(1 - w) K + w A``, ``A`` that plain diffusion,
+    to F and ``K`` to the companion field (the effective equation's run that
+    supplies the wall corrector data) in one BLAS product; ``G'`` enters by its
+    y-summed x-fluxes.  The coupling terms read flat slices of one padded buffer.
     """
 
     def __init__(
@@ -349,19 +349,17 @@ class MicroMacroSolver:
         micro_new = ops.solve_bordered(coupled, s)
         del coupled  # keeps the first step's assembly of the effective band off the peak
 
-        # the band applies K to [wall, F, wall] times 1 - w and to [0, E, 0]
-        # at once; the x-flux y-sums of G' and of w * F give the rest
+        # the band applies (1 - w) K + w A, A the flux part of K, to [wall, F, wall] and
+        # K to [0, E, 0] at once; the x-flux y-sums of G' give the rest
         pair = np.zeros((2, n + 2))
         pair[0, 1:-1], pair[1, 1:-1] = macro, effective
         pair[0, 0], pair[0, -1] = left * traces[0], right * traces[1]
         sums = ops._x_flux_sums(micro_new)
         sums[0] -= left * wall_sums[0]
         sums[-1] += right * wall_sums[1]
-        weight, kick = math.exp(-(dt / eps) / eps), 0.0
-        if weight > 0.0:
-            daxpy(np.multiply(pair[0, 1:] - pair[0, :-1], ops._x_sums), sums, a=weight)
-            pair[0] *= 1.0 - weight
-            kick = dt * weight / eps / (4.0 * ops.dx * ops.dy * ops.ny)
+        weight = math.exp(-(dt / eps) / eps)
+        ops._blend(weight)
+        kick = dt * weight / eps / (4.0 * ops.dx * ops.dy * ops.ny)
         out = np.zeros(2 * n + 2)  # F', a gap of two, E'
         macro_new, effective_new = out[:n], out[n + 2 :]
         np.subtract(sums[1:], sums[:-1], out=macro_new)

@@ -204,7 +204,8 @@ def test_solves_agree_across_slice_layouts():
     for c in (0.37, 5.0):
         a, b = shared.solve_shifted(r, c), per_slice.solve_shifted(r, c)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-    for s in (0.0, 1e-300, 1.0, 1e8):
+    # the shared block's dense R(s)^T against the per-slice factors, over the shifts' range
+    for s in (0.0, 1e-300, 1e-3, 1.0, 1e8, 1e300):
         a, b = _check_bordered(shared, r, s), _check_bordered(per_slice, r, s)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     r0 = remove_y_average(r)

@@ -116,6 +116,30 @@ def test_reconstruct_is_linear():
     assert np.max(np.abs(combo - parts)) <= 1e-12
 
 
+def test_reconstruct_in_blocks_matches_one_table():
+    # the evaluation runs in blocks of fine points; every point's arithmetic is that of
+    # one phase table for all points, written out here, so the values are bitwise equal
+    rng = np.random.default_rng(7)
+    coarse, fine, eps = make_spatial_mesh(16), make_spatial_mesh(1500), 0.013
+    macro, micro = rng.standard_normal(16), rng.standard_normal((16, 16))
+    x = fine.centers
+    s = x / coarse.dx - 0.5
+    left = np.clip(np.floor(s).astype(int), 0, 14)
+    frac = np.clip(s - left, 0.0, 1.0)
+    coeffs = np.fft.rfft(micro, axis=-1)
+    coeffs[:, -1] = coeffs[:, -1].real
+    coeffs[:, 1:-1] *= 2.0
+    phases = np.exp(np.multiply.outer(2j * np.pi * ((x / eps) % 1.0), np.arange(9)))
+
+    def cell_values(rows):
+        return macro[rows] + np.einsum("pk,pk->p", phases, coeffs[rows]).real / 16
+
+    want = (1.0 - frac) * cell_values(left) + frac * cell_values(left + 1)
+    want[s < 0.0] *= 2.0 * s[s < 0.0] + 1.0
+    want[s > 15.0] *= 1.0 - 2.0 * (s[s > 15.0] - 15)
+    assert np.array_equal(reconstruct_micro_macro(macro, micro, eps, coarse, fine), want)
+
+
 def test_reconstruct_homogenized_scaling():
     rng = np.random.default_rng(42)
     coarse = make_spatial_mesh(8)

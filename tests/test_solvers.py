@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dpttrs, dstebz, dstein
 from apmm import solvers
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.operators import remove_y_average, y_average
+from apmm.operators import GridOperators, remove_y_average, y_average
 from apmm.harness import ap_degeneracy_study
 from apmm.problem import (
     ConfigError,
@@ -540,6 +540,39 @@ def test_emm_micro_mean_free_along_run(eps, coeff):
         scale = np.max(np.abs(g))
         assert scale > 0.0
         assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 1e-6, 1e-300])
+def test_emm_fast_solve_paths_agree(eps):
+    # an x-uniform run solves its one block by the dense R(s)^T; the same run with
+    # per-slice factors, as for an x-dependent coefficient, must give the same fields
+    problem = benchmark_problem(eps, t_end=0.01)
+    shared, per_slice = MicroMacroSolver(problem, 32, 8), MicroMacroSolver(problem, 32, 8)
+    assert shared.tables.x_uniform
+    per_slice.ops = GridOperators(dataclasses.replace(shared.tables, x_uniform=False))
+    a, b = shared.run(), per_slice.run()
+    assert a.steps == b.steps > 20
+    for x, y in ((a.final_macro, b.final_macro), (a.final_micro, b.final_micro)):
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_emm_blend_stays_out_of_the_effective_operator():
+    # the step blends the stiffness weight into the band's F-block in place: the E-block,
+    # which apply_effective reads, must stay K, and no step may depend on earlier steps' dt
+    problem = benchmark_problem(0.1, t_end=0.01)
+    solver = MicroMacroSolver(problem, 16, 8)
+    assert 0.0 < math.exp(-solver.dt / 0.1**2) < 1.0
+    solver.run()  # its full steps and a shortened last one
+    fresh = GridOperators(solver.tables)
+    f, bc = np.sin(3.0 * solver.xmesh.centers), (0.4, -1.1)
+    assert np.array_equal(solver.ops.apply_effective(f, bc), fresh.apply_effective(f, bc))
+    state = solver.step(solver.initial_state())
+    for share in np.linspace(0.5, 1.0, 50, endpoint=False):
+        dt = share * solver.dt
+        other = MicroMacroSolver(problem, 16, 8)
+        want, state = other.step(state, dt=dt), solver.step(state, dt=dt)
+        assert np.array_equal(state.macro, want.macro)
+        assert np.array_equal(state.micro, want.micro)
 
 
 @pytest.fixture(scope="module")
