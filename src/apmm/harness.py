@@ -55,16 +55,15 @@ def error_norms(
     return l_inf, l2
 
 
-def reference_cells(
-    epsilon: float, periods_per_oscillation: float = 20.0, floor: int = 1024
-) -> int:
-    """Fine-mesh size for the reference run: a power of two, at least `floor`
-    cells and at least `periods_per_oscillation` cells per coefficient period."""
+def reference_cells(epsilon: float, periods_per_oscillation: float = 20.0) -> int:
+    """Fine-mesh size for the reference run: the least power of two from 1024 up
+    with `periods_per_oscillation` cells per coefficient period.  Past 2**20
+    cells (8 MB a vector, about 20 in the Krylov basis) it is a ConfigError."""
     needed = periods_per_oscillation / float(epsilon)
-    n = int(floor)
-    while n < needed:
-        n *= 2
-    return n
+    if not needed <= 2**20:  # also true for inf and nan
+        raise ConfigError(f"eps={epsilon:g} needs {needed:.3g} > 2**20 ref cells; set --ref-cells")
+    fraction, exponent = math.frexp(needed)  # needed = fraction * 2**exponent, 0.5 <= fraction < 1
+    return max(1024, 2 ** (exponent - 1 if fraction == 0.5 else exponent))
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,6 @@ class RegimeRecord:
 
     epsilon: float
     n_ref: int
-    n_x: int
-    n_y: int
-    t_end: float
     error_u_inf_emm: float
     error_u_l2_emm: float
     error_du_inf_emm: float
@@ -145,23 +141,21 @@ def regime_comparison(
     eps_values=(1.0, 0.1, 0.01),
     out_dir: str | Path = "figure1",
     t_end: float = 0.02,
-    n_x: int = 64,
-    n_y: int = 16,
     ref_cells: int | None = None,
     periods_per_oscillation: float = 20.0,
-    bc_mode: str = "dirichlet_corrector",
 ) -> RunReport:
     """Run reference, splitting, and homogenized solvers across the regimes.
 
-    For each epsilon the coarse solutions are reconstructed onto the
-    reference mesh, the pointwise curves go to one CSV per regime, and the
-    error norms are appended to summary.csv.  Files for completed regimes
-    are flushed before later regimes run, so a failing case leaves the
-    earlier results on disk.
+    The coarse schemes run on 64x16 with corrector walls.  For each epsilon
+    the coarse solutions are reconstructed onto the reference mesh, the
+    pointwise curves go to one CSV per regime, and the error norms are
+    appended to summary.csv.  Files for completed regimes are flushed before
+    later regimes run, so a failing case leaves the earlier results on disk.
     """
-    if ref_cells is not None:
-        diagnostic_mesh(int(ref_cells))  # before any run or directory
     eps_values = tuple(float(e) for e in eps_values)
+    if ref_cells is not None:  # every reference mesh is checked before any run or directory
+        diagnostic_mesh(int(ref_cells))
+    n_refs = [int(ref_cells or reference_cells(e, periods_per_oscillation)) for e in eps_values]
     if not eps_values:
         return RunReport(records=(), summary_path=None)
     out = Path(out_dir)
@@ -169,16 +163,15 @@ def regime_comparison(
     summary_path = out / "summary.csv"
 
     records: list[RegimeRecord] = []
-    for eps in eps_values:
-        problem = benchmark_problem(eps, t_end=t_end, bc_mode=bc_mode)
-        n_ref = int(ref_cells) if ref_cells else reference_cells(eps, periods_per_oscillation)
+    for eps, n_ref in zip(eps_values, n_refs):
+        problem = benchmark_problem(eps, t_end=t_end)
 
         t0 = time.perf_counter()
         ref = run_reference(problem, n_ref)
         wall_ref = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        emm = run_micro_macro(problem, n_x, n_y)
+        emm = run_micro_macro(problem, 64, 16)
         wall_emm = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -213,9 +206,6 @@ def regime_comparison(
             RegimeRecord(
                 epsilon=eps,
                 n_ref=n_ref,
-                n_x=n_x,
-                n_y=n_y,
-                t_end=t_end,
                 **errors,
                 wall_time_ref=wall_ref,
                 wall_time_emm=wall_emm,
@@ -232,18 +222,15 @@ def regime_comparison(
 def ap_degeneracy_study(
     eps_values=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     n_steps: int = 100,
-    n_x: int = 64,
-    n_y: int = 16,
-    dt_factor: float = 0.2,
     out_path: str | Path | None = None,
 ) -> tuple[tuple[float, float], ...]:
     """Deviation of the splitting's slow field from plain effective Euler.
 
-    Both integrations start from the benchmark initial data and take exactly
-    ``n_steps`` full steps of dt = dt_factor * dx**2; the reported deviation
-    max|F - F_eff| measures how completely the splitting collapses onto the
-    asymptotic scheme as epsilon shrinks.  The Euler comparison field does
-    not depend on epsilon and is integrated once.
+    Both integrations start from the benchmark initial data on 64x16 and take
+    exactly ``n_steps`` full steps of the solver's default dt; the reported
+    deviation max|F - F_eff| measures how completely the splitting collapses
+    onto the asymptotic scheme as epsilon shrinks.  The Euler comparison field
+    does not depend on epsilon and is integrated once.
     """
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
@@ -251,7 +238,7 @@ def ap_degeneracy_study(
     euler = None
     for eps in eps_values:
         problem = benchmark_problem(float(eps), t_end=1.0)
-        solver = MicroMacroSolver(problem, n_x, n_y, dt_factor=dt_factor)
+        solver = MicroMacroSolver(problem, 64, 16)
         if euler is None:
             u = np.asarray(problem.initial(solver.xmesh.centers), dtype=float)
             for _ in range(n_steps):

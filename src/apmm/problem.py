@@ -9,7 +9,8 @@ forcing term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -105,8 +106,8 @@ class ProblemSpec:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.bc_mode not in BC_MODES:
             raise ValueError(f"bc_mode must be one of {BC_MODES}, got {self.bc_mode!r}")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not sys.float_info.min <= self.t_end < np.inf:  # also false for nan
+            raise ValueError(f"t_end must be a positive normal float, got {self.t_end}")
         walls = np.asarray(self.initial(np.array([0.0, 1.0])), dtype=float)
         if not np.max(np.abs(walls)) <= 1e-12:  # NaN walls fail this too
             raise ValueError(
@@ -279,17 +280,9 @@ class RunConfig:
             return self.dt_factor
         return 0.05 if self.scheme == "ref" else 0.2
 
-    def coefficient(self) -> DiffusionField:
-        return coefficient_from_name(self.coeff)
-
     def problem(self) -> ProblemSpec:
-        return ProblemSpec(
-            coefficient=self.coefficient(),
-            epsilon=self.epsilon,
-            initial=lambda x: np.sin(2.0 * np.pi * x),
-            bc_mode=self.bc,
-            t_end=self.t_end,
-        )
+        base = benchmark_problem(self.epsilon, self.t_end, self.bc)
+        return replace(base, coefficient=coefficient_from_name(self.coeff))
 
 
 def coefficient_from_name(spec: str) -> DiffusionField:

@@ -31,6 +31,12 @@ def _balanced_coefficients(profiles: FloatArray) -> np.ndarray:
     return coeffs * weights
 
 
+def fast_coordinate(x: FloatArray, epsilon: float) -> FloatArray:
+    """(x/epsilon) mod 1 for x >= 0; 0 where x/epsilon overflows, as for every float >= 2**53."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fmax(np.mod(np.divide(x, epsilon), 1.0), 0.0)  # fmax drops inf % 1 = nan
+
+
 def trig_interpolate(samples: FloatArray, y_star):
     """Evaluate the trigonometric interpolant of periodic samples at y_star.
 
@@ -83,6 +89,7 @@ def reconstruct_micro_macro(
     left = np.clip(np.floor(s).astype(int), 0, nx - 2)
     frac = np.clip(s - left, 0.0, 1.0)
     coeffs = _balanced_coefficients(micro)
+    fast = fast_coordinate(x, epsilon)
 
     def cell_values(rows):  # macro + micro of the cells ``rows``, one per fine point
         fluctuation = np.einsum("pk,pk->p", phases, coeffs[rows]).real
@@ -91,7 +98,7 @@ def reconstruct_micro_macro(
     values = np.empty(x.size)
     for b in (slice(i, i + 512) for i in range(0, x.size, 512)):  # small tables, in blocks
         # the modes' phases at each fine point's fast coordinate, for both cells
-        phases = np.multiply.outer(2j * np.pi * (x[b] / epsilon % 1.0), np.arange(coeffs.shape[-1]))
+        phases = np.multiply.outer(2j * np.pi * fast[b], np.arange(coeffs.shape[-1]))
         np.exp(phases, out=phases)
         # outside the outermost centres frac is 0 or 1: the nearest cell's value, blended
         # linearly towards the wall's zero

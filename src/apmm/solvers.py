@@ -21,6 +21,7 @@ Trajectories of the splitting scheme come from
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .homogenization import first_order_corrector, wall_gradients
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators, y_average
 from .problem import ConfigError, HomogenizedData, ProblemSpec, sample_coefficient
-from .reconstruct import trig_interpolate
+from .reconstruct import fast_coordinate, trig_interpolate
 
 _MEAN_DRIFT_TOL = 1e-11
 _MODE_TOL = 1e-17  # modes whose gain over the full steps is below this are dropped
@@ -44,10 +45,10 @@ class StabilityError(RuntimeError):
 
 
 def _validate_dt_factor(dt_factor: float, a_max: float) -> None:
-    if dt_factor <= 0.0:
+    if not dt_factor > 0.0:  # also true for nan
         raise ConfigError(f"dt_factor must be positive, got {dt_factor}")
     limit = 1.0 / (2.0 * a_max)
-    if dt_factor > limit * (1.0 + 1e-12):
+    if not dt_factor <= limit * (1.0 + 1e-12):
         raise ConfigError(
             f"dt_factor={dt_factor} violates the diffusion stability bound "
             f"1/(2*a_max) = {limit:.6g}"
@@ -202,7 +203,7 @@ def run_reference(
             stacklevel=2,
         )
     x_if = mesh.interfaces
-    a_if = np.asarray(a(x_if, np.mod(x_if / problem.epsilon, 1.0)), dtype=float)
+    a_if = np.asarray(a(x_if, fast_coordinate(x_if, problem.epsilon)), dtype=float)
     dt = dt_factor * mesh.dx**2
     u0 = np.asarray(problem.initial(mesh.centers), dtype=float)
     final, steps = _explicit_heat_loop(u0, a_if, mesh.dx, dt, problem.t_end)
@@ -270,13 +271,13 @@ class MicroMacroSolver:
     fast update ``(I - (dt/epsilon**2) Ly) G' = G + (dt/epsilon) r``, with
     ``r`` the fluctuating part of the coupling terms, is multiplied through
     by ``s = (epsilon/dt)*epsilon`` and solved on the mean-free subspace:
-    ``(s*I - Ly) G' = s*G + epsilon*r``.  ``s`` underflows to zero without
-    error and never overflows, so this one solve holds for every epsilon,
-    and at ``s = 0`` it is the singular cell solve, whose ``G'`` is the
-    O(epsilon) corrector limit.  The slow update blends the effective
-    operator ``K`` with the plain averaged diffusion through the stiffness
-    weight ``w = exp(-dt/epsilon**2)``, which underflows to zero in the
-    strongly oscillatory regime, exactly as the splitting is designed to do.
+    ``(s*I - Ly) G' = s*G + epsilon*r``.  ``s`` underflows to zero without error
+    and, as ``step`` takes only a normal dt, never overflows, so this one solve
+    holds for every epsilon, and at ``s = 0`` it is the singular cell solve,
+    whose ``G'`` is the O(epsilon) corrector limit.  The slow update blends the
+    effective operator ``K`` with the plain averaged diffusion through the
+    stiffness weight ``w = exp(-dt/epsilon**2)``, which underflows to zero in
+    the strongly oscillatory regime, exactly as the splitting is designed to do.
     One assembled band applies ``(1 - w) K + w A``, ``A`` that plain diffusion,
     to F and ``K`` to the companion field (the effective equation's run that
     supplies the wall corrector data) in one BLAS product; ``G'`` enters by its
@@ -303,7 +304,7 @@ class MicroMacroSolver:
         self._wall_profiles = (
             eps * (problem.bc_mode == "dirichlet_corrector") * self.tables.hom.chi_walls
         )
-        walls = zip(self._wall_profiles, (0.0, (1.0 / eps) % 1.0))
+        walls = zip(self._wall_profiles, fast_coordinate(np.array([0.0, 1.0]), eps))
         self._wall_traces = [-trig_interpolate(profile, y) for profile, y in walls]
         self._wall_totals = 2.0 * (self._wall_profiles + np.array(self._wall_traces)[:, None])
         wall_rows = 2.0 * self.tables.x_interfaces[[0, -1]]
@@ -330,10 +331,10 @@ class MicroMacroSolver:
         return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
     def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:
-        """Advance one level (by 0 < dt <= self.dt): implicit fast solve, then the slow update."""
+        """Advance one level (by a normal 0 < dt <= self.dt): fast solve, then slow update."""
         dt = self.dt if dt is None else float(dt)
-        if not 0.0 < dt <= self.dt:  # also false for nan
-            raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g}, got {dt}")
+        if not sys.float_info.min <= dt <= self.dt:  # also false for nan
+            raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g} and be normal, got {dt}")
         eps, ops, n = self.epsilon, self.ops, self.ops.nx
         macro, micro, effective = state.macro, state.micro, state.effective
         left, right = wall_gradients(effective, ops.dx)

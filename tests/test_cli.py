@@ -176,12 +176,27 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    # non-finite and subnormal values: a NaN passed the old <= tests, an
+    # infinite t_end overflowed the step count, and t_end = 1e-320 overflowed
+    # the emm fast-solve shift
+    odd = (("t_end", "nan"), ("t_end", "inf"), ("t_end", 1e-320), ("dt_factor", "nan"))
+    for scheme in ("emm", "ref", "hmm"):
+        for key, value in odd:
+            path = _write_config(tmp_path / "odd.cfg", scheme=scheme, output="odd", **{key: value})
+            proc = _run(["run", "--config", str(path)], cwd=tmp_path)
+            assert proc.returncode == 2, (scheme, key, value, proc.stderr)
+            assert key in proc.stderr and "Traceback" not in proc.stderr
+
 
 @pytest.mark.parametrize(
     "args",
     [
         ["figure1", "--eps", "0.5", "2"],
         ["figure1", "--t-end", "-1"],
+        ["figure1", "--t-end", "nan"],
+        ["figure1", "--t-end", "inf"],
+        ["figure1", "--eps", "1e-300"],  # a 1002-bit reference cell count
+        ["figure1", "--eps", "1e-310"],  # 20/eps overflows; the count was never found
         ["figure1", "--ref-cells", "3"],
         ["figure1", "--ref-cells", "5"],  # a mesh, but too coarse for the derivative stencils
         ["cell", "--ny", "5"],
@@ -192,6 +207,10 @@ def test_run_rejects_bad_configs(tmp_path, _run):
     ids=[
         "figure1-eps",
         "figure1-t-end",
+        "figure1-t-end-nan",
+        "figure1-t-end-inf",
+        "figure1-eps-1e-300",
+        "figure1-eps-1e-310",
         "figure1-ref-cells",
         "figure1-ref-cells-5",
         "cell-ny",

@@ -49,17 +49,25 @@ def test_reference_cells_scaling():
     assert reference_cells(0.1) == 1024
     assert reference_cells(0.01) == 2048
     assert reference_cells(0.01, periods_per_oscillation=40.0) == 4096
-    assert reference_cells(1.0, floor=256) == 256
     assert reference_cells(0.001) == 32768
+
+
+def test_reference_cells_is_a_bounded_power_of_two():
+    # the least power of two from 1024 up, exact at the powers themselves
+    assert reference_cells(1.0, periods_per_oscillation=2048.0) == 2048
+    assert reference_cells(1.0, periods_per_oscillation=math.nextafter(2048.0, 4096)) == 4096
+    assert reference_cells(20.0 / 2**20) == 2**20
+    # beyond 2**20 cells, and where 20/eps overflows (the doubling loop never
+    # returned at eps = 1e-310), no mesh is built
+    for eps in (math.nextafter(20.0 / 2**20, 0.0), 1e-6, 1e-300, 1e-310, 5e-324):
+        with pytest.raises(ConfigError, match="--ref-cells"):
+            reference_cells(eps)
 
 
 def _record_kwargs(**overrides):
     base = dict(
         epsilon=0.1,
         n_ref=1024,
-        n_x=64,
-        n_y=16,
-        t_end=0.02,
         error_u_inf_emm=1e-2,
         error_u_l2_emm=5e-3,
         error_du_inf_emm=2.0,
@@ -115,6 +123,19 @@ def test_regime_comparison_rejects_coarse_ref_cells_before_any_work(tmp_path, mo
     for ref_cells in (5, 7):  # meshes, but too coarse for the derivative stencils
         with pytest.raises(ValueError, match="needs >= 8 cells"):
             regime_comparison(eps_values=(0.5,), out_dir=out, ref_cells=ref_cells)
+    assert not out.exists()
+
+
+def test_regime_comparison_rejects_unbuildable_reference_before_any_work(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("run_reference", "run_micro_macro", "run_homogenized"):
+        monkeypatch.setattr(harness, name, refuse)
+    out = tmp_path / "untouched"
+    for eps in (1e-6, 1e-300, 1e-310):  # 2**25 cells, a 1002-bit count, an infinite one
+        with pytest.raises(ConfigError, match="--ref-cells"):
+            regime_comparison(eps_values=(0.5, eps), out_dir=out)
     assert not out.exists()
 
 

@@ -4,10 +4,19 @@ import pytest
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.reconstruct import (
     derivative_on_fine,
+    fast_coordinate,
     reconstruct_homogenized,
     reconstruct_micro_macro,
     trig_interpolate,
 )
+
+
+def test_fast_coordinate_is_zero_where_the_quotient_overflows():
+    x = make_spatial_mesh(64).interfaces
+    assert np.array_equal(fast_coordinate(x, 0.01), np.mod(x / 0.01, 1.0))
+    # x/eps is inf for x > 0: its floats, all integers, give 0, with no warning
+    for eps in (1e-310, 5e-324):
+        assert np.array_equal(fast_coordinate(x, eps), np.zeros_like(x))
 
 
 def test_trig_band_limited_exact():

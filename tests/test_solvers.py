@@ -29,6 +29,7 @@ from apmm.problem import (
     constant_coefficient,
     sample_coefficient,
 )
+from apmm.reconstruct import reconstruct_micro_macro
 from apmm.solvers import (
     MicroMacroSolver,
     MicroMacroState,
@@ -596,6 +597,23 @@ def test_emm_runs_uniformly_at_tiny_eps(eps, emm_eps_1e11):
     assert np.max(np.abs(scaled - near)) <= 1e-10 * np.max(np.abs(near))
 
 
+@pytest.mark.parametrize("eps", [1e-310, 1e-320, 5e-324])
+def test_emm_runs_at_subnormal_eps(eps, emm_eps_1e11):
+    # 1/eps overflows here: the right wall's fast coordinate and the
+    # reconstruction's were NaN, and the first step's fields non-finite
+    res = run_micro_macro(benchmark_problem(eps, t_end=0.001), 32, 8)
+    g = res.final_micro
+    assert np.all(np.isfinite(res.final_macro)) and np.all(np.isfinite(g))
+    assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * np.max(np.abs(g))
+    base = emm_eps_1e11.final_macro
+    assert np.max(np.abs(res.final_macro - base)) <= 1e-11 * np.max(np.abs(base))
+    # G/eps keeps its corrector size, up to subnormal rounding: measured 1.0 .. 1.34
+    assert 0.0 < np.max(np.abs(g)) <= 1.5 * eps
+    fine = make_spatial_mesh(256)
+    u = reconstruct_micro_macro(res.final_macro, g, eps, res.xmesh, fine)
+    assert np.all(np.isfinite(u))
+
+
 def test_emm_numpy_epsilon_steps_without_warning():
     # (dt/eps)/eps overflows for eps below about 1e-154: a numpy float64 warns
     # there, an error under the suite's filter, where a Python float gives inf
@@ -637,10 +655,11 @@ def test_emm_step_count_and_overrides():
         solver.run(n_steps=0)
 
 
-@pytest.mark.parametrize("share", [0.0, -1.0, math.nan, math.inf, 10.0])
+@pytest.mark.parametrize("share", [0.0, -1.0, math.nan, math.inf, 10.0, 1e-306])
 def test_emm_step_rejects_bad_dt(share):
     # 0 divided by zero, a negative dt failed in dpttrf, nan and inf only after
-    # a full step's work, and 10*dt ran past the stability bound
+    # a full step's work, 10*dt ran past the stability bound, and a subnormal
+    # dt overflowed s = (eps/dt)*eps
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
     state = solver.initial_state()
     with pytest.raises(ValueError, match="dt must satisfy"):
