@@ -52,7 +52,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     problem = cfg.problem()
     dt_factor = cfg.resolved_dt_factor()
-    _prepare_parent(cfg.output)
 
     micro = None
     y_nodes = None
@@ -75,6 +74,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         micro = problem.epsilon * result.corrector
         y_nodes = hom.ymesh.nodes
 
+    _prepare_parent(cfg.output)  # after the run: a rejected config leaves nothing behind
     written = []
     f_path = Path(f"{cfg.output}_F.csv")
     _write_rows(f_path, ["x", "F"], ([_fmt(xi), _fmt(fi)] for xi, fi in zip(x, slow)))

@@ -22,8 +22,8 @@ mean of ``a/dy**2``, ``A = s*I - Ly + (sigma/ny) 1 1^T = T + V M V^T`` is
 SPD and equals ``s*I - Ly`` on mean-free data (``1^T Ly = 0``), so the
 Woodbury identity gives ``w = R(s) rhs = (I - Z V^T) T^{-1} rhs`` with a
 cached (ny, 3) ``Z`` per block that also removes the slice mean: no node
-pinning, and no singular matrix at s = 0.  One block caches the dense
-``R(s)^T`` instead, that solve of the identity, so its solve is one product.
+pinning, and no singular matrix at s = 0.  With one block, an emm step's whole
+fast update is three products of its padded ``[G | F]`` with cached matrices.
 The effective operator is one band, assembled from the closed-form cell
 corrector and applied by BLAS to ``[left wall, macro field, right wall]``; it
 holds the operator twice, and the copy for a stepper's slow field takes the
@@ -58,7 +58,7 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Holds the fast solves for two shifts (a dense matrix with one block) and the
+    Holds the fast solves for two shifts, an x-uniform step's matrices and the
     effective band with a stepper's stiffness blend, built on first use, so a
     time stepper reuses them for the whole run.  All ``bc`` arguments are
     ``(left, right)`` Dirichlet wall data: scalars for macro fields, length-ny
@@ -82,6 +82,7 @@ class GridOperators:
         self._x_sums = np.add.reduce(tables.x_interfaces, axis=-1)  # y-sums of x-interface a,
         self._x_sums[:: self.nx] *= 2.0  # the wall rows doubled by the ghost rule
         self._weight = 0.0  # the stiffness weight the band's F-block holds
+        self._stepper = (None, None, None)  # s, eps and M of the latest x-uniform step
 
     # -- helpers ------------------------------------------------------------
 
@@ -152,8 +153,8 @@ class GridOperators:
         return flux - np.roll(flux, 1, axis=1)
 
     def _factor(self, s: float):
-        """For the first shift (a run's full step) and the latest other one, cached: the dense
-        ``R(s)^T`` of one block, else ``T(s)``'s ``dpttrf`` factors and the (blocks, 3, ny) ``Z^T``.
+        """For the first shift (a run's full step) and the latest other one, cached: ``T(s)``'s
+        ``dpttrf`` factors and the (blocks, 3, ny) ``Z^T``.
 
         ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's
         correction for ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]``
@@ -167,34 +168,57 @@ class GridOperators:
             link, sigma = ay[:, -1], y_average(ay)
             off = -ay
             off[:, -1] = 0.0  # the periodic link, and the seam between blocks
-            d, e, info = dpttrf((s + ay + np.roll(ay, 1, axis=1)).ravel(), off.ravel()[:-1])
+            d, e, info = dpttrf((s + ay + ay[:, np.arange(n) - 1]).ravel(), off.ravel()[:-1])
             if info != 0:
                 raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
             # (T^{-1} V)^T per block, from a Fortran-ordered V per block solved in place
-            tvt = dpttrs(d, e, np.tile(self._v.T, m).T, overwrite_b=1)[0].T.reshape(3, m, n)
-            tvt = tvt.transpose(1, 0, 2)
+            tvt = dpttrs(d, e, np.concatenate([self._v.T] * m, 1).T, overwrite_b=1)[0]
+            tvt = tvt.T.reshape(3, m, n).transpose(1, 0, 2)
             m_inv = np.zeros((m, 3, 3))
             m_inv[:, 0, 1] = m_inv[:, 1, 0] = -1.0 / link
             m_inv[:, 2, 2] = n / sigma
             zt = np.swapaxes(np.linalg.inv(m_inv + tvt @ self._v), 1, 2) @ tvt
-            q = np.stack([link, link, np.full(m, s)], axis=1) / (n * (s + sigma))[:, None]
+            q = np.array([link, link, np.full(m, s)]).T / (n * (s + sigma))[:, None]
             zt += q[:, :, None]
-            if m == 1:  # R(s)^T: the solve below of the identity's rows, R e_k
-                w = dpttrs(d, e, np.eye(n))[0].T
-                w -= (w @ self._v) @ zt[0]
             if len(self._factors) > 1:
                 self._factors.popitem()  # the latest other shift
-            self._factors[s] = w if m == 1 else (d, e, zt)
+            self._factors[s] = (d, e, zt)
         return self._factors[s]
+
+    def _step_matrices(self, s: float, eps: float) -> FloatArray:
+        """The x-uniform step's (4, ny+1, ny+2) ``M``, cached for the latest ``(s, eps)``: row i of
+        ``[G' | G' a_x | S]`` is ``sum_{k<3} U[i+k] M_k`` for the padded ``U = [G | F]``, rows 0
+        and nx-1 adding the third differences of U's first and last four rows times ``M_3``.
+        ``G' = R(s) (s*G + eps*(Mixed + eps*Xdiff)(F + G))``; S has the first term's y-sums."""
+        if self._stepper[:2] == (s, eps):
+            return self._stepper[2]
+        self._stepper = (None, None, None)  # not held through the next assembly
+        t, n, (d, e, zt) = self.tables, self.ny, self._factor(s)
+        c, ay, z, j = t.centers[0], t.y_interfaces[0], np.zeros(n), np.arange(n)
+        ay_prev, ax = ay[j - 1], t.x_interfaces[0] * (4.0 * self.dy * eps / self.dx)
+        # q -> row i: E of p_{i+1} - 2 p_i + p_{i-1}, O of p_{i+1} - p_{i-1}, C the centred y-flux
+        base = np.zeros((3, n + 1, n))
+        odd = [ay - ay_prev, c + ay, -c - ay_prev]
+        base[:, (j + [[0], [1], [-1]]) % n, j] = [ax, z, z], odd, [z, c, -c]
+        base[:2, n] = ax - ax[0], 2.0 * odd[0]  # F's row, 0 for a constant a: R drops constants
+        parts = np.array([[1.0, -1.0, 0.0], [-2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        rows = np.dot(parts * (eps / (4.0 * self.dx * self.dy)), base.reshape(3, -1))
+        rows.reshape(4, n + 1, n)[1].ravel()[: n * n : n + 1] += s  # s*G
+        rows = dpttrs(d, e, rows.reshape(-1, n).T, overwrite_b=1)[0].T  # R^T of every row
+        rows -= (rows @ self._v) @ zt[0]
+        m = np.empty((4, n + 2, n + 1)).transpose(0, 2, 1)  # each M_k Fortran-ordered
+        m[..., :n] = rows.reshape(4, n + 1, n)
+        m[..., n] = (rows @ t.x_interfaces[0]).reshape(4, n + 1)
+        m[..., n + 1] = (parts[:, 1:2] + parts[:, 2:]) * np.dot(base[2], self._ones)  # C's sums
+        self._stepper = (s, eps, m)
+        return m
 
     def solve_bordered(self, rhs: FloatArray, s: float) -> FloatArray:
         """Mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, s >= 0.
 
-        One product with the cached ``R(s)^T`` for one block, else one ``dpttrs`` with
-        ``T(s)`` and ``w -= Z (V^T w)`` per slice (see the module docstring); unchecked.
+        One ``dpttrs`` with ``T(s)`` and ``w -= Z (V^T w)`` per slice (see the module
+        docstring); unchecked.
         """
-        if self._blocks == 1:
-            return np.dot(rhs, self._factor(s))
         d, e, zt = self._factor(s)
         # with one block, or one per slice, the reshapes make the slices
         # sharing a block one column each, and one batch row per block
@@ -245,17 +269,13 @@ class GridOperators:
         """
         return self._x_diffusion(self._padded_field(u, bc)) / self.dx**2
 
-    def _x_flux_sums(self, u: FloatArray) -> FloatArray:
-        """y-sums of ``a * dx * du/dx`` at the x-interfaces, homogeneous walls, unchecked: their
-        differences over ``ny*dx**2`` are ``y_average(apply_x_diffusion(u))``."""
-        d = np.empty((self.nx + 1, self.ny))
+    @staticmethod
+    def _jumps(u: FloatArray) -> FloatArray:
+        """Jumps of u across the x-interfaces, ``2*u`` at the walls by the odd ghosts."""
+        d = np.empty((len(u) + 1,) + u.shape[1:])
         np.subtract(u[1:], u[:-1], out=d[1:-1])
-        np.add(u[0], u[0], out=d[0])
-        np.multiply(u[-1], -2.0, out=d[-1])
-        if self._blocks == 1:  # one row of coefficients: one product
-            return np.dot(d, self.tables.x_interfaces[0])
-        d *= self.tables.x_interfaces
-        return np.dot(d, self._ones)
+        np.multiply(u[:: len(u) - 1].T, (2.0, -2.0), out=d[:: len(u)].T)
+        return d
 
     def apply_mixed_derivatives(self, u: FloatArray, bc=None) -> FloatArray:
         """The cross-derivative block d/dx(a d/dy u) + d/dy(a d/dx u).
@@ -271,11 +291,11 @@ class GridOperators:
         """
         return self._mixed(self._padded_field(u, bc))[0] / (4.0 * self.dx * self.dy)
 
-    def _coupling(self, macro, micro, twice, eps: float) -> tuple[FloatArray, FloatArray]:
+    def _coupling(self, macro, micro, walls, bc, eps: float) -> tuple[FloatArray, FloatArray]:
         """``4*dx*dy * (Mixed(u) + eps * Xdiff(u))`` for ``u = macro + micro`` with twice the
-        wall data ``twice``, padded once, and the y-sums of the mixed block (see
+        wall data ``bc[k] * walls[k]``, padded once, and the y-sums of the mixed block (see
         :meth:`_mixed`); unchecked."""
-        p = self._padded(micro, twice, macro[:, None])
+        p = self._padded(micro, (bc[0] * walls[0], bc[1] * walls[1]), macro[:, None])
         out, first_sums = self._mixed(p)
         x_diffusion = self._x_diffusion(p)
         x_diffusion *= 4.0 * self.dy * eps / self.dx

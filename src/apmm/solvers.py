@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dger, dnrm2
+from scipy.linalg.blas import daxpy, dgemm, dger, dnrm2
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import first_order_corrector, wall_gradients
@@ -281,7 +281,9 @@ class MicroMacroSolver:
     One assembled band applies ``(1 - w) K + w A``, ``A`` that plain diffusion,
     to F and ``K`` to the companion field (the effective equation's run that
     supplies the wall corrector data) in one BLAS product; ``G'`` enters by its
-    y-summed x-fluxes.  The coupling terms read flat slices of one padded buffer.
+    y-summed x-fluxes.  With an x-uniform coefficient the coupling terms, the fast solve and
+    those sums are three products of the padded ``[G | F]``; else the coupling terms read
+    flat slices of one padded buffer.  Over 2**24 steps is a ConfigError.
     """
 
     def __init__(
@@ -294,10 +296,12 @@ class MicroMacroSolver:
         _validate_dt_factor(dt_factor, problem.coefficient.a_max)
         self.problem = problem
         self.xmesh = make_spatial_mesh(n_x)
+        self.dt = dt_factor * self.xmesh.dx**2
+        if not problem.t_end / self.dt <= 2**24:  # about 20 minutes of 64x16 steps
+            raise ConfigError(f"t_end={problem.t_end:g} takes over 2**24 steps of dt={self.dt:.3g}")
         self.ymesh = make_cell_mesh(n_y)
         self.tables = sample_coefficient(problem.coefficient, self.xmesh, self.ymesh)
         self.ops = GridOperators(self.tables)
-        self.dt = dt_factor * self.xmesh.dx**2
         self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
         # wall data per unit companion gradient (none with homogeneous walls): eps*chi for G,
         # minus its value at the wall's fast coordinate for F; twice their sum; G's flux y-sums
@@ -340,22 +344,36 @@ class MicroMacroSolver:
         left, right = wall_gradients(effective, ops.dx)
         walls, traces, wall_sums = self._wall_totals, self._wall_traces, self._wall_sums
 
-        # 4*dx*dy times the coupling terms, less their slice means by a rank-one update: the
-        # fast solve removes them only to rounding, and G' of a y-independent one must be 0
-        coupled, first_sums = ops._coupling(macro, micro, (left * walls[0], right * walls[1]), eps)
-        dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
-        coupled *= eps / (4.0 * ops.dx * ops.dy)
         s = (eps / dt) * eps
-        daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
-        micro_new = ops.solve_bordered(coupled, s)
-        del coupled  # keeps the first step's assembly of the effective band off the peak
+        if ops._blocks == 1:  # x-uniform: the products of GridOperators._step_matrices
+            m = ops._step_matrices(s, eps)  # assembled before U is held
+            u = np.empty((n + 2, ops.ny + 1))  # [G | F], ghost rows 2*wall - the first
+            u[1:-1, :-1], u[1:-1, -1] = micro, macro
+            np.negative(u[1 : n + 1 : n - 1], out=u[:: n + 1])
+            u[:: n + 1, :-1] += walls * [[left], [right]]
+            out = dgemm(1.0, u[:n].T, m[0], 0.0, None, 1)  # trans_a = 1: contiguous operands
+            for k in (1, 2):  # beta = 1, overwrite_c = 1
+                dgemm(1.0, u[k : k + n].T, m[k], 1.0, out, 1, 0, 1)
+            out[:: n - 1] += np.dot(np.dot((1.0, -3.0, 3.0, -1.0), (u[:4], u[-4:])), m[3])
+            del u  # off the peak of the band and the guards
+            micro_new, first_sums, sums = out[:, :-2], out[:, -1], ops._jumps(out[:, -2])
+        else:
+            # 4*dx*dy times the coupling terms, less their slice means by a rank-one update:
+            # the fast solve removes them only to rounding, and G' of a y-independent one must be 0
+            coupled, first_sums = ops._coupling(macro, micro, walls, (left, right), eps)
+            dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
+            coupled *= eps / (4.0 * ops.dx * ops.dy)
+            daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
+            micro_new = ops.solve_bordered(coupled, s)
+            del coupled  # keeps the first step's assembly of the effective band off the peak
+            sums = ops._jumps(micro_new)
+            sums = np.dot(np.multiply(sums, ops.tables.x_interfaces, out=sums), ops._ones)
 
         # the band applies (1 - w) K + w A, A the flux part of K, to [wall, F, wall] and
         # K to [0, E, 0] at once; the x-flux y-sums of G' give the rest
         pair = np.zeros((2, n + 2))
         pair[0, 1:-1], pair[1, 1:-1] = macro, effective
         pair[0, 0], pair[0, -1] = left * traces[0], right * traces[1]
-        sums = ops._x_flux_sums(micro_new)
         sums[0] -= left * wall_sums[0]
         sums[-1] += right * wall_sums[1]
         weight = math.exp(-(dt / eps) / eps)
@@ -398,8 +416,10 @@ class MicroMacroSolver:
         state = self.initial_state()
         for k in range(1, total + 1):
             state = self.step(state, dt=last_dt if k == total else None)
-        return MicroMacroResult(  # a copy frees the buffer F shares with the companion
-            self.xmesh, self.ymesh, state.macro.copy(), state.micro, total, self.dt, self.tables.hom
+        self.ops._stepper = (None, None, None)  # a finished run holds no step matrices (memory)
+        return MicroMacroResult(  # copies free the buffers F and G share with other fields
+            self.xmesh, self.ymesh, state.macro.copy(), np.ascontiguousarray(state.micro),
+            total, self.dt, self.tables.hom,
         )
 
 

@@ -176,6 +176,15 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         assert proc.returncode == 2
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
+    # every rejection comes before the output directory is made, also where
+    # only the solver sees it: dt_factor, and the emm step cap
+    for keys in ({"dt_factor": "nan"}, {"dt_factor": 0.9}, {"scheme": "emm", "t_end": 1e300}):
+        path = _write_config(tmp_path / "late.cfg", epsilon=0.1, output="late/run", **keys)
+        proc = _run(["run", "--config", str(path)], cwd=tmp_path)
+        assert proc.returncode == 2, (keys, proc.stderr)
+        assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "late").exists()
+
     # non-finite and subnormal values: a NaN passed the old <= tests, an
     # infinite t_end overflowed the step count, and t_end = 1e-320 overflowed
     # the emm fast-solve shift

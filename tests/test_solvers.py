@@ -508,6 +508,22 @@ def test_emm_constant_coefficient_degenerates_to_euler():
         assert np.max(np.abs(state.macro - euler)) <= 1e-12
 
 
+@pytest.mark.parametrize("ny", [6, 10, 12])
+def test_emm_constant_coefficient_keeps_g_at_wall_rounding(ny):
+    # a constant a has corrector walls of rounding size only, so G stays at that size; F's
+    # coupling rows were constant up to an inexact slice mean at these ny, and the solve's
+    # rounding of them tripped the fast-average drift guard (exit 1 from `apmm run`)
+    eps = 1e-3
+    problem = ProblemSpec(
+        coefficient=constant_coefficient(1.3),
+        epsilon=eps,
+        initial=lambda x: np.sin(2 * np.pi * x),
+        t_end=0.01,
+    )
+    res = MicroMacroSolver(problem, 8, ny).run()
+    assert np.max(np.abs(res.final_micro)) <= 1e-15 * eps  # measured <= 4.4e-19 * eps
+
+
 def test_emm_single_step_ap_degeneracy():
     # prepared G = -eps L^{-1} (I-Pi) B F: one step lands O(eps) from the
     # explicit homogenized step, with a cleanly linear eps-scaling
@@ -543,16 +559,32 @@ def test_emm_micro_mean_free_along_run(eps, coeff):
         assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.1, 1e-6, 1e-300])
-def test_emm_fast_solve_paths_agree(eps):
-    # an x-uniform run solves its one block by the dense R(s)^T; the same run with
-    # per-slice factors, as for an x-dependent coefficient, must give the same fields
-    problem = benchmark_problem(eps, t_end=0.01)
-    shared, per_slice = MicroMacroSolver(problem, 32, 8), MicroMacroSolver(problem, 32, 8)
-    assert shared.tables.x_uniform
+@pytest.mark.parametrize(
+    "eps, nx, t_end",
+    [
+        pytest.param(1.0, 32, 0.01, id="1.0"),
+        pytest.param(0.1, 32, 0.01, id="0.1"),
+        pytest.param(1e-6, 32, 0.01, id="1e-06"),
+        pytest.param(1e-300, 32, 0.01, id="1e-300"),
+        pytest.param(0.3, 32, 0.01, id="0.3-kick"),  # corrector walls, 0 < w < 1, kick != 0
+        pytest.param(0.3, 4, 0.31, id="0.3-nx4"),  # both one-sided wall rows reach every row
+        pytest.param(1e-6, 4, 0.31, id="1e-06-nx4"),
+    ],
+)
+def test_emm_fast_solve_paths_agree(eps, nx, t_end):
+    # an x-uniform run takes its step as three products with cached matrices; the same run
+    # with per-slice stencils and solves, as for an x-dependent coefficient, must agree
+    problem = benchmark_problem(eps, t_end=t_end)
+    shared, per_slice = MicroMacroSolver(problem, nx, 8), MicroMacroSolver(problem, nx, 8)
+    assert shared.tables.x_uniform and shared.ops._blocks == 1
     per_slice.ops = GridOperators(dataclasses.replace(shared.tables, x_uniform=False))
+    assert per_slice.ops._blocks == nx
+    assert problem.bc_mode == "dirichlet_corrector" and np.max(np.abs(shared._wall_totals)) > 0.0
+    if eps == 0.3:
+        assert 0.0 < math.exp(-shared.dt / eps**2) < 1.0  # the kick term is on
     a, b = shared.run(), per_slice.run()
     assert a.steps == b.steps > 20
+    assert 0.0 < t_end - (a.steps - 1) * shared.dt < shared.dt  # a shortened last step
     for x, y in ((a.final_macro, b.final_macro), (a.final_micro, b.final_micro)):
         assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(x))
 
@@ -627,10 +659,16 @@ def test_emm_numpy_epsilon_steps_without_warning():
     assert np.array_equal(state.micro, expected.micro)
 
 
-def test_emm_fast_average_drift_trips_the_guard(monkeypatch):
+@pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
+def test_emm_fast_average_drift_trips_the_guard(monkeypatch, x_uniform):
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
-    solve = solver.ops.solve_bordered
-    monkeypatch.setattr(solver.ops, "solve_bordered", lambda rhs, s: solve(rhs, s) + 1e-3)
+    if x_uniform:  # F's row of the cached M_1 gives every slice of G' the mean 1e-3 * F
+        s = (solver.epsilon / solver.dt) * solver.epsilon
+        solver.ops._step_matrices(s, solver.epsilon)[1, -1, :-2] += 1e-3
+    else:
+        solver.ops = GridOperators(dataclasses.replace(solver.tables, x_uniform=False))
+        solve = solver.ops.solve_bordered
+        monkeypatch.setattr(solver.ops, "solve_bordered", lambda rhs, s: solve(rhs, s) + 1e-3)
     with pytest.raises(StabilityError, match="fast-average drift"):
         solver.step(solver.initial_state())
 
@@ -686,6 +724,18 @@ def test_emm_run_keeps_small_caches():
     for share in np.linspace(0.5, 1.0, 50, endpoint=False):
         state = solver.step(state, dt=share * solver.dt)
     assert len(ops._factors) <= 2 and (eps / solver.dt) * eps in ops._factors
+
+
+def test_emm_rejects_a_horizon_past_the_step_cap():
+    # t_end = 1e300 was about 1e304 steps, stepped one by one: a hang
+    problem = benchmark_problem(0.1, t_end=1e300)
+    with pytest.raises(ConfigError, match="t_end"):
+        MicroMacroSolver(problem, 16, 8)
+    # the cap itself: 2**24 steps are allowed, one more is not
+    dt = 0.2 / 16**2
+    MicroMacroSolver(dataclasses.replace(problem, t_end=2**24 * dt), 16, 8)
+    with pytest.raises(ConfigError, match="t_end"):
+        MicroMacroSolver(dataclasses.replace(problem, t_end=(2**24 + 1) * dt), 16, 8)
 
 
 def test_emm_rejects_unstable_dt():
