@@ -20,19 +20,17 @@ once per s, and the slices sharing a block are the columns of one
 right-hand side.  With ``V = [e_0, e_{ny-1}, 1]`` and ``sigma`` the slice
 mean of ``a/dy**2``, ``A = s*I - Ly + (sigma/ny) 1 1^T = T + V M V^T`` is
 SPD and equals ``s*I - Ly`` on mean-free data (``1^T Ly = 0``), so the
-Woodbury identity gives ``w = R(s) rhs = (I - Z V^T) T^{-1} rhs`` with a
-cached (ny, 3) ``Z`` per block that also removes the slice mean: no node
-pinning, and no singular matrix at s = 0.  With one block, an emm step's whole
-fast update is three products of its padded ``[G | F]`` with cached matrices.
-The effective operator is one band, assembled from the closed-form cell
-corrector and applied by BLAS to ``[left wall, macro field, right wall]``; it
-holds the operator twice, and the copy for a stepper's slow field takes the
-stiffness blend.
+Woodbury identity gives ``w = R(s) rhs = (I - Z V^T) T^{-1} rhs`` with an
+(ny, 3) ``Z`` per block that also removes the slice mean: no node pinning,
+and no singular matrix at s = 0.  With one block, an emm step's whole fast
+update is three products of its padded ``[G | F]`` with the step's matrices.
+The effective operator is one band, assembled once from the closed-form cell
+corrector and applied by BLAS to ``[left wall, macro field, right wall]``.
+Nothing here depends on a step size: a stepper builds the fast solve, the
+step's matrices and the band with its stiffness blend for each step size.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -58,9 +56,9 @@ def remove_y_average(u: FloatArray) -> FloatArray:
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
-    Holds the fast solves for two shifts, an x-uniform step's matrices and the
-    effective band with a stepper's stiffness blend, built on first use, so a
-    time stepper reuses them for the whole run.  All ``bc`` arguments are
+    Holds only data derived from the tables, the effective band among them,
+    and writes none of it after ``__init__``; the operators of a step size are
+    built per call and held by the stepper.  All ``bc`` arguments are
     ``(left, right)`` Dirichlet wall data: scalars for macro fields, length-ny
     profiles (or scalars) for micro fields; ``None`` means homogeneous walls.
     """
@@ -74,15 +72,13 @@ class GridOperators:
         self.dx = tables.xmesh.dx
         self.dy = tables.ymesh.dy
         self._blocks = 1 if tables.x_uniform else self.nx
-        self._factors: dict = {}
         self._v = np.zeros((self.ny, 3))  # V = [e_0, e_{ny-1}, 1]
         self._v[[0, -1], [0, 1]] = 1.0
         self._v[:, 2] = 1.0
         self._ones = np.ones(self.ny)  # row sums by BLAS, where their rounding is free
         self._x_sums = np.add.reduce(tables.x_interfaces, axis=-1)  # y-sums of x-interface a,
         self._x_sums[:: self.nx] *= 2.0  # the wall rows doubled by the ghost rule
-        self._weight = 0.0  # the stiffness weight the band's F-block holds
-        self._stepper = (None, None, None)  # s, eps and M of the latest x-uniform step
+        self._effective_band = self._assemble_effective()
 
     # -- helpers ------------------------------------------------------------
 
@@ -153,8 +149,10 @@ class GridOperators:
         return flux - np.roll(flux, 1, axis=1)
 
     def _factor(self, s: float):
-        """For the first shift (a run's full step) and the latest other one, cached: ``T(s)``'s
-        ``dpttrf`` factors and the (blocks, 3, ny) ``Z^T``.
+        """The fast solve for the shift s >= 0, built anew per call: a function that
+        overwrites its (k*blocks, ny) rows ``rhs``, one per slice (k = 1 unless there is one
+        block), with the mean-free ``w``, ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, by
+        one ``dpttrs`` with ``T(s)``'s ``dpttrf`` factors and ``w -= Z (V^T w)``; unchecked.
 
         ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's
         correction for ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]``
@@ -162,38 +160,38 @@ class GridOperators:
         s)/(ny*(s + sigma))`` the term ``1 q^T V^T T^{-1} rhs`` is ``1
         mean(rhs)/(s + sigma)``, ``A^{-1}`` on the slice mean.
         """
-        if s not in self._factors:
-            m, n = self._blocks, self.ny
-            ay = self.tables.y_interfaces[:m] / self.dy**2  # a_{j+1/2}/dy**2
-            link, sigma = ay[:, -1], y_average(ay)
-            off = -ay
-            off[:, -1] = 0.0  # the periodic link, and the seam between blocks
-            d, e, info = dpttrf((s + ay + ay[:, np.arange(n) - 1]).ravel(), off.ravel()[:-1])
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
-            # (T^{-1} V)^T per block, from a Fortran-ordered V per block solved in place
-            tvt = dpttrs(d, e, np.concatenate([self._v.T] * m, 1).T, overwrite_b=1)[0]
-            tvt = tvt.T.reshape(3, m, n).transpose(1, 0, 2)
-            m_inv = np.zeros((m, 3, 3))
-            m_inv[:, 0, 1] = m_inv[:, 1, 0] = -1.0 / link
-            m_inv[:, 2, 2] = n / sigma
-            zt = np.swapaxes(np.linalg.inv(m_inv + tvt @ self._v), 1, 2) @ tvt
-            q = np.array([link, link, np.full(m, s)]).T / (n * (s + sigma))[:, None]
-            zt += q[:, :, None]
-            if len(self._factors) > 1:
-                self._factors.popitem()  # the latest other shift
-            self._factors[s] = (d, e, zt)
-        return self._factors[s]
+        m, n = self._blocks, self.ny
+        ay = self.tables.y_interfaces[:m] / self.dy**2  # a_{j+1/2}/dy**2
+        link, sigma = ay[:, -1], y_average(ay)
+        off = -ay
+        off[:, -1] = 0.0  # the periodic link, and the seam between blocks
+        d, e, info = dpttrf((s + ay + ay[:, np.arange(n) - 1]).ravel(), off.ravel()[:-1])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
+        # (T^{-1} V)^T per block, from a Fortran-ordered V per block solved in place
+        tvt = dpttrs(d, e, np.concatenate([self._v.T] * m, 1).T, overwrite_b=1)[0]
+        tvt = tvt.T.reshape(3, m, n).transpose(1, 0, 2)
+        m_inv = np.zeros((m, 3, 3))
+        m_inv[:, 0, 1] = m_inv[:, 1, 0] = -1.0 / link
+        m_inv[:, 2, 2] = n / sigma
+        zt = np.swapaxes(np.linalg.inv(m_inv + tvt @ self._v), 1, 2) @ tvt
+        q = np.array([link, link, np.full(m, s)]).T / (n * (s + sigma))[:, None]
+        zt += q[:, :, None]
+
+        def solve(rows: FloatArray) -> FloatArray:
+            # the slices sharing a block are one column each, one batch row per block
+            w = dpttrs(d, e, rows.reshape(-1, m * n).T, overwrite_b=1)[0].T.reshape(rows.shape)
+            w -= ((w @ self._v).reshape(m, -1, 3) @ zt).reshape(rows.shape)
+            return w
+
+        return solve
 
     def _step_matrices(self, s: float, eps: float) -> FloatArray:
-        """The x-uniform step's (4, ny+1, ny+2) ``M``, cached for the latest ``(s, eps)``: row i of
-        ``[G' | G' a_x | S]`` is ``sum_{k<3} U[i+k] M_k`` for the padded ``U = [G | F]``, rows 0
-        and nx-1 adding the third differences of U's first and last four rows times ``M_3``.
+        """The x-uniform step's (4, ny+1, ny+2) ``M``: row i of ``[G' | G' a_x | S]`` is
+        ``sum_{k<3} U[i+k] M_k`` for the padded ``U = [G | F]``, rows 0 and nx-1 adding the
+        third differences of U's first and last four rows times ``M_3``.
         ``G' = R(s) (s*G + eps*(Mixed + eps*Xdiff)(F + G))``; S has the first term's y-sums."""
-        if self._stepper[:2] == (s, eps):
-            return self._stepper[2]
-        self._stepper = (None, None, None)  # not held through the next assembly
-        t, n, (d, e, zt) = self.tables, self.ny, self._factor(s)
+        t, n = self.tables, self.ny
         c, ay, z, j = t.centers[0], t.y_interfaces[0], np.zeros(n), np.arange(n)
         ay_prev, ax = ay[j - 1], t.x_interfaces[0] * (4.0 * self.dy * eps / self.dx)
         # q -> row i: E of p_{i+1} - 2 p_i + p_{i-1}, O of p_{i+1} - p_{i-1}, C the centred y-flux
@@ -204,27 +202,12 @@ class GridOperators:
         parts = np.array([[1.0, -1.0, 0.0], [-2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         rows = np.dot(parts * (eps / (4.0 * self.dx * self.dy)), base.reshape(3, -1))
         rows.reshape(4, n + 1, n)[1].ravel()[: n * n : n + 1] += s  # s*G
-        rows = dpttrs(d, e, rows.reshape(-1, n).T, overwrite_b=1)[0].T  # R^T of every row
-        rows -= (rows @ self._v) @ zt[0]
+        rows = self._factor(s)(rows.reshape(-1, n))  # R^T of every row
         m = np.empty((4, n + 2, n + 1)).transpose(0, 2, 1)  # each M_k Fortran-ordered
         m[..., :n] = rows.reshape(4, n + 1, n)
         m[..., n] = (rows @ t.x_interfaces[0]).reshape(4, n + 1)
         m[..., n + 1] = (parts[:, 1:2] + parts[:, 2:]) * np.dot(base[2], self._ones)  # C's sums
-        self._stepper = (s, eps, m)
         return m
-
-    def solve_bordered(self, rhs: FloatArray, s: float) -> FloatArray:
-        """Mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, s >= 0.
-
-        One ``dpttrs`` with ``T(s)`` and ``w -= Z (V^T w)`` per slice (see the module
-        docstring); unchecked.
-        """
-        d, e, zt = self._factor(s)
-        # with one block, or one per slice, the reshapes make the slices
-        # sharing a block one column each, and one batch row per block
-        w = dpttrs(d, e, rhs.reshape(-1, self._blocks * self.ny).T)[0].T.reshape(self.nx, self.ny)
-        w -= ((w @ self._v).reshape(self._blocks, -1, 3) @ zt).reshape(self.nx, self.ny)
-        return w
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
         """Solve the singular periodic y-diffusion problem per slice.
@@ -242,7 +225,7 @@ class GridOperators:
                     "solve_y_diffusion requires zero-mean data per slice "
                     f"(worst slice mean {worst:.3e} vs scale {scale:.3e})"
                 )
-        return -self.solve_bordered(rhs, 0.0)
+        return self._factor(0.0)(-rhs)
 
     def solve_shifted(self, rhs: FloatArray, c: float) -> FloatArray:
         """Solve ``(I - c * Ly) w = rhs`` per slice for c >= 0.
@@ -257,7 +240,7 @@ class GridOperators:
         s = 1.0 / c if c > 0.0 else np.inf
         if s == np.inf:  # c = 0, or so small that 1/c overflows: the identity
             return rhs.copy()
-        return rhs.mean(axis=-1, keepdims=True) + self.solve_bordered(s * rhs, s)
+        return rhs.mean(axis=-1, keepdims=True) + self._factor(s)(s * rhs)
 
     # -- slow-direction and mixed operators ----------------------------------
 
@@ -302,33 +285,26 @@ class GridOperators:
         out += x_diffusion
         return out, first_sums
 
-    @cached_property
-    def _effective_band(self) -> FloatArray:
-        """``dgbmv`` storage (kl = 2, ku = 4) of ``[B u, 0, 0, K v]`` from ``[left, u, right,
-        left', v, right']``, the F-block ``B`` equal to ``K`` until :meth:`_blend`: row i of
-        the effective operator ``K`` weighs the padded field ``p_{i-2} .. p_{i+4}`` (``p_m =
+    def _assemble_effective(self) -> FloatArray:
+        """``dgbmv`` storage (kl = 2, ku = 4) of the effective operator ``K`` acting on
+        ``[left, u, right]``: row i weighs the padded field ``p_{i-2} .. p_{i+4}`` (``p_m =
         u_{m-1}``), ``diff(abar * diff(p))/dx**2`` minus ``grad(beta * (p_{k+2} -
         p_k))/(2*dx)``, whose one-sided rows reach three cells in, the ghosts ``2*wall - u``
-        folded into the wall columns.  The zero rows make the matrix as tall as ``dgbmv``
-        needs for every nx >= 4."""
+        folded into the wall columns; rows past nx-1 weigh nothing."""
         n, dx2 = self.nx, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector
         corrector = self.tables.hom.chi
         beta = -y_average(self._centre_y_flux(self._padded(corrector, (0.0, 0.0)))) / (2 * self.dy)
         q = np.concatenate(([0.0], beta / (4.0 * dx2), [0.0]))  # with q_{-1} = q_nx = 0
-        # storage [4 - o, m] holds the weight of p_m in row i = m - o, for each block
-        band = np.zeros((7, 2, n + 2))
-        k = band[:, 0]
+        # storage [4 - o, m] holds the weight of p_m in row i = m - o
+        k = np.zeros((7, n + 2), order="F")  # as dgbmv reads it: no copy per call
         k[5, :-3] = -q[1:-2]  # minus the centred drift, o = -1, 1, 3
         k[3, 1:-1] = q[:-2] + q[2:]
         k[1, 3:] = -q[2:-1]
         # the one-sided first and last rows (-3 g_0 + 4 g_1 - g_2, mirrored) less the centred
-        flat, down_left = band.ravel(), 2 * (n + 2) - 1  # a storage row down, a column left
-        for start, step, (q0, q1, q2) in (
-            (8 * (n + 2), -down_left, q[1:4].tolist()),  # [4, 0] up to [0, 4]
-            (4 * (n + 2) + n + 1, down_left, q[-2:-5:-1].tolist()),  # [2, nx+1] down to [6, nx-3]
-        ):
-            flat[start::step][:5] += [-3.0 * q0, 3.0 * q1, 3.0 * q0 - q2, -3.0 * q1, q2]
+        r = np.arange(5)  # [4, 0] up to [0, 4], and [2, nx+1] down to [6, nx-3]
+        for rows, columns, (q0, q1, q2) in ((4 - r, r, q[1:4]), (2 + r, n + 1 - r, q[-2:-5:-1])):
+            k[rows, columns] += [-3.0 * q0, 3.0 * q1, 3.0 * q0 - q2, -3.0 * q1, q2]
         # fold the drift's ghosts p_0 = 2*left - p_1 (rows 0, 1) and p_{nx+1} = 2*right
         # - p_nx (rows nx-2, nx-1): the columns become [left, u, right]
         k[3:5, 1] -= k[4:6, 0]
@@ -336,30 +312,21 @@ class GridOperators:
         k[2:4, -2] -= k[1:3, -1]
         k[1:3, -1] *= 2.0
         self._add_flux(k, 1.0)
-        band[:, 1] = k
-        return np.asfortranarray(band.reshape(7, -1))  # as dgbmv reads it: no copy per call
+        return k
 
     def _add_flux(self, block: FloatArray, weight: float) -> None:
-        """Add ``weight`` times the flux part ``A`` of ``K`` to a band block (see ``_blend``)."""
+        """Add ``weight`` times the flux part ``A`` of ``K`` to a band block: ``A =
+        diff(abar * diff(p))/dx**2``, its wall rows' doubled y-sums the folded ghosts'."""
         a = weight * self._x_sums / (self.ny * self.dx**2)
         block[4, :-2] += a[:-1]
         block[3, 1:-1] -= a[:-1] + a[1:]
         block[2, 2:] += a[1:]
 
-    def _blend(self, weight: float) -> None:
-        """Make the band's F-block ``(1 - w) K + w A`` in place for the stiffness weight ``w``,
-        ``A = diff(abar * diff(p))/dx**2`` the flux part of ``K`` (its wall rows' doubled
-        y-sums are the folded ghosts'); the E-block, read by ``apply_effective``, stays ``K``."""
-        if weight != self._weight:
-            band, n = self._effective_band, self.nx + 2
-            np.multiply(band[:, n:], 1.0 - weight, out=band[:, :n])
-            self._add_flux(band[:, :n], weight)
-            self._weight = weight
-
-    def _effective_pair(self, pair: FloatArray, alpha: float, out: FloatArray) -> FloatArray:
-        """``out += alpha * [B u, 0, 0, K v]`` in place (see ``_effective_band``)."""
-        m = 2 * self.nx + 2  # beta = 1 and overwrite_y = 1 by position: keywords cost f2py 1 us
-        return dgbmv(m, m + 2, 2, 4, alpha, self._effective_band, pair, 1, 0, 1.0, out, 1, 0, 0, 1)
+    def _blended_band(self, weight: float) -> FloatArray:
+        """``dgbmv`` storage of ``(1 - w) K + w A`` for the stiffness weight ``w``."""
+        band = np.multiply(self._effective_band, 1.0 - weight, order="F")
+        self._add_flux(band, weight)
+        return band
 
     def apply_effective(self, macro: FloatArray, bc=None) -> FloatArray:
         """Upscaled diffusion block acting on a macro field.
@@ -378,5 +345,6 @@ class GridOperators:
         """
         macro = self._checked(macro, (self.nx,), "macro field")
         bc = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
-        pair = np.concatenate((np.zeros(self.nx + 2), [bc[0]], macro, [bc[1]]))
-        return self._effective_pair(pair, 1.0, np.zeros(2 * self.nx + 2))[self.nx + 2 :]
+        padded = np.concatenate(([bc[0]], macro, [bc[1]]))
+        # three zero rows past nx: scipy's dgbmv takes no m < kl + ku + 1 = 7
+        return dgbmv(self.nx + 3, self.nx + 2, 2, 4, 1.0, self._effective_band, padded)[:-3]

@@ -141,6 +141,7 @@ def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
     chi *= (ymesh.n_points * ymesh.dy / np.dot(b_half, ones))[:, None]  # times a0 * dy
     chi -= ymesh.nodes
     chi -= (np.dot(chi, ones) / ymesh.n_points)[:, None]
+    chi[np.ptp(b_half, axis=-1) == 0.0] = 0.0  # a y-independent row's is 0, not rounding
     return chi
 
 

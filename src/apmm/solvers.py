@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgemm, dger, dnrm2
+from scipy.linalg.blas import daxpy, dgbmv, dgemm, dger, dnrm2
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import first_order_corrector, wall_gradients
@@ -266,8 +266,9 @@ class MicroMacroSolver:
     """Two-scale splitting integrator on a coarse tensor grid.
 
     One instance fixes the meshes, coefficient tables, cell-problem data,
-    the wall corrector traces and the operators (which cache the factors
-    of the fast solve); ``step`` advances a state by one level.  The implicit
+    the wall corrector traces and the operators, and holds the step
+    operators of the latest step size only, dropped when ``run`` ends;
+    ``step`` advances a state by one level.  The implicit
     fast update ``(I - (dt/epsilon**2) Ly) G' = G + (dt/epsilon) r``, with
     ``r`` the fluctuating part of the coupling terms, is multiplied through
     by ``s = (epsilon/dt)*epsilon`` and solved on the mean-free subspace:
@@ -278,12 +279,13 @@ class MicroMacroSolver:
     effective operator ``K`` with the plain averaged diffusion through the
     stiffness weight ``w = exp(-dt/epsilon**2)``, which underflows to zero in
     the strongly oscillatory regime, exactly as the splitting is designed to do.
-    One assembled band applies ``(1 - w) K + w A``, ``A`` that plain diffusion,
-    to F and ``K`` to the companion field (the effective equation's run that
-    supplies the wall corrector data) in one BLAS product; ``G'`` enters by its
+    A band assembled per step size applies ``(1 - w) K + w A``, ``A`` that plain
+    diffusion, to F, and the band of ``K`` steps the companion field (the effective
+    equation's run that supplies the wall corrector data); ``G'`` enters by its
     y-summed x-fluxes.  With an x-uniform coefficient the coupling terms, the fast solve and
-    those sums are three products of the padded ``[G | F]``; else the coupling terms read
-    flat slices of one padded buffer.  Over 2**24 steps is a ConfigError.
+    those sums are three products of the padded ``[G | F]`` with the step's matrices; else
+    the coupling terms read flat slices of one padded buffer.  Over 2**24 steps is a
+    ConfigError.
     """
 
     def __init__(
@@ -313,6 +315,7 @@ class MicroMacroSolver:
         self._wall_totals = 2.0 * (self._wall_profiles + np.array(self._wall_traces)[:, None])
         wall_rows = 2.0 * self.tables.x_interfaces[[0, -1]]
         self._wall_sums = np.add.reduce(wall_rows * self._wall_profiles, axis=-1).tolist()
+        self._held = None  # the step operators of the latest dt, see _step_operators
 
     def initial_state(self) -> MicroMacroState:
         macro = np.asarray(self.problem.initial(self.xmesh.centers), dtype=float)
@@ -334,6 +337,18 @@ class MicroMacroSolver:
         traces, profiles = self._wall_traces, self._wall_profiles
         return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
+    def _step_operators(self, dt: float):
+        """``(dt, s, w, fast, band)`` for dt, built when dt changes: the shift ``s``, the
+        stiffness weight ``w``, the x-uniform step's matrices or else the fast solve, and
+        the band of ``(1 - w) K + w A`` (see ``GridOperators._blended_band``)."""
+        if self._held is None or self._held[0] != dt:
+            self._held = None  # not held through the next assembly
+            eps, ops = self.epsilon, self.ops
+            s, weight = (eps / dt) * eps, math.exp(-(dt / eps) / eps)
+            fast = ops._step_matrices(s, eps) if ops._blocks == 1 else ops._factor(s)
+            self._held = (dt, s, weight, fast, ops._blended_band(weight))
+        return self._held
+
     def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:
         """Advance one level (by a normal 0 < dt <= self.dt): fast solve, then slow update."""
         dt = self.dt if dt is None else float(dt)
@@ -341,21 +356,20 @@ class MicroMacroSolver:
             raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g} and be normal, got {dt}")
         eps, ops, n = self.epsilon, self.ops, self.ops.nx
         macro, micro, effective = state.macro, state.micro, state.effective
+        _, s, weight, fast, band = self._step_operators(dt)  # assembled before U is held
         left, right = wall_gradients(effective, ops.dx)
         walls, traces, wall_sums = self._wall_totals, self._wall_traces, self._wall_sums
 
-        s = (eps / dt) * eps
         if ops._blocks == 1:  # x-uniform: the products of GridOperators._step_matrices
-            m = ops._step_matrices(s, eps)  # assembled before U is held
             u = np.empty((n + 2, ops.ny + 1))  # [G | F], ghost rows 2*wall - the first
             u[1:-1, :-1], u[1:-1, -1] = micro, macro
             np.negative(u[1 : n + 1 : n - 1], out=u[:: n + 1])
             u[:: n + 1, :-1] += walls * [[left], [right]]
-            out = dgemm(1.0, u[:n].T, m[0], 0.0, None, 1)  # trans_a = 1: contiguous operands
+            out = dgemm(1.0, u[:n].T, fast[0], 0.0, None, 1)  # trans_a = 1: contiguous operands
             for k in (1, 2):  # beta = 1, overwrite_c = 1
-                dgemm(1.0, u[k : k + n].T, m[k], 1.0, out, 1, 0, 1)
-            out[:: n - 1] += np.dot(np.dot((1.0, -3.0, 3.0, -1.0), (u[:4], u[-4:])), m[3])
-            del u  # off the peak of the band and the guards
+                dgemm(1.0, u[k : k + n].T, fast[k], 1.0, out, 1, 0, 1)
+            out[:: n - 1] += np.dot(np.dot((1.0, -3.0, 3.0, -1.0), (u[:4], u[-4:])), fast[3])
+            del u  # off the peak of the slow update and the guards
             micro_new, first_sums, sums = out[:, :-2], out[:, -1], ops._jumps(out[:, -2])
         else:
             # 4*dx*dy times the coupling terms, less their slice means by a rank-one update:
@@ -364,29 +378,28 @@ class MicroMacroSolver:
             dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
             coupled *= eps / (4.0 * ops.dx * ops.dy)
             daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
-            micro_new = ops.solve_bordered(coupled, s)
-            del coupled  # keeps the first step's assembly of the effective band off the peak
+            micro_new = fast(coupled)  # in place
             sums = ops._jumps(micro_new)
             sums = np.dot(np.multiply(sums, ops.tables.x_interfaces, out=sums), ops._ones)
 
-        # the band applies (1 - w) K + w A, A the flux part of K, to [wall, F, wall] and
-        # K to [0, E, 0] at once; the x-flux y-sums of G' give the rest
+        # band products: (1 - w) K + w A, A the flux part of K, on [wall, F, wall] and K on
+        # [0, E, 0]; the x-flux y-sums of G' give the rest
         pair = np.zeros((2, n + 2))
         pair[0, 1:-1], pair[1, 1:-1] = macro, effective
         pair[0, 0], pair[0, -1] = left * traces[0], right * traces[1]
         sums[0] -= left * wall_sums[0]
         sums[-1] += right * wall_sums[1]
-        weight = math.exp(-(dt / eps) / eps)
-        ops._blend(weight)
         kick = dt * weight / eps / (4.0 * ops.dx * ops.dy * ops.ny)
-        out = np.zeros(2 * n + 2)  # F', a gap of two, E'
-        macro_new, effective_new = out[:n], out[n + 2 :]
+        out = np.zeros((2, n + 3))  # three zero rows: scipy's dgbmv takes no m < kl + ku + 1
+        macro_new, effective_new = out[:, :n]
         np.subtract(sums[1:], sums[:-1], out=macro_new)
         macro_new *= dt / (ops.ny * ops.dx**2)
         macro_new += macro
         daxpy(first_sums, macro_new, a=kick)  # a no-op for kick = 0
         effective_new[:] = effective
-        ops._effective_pair(pair.ravel(), dt, out)
+        # beta = 1 and overwrite_y = 1 by position: keywords cost f2py 1 us
+        dgbmv(n + 3, n + 2, 2, 4, dt, band, pair[0], 1, 0, 1.0, out[0], 1, 0, 0, 1)
+        dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, pair[1], 1, 0, 1.0, out[1], 1, 0, 0, 1)
 
         t_new = state.t + dt
         # the max of a field is non-finite exactly when some entry is
@@ -409,14 +422,14 @@ class MicroMacroSolver:
             last_dt = min(self.problem.t_end - (total - 1) * self.dt, self.dt)
         else:
             total = int(n_steps)
-            if total < 1:
-                raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+            if not 1 <= total <= 2**24:  # the horizon's cap
+                raise ConfigError(f"n_steps must be in 1 .. 2**24, got {n_steps}")
             last_dt = self.dt
 
         state = self.initial_state()
         for k in range(1, total + 1):
             state = self.step(state, dt=last_dt if k == total else None)
-        self.ops._stepper = (None, None, None)  # a finished run holds no step matrices (memory)
+        self._held = None  # a finished run holds no step operators (memory)
         return MicroMacroResult(  # copies free the buffers F and G share with other fields
             self.xmesh, self.ymesh, state.macro.copy(), np.ascontiguousarray(state.micro),
             total, self.dt, self.tables.hom,

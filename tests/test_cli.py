@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from apmm import harness
 from apmm.cli import main
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
+from apmm.operators import GridOperators
 from apmm.problem import benchmark_coefficient, parse_config, sample_coefficient
-from apmm.solvers import run_micro_macro
+from apmm.solvers import MicroMacroSolver, run_micro_macro
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -244,6 +246,32 @@ def test_converge_command(tmp_path, _run):
 
     assert _run(["converge", "--scheme", "hmm"], cwd=tmp_path).returncode == 2
     assert _run(["converge", "--scheme", "ref", "--levels", "2"], cwd=tmp_path).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["converge", "--scheme", "ref", "--levels", "17"],  # 2**21 reference cells
+        ["converge", "--scheme", "emm", "--levels", "2000"],  # 2**2002 did not fit a float
+        ["ap-study", "--steps", str(2**24 + 1)],  # any count was stepped
+    ],
+    ids=["converge-ref-levels", "converge-emm-levels", "ap-study-steps"],
+)
+def test_work_past_a_cap_exits_2_before_any_run(tmp_path, args, _run, monkeypatch):
+    def started(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    for owner, name in (
+        (harness, "run_reference"),
+        (harness, "run_micro_macro"),
+        (MicroMacroSolver, "step"),
+        (GridOperators, "apply_effective"),
+    ):
+        monkeypatch.setattr(owner, name, started)
+    proc = _run(args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_cell_command(tmp_path):

@@ -195,12 +195,15 @@ def test_ap_degeneracy_study_shrinks_with_epsilon(tmp_path):
 
 
 def test_ap_degeneracy_study_rejects_bad_step_count():
-    with pytest.raises(ConfigError):
-        ap_degeneracy_study(eps_values=(0.1,), n_steps=0)
+    for n_steps in (0, 2**24 + 1):
+        with pytest.raises(ConfigError, match="n_steps"):
+            ap_degeneracy_study(eps_values=(0.1,), n_steps=n_steps)
 
 
 def test_convergence_study_rejects_bad_inputs():
-    with pytest.raises(ConfigError, match="levels"):
-        convergence_study("ref", levels=2)
+    for scheme in ("ref", "emm"):
+        for levels in (2, 17):
+            with pytest.raises(ConfigError, match="levels"):
+                convergence_study(scheme, levels=levels)
     with pytest.raises(ConfigError, match="scheme"):
         convergence_study("hmm")

@@ -180,12 +180,12 @@ def test_shifted_solve_residual_and_mean(coeff):
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(r))
     assert np.max(np.abs(w.mean(axis=-1) - r.mean(axis=-1))) <= 1e-12
     for s in (0.0, 1e-300, 1.0, 1e8):
-        _check_bordered(ops, r, s)
+        _check_fast_solve(ops, r, s)
 
 
-def _check_bordered(ops, r, s):
+def _check_fast_solve(ops, r, s):
     """The fast solve is mean-free and solves (s*I - Ly) w = r - mean(r)."""
-    w = ops.solve_bordered(r, s)
+    w = ops._factor(s)(r.copy())  # the solve overwrites its rows
     assert np.max(np.abs(w.mean(axis=-1))) <= 1e-13 * np.max(np.abs(w))
     residual = s * w - ops.apply_y_diffusion(w) - remove_y_average(r)
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(r))
@@ -206,7 +206,7 @@ def test_solves_agree_across_slice_layouts():
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     # the shared block's dense R(s)^T against the per-slice factors, over the shifts' range
     for s in (0.0, 1e-300, 1e-3, 1.0, 1e8, 1e300):
-        a, b = _check_bordered(shared, r, s), _check_bordered(per_slice, r, s)
+        a, b = _check_fast_solve(shared, r, s), _check_fast_solve(per_slice, r, s)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     r0 = remove_y_average(r)
     a, b = shared.solve_y_diffusion(r0), per_slice.solve_y_diffusion(r0)

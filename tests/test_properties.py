@@ -109,7 +109,7 @@ def test_energy_does_not_increase(c0, p, q, r, phi, eps, t_end, dt_share, seed):
 
 def _checked_fast_solve(ops, rhs, s):
     """The fast solve's contract: mean-free w with (s*I - Ly) w = rhs - mean(rhs)."""
-    w = ops.solve_bordered(rhs, s)
+    w = ops._factor(s)(rhs.copy())  # the solve overwrites its rows
     residual = s * w - ops.apply_y_diffusion(w) - remove_y_average(rhs)
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(rhs))
     assert np.max(np.abs(y_average(w))) <= 1e-13 * np.max(np.abs(w))
@@ -164,7 +164,7 @@ def _step_by_public_operators(solver, state, dt):
     coupled = ops.apply_mixed_derivatives(combined, total_bc)
     coupled += eps * ops.apply_x_diffusion(combined, total_bc)
     s = (eps / dt) * eps
-    g_new = ops.solve_bordered(s * micro + eps * remove_y_average(coupled), s)
+    g_new = ops._factor(s)(s * micro + eps * remove_y_average(coupled))
     w = math.exp(-(dt / eps) / eps)
     f_new = (
         macro
@@ -217,6 +217,52 @@ def test_emm_step_matches_public_operators(
     expected = _step_by_public_operators(solver, state, dt)
     for got, want in zip((out.macro, out.micro, out.effective), expected):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    c0=st.floats(1.0, 2.0),
+    p=st.floats(-0.4, 0.4),
+    q=st.floats(-0.4, 0.4),
+    r=st.floats(-0.15, 0.15),
+    phi=st.floats(0.0, 1.0),
+    x_uniform=st.booleans(),
+    x0=st.floats(0.0, 1.0),
+    log_eps=st.floats(-300.0, 0.0),
+    bc_mode=st.sampled_from(BC_MODES),
+    nx=st.integers(4, 12),
+    half_ny=st.integers(2, 6),  # the cell mesh takes an even ny >= 4
+    full_steps=st.integers(1, 12),
+    last_share=st.floats(0.1, 0.9),
+)
+def test_emm_run_equals_its_steps(
+    c0, p, q, r, phi, x_uniform, x0, log_eps, bc_mode, nx, half_ny, full_steps, last_share
+):
+    # run() is a loop of step() bit for bit, whatever step operators the solver held
+    # before: its full steps, then a shortened last one
+    coeff = _coefficient(c0, p, q, r, phi)
+    if x_uniform:  # frozen at x0
+        coeff = dataclasses.replace(coeff, func=lambda x, y, a=coeff.func: a(x0 + 0.0 * x, y))
+    dt_factor = 0.9 / (2.0 * coeff.a_max)
+    dt = dt_factor * make_spatial_mesh(nx).dx ** 2
+    problem = ProblemSpec(
+        coefficient=coeff,
+        epsilon=10.0**log_eps,
+        initial=lambda x: np.sin(np.pi * x) + x * (1.0 - x),
+        t_end=(full_steps + last_share) * dt,
+        bc_mode=bc_mode,
+    )
+    solver = MicroMacroSolver(problem, nx, 2 * half_ny, dt_factor=dt_factor)
+    assert solver.tables.x_uniform or not x_uniform
+    solver.step(solver.initial_state(), dt=0.5 * dt)  # leaves another step size's operators
+    res = solver.run()
+    assert res.steps == full_steps + 1
+    state = solver.initial_state()
+    for _ in range(full_steps):
+        state = solver.step(state)
+    state = solver.step(state, dt=problem.t_end - full_steps * dt)
+    assert np.array_equal(res.final_macro, state.macro)
+    assert np.array_equal(res.final_micro, state.micro)
 
 
 def _stepped(u0, a_interfaces, dx, dt, t_end):

@@ -8,6 +8,7 @@ terms shows up even where the dynamics would hide it.
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -508,11 +509,11 @@ def test_emm_constant_coefficient_degenerates_to_euler():
         assert np.max(np.abs(state.macro - euler)) <= 1e-12
 
 
-@pytest.mark.parametrize("ny", [6, 10, 12])
+@pytest.mark.parametrize("ny", [6, 10, 12, 16])
 def test_emm_constant_coefficient_keeps_g_at_wall_rounding(ny):
-    # a constant a has corrector walls of rounding size only, so G stays at that size; F's
-    # coupling rows were constant up to an inexact slice mean at these ny, and the solve's
-    # rounding of them tripped the fast-average drift guard (exit 1 from `apmm run`)
+    # a constant a has no corrector, so G stays exactly 0. F's coupling rows were constant
+    # up to an inexact slice mean at these ny, and the solve's rounding of them tripped the
+    # fast-average drift guard (exit 1 from `apmm run`); the corrector was about 1e-16
     eps = 1e-3
     problem = ProblemSpec(
         coefficient=constant_coefficient(1.3),
@@ -520,8 +521,10 @@ def test_emm_constant_coefficient_keeps_g_at_wall_rounding(ny):
         initial=lambda x: np.sin(2 * np.pi * x),
         t_end=0.01,
     )
-    res = MicroMacroSolver(problem, 8, ny).run()
-    assert np.max(np.abs(res.final_micro)) <= 1e-15 * eps  # measured <= 4.4e-19 * eps
+    solver = MicroMacroSolver(problem, 8, ny)
+    assert np.max(np.abs(solver.tables.hom.chi)) == 0.0
+    assert np.max(np.abs(solver.tables.hom.chi_walls)) == 0.0
+    assert np.max(np.abs(solver.run().final_micro)) == 0.0
 
 
 def test_emm_single_step_ap_degeneracy():
@@ -662,13 +665,21 @@ def test_emm_numpy_epsilon_steps_without_warning():
 @pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
 def test_emm_fast_average_drift_trips_the_guard(monkeypatch, x_uniform):
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
-    if x_uniform:  # F's row of the cached M_1 gives every slice of G' the mean 1e-3 * F
-        s = (solver.epsilon / solver.dt) * solver.epsilon
-        solver.ops._step_matrices(s, solver.epsilon)[1, -1, :-2] += 1e-3
+    if x_uniform:  # F's row of M_1 gives every slice of G' the mean 1e-3 * F
+        build = solver.ops._step_matrices
+
+        def drifting_matrices(s, eps):
+            m = build(s, eps)
+            m[1, -1, :-2] += 1e-3
+            return m
+
+        monkeypatch.setattr(solver.ops, "_step_matrices", drifting_matrices)
     else:
         solver.ops = GridOperators(dataclasses.replace(solver.tables, x_uniform=False))
-        solve = solver.ops.solve_bordered
-        monkeypatch.setattr(solver.ops, "solve_bordered", lambda rhs, s: solve(rhs, s) + 1e-3)
+        factor = solver.ops._factor
+        monkeypatch.setattr(
+            solver.ops, "_factor", lambda s: lambda rows, solve=factor(s): solve(rows) + 1e-3
+        )
     with pytest.raises(StabilityError, match="fast-average drift"):
         solver.step(solver.initial_state())
 
@@ -694,36 +705,50 @@ def test_emm_step_count_and_overrides():
 
 
 @pytest.mark.parametrize("share", [0.0, -1.0, math.nan, math.inf, 10.0, 1e-306])
-def test_emm_step_rejects_bad_dt(share):
+def test_emm_step_rejects_bad_dt(share, monkeypatch):
     # 0 divided by zero, a negative dt failed in dpttrf, nan and inf only after
     # a full step's work, 10*dt ran past the stability bound, and a subnormal
     # dt overflowed s = (eps/dt)*eps
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
     state = solver.initial_state()
+
+    def built(*args):
+        raise AssertionError("a step operator was built")
+
+    for name in ("_factor", "_step_matrices", "_blended_band"):
+        monkeypatch.setattr(GridOperators, name, built)
     with pytest.raises(ValueError, match="dt must satisfy"):
         solver.step(state, dt=share * solver.dt)
-    assert solver.ops._factors == {}  # rejected before any work
+    assert solver._held is None  # rejected before any work
 
 
 def test_emm_run_keeps_small_caches():
-    # fast-solve factors for the run's full and shortened steps only, and one
-    # slow operator whatever dt is: the band of the effective pair
+    # the operators keep only what their tables give, written once; the solver holds the
+    # step operators of one step size at a time, and none once a run ends
     eps, t_end = 0.1, 0.01
     solver = MicroMacroSolver(benchmark_problem(eps, t_end=t_end), 16, 8)
-    res = solver.run()
-    last = t_end - (res.steps - 1) * solver.dt
-    assert 0.0 < last < solver.dt
-    ops = solver.ops
-    assert set(ops._factors) == {(eps / solver.dt) * eps, (eps / last) * eps}
-    assert [name for name, value in vars(ops).items() if isinstance(value, dict)] == ["_factors"]
-    band = ops._effective_band
-    solver.run(n_steps=2)
-    assert ops._effective_band is band and band.shape == (7, 2 * (16 + 2))
-    # a trajectory of 50 distinct step sizes keeps the full step's and one other
-    state = solver.initial_state()
-    for share in np.linspace(0.5, 1.0, 50, endpoint=False):
-        state = solver.step(state, dt=share * solver.dt)
-    assert len(ops._factors) <= 2 and (eps / solver.dt) * eps in ops._factors
+    for x_uniform in (True, False):  # the step's matrices, or the fast solve per slice
+        tables = dataclasses.replace(solver.tables, x_uniform=x_uniform)
+        solver.ops = ops = GridOperators(tables)
+        kept = dict(vars(ops))
+        arrays = {name: v.copy() for name, v in kept.items() if isinstance(v, np.ndarray)}
+        assert arrays["_effective_band"].shape == (7, 16 + 2)
+        res = solver.run()
+        assert 0.0 < t_end - (res.steps - 1) * solver.dt < solver.dt  # a shortened last step
+        assert solver._held is None
+        solver.run(n_steps=2)
+        assert solver._held is None
+        # 50 distinct step sizes: each step's operators are freed by the next
+        state, held = solver.initial_state(), None
+        for share in np.linspace(0.5, 1.0, 50, endpoint=False):
+            state = solver.step(state, dt=share * solver.dt)
+            assert solver._held[0] == share * solver.dt
+            assert held is None or held() is None
+            held = weakref.ref(solver._held[3])
+        assert vars(ops).keys() == kept.keys()
+        assert all(vars(ops)[name] is value for name, value in kept.items())
+        assert all(np.array_equal(kept[name], copy) for name, copy in arrays.items())
+        assert np.array_equal(ops._effective_band, GridOperators(tables)._effective_band)
 
 
 def test_emm_rejects_a_horizon_past_the_step_cap():
