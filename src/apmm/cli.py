@@ -125,7 +125,7 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     for rec in report.records:
         print(
             f"eps={rec.epsilon:g}: ref N={rec.n_ref}, max errors "
-            f"emm={rec.error_u_inf_emm:.3e} hmm={rec.error_u_inf_hmm:.3e} "
+            f"emm={rec.errors['u_emm'][0]:.3e} hmm={rec.errors['u_hmm'][0]:.3e} "
             f"-> {rec.csv_path}"
         )
     if report.summary_path is not None:

@@ -1,5 +1,9 @@
 """Experiment drivers: regime comparison, AP degeneracy, convergence orders.
 
+The regime comparison holds each regime as one ordered column table on the
+reference mesh: the curve CSV writes it, and ``RegimeRecord`` and
+``summary.csv`` hold error norms of its columns.
+
 Every CSV is written deterministically — fixed column order, floats rendered
 with 17 significant digits, ``\\n`` line endings, no timestamps — so identical
 configurations produce byte-identical files.  Wall-clock timings live only in
@@ -70,30 +74,21 @@ def reference_cells(epsilon: float, periods_per_oscillation: float = 20.0) -> in
 class RegimeRecord:
     """Errors of both coarse schemes against the reference for one epsilon.
 
-    All errors are absolute norms of the reconstructed fields on the
-    reference mesh; the *_du_* entries compare the numerical x-derivatives.
+    ``errors`` maps each curve-CSV column compared against the reference,
+    ``u_emm``, ``du_emm``, ``u_hmm`` and ``du_hmm``, to its absolute
+    (max, L2) norms on the reference mesh; the ``du_*`` entries compare the
+    numerical x-derivatives.  ``wall_times`` maps ``ref``, ``emm`` and
+    ``hmm`` to each run's seconds.
     """
 
     epsilon: float
     n_ref: int
-    error_u_inf_emm: float
-    error_u_l2_emm: float
-    error_du_inf_emm: float
-    error_du_l2_emm: float
-    error_u_inf_hmm: float
-    error_u_l2_hmm: float
-    error_du_inf_hmm: float
-    error_du_l2_hmm: float
-    wall_time_ref: float
-    wall_time_emm: float
-    wall_time_hmm: float
+    errors: dict[str, tuple[float, float]]
+    wall_times: dict[str, float]
     csv_path: str
 
     def __post_init__(self):
-        for name in ("u_emm", "du_emm", "u_hmm", "du_hmm"):
-            quantity, scheme = name.split("_")
-            l_inf = getattr(self, f"error_{quantity}_inf_{scheme}")
-            l2 = getattr(self, f"error_{quantity}_l2_{scheme}")
+        for l_inf, l2 in self.errors.values():
             if not (np.isfinite(l_inf) and np.isfinite(l2)):
                 raise ValueError("error norms must be finite")
             if l_inf < 0.0 or l2 < 0.0:
@@ -116,7 +111,6 @@ class RunReport:
         raise KeyError(f"no record for epsilon={epsilon}")
 
 
-_REGIME_COLUMNS = ["x", "u_ref", "u_emm", "u_hmm", "du_ref", "du_emm", "du_hmm"]
 _SUMMARY_COLUMNS = ["eps", "scheme", "error_u_inf", "error_u_l2", "error_du_inf", "error_du_l2"]
 
 
@@ -130,7 +124,7 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 def _write_summary(path: Path, records) -> None:
     rows = (
         [_fmt(rec.epsilon), scheme]
-        + [_fmt(getattr(rec, f"{column}_{scheme}")) for column in _SUMMARY_COLUMNS[2:]]
+        + [_fmt(norm) for quantity in ("u", "du") for norm in rec.errors[f"{quantity}_{scheme}"]]
         for rec in records
         for scheme in ("emm", "hmm")
     )
@@ -168,51 +162,33 @@ def regime_comparison(
 
         t0 = time.perf_counter()
         ref = run_reference(problem, n_ref)
-        wall_ref = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         emm = run_micro_macro(problem, 64, 16)
-        wall_emm = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
+        t2 = time.perf_counter()
         hmm = run_homogenized(problem, emm.hom)
-        wall_hmm = time.perf_counter() - t0
+        wall_times = {"ref": t1 - t0, "emm": t2 - t1, "hmm": time.perf_counter() - t2}
 
+        # the curve CSV's columns, in order; each du_* follows from its u_*
         fine = ref.mesh
-        u_ref = ref.final
-        u_emm = reconstruct_micro_macro(
-            emm.final_macro, emm.final_micro, eps, emm.xmesh, fine
-        )
-        u_hmm = reconstruct_homogenized(hmm.final, hmm.corrector, eps, hmm.mesh, fine)
-        du_ref = derivative_on_fine(u_ref, fine)
-        du_emm = derivative_on_fine(u_emm, fine)
-        du_hmm = derivative_on_fine(u_hmm, fine)
-
-        errors = {}
-        for scheme, u, du in (("emm", u_emm, du_emm), ("hmm", u_hmm, du_hmm)):
-            errors[f"error_u_inf_{scheme}"], errors[f"error_u_l2_{scheme}"] = error_norms(
-                u, u_ref, fine
-            )
-            errors[f"error_du_inf_{scheme}"], errors[f"error_du_l2_{scheme}"] = error_norms(
-                du, du_ref, fine
-            )
+        columns = {
+            "x": fine.centers,
+            "u_ref": ref.final,
+            "u_emm": reconstruct_micro_macro(
+                emm.final_macro, emm.final_micro, eps, emm.xmesh, fine
+            ),
+            "u_hmm": reconstruct_homogenized(hmm.final, hmm.corrector, eps, hmm.mesh, fine),
+        }
+        for name in ("u_ref", "u_emm", "u_hmm"):
+            columns[f"d{name}"] = derivative_on_fine(columns[name], fine)
+        errors = {
+            name: error_norms(columns[name], columns[f"{name.split('_')[0]}_ref"], fine)
+            for name in ("u_emm", "du_emm", "u_hmm", "du_hmm")
+        }
 
         csv_path = out / f"regime_eps_{eps:g}.csv"
-        columns = [fine.centers, u_ref, u_emm, u_hmm, du_ref, du_emm, du_hmm]
-        rows = ([_fmt(col[i]) for col in columns] for i in range(fine.n_cells))
-        _write_rows(csv_path, _REGIME_COLUMNS, rows)
-
-        records.append(
-            RegimeRecord(
-                epsilon=eps,
-                n_ref=n_ref,
-                **errors,
-                wall_time_ref=wall_ref,
-                wall_time_emm=wall_emm,
-                wall_time_hmm=wall_hmm,
-                csv_path=str(csv_path),
-            )
-        )
+        rows = ([_fmt(col[i]) for col in columns.values()] for i in range(fine.n_cells))
+        _write_rows(csv_path, list(columns), rows)
+        records.append(RegimeRecord(eps, n_ref, errors, wall_times, str(csv_path)))
         # rewrite after every regime so an abort keeps what finished
         _write_summary(summary_path, records)
 

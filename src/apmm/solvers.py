@@ -88,15 +88,20 @@ def _explicit_heat_loop(
     alternating with ``(1 + 2 gamma) I + gamma*B`` when a mode near -2 can keep
     a gain; Rayleigh-Ritz with ``B`` gives the pairs.  Gains that n - 1 times
     theta's rounding would blur take theta from the Rayleigh quotient over the
-    jumps of the Ritz vector instead, free of cancellation.
+    jumps of the Ritz vector instead, free of cancellation.  Overwrites u0.
     """
     if not np.all(np.isfinite(u0)):  # before numpy warns on inf - inf
         raise StabilityError("non-finite initial data")
     n_steps = _step_count(t_end, dt)
     last_ratio = (t_end - (n_steps - 1) * dt) / dt
+    peak = np.max(np.abs(u0))
+    if peak == 0.0:
+        return np.zeros(u0.shape[0]), n_steps
+    # f(B) is linear: evaluate it on u0 / 2**shift, whose max is in [1, 2), so that the
+    # norm neither overflows nor loses subnormal digits, and scale back exactly
+    shift = math.frexp(peak)[1] - 1
+    np.ldexp(u0, -shift, out=u0)  # in place: a copy would be alive at the basis' peak
     full, n, norm = n_steps - 1, u0.shape[0], dnrm2(u0)
-    if norm == 0.0:
-        return np.zeros(n), n_steps
     flux = (dt / dx**2) * a_interfaces
     diag = -(flux[:-1] + flux[1:])
     diag[[0, -1]] -= flux[[0, -1]]
@@ -177,6 +182,8 @@ def _explicit_heat_loop(
         vector = s[:, i] @ basis[:m]
         mu[k], along[k] = weights @ jumps_of(vector) ** 2, vector @ u0
     final = (s[:, kept] @ (gains(mu) * along)) @ basis[:m]
+    with np.errstate(over="ignore"):  # reported below
+        np.ldexp(final, shift, out=final)
     if not np.all(np.isfinite(final)):
         raise StabilityError(f"non-finite field at the final step (t={t_end:.6g})")
     return final, n_steps
@@ -205,7 +212,7 @@ def run_reference(
     x_if = mesh.interfaces
     a_if = np.asarray(a(x_if, fast_coordinate(x_if, problem.epsilon)), dtype=float)
     dt = dt_factor * mesh.dx**2
-    u0 = np.asarray(problem.initial(mesh.centers), dtype=float)
+    u0 = np.array(problem.initial(mesh.centers), dtype=float)  # overwritten by the loop
     final, steps = _explicit_heat_loop(u0, a_if, mesh.dx, dt, problem.t_end)
     return MacroResult(mesh=mesh, final=final, steps=steps, dt=dt)
 
@@ -218,17 +225,18 @@ def run_homogenized(
     """Explicit run of the effective equation on hom's macro mesh.
 
     Returns the final macro field together with the first-order corrector
-    evaluated from it.
+    evaluated from it; a corrector that overflows is a StabilityError.
     """
     mesh = hom.xmesh
     _validate_dt_factor(dt_factor, problem.coefficient.a_max)
     dt = dt_factor * mesh.dx**2
-    u0 = np.asarray(problem.initial(mesh.centers), dtype=float)
+    u0 = np.array(problem.initial(mesh.centers), dtype=float)  # overwritten by the loop
     final, steps = _explicit_heat_loop(u0, hom.a0_interfaces, mesh.dx, dt, problem.t_end)
-    return HomogenizedResult(
-        mesh=mesh, final=final, steps=steps, dt=dt,
-        corrector=first_order_corrector(hom, final),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        corrector = first_order_corrector(hom, final)
+    if not np.all(np.isfinite(corrector)):
+        raise StabilityError("non-finite corrector: the final macro gradient overflows")
+    return HomogenizedResult(mesh=mesh, final=final, steps=steps, dt=dt, corrector=corrector)
 
 
 @dataclass

@@ -188,24 +188,25 @@ def test_a2_operator_battery():
 # --------------------------------------------------------------------- A3
 
 
+def _max_errors(report, eps, quantity):
+    """The (emm, hmm) max-norm errors of `quantity` ("u" or "du") at eps."""
+    errors = report.record_for(eps).errors
+    return errors[f"{quantity}_emm"][0], errors[f"{quantity}_hmm"][0]
+
+
 def test_a3a_splitting_beats_homogenized_at_order_one(regime_report):
     report, _ = regime_report
-    rec = report.record_for(1.0)
-    ok = rec.error_u_inf_emm <= rec.error_u_inf_hmm / 5.0
-    _report(
-        "A3a",
-        ok,
-        f"eps=1: emm {rec.error_u_inf_emm:.3e} <= hmm/5 = {rec.error_u_inf_hmm / 5:.3e}",
-    )
+    emm, hmm = _max_errors(report, 1.0, "u")
+    ok = emm <= hmm / 5.0
+    _report("A3a", ok, f"eps=1: emm {emm:.3e} <= hmm/5 = {hmm / 5:.3e}")
 
 
 def test_a3b_splitting_accuracy_across_regimes(regime_report):
     report, curves = regime_report
     rels = {}
     for eps in (1.0, 0.1):
-        rec = report.record_for(eps)
         scale = float(np.max(np.abs(curves[eps]["u_ref"])))
-        rels[eps] = rec.error_u_inf_emm / scale
+        rels[eps] = _max_errors(report, eps, "u")[0] / scale
     ok = all(r <= 5e-2 for r in rels.values())
     _report(
         "A3b",
@@ -218,10 +219,8 @@ def test_a3b_splitting_accuracy_across_regimes(regime_report):
 
 def test_a3c_both_schemes_accurate_in_scale_separated_regime(regime_report):
     report, curves = regime_report
-    rec = report.record_for(0.01)
     scale = float(np.max(np.abs(curves[0.01]["u_ref"])))
-    rel_emm = rec.error_u_inf_emm / scale
-    rel_hmm = rec.error_u_inf_hmm / scale
+    rel_emm, rel_hmm = (e / scale for e in _max_errors(report, 0.01, "u"))
     ok = rel_emm <= 5e-2 and rel_hmm <= 5e-2
     _report(
         "A3c",
@@ -232,18 +231,13 @@ def test_a3c_both_schemes_accurate_in_scale_separated_regime(regime_report):
 
 def test_a3d_derivative_errors_follow_same_ordering(regime_report):
     report, _ = regime_report
-    rec1 = report.record_for(1.0)
-    ok1 = rec1.error_du_inf_emm <= rec1.error_du_inf_hmm / 5.0
-    oks = [ok1]
-    details = [
-        f"eps=1: emm {rec1.error_du_inf_emm:.3e} <= hmm/5 = {rec1.error_du_inf_hmm / 5:.3e}"
-    ]
+    emm, hmm = _max_errors(report, 1.0, "du")
+    oks = [emm <= hmm / 5.0]
+    details = [f"eps=1: emm {emm:.3e} <= hmm/5 = {hmm / 5:.3e}"]
     for eps in (0.1, 0.01):
-        rec = report.record_for(eps)
-        oks.append(rec.error_du_inf_emm <= rec.error_du_inf_hmm)
-        details.append(
-            f"eps={eps:g}: emm {rec.error_du_inf_emm:.3e} <= hmm {rec.error_du_inf_hmm:.3e}"
-        )
+        emm, hmm = _max_errors(report, eps, "du")
+        oks.append(emm <= hmm)
+        details.append(f"eps={eps:g}: emm {emm:.3e} <= hmm {hmm:.3e}")
     _report("A3d", all(oks), "; ".join(details))
 
 

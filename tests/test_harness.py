@@ -64,24 +64,20 @@ def test_reference_cells_is_a_bounded_power_of_two():
             reference_cells(eps)
 
 
-def _record_kwargs(**overrides):
+def _record_kwargs(**errors):
     base = dict(
         epsilon=0.1,
         n_ref=1024,
-        error_u_inf_emm=1e-2,
-        error_u_l2_emm=5e-3,
-        error_du_inf_emm=2.0,
-        error_du_l2_emm=1.0,
-        error_u_inf_hmm=2e-2,
-        error_u_l2_hmm=1e-2,
-        error_du_inf_hmm=3.0,
-        error_du_l2_hmm=2.0,
-        wall_time_ref=1.0,
-        wall_time_emm=0.1,
-        wall_time_hmm=0.05,
+        errors={
+            "u_emm": (1e-2, 5e-3),
+            "du_emm": (2.0, 1.0),
+            "u_hmm": (2e-2, 1e-2),
+            "du_hmm": (3.0, 2.0),
+        },
+        wall_times={"ref": 1.0, "emm": 0.1, "hmm": 0.05},
         csv_path="regime_eps_0.1.csv",
     )
-    base.update(overrides)
+    base["errors"] = {**base["errors"], **errors}
     return base
 
 
@@ -90,11 +86,11 @@ def test_regime_record_accepts_consistent_norms():
     assert rec.epsilon == 0.1
     # the normalized L2 norm can never exceed the max norm on [0, 1]
     with pytest.raises(ValueError, match="exceeds"):
-        RegimeRecord(**_record_kwargs(error_u_l2_emm=2e-2))
+        RegimeRecord(**_record_kwargs(u_emm=(1e-2, 2e-2)))
     with pytest.raises(ValueError, match="nonnegative"):
-        RegimeRecord(**_record_kwargs(error_du_l2_hmm=-1.0))
+        RegimeRecord(**_record_kwargs(du_hmm=(3.0, -1.0)))
     with pytest.raises(ValueError, match="finite"):
-        RegimeRecord(**_record_kwargs(error_u_inf_hmm=math.nan))
+        RegimeRecord(**_record_kwargs(u_hmm=(math.nan, 1e-2)))
 
 
 def test_run_report_lookup():
@@ -178,8 +174,17 @@ def test_regime_comparison_record_matches_files(tmp_path):
     )
     rec = report.record_for(0.5)
     data = np.genfromtxt(rec.csv_path, delimiter=",", names=True)
-    err = np.max(np.abs(data["u_emm"] - data["u_ref"]))
-    assert err == pytest.approx(rec.error_u_inf_emm, rel=1e-12)
+    mesh = make_spatial_mesh(128)
+    assert sorted(rec.errors) == ["du_emm", "du_hmm", "u_emm", "u_hmm"]
+    for name, norms in rec.errors.items():
+        reference = data[name.split("_")[0] + "_ref"]
+        # the CSV's 17 significant digits round-trip every value exactly
+        assert norms == error_norms(data[name], reference, mesh), name
+    assert sorted(rec.wall_times) == ["emm", "hmm", "ref"]
+    assert all(t >= 0.0 for t in rec.wall_times.values())
+    for line in Path(report.summary_path).read_text().splitlines()[1:]:
+        _, scheme, *norms = line.split(",")
+        assert [float(v) for v in norms] == [*rec.errors[f"u_{scheme}"], *rec.errors[f"du_{scheme}"]]
 
 
 def test_ap_degeneracy_study_shrinks_with_epsilon(tmp_path):

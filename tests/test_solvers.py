@@ -12,7 +12,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpttrs, dstebz, dstein
 
@@ -35,6 +35,7 @@ from apmm.solvers import (
     MicroMacroSolver,
     MicroMacroState,
     StabilityError,
+    _explicit_heat_loop,
     run_homogenized,
     run_micro_macro,
     run_reference,
@@ -151,7 +152,8 @@ def _full_precision_reference(problem, n_cells, dt_factor):
     about 1e-16 / gap.  The windows reach 8 times past the kept modes, as
     those mix with their next neighbours too.  Windows of more than 256 modes
     keep ``dstein``'s pairs: their horizons are too short for either error to
-    show."""
+    show.  Like the program, it evaluates on the data scaled by the power of
+    two that puts their max in [1, 2), so subnormal data keep their digits."""
     mesh = make_spatial_mesh(n_cells)
     x_if = mesh.interfaces
     a_if = problem.coefficient(x_if, np.mod(x_if / problem.epsilon, 1.0))
@@ -165,6 +167,8 @@ def _full_precision_reference(problem, n_cells, dt_factor):
     weights = -r * np.r_[0.5 * a_if[0], a_if[1:-1], 0.5 * a_if[-1]]
     reach = min(8.0 * (1.0 - 1e-17 ** (1.0 / (n_steps - 1))), 1.0)
     u0 = problem.initial(mesh.centers)
+    shift = math.frexp(np.max(np.abs(u0)))[1] - 1
+    u0 = np.ldexp(u0, -shift)
     final = np.zeros(n_cells)
     for lower, upper in ((-reach, 1.0), (-3.0, reach - 2.0)):
         found, mu, block, split, info = dstebz(diag, off, 1, lower, upper, 0, 0, 0.0, b"B")
@@ -184,7 +188,7 @@ def _full_precision_reference(problem, n_cells, dt_factor):
                 gains = np.exp((n_steps - 1) * np.log1p(np.where(below, -2.0 - mu, mu)))
             gains *= np.where(below & (n_steps % 2 == 0), -1.0, 1.0) * (1.0 + last_ratio * mu)
             final += (gains * (u0 @ z)) @ z.T
-    return final
+    return np.ldexp(final, shift)
 
 
 def test_reference_at_a_long_horizon_matches_full_precision_modes(monkeypatch):
@@ -229,6 +233,10 @@ def test_reference_at_a_very_long_horizon_matches_full_precision_modes():
     dt_share=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
     sines=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
     box=st.floats(0.0, 1.0),
+)
+@example(  # subnormal data: 4 ulps off before its scaled evaluation, against a bound of 5
+    c0=1.0, p=0.0, r=0.0, eps=1.0, n=128, log_steps=1.0, last_share=1.0, dt_share=1.0,
+    sines=[0.0], box=2.2250738585e-313,
 )
 def test_reference_matches_full_precision_modes(
     c0, p, r, eps, n, log_steps, last_share, dt_share, sines, box
@@ -286,16 +294,45 @@ def test_reference_rejects_unstable_dt():
         run_reference(_heat_problem(), 64, dt_factor=0.0)
 
 
-def test_reference_detects_blowup():
-    problem = ProblemSpec(
-        coefficient=constant_coefficient(1.0),
-        epsilon=1.0,
-        initial=lambda x: np.where((x > 0.4) & (x < 0.6), np.nan, np.sin(np.pi * x)),
-        bc_mode="dirichlet_homogeneous",
-        t_end=1e-4,
+def _huge_problem(amplitude, coefficient=None):
+    # wall-compatible data, zero at the walls, of a size near the largest double
+    return ProblemSpec(
+        coefficient=benchmark_problem(0.1).coefficient if coefficient is None else coefficient,
+        epsilon=0.1,
+        initial=lambda x: np.where((x > 0) & (x < 1), amplitude, 0.0) * np.sin(np.pi * x),
+        t_end=0.01,
     )
-    with pytest.raises(StabilityError):
-        run_reference(problem, 16, dt_factor=0.05)
+
+
+# numpy's overflow and inf - inf warnings come before the guards; the suite makes them errors
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reference_detects_blowup():
+    # a validated dt keeps the reference bounded by its data, so its final-state guard is
+    # reached by the shared evaluation at 4 times the stability bound: a box excites modes
+    # with |1 + mu| up to 7, which overflow within 1280 steps
+    mesh = make_spatial_mesh(16)
+    u0 = 1.0 * ((mesh.centers > 0.3) & (mesh.centers < 0.6))
+    with pytest.raises(StabilityError, match="non-finite field at the final step"):
+        _explicit_heat_loop(u0, np.ones(17), mesh.dx, 2.0 * mesh.dx**2, 10.0)
+
+
+def test_huge_data_scale_exactly():
+    # |g|_2 overflows past about 1e307 on 256 cells; the runs evaluate on g scaled
+    # by a power of two, so they are the 1e307 runs scaled
+    hom = sample_coefficient(
+        benchmark_problem(0.1).coefficient, make_spatial_mesh(64), make_cell_mesh(16)
+    ).hom
+    base_ref = run_reference(_huge_problem(1e307), 256).final
+    base_hmm = run_homogenized(_huge_problem(1e307), hom).final
+    for amplitude in (5e307, 1.7e308):
+        ref = run_reference(_huge_problem(amplitude), 256).final
+        expected = base_ref * (amplitude / 1e307)
+        assert np.max(np.abs(ref - expected)) <= 1e-13 * np.max(np.abs(expected))  # 2.2e-14
+    hmm = run_homogenized(_huge_problem(5e307), hom)
+    assert np.max(np.abs(hmm.final - 5.0 * base_hmm)) <= 1e-13 * np.max(np.abs(hmm.final))
+    # at 1.7e308 the final field is finite, but its gradient, about 5e308, is not
+    with pytest.raises(StabilityError, match="non-finite corrector"):
+        run_homogenized(_huge_problem(1.7e308), hom)
 
 
 def test_reference_rejects_inf_initial_data():
@@ -770,16 +807,15 @@ def test_emm_rejects_unstable_dt():
         MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8, dt_factor=-0.2)
 
 
+# numpy's overflow warning comes before the step's guard; the suite makes it an error
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_emm_detects_blowup():
-    problem = ProblemSpec(
-        coefficient=benchmark_problem(0.1).coefficient,
-        epsilon=0.1,
-        initial=lambda x: np.where((x > 0.4) & (x < 0.6), np.nan, np.sin(2 * np.pi * x)),
-        t_end=0.01,
-    )
-    solver = MicroMacroSolver(problem, 16, 8)
-    with pytest.raises(StabilityError):
-        solver.step(solver.initial_state())
+    # finite data near the largest double overflow in the first step, on both slice layouts
+    for coefficient in (None, X_DEPENDENT):
+        solver = MicroMacroSolver(_huge_problem(1e308, coefficient), 16, 8)
+        assert solver.ops._blocks == (1 if coefficient is None else 16)
+        with pytest.raises(StabilityError, match="non-finite field at step 1 "):
+            solver.step(solver.initial_state())
 
 
 def test_emm_rejects_inf_initial_data():
