@@ -27,12 +27,14 @@ def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise ValueError("macro_gradient needs a 1-D array with at least 3 entries")
-    return _x_gradient(v, dx)
+    out = _x_differences(v)
+    out /= 2.0 * dx
+    return out
 
 
-def _x_gradient(v: FloatArray, dx: float) -> FloatArray:
-    """:func:`macro_gradient` along axis 0, unchecked; also used on (nx, ny).  Both one-sided
-    rows at once: ``-3 v0 + 4 v1 - v2 = 4 (v1 - v0) - (v2 - v0)``, and its mirror image."""
+def _x_differences(v: FloatArray) -> FloatArray:
+    """``2*dx`` times :func:`macro_gradient` on axis 0, unchecked, also of (nx, ny); both
+    one-sided rows at once: ``-3 v0 + 4 v1 - v2 = 4 (v1 - v0) - (v2 - v0)``, and mirrored."""
     n = v.shape[0]
     out = np.empty_like(v)
     np.subtract(v[2:], v[:-2], out=out[1:-1])
@@ -40,7 +42,6 @@ def _x_gradient(v: FloatArray, dx: float) -> FloatArray:
     np.subtract(v[1 :: n - 2], v[: n - 1 : n - 2], out=ends)
     ends *= 4.0
     ends -= out[1 : n - 1 : max(n - 3, 1)]
-    out /= 2.0 * dx
     return out
 
 

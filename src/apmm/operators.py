@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .homogenization import _x_gradient
+from .homogenization import _x_differences
 from .mesh import FloatArray
 from .problem import CoefficientTables
 
@@ -79,6 +79,10 @@ class GridOperators:
         self._x_sums = np.add.reduce(tables.x_interfaces, axis=-1)  # y-sums of x-interface a,
         self._x_sums[:: self.nx] *= 2.0  # the wall rows doubled by the ghost rule
         self._effective_band = self._assemble_effective()
+        if self._blocks == 1:  # dsbmv storage (k = 1) of the differences of :meth:`_jumps`
+            self._jump_diffs = np.ones((2, self.nx), order="F")
+            self._jump_diffs[1] = -2.0
+            self._jump_diffs[1, :: self.nx - 1] = -3.0  # the corners
 
     # -- helpers ------------------------------------------------------------
 
@@ -120,7 +124,7 @@ class GridOperators:
     def _mixed(self, p: FloatArray) -> tuple[FloatArray, FloatArray]:
         """``4*dx*dy`` times the mixed block of a padded field, and the y-sums of its
         first term, those of the whole block (the second term's telescope to zero)."""
-        out = _x_gradient(self._centre_y_flux(p), 0.5)  # 2*dx times the gradient
+        out = _x_differences(self._centre_y_flux(p))  # 2*dx times the gradient
         first_sums = np.dot(out, self._ones)
         half = np.empty_like(p)  # 2 * u at the half-nodes j + 1/2
         f, h = p.ravel(), half.ravel()
@@ -322,10 +326,11 @@ class GridOperators:
         block[3, 1:-1] -= a[:-1] + a[1:]
         block[2, 2:] += a[1:]
 
-    def _blended_band(self, weight: float) -> FloatArray:
-        """``dgbmv`` storage of ``(1 - w) K + w A`` for the stiffness weight ``w``."""
-        band = np.multiply(self._effective_band, 1.0 - weight, order="F")
-        self._add_flux(band, weight)
+    def _blended_band(self, weight: float, dt: float) -> FloatArray:
+        """``dgbmv`` storage of ``I + dt*((1 - w) K + w A)`` for the stiffness weight ``w``."""
+        band = np.multiply(self._effective_band, dt * (1.0 - weight), order="F")
+        self._add_flux(band, dt * weight)
+        band[3, 1:-1] += 1.0
         return band
 
     def apply_effective(self, macro: FloatArray, bc=None) -> FloatArray:

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgbmv, dgemm, dger, dnrm2
+from scipy.linalg.blas import daxpy, dgbmv, dgemm, dger, dnrm2, dsbmv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import first_order_corrector, wall_gradients
@@ -38,6 +38,7 @@ from .reconstruct import fast_coordinate, trig_interpolate
 _MEAN_DRIFT_TOL = 1e-11
 _MODE_TOL = 1e-17  # modes whose gain over the full steps is below this are dropped
 _KRYLOV_TOL = 1e-11  # settling tolerance of the projection, a share of the final state's norm
+_THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0])  # an array: a tuple costs numpy 3 us
 
 
 class StabilityError(RuntimeError):
@@ -184,6 +185,8 @@ def _explicit_heat_loop(
     final = (s[:, kept] @ (gains(mu) * along)) @ basis[:m]
     with np.errstate(over="ignore"):  # reported below
         np.ldexp(final, shift, out=final)
+    # a validated dt makes each step a max-norm contraction, but the projection's rounding
+    # (up to about 7e-11 of max|u0| measured) overflows data at the largest double
     if not np.all(np.isfinite(final)):
         raise StabilityError(f"non-finite field at the final step (t={t_end:.6g})")
     return final, n_steps
@@ -287,13 +290,14 @@ class MicroMacroSolver:
     effective operator ``K`` with the plain averaged diffusion through the
     stiffness weight ``w = exp(-dt/epsilon**2)``, which underflows to zero in
     the strongly oscillatory regime, exactly as the splitting is designed to do.
-    A band assembled per step size applies ``(1 - w) K + w A``, ``A`` that plain
-    diffusion, to F, and the band of ``K`` steps the companion field (the effective
-    equation's run that supplies the wall corrector data); ``G'`` enters by its
-    y-summed x-fluxes.  With an x-uniform coefficient the coupling terms, the fast solve and
-    those sums are three products of the padded ``[G | F]`` with the step's matrices; else
-    the coupling terms read flat slices of one padded buffer.  Over 2**24 steps is a
-    ConfigError.
+    ``F'`` is one band product per step, of ``I + dt*((1 - w) K + w A)`` (``A`` that plain
+    diffusion) with the wall data folded in, on ``[left, F, right]`` (the wall gradients of the
+    companion, the effective equation's run), onto ``alpha*dJ + kick*S``: ``dJ`` the
+    differences of G's y-summed x-fluxes, ``S`` the mixed block's first-term y-sums and ``kick``
+    their weight; dt*K steps the companion.  With an x-uniform coefficient the coupling terms,
+    the fast solve, S and the flux sums are three products of the padded ``[G | F]`` with the
+    step's matrices; else the coupling terms read flat slices of one padded buffer.  ``run``
+    enters numpy's error state once, ``step`` per call.  Over 2**24 steps is a ConfigError.
     """
 
     def __init__(
@@ -346,68 +350,71 @@ class MicroMacroSolver:
         return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
     def _step_operators(self, dt: float):
-        """``(dt, s, w, fast, band)`` for dt, built when dt changes: the shift ``s``, the
-        stiffness weight ``w``, the x-uniform step's matrices or else the fast solve, and
-        the band of ``(1 - w) K + w A`` (see ``GridOperators._blended_band``)."""
+        """``(dt, s, kick, fast, band, alpha)`` for dt, built when dt changes: the shift, the
+        x-uniform step's matrices or else the fast solve, and the band of ``I + dt*((1 - w) K +
+        w A)``, wall columns times the wall traces, plus ``alpha`` G's wall sums (see the class)."""
         if self._held is None or self._held[0] != dt:
             self._held = None  # not held through the next assembly
             eps, ops = self.epsilon, self.ops
             s, weight = (eps / dt) * eps, math.exp(-(dt / eps) / eps)
             fast = ops._step_matrices(s, eps) if ops._blocks == 1 else ops._factor(s)
-            self._held = (dt, s, weight, fast, ops._blended_band(weight))
+            band, alpha = ops._blended_band(weight, dt), dt / (ops.ny * ops.dx**2)
+            band[:, :: ops.nx + 1] *= self._wall_traces
+            band[4, 0] += alpha * self._wall_sums[0]
+            band[2, -1] += alpha * self._wall_sums[1]
+            kick = dt * weight / eps / (4.0 * ops.dx * ops.dy * ops.ny)
+            self._held = (dt, s, kick, fast, band, alpha)
         return self._held
 
     def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:
         """Advance one level (by a normal 0 < dt <= self.dt): fast solve, then slow update."""
-        dt = self.dt if dt is None else float(dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # the guards report non-finite fields
+            return self._advance(state, self.dt if dt is None else float(dt))
+
+    def _advance(self, state: MicroMacroState, dt: float) -> MicroMacroState:
         if not sys.float_info.min <= dt <= self.dt:  # also false for nan
             raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g} and be normal, got {dt}")
         eps, ops, n = self.epsilon, self.ops, self.ops.nx
         macro, micro, effective = state.macro, state.micro, state.effective
-        _, s, weight, fast, band = self._step_operators(dt)  # assembled before U is held
+        _, s, kick, fast, band, alpha = self._step_operators(dt)  # assembled before U is held
         left, right = wall_gradients(effective, ops.dx)
-        walls, traces, wall_sums = self._wall_totals, self._wall_traces, self._wall_sums
 
         if ops._blocks == 1:  # x-uniform: the products of GridOperators._step_matrices
             u = np.empty((n + 2, ops.ny + 1))  # [G | F], ghost rows 2*wall - the first
             u[1:-1, :-1], u[1:-1, -1] = micro, macro
             np.negative(u[1 : n + 1 : n - 1], out=u[:: n + 1])
-            u[:: n + 1, :-1] += walls * [[left], [right]]
-            out = dgemm(1.0, u[:n].T, fast[0], 0.0, None, 1)  # trans_a = 1: contiguous operands
+            daxpy(self._wall_totals[0], u[0, :-1], ops.ny, left)  # in place; n, a by position
+            daxpy(self._wall_totals[1], u[-1, :-1], ops.ny, right)
+            g = dgemm(1.0, u[:n].T, fast[0], 0.0, None, 1)  # trans_a = 1: contiguous operands
             for k in (1, 2):  # beta = 1, overwrite_c = 1
-                dgemm(1.0, u[k : k + n].T, fast[k], 1.0, out, 1, 0, 1)
-            out[:: n - 1] += np.dot(np.dot((1.0, -3.0, 3.0, -1.0), (u[:4], u[-4:])), fast[3])
+                dgemm(1.0, u[k : k + n].T, fast[k], 1.0, g, 1, 0, 1)
+            g[:: n - 1] += np.dot(np.dot(_THIRD_DIFFERENCE, (u[:4], u[-4:])), fast[3])
             del u  # off the peak of the slow update and the guards
-            micro_new, first_sums, sums = out[:, :-2], out[:, -1], ops._jumps(out[:, -2])
+            micro_new, out = g[:, :-2], np.zeros((2, n + 3))  # out: F' and E', see below
+            out[0, :n] = g[:, -1]
+            # alpha*dJ + kick*S; beta and overwrite_y = 1 by position: keywords cost f2py 1 us
+            dsbmv(1, alpha, ops._jump_diffs, g[:, -2], 1, 0, kick, out[0], 1, 0, 0, 1)
         else:
             # 4*dx*dy times the coupling terms, less their slice means by a rank-one update:
             # the fast solve removes them only to rounding, and G' of a y-independent one must be 0
-            coupled, first_sums = ops._coupling(macro, micro, walls, (left, right), eps)
+            coupled, first_sums = ops._coupling(macro, micro, self._wall_totals, (left, right), eps)
             dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
             coupled *= eps / (4.0 * ops.dx * ops.dy)
             daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
             micro_new = fast(coupled)  # in place
             sums = ops._jumps(micro_new)
             sums = np.dot(np.multiply(sums, ops.tables.x_interfaces, out=sums), ops._ones)
+            out = np.zeros((2, n + 3))
+            daxpy(np.diff(sums), out[0], a=alpha)  # alpha*dJ + kick*S
+            daxpy(first_sums, out[0], a=kick)  # a no-op for kick = 0
 
-        # band products: (1 - w) K + w A, A the flux part of K, on [wall, F, wall] and K on
-        # [0, E, 0]; the x-flux y-sums of G' give the rest
-        pair = np.zeros((2, n + 2))
-        pair[0, 1:-1], pair[1, 1:-1] = macro, effective
-        pair[0, 0], pair[0, -1] = left * traces[0], right * traces[1]
-        sums[0] -= left * wall_sums[0]
-        sums[-1] += right * wall_sums[1]
-        kick = dt * weight / eps / (4.0 * ops.dx * ops.dy * ops.ny)
-        out = np.zeros((2, n + 3))  # three zero rows: scipy's dgbmv takes no m < kl + ku + 1
-        macro_new, effective_new = out[:, :n]
-        np.subtract(sums[1:], sums[:-1], out=macro_new)
-        macro_new *= dt / (ops.ny * ops.dx**2)
-        macro_new += macro
-        daxpy(first_sums, macro_new, a=kick)  # a no-op for kick = 0
-        effective_new[:] = effective
-        # beta = 1 and overwrite_y = 1 by position: keywords cost f2py 1 us
-        dgbmv(n + 3, n + 2, 2, 4, dt, band, pair[0], 1, 0, 1.0, out[0], 1, 0, 0, 1)
-        dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, pair[1], 1, 0, 1.0, out[1], 1, 0, 0, 1)
+        out[1, :n] = effective  # rows n .. n+2 stay 0: scipy's dgbmv takes no m < kl + ku + 1
+        x = np.zeros((2, n + 2))  # [left, F, right] for the held band, [0, E, 0] for K
+        x[0, 1:-1], x[1, 1:-1] = macro, effective
+        x[0, 0], x[0, -1] = left, right
+        dgbmv(n + 3, n + 2, 2, 4, 1.0, band, x[0], 1, 0, 1.0, out[0], 1, 0, 0, 1)
+        dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, x[1], 1, 0, 1.0, out[1], 1, 0, 0, 1)
+        macro_new, effective_new = out[0, :n], out[1, :n]  # basic slices: unpacking costs 1 us
 
         t_new = state.t + dt
         # the max of a field is non-finite exactly when some entry is
@@ -435,8 +442,9 @@ class MicroMacroSolver:
             last_dt = self.dt
 
         state = self.initial_state()
-        for k in range(1, total + 1):
-            state = self.step(state, dt=last_dt if k == total else None)
+        with np.errstate(over="ignore", invalid="ignore"):  # entered once: it costs 2 us
+            for k in range(1, total + 1):
+                state = self._advance(state, last_dt if k == total else self.dt)
         self._held = None  # a finished run holds no step operators (memory)
         return MicroMacroResult(  # copies free the buffers F and G share with other fields
             self.xmesh, self.ymesh, state.macro.copy(), np.ascontiguousarray(state.micro),

@@ -316,6 +316,17 @@ def test_reference_detects_blowup():
         _explicit_heat_loop(u0, np.ones(17), mesh.dx, 2.0 * mesh.dx**2, 10.0)
 
 
+def test_reference_overflow_trips_the_final_state_guard(monkeypatch):
+    # the final-state guard, reached from run_reference: a projection whose Ritz vectors are
+    # stretched grows data near the largest double past it as they are scaled back
+    problem = dataclasses.replace(_huge_problem(1e308), t_end=1e-5)
+    assert np.all(np.isfinite(run_reference(problem, 256).final))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda t, s: (t, 1.5 * s))(*eigh(a)))
+    with pytest.raises(StabilityError, match="non-finite field at the final step"):
+        run_reference(problem, 256)
+
+
 def test_huge_data_scale_exactly():
     # |g|_2 overflows past about 1e307 on 256 cells; the runs evaluate on g scaled
     # by a power of two, so they are the 1e307 runs scaled
@@ -441,14 +452,10 @@ def test_emm_set_up_samples_the_coefficient_once(monkeypatch):
     assert calls["corrector"] == 2
 
 
-def test_emm_one_step_matches_update_formula():
-    """Transcribe the split update once by hand and demand bitwise agreement."""
-    eps = 0.7
-    solver = MicroMacroSolver(benchmark_problem(eps, t_end=1.0), 32, 16)
-    state = solver.step(solver.initial_state())  # nonzero micro going in
-    out = solver.step(state)
-
-    ops, dt = solver.ops, solver.dt
+def _split_update(solver, state, dt):
+    """The split update by one dt, transcribed by hand from the public operators: the
+    micro, macro and companion fields."""
+    eps, ops = solver.epsilon, solver.ops
     macro, micro = state.macro, state.micro
     macro_bc, micro_bc = solver.boundary_data(state.effective)
     total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
@@ -466,8 +473,20 @@ def test_emm_one_step_matches_update_formula():
         + (dt * w / eps) * y_average(ops.apply_mixed_derivatives(micro, micro_bc))
         + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
     )
+    return g_new, f_new, state.effective + dt * ops.apply_effective(state.effective)
+
+
+def test_emm_one_step_matches_update_formula():
+    """Transcribe the split update once by hand and demand bitwise agreement."""
+    eps = 0.7
+    solver = MicroMacroSolver(benchmark_problem(eps, t_end=1.0), 32, 16)
+    state = solver.step(solver.initial_state())  # nonzero micro going in
+    out = solver.step(state)
+
+    g_new, f_new, e_new = _split_update(solver, state, solver.dt)
     assert np.max(np.abs(out.micro - g_new)) <= 1e-13
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
+    assert np.max(np.abs(out.effective - e_new)) <= 1e-13
 
 
 def test_emm_one_step_matches_update_formula_xdep():
@@ -480,27 +499,54 @@ def test_emm_one_step_matches_update_formula_xdep():
     state = solver.step(solver.initial_state())  # nonzero micro going in
     out = solver.step(state)
 
-    ops, dt = solver.ops, solver.dt
-    macro, micro = state.macro, state.micro
-    macro_bc, micro_bc = solver.boundary_data(state.effective)
-    total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
-    combined = macro[:, None] + micro
-    coupled = ops.apply_mixed_derivatives(combined, total_bc)
-    coupled += eps * ops.apply_x_diffusion(combined, total_bc)
-    g_new = remove_y_average(
-        ops.solve_shifted(micro + (dt / eps) * remove_y_average(coupled), dt / eps**2)
-    )
-    w = math.exp(-dt / eps**2)
-    assert 0.0 < w < 1.0
-    f_new = (
-        macro
-        + dt * (1.0 - w) * ops.apply_effective(macro, macro_bc)
-        + dt * w * y_average(ops.apply_x_diffusion(macro, macro_bc))
-        + (dt * w / eps) * y_average(ops.apply_mixed_derivatives(micro, micro_bc))
-        + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
-    )
+    assert 0.0 < math.exp(-solver.dt / eps**2) < 1.0
+    g_new, f_new, e_new = _split_update(solver, state, solver.dt)
     assert np.max(np.abs(out.micro - g_new)) <= 1e-13
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
+    assert np.max(np.abs(out.effective - e_new)) <= 1e-13
+
+
+# sin(4 pi y) breaks the symmetry about y = 1/4 that makes the wall sums of a*chi vanish
+SKEWED = DiffusionField(
+    func=lambda x, y: 1.3 + 0.5 * np.sin(2.0 * np.pi * y) + 0.3 * np.sin(4.0 * np.pi * y),
+    a_min=0.1,
+    a_max=2.5,
+)
+SKEWED_X = DiffusionField(
+    func=lambda x, y: SKEWED.func(x, y) + 0.3 * np.sin(np.pi * x) * np.cos(2.0 * np.pi * y),
+    a_min=0.1,
+    a_max=2.5,
+)
+
+
+@pytest.mark.parametrize("coeff", [SKEWED, SKEWED_X], ids=["x_uniform", "x_dependent"])
+@pytest.mark.parametrize(
+    "bc_mode, share",
+    [
+        pytest.param("dirichlet_homogeneous", 1.0, id="homogeneous"),
+        pytest.param("dirichlet_corrector", 0.37, id="corrector-shortened"),
+        pytest.param("dirichlet_homogeneous", 0.37, id="homogeneous-shortened"),
+    ],
+)
+def test_emm_one_step_matches_update_formula_cases(coeff, bc_mode, share):
+    # the step holds one band per step size with the wall data folded in: G's wall sums
+    # (of a*chi, nonzero here), zero wall traces and sums with homogeneous walls, and a dt
+    # other than the full one
+    eps = 0.3
+    problem = dataclasses.replace(benchmark_problem(eps, 1.0, bc_mode), coefficient=coeff)
+    solver = MicroMacroSolver(problem, 32, 8)
+    assert solver.tables.x_uniform == (coeff is SKEWED)
+    corrector = bc_mode == "dirichlet_corrector"
+    assert (np.min(np.abs(solver._wall_sums)) > 1e-3) == corrector
+    state = solver.step(solver.initial_state())  # nonzero micro going in
+    assert np.max(np.abs(state.micro)) > 0.0
+    dt = share * solver.dt
+    out = solver.step(state, dt)
+
+    g_new, f_new, e_new = _split_update(solver, state, dt)
+    assert np.max(np.abs(out.micro - g_new)) <= 1e-13
+    assert np.max(np.abs(out.macro - f_new)) <= 1e-13
+    assert np.max(np.abs(out.effective - e_new)) <= 1e-13
 
 
 def test_emm_underflow_regime_reduces_exactly():
@@ -527,6 +573,8 @@ def test_emm_underflow_regime_reduces_exactly():
         + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
     )
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
+    e_new = state.effective + dt * ops.apply_effective(state.effective)
+    assert np.max(np.abs(out.effective - e_new)) <= 1e-13
 
 
 def test_emm_constant_coefficient_degenerates_to_euler():
@@ -807,15 +855,19 @@ def test_emm_rejects_unstable_dt():
         MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8, dt_factor=-0.2)
 
 
-# numpy's overflow warning comes before the step's guard; the suite makes it an error
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_emm_detects_blowup():
-    # finite data near the largest double overflow in the first step, on both slice layouts
+    # finite data near the largest double overflow in the first step, on both slice layouts,
+    # from step() and run(): numpy warns of none of it, so under the suite's error filter the
+    # step's own guard reports it, and the caller's error state is restored
+    errors = np.geterr()
     for coefficient in (None, X_DEPENDENT):
         solver = MicroMacroSolver(_huge_problem(1e308, coefficient), 16, 8)
         assert solver.ops._blocks == (1 if coefficient is None else 16)
         with pytest.raises(StabilityError, match="non-finite field at step 1 "):
             solver.step(solver.initial_state())
+        with pytest.raises(StabilityError, match="non-finite field at step 1 "):
+            solver.run()
+        assert np.geterr() == errors
 
 
 def test_emm_rejects_inf_initial_data():
