@@ -19,12 +19,10 @@ from .mesh import make_cell_mesh, make_spatial_mesh
 from .problem import (
     ConfigError,
     EllipticityError,
-    benchmark_problem,
     coefficient_from_name,
     parse_config,
     sample_coefficient,
 )
-from .reconstruct import diagnostic_mesh
 from .solvers import (
     StabilityError,
     run_homogenized,
@@ -111,10 +109,6 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     t_end = args.t_end
     if t_end is None:
         t_end = 1.0 if args.paper_scale else 0.02
-    for eps in args.eps:
-        _checked("--eps/--t-end", benchmark_problem, eps, t_end)
-    if args.ref_cells is not None:
-        _checked("--ref-cells", diagnostic_mesh, args.ref_cells)
     report = regime_comparison(
         eps_values=tuple(args.eps),
         out_dir=args.out,

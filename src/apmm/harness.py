@@ -147,8 +147,12 @@ def regime_comparison(
     later regimes run, so a failing case leaves the earlier results on disk.
     """
     eps_values = tuple(float(e) for e in eps_values)
-    if ref_cells is not None:  # every reference mesh is checked before any run or directory
-        diagnostic_mesh(int(ref_cells))
+    try:  # every problem and reference mesh is checked before any run or directory
+        problems = [benchmark_problem(eps, t_end=t_end) for eps in eps_values]
+        if ref_cells is not None:
+            diagnostic_mesh(int(ref_cells))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     n_refs = [int(ref_cells or reference_cells(e, periods_per_oscillation)) for e in eps_values]
     if not eps_values:
         return RunReport(records=(), summary_path=None)
@@ -157,9 +161,7 @@ def regime_comparison(
     summary_path = out / "summary.csv"
 
     records: list[RegimeRecord] = []
-    for eps, n_ref in zip(eps_values, n_refs):
-        problem = benchmark_problem(eps, t_end=t_end)
-
+    for eps, problem, n_ref in zip(eps_values, problems, n_refs):
         t0 = time.perf_counter()
         ref = run_reference(problem, n_ref)
         t1 = time.perf_counter()

@@ -36,8 +36,9 @@ from .problem import ConfigError, HomogenizedData, ProblemSpec, sample_coefficie
 from .reconstruct import fast_coordinate, trig_interpolate
 
 _MEAN_DRIFT_TOL = 1e-11
-_MODE_TOL = 1e-17  # modes whose gain over the full steps is below this are dropped
+_MODE_TOL = 1e-17  # a gain over the full steps below this is none: no second pole for it
 _KRYLOV_TOL = 1e-11  # settling tolerance of the projection, a share of the final state's norm
+_ROUNDING_LIFT = 7.4e-9  # 100 times the largest lift of max|u0| measured, 7.4e-11
 _THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0])  # an array: a tuple costs numpy 3 us
 
 
@@ -85,11 +86,13 @@ def _explicit_heat_loop(
     difference times ``r = dt/dx**2`` (the odd wall ghosts count the wall
     interfaces twice on the diagonal), the shortened last one ``u + last_ratio
     * B u``: the final state is ``f(B) u0``, ``f(mu) = (1 + mu)**(n - 1) (1 +
-    last_ratio*mu)``.  The basis grows by solves with ``I - gamma*B``,
+    last_ratio*mu)``.  The basis V grows by solves with ``I - gamma*B``,
     alternating with ``(1 + 2 gamma) I + gamma*B`` when a mode near -2 can keep
-    a gain; Rayleigh-Ritz with ``B`` gives the pairs.  Gains that n - 1 times
-    theta's rounding would blur take theta from the Rayleigh quotient over the
-    jumps of the Ritz vector instead, free of cancellation.  Overwrites u0.
+    a gain; Rayleigh-Ritz with ``B`` gives the pairs (theta, s), and the final
+    state is ``|u0| V s f(theta) s[0]``, evaluated once from the coordinates the
+    last check accepted.  Slow pairs, whose gains n - 1 times theta's rounding
+    would blur, take theta from the Rayleigh quotient over the jumps of their
+    Ritz vectors, free of cancellation.  Overwrites u0.
     """
     if not np.all(np.isfinite(u0)):  # before numpy warns on inf - inf
         raise StabilityError("non-finite initial data")
@@ -109,11 +112,10 @@ def _explicit_heat_loop(
     weights = -flux  # B's quadratic form per squared jump; the odd ghosts double the wall jumps
     weights[[0, -1]] *= 0.5
     bound = 2.0 * np.max(flux[:-1] + flux[1:])  # Gershgorin: every mu >= -bound
-    cut = _MODE_TOL ** (1.0 / full) if full else -1.0  # a mode is kept where |1 + mu| > cut
     gamma = 0.1 * n_steps
-    poles = [dpttrf(1.0 - gamma * diag, -gamma * flux[1:-1])]
-    if abs(1.0 - bound) > cut:  # a mode near -2 may keep a gain
-        poles.append(dpttrf(1.0 + 2.0 * gamma + gamma * diag, gamma * flux[1:-1]))
+    poles = [dpttrf(1.0 - gamma * diag, -gamma * flux[1:-1])[:2]]
+    if not full or abs(1.0 - bound) > _MODE_TOL ** (1.0 / full):  # a mode near -2 keeps a gain
+        poles.append(dpttrf(1.0 + 2.0 * gamma + gamma * diag, gamma * flux[1:-1])[:2])
 
     jumps = np.empty(n + 1)
 
@@ -136,12 +138,17 @@ def _explicit_heat_loop(
         proj[: m + 1, m] = basis[: m + 1] @ np.diff(flux * jumps_of(basis[m]))
         proj[m, :m] = proj[:m, m]
         m += 1
-        if m % 2 == 0:
+        w = dpttrs(*poles[(m - 1) % len(poles)], basis[m - 1])[0]
+        h = basis[:m] @ w  # classical Gram-Schmidt, twice
+        w -= h @ basis[:m]
+        w -= (basis[:m] @ w) @ basis[:m]
+        step = dnrm2(w)
+        invariant = m == n or step <= 1e-15 * dnrm2(h)  # V spans an invariant space: exact
+        if m % 2 == 0 or invariant:
             theta, s = np.linalg.eigh(proj[:m, :m])
             parts = gains(theta) * s[0]  # f(theta) (V s . u0) / |u0|
             size = dnrm2(parts)
-            # slow pairs, whose gains n - 1 times theta's rounding would blur: from
-            # their Ritz vectors, theta and the residual rho
+            # slow pairs: theta and the residual rho from their Ritz vectors
             blur = full * 2.0**-53 * np.max(np.abs(theta)) * np.abs(parts)
             slow = np.flatnonzero(blur * math.sqrt(m) > 0.5 * _KRYLOV_TOL * size)
             rho = np.zeros(slow.size)
@@ -150,9 +157,11 @@ def _explicit_heat_loop(
                 theta[i] = weights @ jumps_of(vector) ** 2
                 rho[k] = dnrm2(np.diff(flux * jumps) - theta[i] * vector)  # the same jumps
             parts[slow] = gains(theta[slow]) * s[0, slow]
-            coords = s @ parts
+            coords = s @ parts  # of f(B) u0 / |u0| in the basis
             moved = dnrm2(coords - prev[:m]) / size if size else 0.0  # of the coordinates' norm
             best, stalls = (moved, 0) if moved < 0.5 * best else (best, stalls + 1)
+            if invariant or stalls >= 3 and best <= 1e-6:  # stuck at the eigenproblem's rounding
+                break
             # settled: the move and the next one, extrapolated, are below the tolerance,
             # and the slow residuals bound the gains' errors, (n - 1) rho**2 / gap, as tightly
             if moved <= _KRYLOV_TOL and moved**2 <= _KRYLOV_TOL * last:
@@ -160,33 +169,18 @@ def _explicit_heat_loop(
                 gap = np.minimum(theta[slow] - edges[slow], edges[slow + 2] - theta[slow])
                 if np.all(full * rho**2 * np.abs(parts[slow]) <= _KRYLOV_TOL * size * gap):
                     break
-            if stalls >= 3 and best <= 1e-6:  # stuck at the small eigenproblem's rounding
-                break
             prev[:m], last = coords, moved
-        d, e, _ = poles[(m - 1) % len(poles)]
-        w = dpttrs(d, e, basis[m - 1])[0]
-        h = basis[:m] @ w  # classical Gram-Schmidt, twice
-        w -= h @ basis[:m]
-        w -= (basis[:m] @ w) @ basis[:m]
-        step = dnrm2(w)
-        if m == n or step <= 1e-15 * dnrm2(h):  # V spans an invariant space: exact
-            theta, s = np.linalg.eigh(proj[:m, :m])
-            break
         if m == basis.shape[0]:  # no view of the basis is alive here
             basis.resize((min(m + 4, n), n), refcheck=False)
         if m == proj.shape[0]:
             proj, prev = np.pad(proj, (0, m)), np.pad(prev, (0, m))
         basis[m] = w / step
-    kept = np.flatnonzero(np.abs(1.0 + theta) > cut)
-    mu, along = np.empty(kept.size), np.empty(kept.size)
-    for k, i in enumerate(kept):  # one Ritz vector at a time
-        vector = s[:, i] @ basis[:m]
-        mu[k], along[k] = weights @ jumps_of(vector) ** 2, vector @ u0
-    final = (s[:, kept] @ (gains(mu) * along)) @ basis[:m]
+    final = (norm * coords) @ basis[:m]
+    # a validated dt makes every step non-expansive in the max norm: cap rounding past max|u0|
+    top = math.ldexp(peak, -shift)
+    np.clip(final, -top, top, out=final, where=np.abs(final) <= top * (1.0 + _ROUNDING_LIFT))
     with np.errstate(over="ignore"):  # reported below
         np.ldexp(final, shift, out=final)
-    # a validated dt makes each step a max-norm contraction, but the projection's rounding
-    # (up to about 7e-11 of max|u0| measured) overflows data at the largest double
     if not np.all(np.isfinite(final)):
         raise StabilityError(f"non-finite field at the final step (t={t_end:.6g})")
     return final, n_steps

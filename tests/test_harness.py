@@ -132,6 +132,11 @@ def test_regime_comparison_rejects_unbuildable_reference_before_any_work(tmp_pat
     for eps in (1e-6, 1e-300, 1e-310):  # 2**25 cells, a 1002-bit count, an infinite one
         with pytest.raises(ConfigError, match="--ref-cells"):
             regime_comparison(eps_values=(0.5, eps), out_dir=out)
+    # problems that cannot be built: a regime past eps = 1 after a valid one, a NaN horizon
+    with pytest.raises(ConfigError, match="epsilon must lie in"):
+        regime_comparison(eps_values=(0.5, 2.0), out_dir=out, t_end=0.002, ref_cells=64)
+    with pytest.raises(ConfigError, match="t_end must be"):
+        regime_comparison(eps_values=(0.5,), out_dir=out, t_end=math.nan, ref_cells=64)
     assert not out.exists()
 
 
