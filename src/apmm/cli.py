@@ -119,7 +119,8 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     for rec in report.records:
         print(
             f"eps={rec.epsilon:g}: ref N={rec.n_ref}, max errors "
-            f"emm={rec.errors['u_emm'][0]:.3e} hmm={rec.errors['u_hmm'][0]:.3e} "
+            f"emm={rec.errors['u_emm'][0]:.3e} hmm={rec.errors['u_hmm'][0]:.3e}, relative "
+            f"emm={rec.relative_errors['u_emm']:.3e} hmm={rec.relative_errors['u_hmm']:.3e} "
             f"-> {rec.csv_path}"
         )
     if report.summary_path is not None:

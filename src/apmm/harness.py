@@ -77,13 +77,16 @@ class RegimeRecord:
     ``errors`` maps each curve-CSV column compared against the reference,
     ``u_emm``, ``du_emm``, ``u_hmm`` and ``du_hmm``, to its absolute
     (max, L2) norms on the reference mesh; the ``du_*`` entries compare the
-    numerical x-derivatives.  ``wall_times`` maps ``ref``, ``emm`` and
-    ``hmm`` to each run's seconds.
+    numerical x-derivatives.  ``relative_errors`` maps the same columns to
+    the max norm divided by max|u_ref| (``du_*``: max|du_ref|), NaN where
+    that reference column is all zero.  ``wall_times`` maps ``ref``,
+    ``emm`` and ``hmm`` to each run's seconds.
     """
 
     epsilon: float
     n_ref: int
     errors: dict[str, tuple[float, float]]
+    relative_errors: dict[str, float]
     wall_times: dict[str, float]
     csv_path: str
 
@@ -111,7 +114,10 @@ class RunReport:
         raise KeyError(f"no record for epsilon={epsilon}")
 
 
-_SUMMARY_COLUMNS = ["eps", "scheme", "error_u_inf", "error_u_l2", "error_du_inf", "error_du_l2"]
+_SUMMARY_COLUMNS = [
+    "eps", "scheme", "error_u_inf", "error_u_l2", "error_du_inf", "error_du_l2",
+    "rel_error_u_inf", "rel_error_du_inf",
+]
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
@@ -125,6 +131,7 @@ def _write_summary(path: Path, records) -> None:
     rows = (
         [_fmt(rec.epsilon), scheme]
         + [_fmt(norm) for quantity in ("u", "du") for norm in rec.errors[f"{quantity}_{scheme}"]]
+        + [_fmt(rec.relative_errors[f"{quantity}_{scheme}"]) for quantity in ("u", "du")]
         for rec in records
         for scheme in ("emm", "hmm")
     )
@@ -182,15 +189,17 @@ def regime_comparison(
         }
         for name in ("u_ref", "u_emm", "u_hmm"):
             columns[f"d{name}"] = derivative_on_fine(columns[name], fine)
-        errors = {
-            name: error_norms(columns[name], columns[f"{name.split('_')[0]}_ref"], fine)
-            for name in ("u_emm", "du_emm", "u_hmm", "du_hmm")
-        }
+        errors, relative_errors = {}, {}
+        for name in ("u_emm", "du_emm", "u_hmm", "du_hmm"):
+            reference = columns[f"{name.split('_')[0]}_ref"]
+            errors[name] = error_norms(columns[name], reference, fine)
+            scale = float(np.max(np.abs(reference)))
+            relative_errors[name] = errors[name][0] / scale if scale else math.nan
 
         csv_path = out / f"regime_eps_{eps:g}.csv"
         rows = ([_fmt(col[i]) for col in columns.values()] for i in range(fine.n_cells))
         _write_rows(csv_path, list(columns), rows)
-        records.append(RegimeRecord(eps, n_ref, errors, wall_times, str(csv_path)))
+        records.append(RegimeRecord(eps, n_ref, errors, relative_errors, wall_times, str(csv_path)))
         # rewrite after every regime so an abort keeps what finished
         _write_summary(summary_path, records)
 

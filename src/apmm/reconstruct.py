@@ -2,10 +2,11 @@
 
 Coarse solutions carry a macro part on the spatial cell centres and a micro
 profile on the periodic fast nodes.  To compare against a fine-grid run, the
-micro profile is evaluated spectrally at the fast coordinate of each fine
-point (balanced trigonometric interpolation) and the macro+micro sum is
-blended linearly between the two bracketing coarse centres.  Fine points
-beyond the outermost centres fall back to the nearest single-cell value.
+Fourier coefficients of each cell's balanced trigonometric interpolant (the
+macro value in the mean mode) are blended linearly between the two bracketing
+coarse centres and summed by Horner's rule at the fine point's fast
+coordinate: one complex exponential per fine point.  Fine points beyond the
+outermost centres fall back to the nearest single-cell value.
 """
 
 from __future__ import annotations
@@ -69,12 +70,13 @@ def reconstruct_micro_macro(
 ) -> FloatArray:
     """Evaluate macro + micro(x, x/epsilon) on the centres of a finer mesh.
 
-    Between two coarse centres the two single-cell evaluations are blended
-    linearly in x; both use the fast coordinate (x/epsilon) mod 1 of the fine
-    point itself.  In the half-cells outside the outermost centres the whole
-    single-cell evaluation is blended linearly towards the homogeneous
-    Dirichlet wall value zero, so the evaluation honours the physical wall
-    condition and its slope stays meaningful there.
+    Between two coarse centres the two cells' Fourier coefficients are
+    blended linearly in x and summed by Horner's rule at the fast coordinate
+    (x/epsilon) mod 1 of the fine point itself.  In the half-cells outside
+    the outermost centres the whole single-cell evaluation is blended
+    linearly towards the homogeneous Dirichlet wall value zero, so the
+    evaluation honours the physical wall condition and its slope stays
+    meaningful there.  The fast axis needs an even number (>= 4) of nodes.
     """
     macro = np.asarray(macro, dtype=float)
     micro = np.asarray(micro, dtype=float)
@@ -83,26 +85,24 @@ def reconstruct_micro_macro(
         raise ValueError(f"macro field has shape {macro.shape}, expected ({nx},)")
     if micro.ndim != 2 or micro.shape[0] != nx:
         raise ValueError(f"micro field has shape {micro.shape}, expected ({nx}, n_y)")
+    ny = micro.shape[1]
+    if ny < 4 or ny % 2:
+        raise ValueError(f"need an even number (>= 4) of periodic samples, got {ny}")
 
     x = fine.centers
     s = x / coarse.dx - 0.5
     left = np.clip(np.floor(s).astype(int), 0, nx - 2)
-    frac = np.clip(s - left, 0.0, 1.0)
-    coeffs = _balanced_coefficients(micro)
-    fast = fast_coordinate(x, epsilon)
-
-    def cell_values(rows):  # macro + micro of the cells ``rows``, one per fine point
-        fluctuation = np.einsum("pk,pk->p", phases, coeffs[rows]).real
-        return macro[rows] + fluctuation / (2 * (coeffs.shape[-1] - 1))
-
-    values = np.empty(x.size)
-    for b in (slice(i, i + 512) for i in range(0, x.size, 512)):  # small tables, in blocks
-        # the modes' phases at each fine point's fast coordinate, for both cells
-        phases = np.multiply.outer(2j * np.pi * fast[b], np.arange(coeffs.shape[-1]))
-        np.exp(phases, out=phases)
-        # outside the outermost centres frac is 0 or 1: the nearest cell's value, blended
-        # linearly towards the wall's zero
-        values[b] = (1.0 - frac[b]) * cell_values(left[b]) + frac[b] * cell_values(left[b] + 1)
+    frac = np.clip(s - left, 0.0, 1.0)  # 0 or 1 outside the outermost centres: one cell
+    # a cell's value is Re(sum_k C[k] z**k), z = exp(2 pi i y), macro in C[0]; per interval
+    # and mode the table holds C_L and C_{L+1} - C_L
+    coeffs = _balanced_coefficients(micro) / ny
+    coeffs[:, 0] += macro
+    start, slope = coeffs[:-1].T, np.diff(coeffs, axis=0).T
+    z = np.exp(2j * np.pi * fast_coordinate(x, epsilon))
+    values = 0.0
+    for k in range(ny // 2, -1, -1):  # Horner's rule in z on the blended coefficients
+        values = values * z + (start[k, left] + frac * slope[k, left])
+    values = values.real.copy()
     head, tail = s < 0.0, s > nx - 1.0
     values[head] *= 2.0 * s[head] + 1.0  # 0 at the wall, 1 at the first centre
     values[tail] *= 1.0 - 2.0 * (s[tail] - (nx - 1))  # 1 at the last centre, 0 at the wall

@@ -305,6 +305,7 @@ def test_figure1_command(tmp_path, _run):
     assert (tmp_path / "fig" / "regime_eps_0.5.csv").exists()
     assert (tmp_path / "fig" / "summary.csv").exists()
     assert "eps=0.5" in proc.stdout
+    assert "relative emm=" in proc.stdout
 
 
 def test_ap_study_command(tmp_path, _run):

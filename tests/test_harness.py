@@ -1,5 +1,6 @@
 """Study-driver tests: norms, record validation, CSV layout, determinism."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -74,6 +75,7 @@ def _record_kwargs(**errors):
             "u_hmm": (2e-2, 1e-2),
             "du_hmm": (3.0, 2.0),
         },
+        relative_errors={"u_emm": 0.01, "du_emm": 0.2, "u_hmm": 0.02, "du_hmm": 0.3},
         wall_times={"ref": 1.0, "emm": 0.1, "hmm": 0.05},
         csv_path="regime_eps_0.1.csv",
     )
@@ -160,7 +162,9 @@ def test_regime_comparison_outputs_are_deterministic(tmp_path):
     header = csv_a.decode().splitlines()[0]
     assert header == "x,u_ref,u_emm,u_hmm,du_ref,du_emm,du_hmm"
     lines = sum_a.decode().splitlines()
-    assert lines[0] == "eps,scheme,error_u_inf,error_u_l2,error_du_inf,error_du_l2"
+    assert lines[0] == (
+        "eps,scheme,error_u_inf,error_u_l2,error_du_inf,error_du_l2,rel_error_u_inf,rel_error_du_inf"
+    )
     assert len(lines) == 3  # one emm and one hmm row for the single regime
     assert lines[1].split(",")[1] == "emm"
     assert lines[2].split(",")[1] == "hmm"
@@ -185,11 +189,37 @@ def test_regime_comparison_record_matches_files(tmp_path):
         reference = data[name.split("_")[0] + "_ref"]
         # the CSV's 17 significant digits round-trip every value exactly
         assert norms == error_norms(data[name], reference, mesh), name
+    # the relative errors divide each max norm by the max of its reference column
+    scales = {"u": np.max(np.abs(data["u_ref"])), "du": np.max(np.abs(data["du_ref"]))}
+    assert sorted(rec.relative_errors) == sorted(rec.errors)
+    for name, relative in rec.relative_errors.items():
+        assert relative == rec.errors[name][0] / scales[name.split("_")[0]], name
     assert sorted(rec.wall_times) == ["emm", "hmm", "ref"]
     assert all(t >= 0.0 for t in rec.wall_times.values())
-    for line in Path(report.summary_path).read_text().splitlines()[1:]:
+    lines = Path(report.summary_path).read_text().splitlines()
+    assert lines[0].split(",")[-2:] == ["rel_error_u_inf", "rel_error_du_inf"]
+    for line in lines[1:]:
         _, scheme, *norms = line.split(",")
-        assert [float(v) for v in norms] == [*rec.errors[f"u_{scheme}"], *rec.errors[f"du_{scheme}"]]
+        assert [float(v) for v in norms] == [
+            *rec.errors[f"u_{scheme}"],
+            *rec.errors[f"du_{scheme}"],
+            rec.relative_errors[f"u_{scheme}"],
+            rec.relative_errors[f"du_{scheme}"],
+        ]
+
+
+def test_regime_comparison_relative_errors_of_an_all_zero_reference_are_nan(tmp_path, monkeypatch):
+    # a reference that has decayed to exactly zero gives no scale: NaN, not a ZeroDivisionError
+    run_reference = harness.run_reference
+    monkeypatch.setattr(
+        harness,
+        "run_reference",
+        lambda problem, n: dataclasses.replace(run_reference(problem, n), final=np.zeros(n)),
+    )
+    report = regime_comparison(eps_values=(0.5,), out_dir=tmp_path, t_end=0.002, ref_cells=128)
+    assert all(math.isnan(v) for v in report.record_for(0.5).relative_errors.values())
+    for line in Path(report.summary_path).read_text().splitlines()[1:]:
+        assert line.split(",")[-2:] == ["nan", "nan"]
 
 
 def test_ap_degeneracy_study_shrinks_with_epsilon(tmp_path):
