@@ -41,6 +41,16 @@ from .mesh import FloatArray
 from .problem import CoefficientTables
 
 _MEAN_PRE_TOL = 1e-10
+# the step matrices' parts of E, O and C (see GridOperators._step_matrices)
+_PARTS = np.array([[1.0, -1.0, 0.0], [-2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+# the effective band's one-sided wall rows: q's (q0, q1, q2) at storage columns 1 to 3 and -2 to
+# -4 weigh (-3 q0, 3 q1, 3 q0 - q2, -3 q1, q2) at [4, 0] up to [0, 4] and [2, -1] down to [6, -5]
+_ONE_SIDED = np.array([[-3, 0, 3, 0, 0], [0, 3, 0, -3, 0], [0, 0, -1, 0, 1]], dtype=float)
+_ONE_SIDED_ROWS = np.array([[4, 3, 2, 1, 0], [2, 3, 4, 5, 6]])
+_ONE_SIDED_COLUMNS = np.array([[0, 1, 2, 3, 4], [-1, -2, -3, -4, -5]])
+# the flat entries of a 3x3 matrix whose products' differences are its cofactors
+_I, _J = np.divmod(np.arange(9), 3)
+_COFACTORS = 3 * ((_I + [[1], [2], [1], [2]]) % 3) + (_J + [[1], [2], [2], [1]]) % 3
 
 
 def y_average(u: FloatArray) -> FloatArray:
@@ -72,9 +82,8 @@ class GridOperators:
         self.dx = tables.xmesh.dx
         self.dy = tables.ymesh.dy
         self._blocks = 1 if tables.x_uniform else self.nx
-        self._v = np.zeros((self.ny, 3))  # V = [e_0, e_{ny-1}, 1]
-        self._v[[0, -1], [0, 1]] = 1.0
-        self._v[:, 2] = 1.0
+        self._v = np.ones((self.ny, 3))  # V = [e_0, e_{ny-1}, 1]
+        self._v[1:, 0] = self._v[:-1, 1] = 0.0
         self._ones = np.ones(self.ny)  # row sums by BLAS, where their rounding is free
         self._x_sums = np.add.reduce(tables.x_interfaces, axis=-1)  # y-sums of x-interface a,
         self._x_sums[:: self.nx] *= 2.0  # the wall rows doubled by the ghost rule
@@ -158,11 +167,12 @@ class GridOperators:
         block), with the mean-free ``w``, ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, by
         one ``dpttrs`` with ``T(s)``'s ``dpttrf`` factors and ``w -= Z (V^T w)``; unchecked.
 
-        ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's
-        correction for ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]``
-        plus the mean projection: ``T 1 = V (c, c, s)``, so with ``q = (c, c,
-        s)/(ny*(s + sigma))`` the term ``1 q^T V^T T^{-1} rhs`` is ``1
-        mean(rhs)/(s + sigma)``, ``A^{-1}`` on the slice mean.
+        ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's correction for
+        ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]`` plus the mean projection: ``T 1
+        = V (c, c, s)``, so with ``q = (c, c, s)/(ny*(s + sigma))`` the term ``1 q^T V^T
+        T^{-1} rhs`` is ``1 mean(rhs)/(s + sigma)``, ``A^{-1}`` on the slice mean.  All blocks'
+        ``T^{-1} V`` are one three-column ``dpttrs``, ``V^T T^{-1} V`` their end entries and
+        sums, the 3x3 inverses cofactors over determinants, and ``Z^T`` one product with them.
         """
         m, n = self._blocks, self.ny
         ay = self.tables.y_interfaces[:m] / self.dy**2  # a_{j+1/2}/dy**2
@@ -172,15 +182,19 @@ class GridOperators:
         d, e, info = dpttrf((s + ay + ay[:, np.arange(n) - 1]).ravel(), off.ravel()[:-1])
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
-        # (T^{-1} V)^T per block, from a Fortran-ordered V per block solved in place
-        tvt = dpttrs(d, e, np.concatenate([self._v.T] * m, 1).T, overwrite_b=1)[0]
-        tvt = tvt.T.reshape(3, m, n).transpose(1, 0, 2)
-        m_inv = np.zeros((m, 3, 3))
-        m_inv[:, 0, 1] = m_inv[:, 1, 0] = -1.0 / link
-        m_inv[:, 2, 2] = n / sigma
-        zt = np.swapaxes(np.linalg.inv(m_inv + tvt @ self._v), 1, 2) @ tvt
-        q = np.array([link, link, np.full(m, s)]).T / (n * (s + sigma))[:, None]
-        zt += q[:, :, None]
+        tv = self._v.T.repeat(m, axis=0).reshape(3, m, n)  # V per block, (T^{-1} V)^T in place
+        dpttrs(d, e, tv.reshape(3, -1).T, overwrite_b=1)
+        sm = np.empty((3, 3, m))  # M^{-1} + V^T T^{-1} V: row, column, block
+        sm[:2] = tv[..., :: n - 1].transpose(2, 0, 1)
+        np.dot(tv, self._ones, out=sm[2])
+        sm[0, 1] = sm[1, 0] = sm[0, 1] - 1.0 / link  # symmetric exactly, not to rounding
+        sm[2, 2] += n / sigma
+        cof = sm.reshape(9, m)[_COFACTORS]
+        cof = cof[0] * cof[1] - cof[2] * cof[3]
+        cof /= np.add.reduce(sm[0] * cof[:3])  # the inverse, symmetric as sm is
+        k = np.concatenate((link, link, np.full(m, s))).reshape(3, m)  # T 1 = V k, so 1 q^T is
+        cof += (k * (k / (n * (s + sigma)))[:, None]).reshape(9, m)  # T^{-1} V k q^T, q k^T here
+        zt = cof.T.reshape(m, 3, 3) @ tv.transpose(1, 0, 2)
 
         def solve(rows: FloatArray) -> FloatArray:
             # the slices sharing a block are one column each, one batch row per block
@@ -196,21 +210,24 @@ class GridOperators:
         third differences of U's first and last four rows times ``M_3``.
         ``G' = R(s) (s*G + eps*(Mixed + eps*Xdiff)(F + G))``; S has the first term's y-sums."""
         t, n = self.tables, self.ny
-        c, ay, z, j = t.centers[0], t.y_interfaces[0], np.zeros(n), np.arange(n)
+        c, ay, j = t.centers[0], t.y_interfaces[0], np.arange(n)
         ay_prev, ax = ay[j - 1], t.x_interfaces[0] * (4.0 * self.dy * eps / self.dx)
-        # q -> row i: E of p_{i+1} - 2 p_i + p_{i-1}, O of p_{i+1} - p_{i-1}, C the centred y-flux
+        # q -> row i: E of p_{i+1} - 2 p_i + p_{i-1}, O of p_{i+1} - p_{i-1}, C the centred
+        # y-flux; bands[q, b, j] weighs G's node (j + (0, 1, -1)[b]) % n at node j
+        bands = np.zeros((3, 3, n))
+        bands[0, 0], bands[1:, 1], bands[2, 2] = ax, c, -c
+        bands[1, 0], bands[1, 2] = ay - ay_prev, -c - ay_prev
+        bands[1, 1] += ay
         base = np.zeros((3, n + 1, n))
-        odd = [ay - ay_prev, c + ay, -c - ay_prev]
-        base[:, (j + [[0], [1], [-1]]) % n, j] = [ax, z, z], odd, [z, c, -c]
-        base[:2, n] = ax - ax[0], 2.0 * odd[0]  # F's row, 0 for a constant a: R drops constants
-        parts = np.array([[1.0, -1.0, 0.0], [-2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        rows = np.dot(parts * (eps / (4.0 * self.dx * self.dy)), base.reshape(3, -1))
+        base[:, (j + [[0], [1], [-1]]) % n, j] = bands
+        base[0, n], base[1, n] = ax - ax[0], 2.0 * bands[1, 0]  # F's row, 0 for a constant a
+        rows = np.dot(_PARTS * (eps / (4.0 * self.dx * self.dy)), base.reshape(3, -1))
         rows.reshape(4, n + 1, n)[1].ravel()[: n * n : n + 1] += s  # s*G
         rows = self._factor(s)(rows.reshape(-1, n))  # R^T of every row
         m = np.empty((4, n + 2, n + 1)).transpose(0, 2, 1)  # each M_k Fortran-ordered
         m[..., :n] = rows.reshape(4, n + 1, n)
         m[..., n] = (rows @ t.x_interfaces[0]).reshape(4, n + 1)
-        m[..., n + 1] = (parts[:, 1:2] + parts[:, 2:]) * np.dot(base[2], self._ones)  # C's sums
+        m[..., n + 1] = (_PARTS[:, 1:2] + _PARTS[:, 2:]) * np.dot(base[2], self._ones)  # C's sums
         return m
 
     def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
@@ -306,9 +323,7 @@ class GridOperators:
         k[3, 1:-1] = q[:-2] + q[2:]
         k[1, 3:] = -q[2:-1]
         # the one-sided first and last rows (-3 g_0 + 4 g_1 - g_2, mirrored) less the centred
-        r = np.arange(5)  # [4, 0] up to [0, 4], and [2, nx+1] down to [6, nx-3]
-        for rows, columns, (q0, q1, q2) in ((4 - r, r, q[1:4]), (2 + r, n + 1 - r, q[-2:-5:-1])):
-            k[rows, columns] += [-3.0 * q0, 3.0 * q1, 3.0 * q0 - q2, -3.0 * q1, q2]
+        k[_ONE_SIDED_ROWS, _ONE_SIDED_COLUMNS] += q[_ONE_SIDED_COLUMNS[:, 1:4]] @ _ONE_SIDED
         # fold the drift's ghosts p_0 = 2*left - p_1 (rows 0, 1) and p_{nx+1} = 2*right
         # - p_nx (rows nx-2, nx-1): the columns become [left, u, right]
         k[3:5, 1] -= k[4:6, 0]

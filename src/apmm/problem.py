@@ -55,7 +55,7 @@ class DiffusionField:
     def __call__(self, x, y) -> FloatArray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
+        shape = np.broadcast(x, y).shape
         out = np.asarray(self.func(x, y), dtype=float)
         if out.shape != shape:
             out = np.ascontiguousarray(np.broadcast_to(out, shape))
@@ -186,18 +186,23 @@ class CoefficientTables:
     x_uniform: bool = False
 
 
-def _check_values(name: str, values: FloatArray, a: DiffusionField) -> None:
-    if not np.all(np.isfinite(values)):
-        raise EllipticityError(f"coefficient table {name!r} contains non-finite entries")
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmin <= 0.0:
-        raise EllipticityError(f"coefficient table {name!r} has non-positive entry {vmin:.6e}")
-    if vmin < a.a_min - _BOUND_SLACK or vmax > a.a_max + _BOUND_SLACK:
-        raise EllipticityError(
-            f"coefficient table {name!r} leaves declared bounds "
-            f"[{a.a_min}, {a.a_max}]: sampled range [{vmin:.6e}, {vmax:.6e}]"
-        )
+def _check_values(values: FloatArray, a: DiffusionField, names, split: int) -> None:
+    """Reject non-finite, non-positive or out-of-bounds samples, naming the table on error."""
+    low, high = a.a_min - _BOUND_SLACK, a.a_max + _BOUND_SLACK
+    vmin, vmax = float(values.min()), float(values.max())  # nan if any entry is
+    if 0.0 < vmin and low <= vmin and vmax <= high and vmax < np.inf:  # nan fails each
+        return
+    for name, table in zip(names, (values[:split], values[split:])):
+        if not np.all(np.isfinite(table)):
+            raise EllipticityError(f"coefficient table {name!r} contains non-finite entries")
+        vmin, vmax = float(table.min()), float(table.max())
+        if vmin <= 0.0:
+            raise EllipticityError(f"coefficient table {name!r} has non-positive entry {vmin:.6e}")
+        if vmin < low or vmax > high:
+            raise EllipticityError(
+                f"coefficient table {name!r} leaves declared bounds "
+                f"[{a.a_min}, {a.a_max}]: sampled range [{vmin:.6e}, {vmax:.6e}]"
+            )
 
 
 def sample_coefficient(
@@ -205,57 +210,34 @@ def sample_coefficient(
 ) -> CoefficientTables:
     """Tabulate the coefficient at cell centres and both families of interfaces.
 
-    The only evaluation of ``a`` on the tensor grid: it also samples the
-    half-nodes of both walls, verifies positivity, the declared bounds and
-    1-periodicity in y, and then derives the cell data from the checked
-    samples, the effective coefficient from ``x_interfaces`` and the
-    correctors from the half-node rows.
+    The only evaluation of ``a`` on the tensor grid, in three calls: at the nodes on the
+    rows ``[centres; interfaces]``, at the half-nodes on ``[centres; both walls]`` and at
+    y = 1 on the node rows.  The tables are row blocks of the first two, checked to be
+    finite, positive and within the declared bounds; the third checks 1-periodicity in y
+    at every sampled x.  From the checked samples come the effective coefficient, from
+    ``x_interfaces``, and the centres' and walls' correctors, in one pass over the half-nodes.
     """
-    xc = xmesh.centers[:, None]
-    xi = xmesh.interfaces[:, None]
-    yn = ymesh.nodes[None, :]
-    yh = ymesh.half_nodes[None, :]
+    nx, xc = xmesh.n_cells, xmesh.centers
+    x = np.concatenate((xc, xmesh.interfaces))
+    at_nodes = a(x[:, None], ymesh.nodes)
+    at_half = a(np.concatenate((xc, [0.0, 1.0]))[:, None], ymesh.half_nodes)
+    _check_values(at_nodes, a, ("centers", "x_interfaces"), nx)
+    _check_values(at_half, a, ("y_interfaces", "wall_half_nodes"), nx)
 
-    centers = a(xc, yn)
-    x_interfaces = a(xi, yn)
-    y_interfaces = a(xc, yh)
-    wall_half_nodes = a(xi[[0, -1]], yh)
-
-    for name, table in (
-        ("centers", centers),
-        ("x_interfaces", x_interfaces),
-        ("y_interfaces", y_interfaces),
-        ("wall_half_nodes", wall_half_nodes),
-    ):
-        _check_values(name, table, a)
-
-    wrap = np.abs(a(xmesh.centers, 0.0) - a(xmesh.centers, 1.0))
-    if float(wrap.max()) > _PERIODICITY_TOL:
+    wrap = np.abs(at_nodes[:, 0] - a(x, 1.0))
+    if not float(wrap.max()) <= _PERIODICITY_TOL:  # also true for nan
+        name = "centers" if not wrap[:nx].max() <= _PERIODICITY_TOL else "x_interfaces"
         raise ValueError(
-            f"coefficient is not 1-periodic in y: |a(x,0) - a(x,1)| up to {wrap.max():.3e}"
+            f"coefficient is not 1-periodic in y on the {name!r} rows: "
+            f"|a(x,0) - a(x,1)| up to {wrap.max():.3e}"
         )
 
-    x_uniform = bool(
-        np.all(centers == centers[:1])
-        and np.all(x_interfaces == x_interfaces[:1])
-        and np.all(y_interfaces == y_interfaces[:1])
-    )
-    hom = HomogenizedData(
-        xmesh=xmesh,
-        ymesh=ymesh,
-        a0_interfaces=1.0 / (1.0 / x_interfaces).mean(axis=-1),
-        chi=_cell_corrector(1.0 / y_interfaces, ymesh),
-        chi_walls=_cell_corrector(1.0 / wall_half_nodes, ymesh),
-    )
-    return CoefficientTables(
-        xmesh=xmesh,
-        ymesh=ymesh,
-        centers=centers,
-        x_interfaces=x_interfaces,
-        y_interfaces=y_interfaces,
-        hom=hom,
-        x_uniform=x_uniform,
-    )
+    centers, x_interfaces, y_interfaces = at_nodes[:nx], at_nodes[nx:], at_half[:nx]
+    x_uniform = bool(all(np.all(t == t[:1]) for t in (centers, x_interfaces, y_interfaces)))
+    a0 = 1.0 / (np.add.reduce(1.0 / x_interfaces, axis=-1) / ymesh.n_points)  # the y-mean's bits
+    chi = _cell_corrector(1.0 / at_half, ymesh)
+    hom = HomogenizedData(xmesh, ymesh, a0_interfaces=a0, chi=chi[:nx], chi_walls=chi[nx:])
+    return CoefficientTables(xmesh, ymesh, centers, x_interfaces, y_interfaces, hom, x_uniform)
 
 
 # --------------------------------------------------------------------------

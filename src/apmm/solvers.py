@@ -33,9 +33,10 @@ from .homogenization import first_order_corrector, wall_gradients
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators, y_average
 from .problem import ConfigError, HomogenizedData, ProblemSpec, sample_coefficient
-from .reconstruct import fast_coordinate, trig_interpolate
+from .reconstruct import _balanced_coefficients, fast_coordinate
 
 _MEAN_DRIFT_TOL = 1e-11
+_DRIFT_FLOOR = _MEAN_DRIFT_TOL * sys.float_info.min  # subnormal fields round absolutely
 _MODE_TOL = 1e-17  # a gain over the full steps below this is none: no second pole for it
 _KRYLOV_TOL = 1e-11  # settling tolerance of the projection, a share of the final state's norm
 _ROUNDING_LIFT = 7.4e-9  # 100 times the largest lift of max|u0| measured, 7.4e-11
@@ -313,14 +314,16 @@ class MicroMacroSolver:
         self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
         # wall data per unit companion gradient (none with homogeneous walls): eps*chi for G,
         # minus its value at the wall's fast coordinate for F; twice their sum; G's flux y-sums
-        self._wall_profiles = (
-            eps * (problem.bc_mode == "dirichlet_corrector") * self.tables.hom.chi_walls
-        )
-        walls = zip(self._wall_profiles, fast_coordinate(np.array([0.0, 1.0]), eps))
-        self._wall_traces = [-trig_interpolate(profile, y) for profile, y in walls]
-        self._wall_totals = 2.0 * (self._wall_profiles + np.array(self._wall_traces)[:, None])
+        self._wall_scale = eps * (problem.bc_mode == "dirichlet_corrector")
+        profiles = self._wall_scale * self.tables.hom.chi_walls
+        # the values at the fast coordinates as trig_interpolate's, one rfft and phase row per wall
+        y, ny = fast_coordinate(np.array([[0.0], [1.0]]), eps), self.ymesh.n_points
+        z = np.exp(2j * np.pi * y * np.arange(ny // 2 + 1))[:, None]
+        traces = (z @ _balanced_coefficients(profiles)[..., None]).real[:, 0, 0] / -ny
+        self._wall_traces = traces.tolist()
+        self._wall_totals = 2.0 * (profiles + traces[:, None])
         wall_rows = 2.0 * self.tables.x_interfaces[[0, -1]]
-        self._wall_sums = np.add.reduce(wall_rows * self._wall_profiles, axis=-1).tolist()
+        self._wall_sums = np.add.reduce(wall_rows * profiles, axis=-1).tolist()
         self._held = None  # the step operators of the latest dt, see _step_operators
 
     def initial_state(self) -> MicroMacroState:
@@ -340,7 +343,7 @@ class MicroMacroSolver:
         wall layer).
         """
         left, right = wall_gradients(effective, self.xmesh.dx)
-        traces, profiles = self._wall_traces, self._wall_profiles
+        traces, profiles = self._wall_traces, self._wall_scale * self.tables.hom.chi_walls
         return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
     def _step_operators(self, dt: float):
@@ -416,7 +419,7 @@ class MicroMacroSolver:
         if not (math.isfinite(scale) and math.isfinite(np.maximum.reduce(np.abs(macro_new)))):
             raise StabilityError(f"non-finite field at step {state.step + 1} (t={t_new:.6g})")
         mean_drift = np.maximum.reduce(np.abs(np.dot(micro_new, ops._ones))) / ops.ny
-        if mean_drift > _MEAN_DRIFT_TOL * scale:
+        if mean_drift > _MEAN_DRIFT_TOL * scale and mean_drift > _DRIFT_FLOOR:
             raise StabilityError(
                 f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
                 f"* max|micro| at step {state.step + 1}"

@@ -266,6 +266,13 @@ def test_a4_degeneracy_to_asymptotic_scheme():
     )
 
 
+def test_a4_degeneracy_at_extreme_epsilon():
+    # past eps = 1e-6 the splitting is the asymptotic scheme to rounding: the shift s =
+    # (eps/dt)*eps is 2e-26 at eps = 1e-15, 2e-196 at 1e-100 and underflows to 0 at 1e-300
+    for eps, deviation in ap_degeneracy_study(eps_values=(1e-15, 1e-100, 1e-300)):
+        assert deviation <= 4e-15, (eps, deviation)
+
+
 # --------------------------------------------------------------------- A5
 
 

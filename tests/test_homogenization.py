@@ -135,7 +135,8 @@ def test_sampled_cell_data_layout_and_pointwise_agreement():
     assert np.max(np.abs(hom.chi_walls - hom.chi[:1])) <= 1e-14
     assert np.max(np.abs(hom.a0_interfaces - hom.a0_interfaces[0])) <= 1e-15
 
-    # the data derived from the sample tables is the pointwise cell data, bit for bit
+    # the tables and the data derived from them are the pointwise samples and cell data, bit for
+    # bit, and every one is C-contiguous
     x_dependent = DiffusionField(
         func=lambda x, y: 1.3
         + (0.5 + 0.4 * x) * np.sin(2.0 * np.pi * y)
@@ -144,9 +145,17 @@ def test_sampled_cell_data_layout_and_pointwise_agreement():
         a_max=2.5,
     )
     for a in (x_dependent, benchmark_coefficient(), constant_coefficient(0.7)):
-        for nx, ny in ((8, 4), (64, 16), (128, 32)):
+        for nx, ny in ((4, 4), (8, 4), (64, 16), (128, 32)):
             xm, ym = make_spatial_mesh(nx), make_cell_mesh(ny)
-            hom = sample_coefficient(a, xm, ym).hom
+            tables = sample_coefficient(a, xm, ym)
+            hom = tables.hom
+            xc, xi = xm.centers[:, None], xm.interfaces[:, None]
+            assert np.array_equal(tables.centers, a(xc, ym.nodes))
+            assert np.array_equal(tables.x_interfaces, a(xi, ym.nodes))
+            assert np.array_equal(tables.y_interfaces, a(xc, ym.half_nodes))
+            for array in (tables.centers, tables.x_interfaces, tables.y_interfaces, hom.chi):
+                assert array.flags.c_contiguous
+            assert hom.chi_walls.flags.c_contiguous
             assert np.array_equal(hom.chi, solve_cell_problem(a, xm.centers, ym))
             assert np.array_equal(hom.chi_walls, solve_cell_problem(a, np.array([0.0, 1.0]), ym))
             assert np.array_equal(hom.a0_interfaces, homogenized_coefficient(a, xm.interfaces, ym))

@@ -135,6 +135,61 @@ def test_sample_coefficient_rejects_aperiodic():
         sample_coefficient(drifts, make_spatial_mesh(4), make_cell_mesh(4))
 
 
+def test_sample_coefficient_checks_periodicity_at_every_sampled_x():
+    # aperiodic at the wall x = 0 only, which no cell centre sees: a(0, 0) = 1.1, a(0, 1) = 1.6
+    a = DiffusionField(
+        func=lambda x, y: 1.1 + np.sin(2.0 * np.pi * y) + 0.5 * (x == 0.0) * y,
+        a_min=0.1,
+        a_max=2.6,
+    )
+    with pytest.raises(ValueError, match="periodic in y on the 'x_interfaces' rows"):
+        sample_coefficient(a, make_spatial_mesh(8), make_cell_mesh(8))
+
+
+# the points of each sampled family on the 4x4 grid: cell centres or interfaces (walls
+# included) in x, nodes or half-nodes in y; every coordinate is exact in binary
+_FAMILIES = {
+    "centers": lambda x, y: ((4.0 * x) % 1.0 == 0.5) & ((4.0 * y) % 1.0 == 0.0),
+    "x_interfaces": lambda x, y: ((4.0 * x) % 1.0 == 0.0) & ((4.0 * y) % 1.0 == 0.0),
+    "y_interfaces": lambda x, y: ((4.0 * x) % 1.0 == 0.5) & ((4.0 * y) % 1.0 == 0.5),
+    "wall_half_nodes": lambda x, y: ((x == 0.0) | (x == 1.0)) & ((4.0 * y) % 1.0 == 0.5),
+}
+
+
+@pytest.mark.parametrize("table", list(_FAMILIES))
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "contains non-finite entries"),
+        (np.inf, "contains non-finite entries"),
+        (-1.0, "has non-positive entry"),
+        (5.0, "leaves declared bounds"),
+    ],
+)
+def test_sample_coefficient_rejects_a_defect_at_one_family_of_points(table, bad, message):
+    at = _FAMILIES[table]
+    a = DiffusionField(
+        func=lambda x, y: np.where(at(x, y), bad, 1.1 + np.sin(2.0 * np.pi * y) + 0.0 * x),
+        a_min=0.1,
+        a_max=2.1,
+    )
+    with pytest.raises(EllipticityError, match=f"'{table}' {message}"):
+        sample_coefficient(a, make_spatial_mesh(4), make_cell_mesh(4))
+
+
+@pytest.mark.parametrize("table", ["centers", "x_interfaces"])
+def test_sample_coefficient_rejects_aperiodicity_at_one_family_of_points(table):
+    # every sampled x is a centre or an interface: the wall half-nodes sit at the walls
+    at = _FAMILIES[table]
+    a = DiffusionField(
+        func=lambda x, y: 1.1 + np.sin(2.0 * np.pi * y) + 0.5 * at(x, 0.0) * y,
+        a_min=0.1,
+        a_max=2.6,
+    )
+    with pytest.raises(ValueError, match=f"periodic in y on the '{table}' rows"):
+        sample_coefficient(a, make_spatial_mesh(4), make_cell_mesh(4))
+
+
 def test_coefficient_from_name():
     assert coefficient_from_name("paper").a_max == 2.1
     assert coefficient_from_name("constant:2.5")(0.1, 0.9) == 2.5
