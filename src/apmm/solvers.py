@@ -21,6 +21,7 @@ Trajectories of the splitting scheme come from
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -271,28 +272,30 @@ class MicroMacroResult:
 class MicroMacroSolver:
     """Two-scale splitting integrator on a coarse tensor grid.
 
-    One instance fixes the meshes, coefficient tables, cell-problem data,
-    the wall corrector traces and the operators, and holds the step
-    operators of the latest step size only, dropped when ``run`` ends;
-    ``step`` advances a state by one level.  The implicit
-    fast update ``(I - (dt/epsilon**2) Ly) G' = G + (dt/epsilon) r``, with
-    ``r`` the fluctuating part of the coupling terms, is multiplied through
-    by ``s = (epsilon/dt)*epsilon`` and solved on the mean-free subspace:
-    ``(s*I - Ly) G' = s*G + epsilon*r``.  ``s`` underflows to zero without error
-    and, as ``step`` takes only a normal dt, never overflows, so this one solve
-    holds for every epsilon, and at ``s = 0`` it is the singular cell solve,
-    whose ``G'`` is the O(epsilon) corrector limit.  The slow update blends the
-    effective operator ``K`` with the plain averaged diffusion through the
-    stiffness weight ``w = exp(-dt/epsilon**2)``, which underflows to zero in
-    the strongly oscillatory regime, exactly as the splitting is designed to do.
-    ``F'`` is one band product per step, of ``I + dt*((1 - w) K + w A)`` (``A`` that plain
+    One instance fixes the meshes, coefficient tables, cell-problem data, the wall corrector
+    traces and the operators, and holds the step operators of the latest step size only.  The
+    implicit fast update ``(I - (dt/epsilon**2) Ly) G' = G + (dt/epsilon) r``, with ``r`` the
+    fluctuating part of the coupling terms, is multiplied through by ``s = (epsilon/dt)*epsilon``
+    and solved on the mean-free subspace: ``(s*I - Ly) G' = s*G + epsilon*r``.  ``s`` underflows
+    to zero without error and, as ``step`` takes only a normal dt, never overflows, so this one
+    solve holds for every epsilon, and at ``s = 0`` it is the singular cell solve, whose ``G'``
+    is the O(epsilon) corrector limit.  The slow update blends the effective operator ``K`` with
+    the plain averaged diffusion through the stiffness weight ``w = exp(-dt/epsilon**2)``, which
+    underflows to zero in the strongly oscillatory regime, exactly as the splitting is designed
+    to do.  ``F'`` is one band product per step, of ``I + dt*((1 - w) K + w A)`` (``A`` that plain
     diffusion) with the wall data folded in, on ``[left, F, right]`` (the wall gradients of the
     companion, the effective equation's run), onto ``alpha*dJ + kick*S``: ``dJ`` the
     differences of G's y-summed x-fluxes, ``S`` the mixed block's first-term y-sums and ``kick``
     their weight; dt*K steps the companion.  With an x-uniform coefficient the coupling terms,
     the fast solve, S and the flux sums are three products of the padded ``[G | F]`` with the
-    step's matrices; else the coupling terms read flat slices of one padded buffer.  ``run``
-    enters numpy's error state once, ``step`` per call.  Over 2**24 steps is a ConfigError.
+    step's matrices; else the coupling terms read flat slices of one padded buffer.  Over 2**24
+    steps is a ConfigError.
+
+    One kernel per step size advances a working state in place: F and E in the rows of ``x =
+    [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
+    F' and E' in buffers held per step size.  ``run`` loads once, fetches the step operators when
+    dt changes, freeing the full steps' before a shortened last step's are built, and enters
+    numpy's error state once; ``step`` loads afresh, enters it per call and returns that state.
     """
 
     def __init__(
@@ -350,6 +353,8 @@ class MicroMacroSolver:
         """``(dt, s, kick, fast, band, alpha)`` for dt, built when dt changes: the shift, the
         x-uniform step's matrices or else the fast solve, and the band of ``I + dt*((1 - w) K +
         w A)``, wall columns times the wall traces, plus ``alpha`` G's wall sums (see the class)."""
+        if not sys.float_info.min <= dt <= self.dt:  # also false for nan
+            raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g} and be normal, got {dt}")
         if self._held is None or self._held[0] != dt:
             self._held = None  # not held through the next assembly
             eps, ops = self.epsilon, self.ops
@@ -365,66 +370,82 @@ class MicroMacroSolver:
 
     def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:
         """Advance one level (by a normal 0 < dt <= self.dt): fast solve, then slow update."""
+        held = self._load(state)
         with np.errstate(over="ignore", invalid="ignore"):  # the guards report non-finite fields
-            return self._advance(state, self.dt if dt is None else float(dt))
+            self._stepper(held, self._step_operators(self.dt if dt is None else float(dt)))()
+        return held  # its buffers are this call's own
 
-    def _advance(self, state: MicroMacroState, dt: float) -> MicroMacroState:
-        if not sys.float_info.min <= dt <= self.dt:  # also false for nan
-            raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g} and be normal, got {dt}")
-        eps, ops, n = self.epsilon, self.ops, self.ops.nx
-        macro, micro, effective = state.macro, state.micro, state.effective
-        _, s, kick, fast, band, alpha = self._step_operators(dt)  # assembled before U is held
-        left, right = wall_gradients(effective, ops.dx)
+    def _load(self, state: MicroMacroState) -> MicroMacroState:
+        """A working state for :meth:`_stepper` in the buffers the class names (else the caller's
+        G, which the steps replace and never write)."""
+        n, micro, x = self.ops.nx, state.micro, np.zeros((2, self.ops.nx + 2))
+        x[0, 1:-1], x[1, 1:-1] = state.macro, state.effective
+        if self.ops._blocks == 1:
+            u = np.empty((n + 2, self.ops.ny + 1))
+            u[1:-1, :-1], u[1:-1, -1], micro = micro, state.macro, u[1:-1, :-1]
+        return MicroMacroState(x[0, 1:-1], micro, x[1, 1:-1], state.t, state.step)
 
-        if ops._blocks == 1:  # x-uniform: the products of GridOperators._step_matrices
-            u = np.empty((n + 2, ops.ny + 1))  # [G | F], ghost rows 2*wall - the first
-            u[1:-1, :-1], u[1:-1, -1] = micro, macro
-            np.negative(u[1 : n + 1 : n - 1], out=u[:: n + 1])
-            daxpy(self._wall_totals[0], u[0, :-1], ops.ny, left)  # in place; n, a by position
-            daxpy(self._wall_totals[1], u[-1, :-1], ops.ny, right)
-            g = dgemm(1.0, u[:n].T, fast[0], 0.0, None, 1)  # trans_a = 1: contiguous operands
-            for k in (1, 2):  # beta = 1, overwrite_c = 1
-                dgemm(1.0, u[k : k + n].T, fast[k], 1.0, g, 1, 0, 1)
-            g[:: n - 1] += np.dot(np.dot(_THIRD_DIFFERENCE, (u[:4], u[-4:])), fast[3])
-            del u  # off the peak of the slow update and the guards
-            micro_new, out = g[:, :-2], np.zeros((2, n + 3))  # out: F' and E', see below
-            out[0, :n] = g[:, -1]
-            # alpha*dJ + kick*S; beta and overwrite_y = 1 by position: keywords cost f2py 1 us
-            dsbmv(1, alpha, ops._jump_diffs, g[:, -2], 1, 0, kick, out[0], 1, 0, 0, 1)
-        else:
-            # 4*dx*dy times the coupling terms, less their slice means by a rank-one update:
-            # the fast solve removes them only to rounding, and G' of a y-independent one must be 0
-            coupled, first_sums = ops._coupling(macro, micro, self._wall_totals, (left, right), eps)
-            dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
-            coupled *= eps / (4.0 * ops.dx * ops.dy)
-            daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
-            micro_new = fast(coupled)  # in place
-            sums = ops._jumps(micro_new)
-            sums = np.dot(np.multiply(sums, ops.tables.x_interfaces, out=sums), ops._ones)
-            out = np.zeros((2, n + 3))
-            daxpy(np.diff(sums), out[0], a=alpha)  # alpha*dJ + kick*S
-            daxpy(first_sums, out[0], a=kick)  # a no-op for kick = 0
+    def _stepper(self, held: MicroMacroState, operators):
+        """The step kernel of ``operators``' dt: a function advancing ``held`` a step in place."""
+        eps, ops, n, ny = self.epsilon, self.ops, self.ops.nx, self.ops.ny
+        (dt, s, kick, fast, band, alpha), uniform = operators, ops._blocks == 1
+        x, out = held.macro.base, np.zeros((2, n + 3))  # out: F' and E', see _load for x
+        f, e, f_out, e_out, fe, fe_new = x[0], x[1], out[0], out[1], x[:, 1:-1], out[:, :n]
+        f_new, e_out[:n] = out[0, :n], held.effective  # rows n .. n+2 stay 0 (dgbmv takes no m < 7)
+        if uniform:  # the products of GridOperators._step_matrices on the held [G | F], U
+            u, g = held.micro.base, np.empty((n, ny + 2), order="F")  # g: [G' | dJ | S]
+            u0, u1, u2, m0, m1, m2, m3 = u[:n].T, u[1 : n + 1].T, u[2 : n + 2].T, *fast
+            row = u.strides[0]  # u4: U's first and last four rows; as_strided costs 7 us
+            u4 = np.ndarray((2, 4, ny + 1), float, u, 0, (row * (n - 2), row, u.itemsize))
+            ghosts, firsts, ghost_g = u[:: n + 1], u[1 : n + 1 : n - 1], (u[0, :-1], u[-1, :-1])
+            g_micro, flux_sums, kicks, wall_rows = g[:, :-2], g[:, -2], g[:, -1], g[:: n - 1]
+            t_left, t_right, held_f = self._wall_totals[0], self._wall_totals[1], u[1:-1, -1]
 
-        out[1, :n] = effective  # rows n .. n+2 stay 0: scipy's dgbmv takes no m < kl + ku + 1
-        x = np.zeros((2, n + 2))  # [left, F, right] for the held band, [0, E, 0] for K
-        x[0, 1:-1], x[1, 1:-1] = macro, effective
-        x[0, 0], x[0, -1] = left, right
-        dgbmv(n + 3, n + 2, 2, 4, 1.0, band, x[0], 1, 0, 1.0, out[0], 1, 0, 0, 1)
-        dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, x[1], 1, 0, 1.0, out[1], 1, 0, 0, 1)
-        macro_new, effective_new = out[0, :n], out[1, :n]  # basic slices: unpacking costs 1 us
+        def advance():
+            left, right = wall_gradients(held.effective, ops.dx)
+            if uniform:
+                np.negative(firsts, out=ghosts)  # ghost rows 2*wall - the first
+                daxpy(t_left, ghost_g[0], ny, left)  # in place; n, a by position
+                daxpy(t_right, ghost_g[1], ny, right)
+                dgemm(1.0, u0, m0, 0.0, g, 1, 0, 1)  # trans_a = 1 (contiguous operands), beta = 0
+                dgemm(1.0, u1, m1, 1.0, g, 1, 0, 1)  # then beta = 1; overwrite_c = 1
+                dgemm(1.0, u2, m2, 1.0, g, 1, 0, 1)
+                np.add(wall_rows, np.dot(np.dot(_THIRD_DIFFERENCE, u4), m3), out=wall_rows)
+                f_new[:], micro_new = kicks, g_micro
+                # alpha*dJ + kick*S; beta and overwrite_y = 1 by position: keywords cost f2py 1 us
+                dsbmv(1, alpha, ops._jump_diffs, flux_sums, 1, 0, kick, f_out, 1, 0, 0, 1)
+            else:  # 4*dx*dy times the coupling terms less their slice means by a rank-one update:
+                # the fast solve removes them only to rounding, and G' of a y-independent one is 0
+                macro, micro, walls = held.macro, held.micro, (left, right)
+                coupled, first_sums = ops._coupling(macro, micro, self._wall_totals, walls, eps)
+                dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
+                coupled *= eps / (4.0 * ops.dx * ops.dy)
+                daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
+                micro_new = held.micro = fast(coupled)  # in place
+                sums = ops._jumps(micro_new)
+                sums = np.dot(np.multiply(sums, ops.tables.x_interfaces, out=sums), ops._ones)
+                f_out[:] = 0.0
+                daxpy(np.diff(sums), f_out, a=alpha)  # alpha*dJ + kick*S
+                daxpy(first_sums, f_out, a=kick)  # a no-op for kick = 0
+            f[0], f[-1] = left, right
+            dgbmv(n + 3, n + 2, 2, 4, 1.0, band, f, 1, 0, 1.0, f_out, 1, 0, 0, 1)
+            dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, e, 1, 0, 1.0, e_out, 1, 0, 0, 1)
+            t_new = held.t + dt
+            # the max of a field is non-finite exactly when some entry is
+            scale = np.maximum.reduce(np.abs(micro_new), axis=None)
+            if not (math.isfinite(scale) and math.isfinite(np.maximum.reduce(np.abs(f_new)))):
+                raise StabilityError(f"non-finite field at step {held.step + 1} (t={t_new:.6g})")
+            mean_drift = np.maximum.reduce(np.abs(np.dot(micro_new, ops._ones))) / ny
+            if mean_drift > _MEAN_DRIFT_TOL * scale and mean_drift > _DRIFT_FLOOR:
+                raise StabilityError(
+                    f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
+                    f"* max|micro| at step {held.step + 1}"
+                )
+            held.t, held.step, fe[:] = t_new, held.step + 1, fe_new
+            if uniform:
+                held.micro[:], held_f[:] = micro_new, held.macro
 
-        t_new = state.t + dt
-        # the max of a field is non-finite exactly when some entry is
-        scale = np.maximum.reduce(np.abs(micro_new), axis=None)
-        if not (math.isfinite(scale) and math.isfinite(np.maximum.reduce(np.abs(macro_new)))):
-            raise StabilityError(f"non-finite field at step {state.step + 1} (t={t_new:.6g})")
-        mean_drift = np.maximum.reduce(np.abs(np.dot(micro_new, ops._ones))) / ops.ny
-        if mean_drift > _MEAN_DRIFT_TOL * scale and mean_drift > _DRIFT_FLOOR:
-            raise StabilityError(
-                f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
-                f"* max|micro| at step {state.step + 1}"
-            )
-        return MicroMacroState(macro_new, micro_new, effective_new, t_new, state.step + 1)
+        return advance
 
     def run(self, n_steps: int | None = None) -> MicroMacroResult:
         """Iterate to t_end (or for exactly n_steps full steps when given)."""
@@ -433,18 +454,26 @@ class MicroMacroSolver:
             # not past the step the stability bound allows, for all rounding
             last_dt = min(self.problem.t_end - (total - 1) * self.dt, self.dt)
         else:
-            total = int(n_steps)
+            try:  # int() ran 1.9999 and True as 1 step
+                total = -1 if isinstance(n_steps, bool) else operator.index(n_steps)
+            except TypeError:
+                total = -1
             if not 1 <= total <= 2**24:  # the horizon's cap
-                raise ConfigError(f"n_steps must be in 1 .. 2**24, got {n_steps}")
+                raise ConfigError(f"n_steps must be an integer in 1 .. 2**24, got {n_steps!r}")
             last_dt = self.dt
 
-        state = self.initial_state()
+        held, full = self._load(self.initial_state()), total - (last_dt != self.dt)
         with np.errstate(over="ignore", invalid="ignore"):  # entered once: it costs 2 us
-            for k in range(1, total + 1):
-                state = self._advance(state, last_dt if k == total else self.dt)
+            if full:
+                advance = self._stepper(held, self._step_operators(self.dt))
+                for _ in range(full):
+                    advance()
+                del advance  # the full steps' operators are not held through the next assembly
+            if full < total:
+                self._stepper(held, self._step_operators(last_dt))()
         self._held = None  # a finished run holds no step operators (memory)
-        return MicroMacroResult(  # copies free the buffers F and G share with other fields
-            self.xmesh, self.ymesh, state.macro.copy(), np.ascontiguousarray(state.micro),
+        return MicroMacroResult(  # copies: no buffer of the run stays alive
+            self.xmesh, self.ymesh, held.macro.copy(), held.micro.copy(),
             total, self.dt, self.tables.hom,
         )
 

@@ -859,6 +859,94 @@ def test_emm_run_keeps_small_caches():
         assert np.array_equal(ops._effective_band, GridOperators(tables)._effective_band)
 
 
+def _with_layout(solver, x_uniform):
+    """The solver on its tables' x-uniform products, or on one block per x-slice."""
+    solver.ops = GridOperators(dataclasses.replace(solver.tables, x_uniform=x_uniform))
+    return solver
+
+
+@pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
+def test_emm_run_frees_each_step_size_and_its_buffers(monkeypatch, x_uniform):
+    # a run fetches operators twice, for its full steps and its shortened last one, and the
+    # full steps' fast solve (or matrices) and band are freed before the last step's are built;
+    # once the run ends no working buffer, kernel or step operator of it is alive
+    solver = _with_layout(MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8), x_uniform)
+    step_operators, load, stepper, factor = (
+        solver._step_operators, solver._load, solver._stepper, solver.ops._factor
+    )
+    fetched, alive_at_builds, operators, working = [], [], [], []
+
+    def fetching(dt):
+        held = step_operators(dt)
+        fetched.append(dt)
+        operators.extend((weakref.ref(held[3]), weakref.ref(held[4])))  # fast and band
+        return held
+
+    def factoring(s):  # the first operator every build makes
+        alive_at_builds.append([ref() is not None for ref in operators])
+        return factor(s)
+
+    def loading(state):
+        held = load(state)
+        fields = (held.macro, held.micro, held.effective)
+        working.extend(weakref.ref(a if a.base is None else a.base) for a in fields)
+        return held
+
+    def binding(held, step_operators):
+        advance = stepper(held, step_operators)
+        working.append(weakref.ref(advance))
+        return advance
+
+    monkeypatch.setattr(solver, "_step_operators", fetching)
+    monkeypatch.setattr(solver.ops, "_factor", factoring)
+    monkeypatch.setattr(solver, "_load", loading)
+    monkeypatch.setattr(solver, "_stepper", binding)
+    res = solver.run()
+    last_dt = 0.01 - (res.steps - 1) * solver.dt
+    assert 0.0 < last_dt < solver.dt
+    assert fetched == [solver.dt, last_dt]
+    assert alive_at_builds == [[], [False, False]]
+    assert [ref() for ref in operators + working] == [None] * (len(working) + 2 * len(fetched))
+    assert solver._held is None
+    again = solver.run()
+    results = (res.final_macro, res.final_micro, again.final_macro, again.final_micro)
+    for k, a in enumerate(results):
+        assert all(not np.shares_memory(a, b) for b in results[k + 1 :])
+
+
+@pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
+def test_emm_run_starts_from_no_stale_state(x_uniform):
+    # neither a run's held buffers nor the operators of other step sizes leak into the next run,
+    # and step() leaves its input state as it was
+    solver = _with_layout(MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8), x_uniform)
+    first = solver.run()
+    results = [solver.run()]
+    state = solver.initial_state()
+    for share in (0.3, 0.7, 1.0):
+        before = [a.copy() for a in (state.macro, state.micro, state.effective)]
+        after = solver.step(state, dt=share * solver.dt)
+        assert all(map(np.array_equal, (state.macro, state.micro, state.effective), before))
+        state = after
+    results.append(solver.run())
+    assert solver.run(n_steps=3).steps == 3
+    results.append(solver.run())
+    for res in results:
+        assert np.array_equal(res.final_macro, first.final_macro)
+        assert np.array_equal(res.final_micro, first.final_micro)
+
+
+def test_emm_run_takes_only_integral_step_counts():
+    # int() ran 1.9999 and True as one step, and nan failed with numpy's bare conversion error
+    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
+    for bad in (1.9999, 2.5, math.nan, True, "3"):
+        with pytest.raises(ConfigError, match="n_steps must be an integer"):
+            solver.run(n_steps=bad)
+    res, expected = solver.run(n_steps=np.int64(3)), solver.run(n_steps=3)
+    assert res.steps == type(res.steps)(3) == 3 and type(res.steps) is int
+    assert np.array_equal(res.final_macro, expected.final_macro)
+    assert np.array_equal(res.final_micro, expected.final_micro)
+
+
 def test_emm_rejects_a_horizon_past_the_step_cap():
     # t_end = 1e300 was about 1e304 steps, stepped one by one: a hang
     problem = benchmark_problem(0.1, t_end=1e300)
