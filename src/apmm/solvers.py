@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgbmv, dgemm, dger, dnrm2, dsbmv
+from scipy.linalg.blas import dasum, daxpy, dgbmv, dgemm, dgemv, dger, dnrm2, dsbmv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import first_order_corrector, wall_gradients
@@ -46,6 +46,22 @@ _THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0])  # an array: a tuple costs 
 
 class StabilityError(RuntimeError):
     """An explicit time loop produced non-finite values."""
+
+
+def _exact_guards(micro: FloatArray, macro: FloatArray, ones: FloatArray, step: int, t: float):
+    """The ``emm`` step's exact guards on its new fields: a non-finite entry, or a slice mean of
+    the micro field above ``_MEAN_DRIFT_TOL * max|micro|`` (and the subnormal floor), raises.
+    The step runs them only where its screen fails (see ``MicroMacroSolver._stepper``)."""
+    # the max of a field is non-finite exactly when some entry is
+    scale = np.maximum.reduce(np.abs(micro), axis=None)
+    if not (math.isfinite(scale) and math.isfinite(np.maximum.reduce(np.abs(macro)))):
+        raise StabilityError(f"non-finite field at step {step} (t={t:.6g})")
+    mean_drift = np.maximum.reduce(np.abs(np.dot(micro, ones))) / ones.size
+    if mean_drift > _MEAN_DRIFT_TOL * scale and mean_drift > _DRIFT_FLOOR:
+        raise StabilityError(
+            f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
+            f"* max|micro| at step {step}"
+        )
 
 
 def _validate_dt_factor(dt_factor: float, a_max: float) -> None:
@@ -296,6 +312,8 @@ class MicroMacroSolver:
     F' and E' in buffers held per step size.  ``run`` loads once, fetches the step operators when
     dt changes, freeing the full steps' before a shortened last step's are built, and enters
     numpy's error state once; ``step`` loads afresh, enters it per call and returns that state.
+    Each step screens its new fields with BLAS sums into held buffers and runs the exact
+    non-finite and drift guards, ``_exact_guards``, only where that screen fails.
     """
 
     def __init__(
@@ -392,6 +410,7 @@ class MicroMacroSolver:
         x, out = held.macro.base, np.zeros((2, n + 3))  # out: F' and E', see _load for x
         f, e, f_out, e_out, fe, fe_new = x[0], x[1], out[0], out[1], x[:, 1:-1], out[:, :n]
         f_new, e_out[:n] = out[0, :n], held.effective  # rows n .. n+2 stay 0 (dgbmv takes no m < 7)
+        row_sums = np.zeros(n)  # the slice sums of G', for the guards' screen
         if uniform:  # the products of GridOperators._step_matrices on the held [G | F], U
             u, g = held.micro.base, np.empty((n, ny + 2), order="F")  # g: [G' | dJ | S]
             u0, u1, u2, m0, m1, m2, m3 = u[:n].T, u[1 : n + 1].T, u[2 : n + 2].T, *fast
@@ -431,16 +450,19 @@ class MicroMacroSolver:
             dgbmv(n + 3, n + 2, 2, 4, 1.0, band, f, 1, 0, 1.0, f_out, 1, 0, 0, 1)
             dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, e, 1, 0, 1.0, e_out, 1, 0, 0, 1)
             t_new = held.t + dt
-            # the max of a field is non-finite exactly when some entry is
-            scale = np.maximum.reduce(np.abs(micro_new), axis=None)
-            if not (math.isfinite(scale) and math.isfinite(np.maximum.reduce(np.abs(f_new)))):
-                raise StabilityError(f"non-finite field at step {held.step + 1} (t={t_new:.6g})")
-            mean_drift = np.maximum.reduce(np.abs(np.dot(micro_new, ops._ones))) / ny
-            if mean_drift > _MEAN_DRIFT_TOL * scale and mean_drift > _DRIFT_FLOOR:
-                raise StabilityError(
-                    f"fast-average drift {mean_drift:.3e} exceeds {_MEAN_DRIFT_TOL:g} "
-                    f"* max|micro| at step {held.step + 1}"
-                )
+            # G' F-ordered, as f2py passes it uncopied (and flat to dasum); trans by position
+            screened, trans = (g_micro, 0) if uniform else (micro_new.T, 1)
+            total = dasum(screened)
+            dgemv(1.0, screened, ops._ones, 0.0, row_sums, 0, 1, 0, 1, trans, 1)  # overwrite_y
+            # the screen: an IEEE sum of |x| is non-finite whenever an entry is, and for the
+            # slice sums r of G' max|r| <= sum|r| and sum|G'| <= n ny max|G'|, so a pass bounds
+            # the drift by half the exact guards' tolerance (the 2 keeps the sums' rounding from
+            # flipping a decision); a finite field whose sum overflows, or a subnormal one, fails
+            if not (
+                total + dasum(f_new) < math.inf
+                and 2.0 * n * dasum(row_sums) <= _MEAN_DRIFT_TOL * total
+            ):
+                _exact_guards(micro_new, f_new, ops._ones, held.step + 1, t_new)
             held.t, held.step, fe[:] = t_new, held.step + 1, fe_new
             if uniform:
                 held.micro[:], held_f[:] = micro_new, held.macro

@@ -7,6 +7,7 @@ terms shows up even where the dynamics would hide it.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dasum, dgemv
 from scipy.linalg.lapack import dpttrs, dstebz, dstein
 
 from apmm import solvers
@@ -994,6 +996,130 @@ def test_emm_subnormal_micro_field_is_no_drift():
         for nx in (4, 8, 9, 12):
             micro = MicroMacroSolver(problem, nx, 4).run(n_steps=10).final_micro
             assert 0.0 < np.max(np.abs(micro)) < np.finfo(float).tiny
+
+
+def _spied_exact_guards(monkeypatch):
+    """The step numbers the exact guards are called with; they still decide."""
+    calls, exact = [], solvers._exact_guards
+
+    def spy(micro, macro, ones, step, t):
+        calls.append(step)
+        exact(micro, macro, ones, step, t)
+
+    monkeypatch.setattr(solvers, "_exact_guards", spy)
+    return calls
+
+
+@pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
+def test_emm_healthy_steps_pass_the_guards_screen(monkeypatch, x_uniform):
+    # the screen of sums decides every healthy step, in every regime and wall mode, through
+    # run() and step(): the exact guards never run
+    calls = _spied_exact_guards(monkeypatch)
+    for eps in (1.0, 0.1, 0.01, 1e-6):
+        for bc_mode in BC_MODES:
+            for nx, ny in ((16, 8), (64, 16)):
+                problem = benchmark_problem(eps, t_end=0.01, bc_mode=bc_mode)
+                solver = _with_layout(MicroMacroSolver(problem, nx, ny), x_uniform)
+                assert solver.run().steps > 1
+                state = solver.initial_state()
+                for share in (1.0, 0.5, 1.0):
+                    state = solver.step(state, dt=share * solver.dt)
+    assert calls == []
+
+
+@pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
+def test_emm_sum_overflow_takes_the_exact_guards(monkeypatch, x_uniform):
+    # every entry stays finite at 2**1021, but sum|F'| (about 10 times max|F'| on 16 cells)
+    # overflows: the screen fails on every step and the exact guards pass it; the step is
+    # linear, so the fields equal a run at 2**-24 of the data scaled back, bitwise
+    calls, k = _spied_exact_guards(monkeypatch), 24
+    big = _with_layout(MicroMacroSolver(_huge_problem(2.0**1021), 16, 8), x_uniform).run()
+    assert calls == list(range(1, big.steps + 1))
+    assert math.isinf(sum(map(abs, big.final_macro.tolist())))  # Python floats: no warning
+    small = _with_layout(MicroMacroSolver(_huge_problem(2.0 ** (1021 - k)), 16, 8), x_uniform).run()
+    assert len(calls) == big.steps  # the smaller run passed the screen
+    assert np.all(np.isfinite(big.final_micro)) and np.max(np.abs(big.final_micro)) > 0.0
+    assert np.array_equal(big.final_macro, np.ldexp(small.final_macro, k))
+    assert np.array_equal(big.final_micro, np.ldexp(small.final_micro, k))
+
+
+@pytest.mark.parametrize("share", [0.5, 2.0])
+@pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
+def test_emm_drift_near_the_tolerance(monkeypatch, x_uniform, share):
+    # a slice mean of share * _MEAN_DRIFT_TOL * max|G'|, injected as in the drift test above:
+    # either fails the screen, and the exact guards raise only above the tolerance
+    problem = benchmark_problem(0.1, t_end=0.01)
+    solver = _with_layout(MicroMacroSolver(problem, 16, 8), x_uniform)
+    state = solver.initial_state()
+    drift = share * solvers._MEAN_DRIFT_TOL * np.max(np.abs(solver.step(state).micro))
+    solver = _with_layout(MicroMacroSolver(problem, 16, 8), x_uniform)  # no held operators
+    if x_uniform:  # F's row of M_1 gives slice i of G' the mean c * F_i
+        build, c = solver.ops._step_matrices, drift / np.max(np.abs(state.macro))
+
+        def drifting_matrices(s, eps):
+            m = build(s, eps)
+            m[1, -1, :-2] += c
+            return m
+
+        monkeypatch.setattr(solver.ops, "_step_matrices", drifting_matrices)
+    else:
+        factor = solver.ops._factor
+        monkeypatch.setattr(
+            solver.ops, "_factor", lambda s: lambda rows, solve=factor(s): solve(rows) + drift
+        )
+    calls = _spied_exact_guards(monkeypatch)
+    if share < 1.0:
+        stepped = solver.step(state)
+        assert np.all(np.isfinite(stepped.micro)) and stepped.step == 1
+    else:
+        with pytest.raises(StabilityError, match=r"fast-average drift .* at step 1$"):
+            solver.step(state)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_blas_sums_propagate_non_finite_entries(bad):
+    # the guards' screen relies on the installed BLAS: a sum of |x| and a row sum are
+    # non-finite whenever an entry is, in every position and kernel block length; the step
+    # passes G' F-ordered to dasum and dgemv, as (nx, ny) (x-uniform) or transposed (per slice)
+    for size in (*range(1, 18), 64, 1024):
+        x = np.ones(size)
+        for k in range(size):
+            x[k] = bad
+            assert not math.isfinite(dasum(x))
+            x[k] = 1.0
+        for rows, cols in ((size, 3), (3, size)):
+            block = np.ones((rows, cols + 2), order="F")  # a column block, as g[:, :-2]
+            a, ones, sums = block[:, :cols], np.ones(cols), np.zeros(rows)
+            for i in range(rows):
+                for j in range(cols):
+                    a[i, j] = bad
+                    assert not math.isfinite(dasum(a))
+                    dgemv(1.0, a, ones, 0.0, sums, 0, 1, 0, 1, 0, 1)
+                    assert not math.isfinite(sums[i])
+                    dgemv(1.0, a.copy(order="C").T, ones, 0.0, sums, 0, 1, 0, 1, 1, 1)
+                    assert not math.isfinite(sums[i])
+                    a[i, j] = 1.0
+            assert dasum(a) == rows * cols  # the F-ordered block itself, not its neighbours
+
+
+def test_emm_x_uniform_step_allocates_no_field():
+    # the guards read held buffers: a step's allocations stay far below one (nx, ny) field
+    # (5.9 KB measured; the exact guards' |G'| alone is 32 KB)
+    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 128, 32)
+    held = solver._load(solver.initial_state())
+    advance = solver._stepper(held, solver._step_operators(solver.dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        advance()
+        tracemalloc.start()
+        try:
+            advance()
+            advance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert held.step == 3
+    assert peak < 128 * 32 * 8 // 4
 
 
 def test_emm_rejects_inf_initial_data():
