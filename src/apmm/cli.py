@@ -1,9 +1,9 @@
 """Command-line entry points for runs, studies, and cell-problem data.
 
 Exit codes: 0 on success, 1 on numerical failure (blow-up or lost
-ellipticity), 2 on configuration problems; argparse's own usage errors
-already exit with 2.  All CSV output is deterministic, matching the
-harness conventions.
+ellipticity), 2 on configuration problems, an output path that cannot be
+created or written among them; argparse's own usage errors already exit
+with 2.  All CSV output is deterministic, matching the harness conventions.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StabilityError, EllipticityError) as exc:

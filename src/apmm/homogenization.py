@@ -5,9 +5,9 @@ of a(x, .), and the periodic cell corrector has a closed form built from
 the cumulative integral of 1/a.  The functions here evaluate both at given
 points x; the cell data of a whole tensor grid (``HomogenizedData``) is
 derived from the checked coefficient samples by
-:func:`apmm.problem.sample_coefficient`.  The generic elliptic solver in
-:mod:`apmm.operators` provides an independent route to the same corrector
-and is used as a cross-check in the test suite.
+:func:`apmm.problem.sample_coefficient`.  The fast periodic solve at s = 0,
+``GridOperators._factor(0.0)`` in :mod:`apmm.operators`, is an independent
+route to the same corrector, used as a cross-check in the test suite.
 """
 
 from __future__ import annotations

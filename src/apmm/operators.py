@@ -9,10 +9,11 @@ rows ``u_ghost = 2*u_wall - u_first`` carry the Dirichlet wall data: its
 rows are the x-neighbours and its flat slices shifted by one entry the
 y-neighbours, the columns where the shift wraps patched to the periodic
 ones, so every operand is contiguous and the (nx, ny) tables fit as they are.
-``apply_y_diffusion`` keeps the flux form, as the reference the solves are
-tested against.  Every periodic solve in y returns the mean-free ``w`` with
-``(s*I - Ly) w = rhs - mean(rhs)`` per slice; ``s >= 0`` is the inverse of
-the time-step shift, so it stays finite as the shift grows without bound.
+``apply_y_diffusion`` keeps the flux form, as the reference the fast solve
+is tested against.  The one periodic solve in y, ``GridOperators._factor``,
+returns the mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per
+slice; ``s >= 0`` is the inverse of the time-step shift, so it stays finite
+as the shift grows without bound.
 ``T(s)``, ``s*I - Ly`` with the periodic link ``c`` dropped from its two
 corners, is SPD for every s >= 0; the distinct slices (one in all when the
 coefficient does not depend on x) make one tridiagonal, factored by LAPACK
@@ -40,7 +41,6 @@ from .homogenization import _x_differences
 from .mesh import FloatArray
 from .problem import CoefficientTables
 
-_MEAN_PRE_TOL = 1e-10
 # the step matrices' parts of E, O and C (see GridOperators._step_matrices)
 _PARTS = np.array([[1.0, -1.0, 0.0], [-2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 # the effective band's one-sided wall rows: q's (q0, q1, q2) at storage columns 1 to 3 and -2 to
@@ -102,16 +102,12 @@ class GridOperators:
             raise ValueError(f"{what} has shape {u.shape}, expected {shape}")
         return u
 
-    def _as_micro(self, u: FloatArray) -> FloatArray:
-        if np.ndim(u) == 1:
-            u = self._checked(u, (self.nx,), "macro field")
-            return np.broadcast_to(u[:, None], (self.nx, self.ny))
-        return self._checked(u, (self.nx, self.ny), "micro field")
-
     def _padded_field(self, u: FloatArray, bc) -> FloatArray:
         """:meth:`_padded` of a checked macro or micro field with Dirichlet walls ``bc``."""
         twice = (0.0, 0.0) if bc is None else (np.multiply(2.0, bc[0]), np.multiply(2.0, bc[1]))
-        return self._padded(self._as_micro(u), twice)
+        if np.ndim(u) == 1:  # a macro field is the column under a zero micro field
+            return self._padded(0.0, twice, self._checked(u, (self.nx,), "macro field")[:, None])
+        return self._padded(self._checked(u, (self.nx, self.ny), "micro field"), twice)
 
     def _padded(self, u: FloatArray, twice, column=0.0) -> FloatArray:
         """``(nx+2, ny)`` buffer of ``u + column``, ghost rows ``twice - first`` per wall."""
@@ -229,39 +225,6 @@ class GridOperators:
         m[..., n] = (rows @ t.x_interfaces[0]).reshape(4, n + 1)
         m[..., n + 1] = (_PARTS[:, 1:2] + _PARTS[:, 2:]) * np.dot(base[2], self._ones)  # C's sums
         return m
-
-    def solve_y_diffusion(self, rhs: FloatArray) -> FloatArray:
-        """Solve the singular periodic y-diffusion problem per slice.
-
-        The right-hand side must have (numerically) zero y-average per
-        slice; the solution, the s = 0 fast solve negated, has zero
-        y-average.
-        """
-        rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
-        scale = float(np.max(np.abs(rhs)))
-        if scale > 0.0:
-            worst = float(np.max(np.abs(rhs.mean(axis=-1))))
-            if worst > _MEAN_PRE_TOL * scale:
-                raise ValueError(
-                    "solve_y_diffusion requires zero-mean data per slice "
-                    f"(worst slice mean {worst:.3e} vs scale {scale:.3e})"
-                )
-        return self._factor(0.0)(-rhs)
-
-    def solve_shifted(self, rhs: FloatArray, c: float) -> FloatArray:
-        """Solve ``(I - c * Ly) w = rhs`` per slice for c >= 0.
-
-        The slice means pass through unchanged; the rest is the fast solve
-        with ``s = 1/c``.
-        """
-        rhs = self._checked(rhs, (self.nx, self.ny), "right-hand side")
-        c = float(c)
-        if not np.isfinite(c) or c < 0.0:
-            raise ValueError(f"shift must be finite and non-negative, got {c}")
-        s = 1.0 / c if c > 0.0 else np.inf
-        if s == np.inf:  # c = 0, or so small that 1/c overflows: the identity
-            return rhs.copy()
-        return rhs.mean(axis=-1, keepdims=True) + self._factor(s)(s * rhs)
 
     # -- slow-direction and mixed operators ----------------------------------
 

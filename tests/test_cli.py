@@ -237,6 +237,26 @@ def test_out_of_range_arguments_exit_2(tmp_path, args, _run):
     assert not (tmp_path / "out").exists()  # rejected before anything runs
 
 
+@pytest.mark.parametrize("command", ["run", "figure1", "cell", "ap-study"])
+def test_uncreatable_output_path_exits_2(tmp_path, command, _run):
+    # a regular file where the output's directory should go
+    (tmp_path / "afile").write_text("")
+    config = _write_config(
+        tmp_path / "r.cfg", epsilon=0.1, nx=8, ny=4, t_end=0.001, scheme="emm", output="afile/run"
+    )
+    args = {
+        "run": ["run", "--config", str(config)],
+        "figure1": ["figure1", "--eps", "0.5", "--ref-cells", "128", "--t-end", "0.002"],
+        "cell": ["cell", "--ny", "16"],
+        "ap-study": ["ap-study", "--steps", "5"],
+    }[command]
+    out = [] if command == "run" else ["--out", "afile/out"]
+    proc = _run([*args, *out], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert (tmp_path / "afile").read_text() == ""
+
+
 def test_converge_command(tmp_path, _run):
     proc = _run(["converge", "--scheme", "ref", "--levels", "3"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -125,7 +125,7 @@ def test_solve_roundtrip_random(coeff):
     ops = _ops(64, 16, coeff)
     assert ops.tables.x_uniform == (coeff is None)
     r = remove_y_average(rng.standard_normal((64, 16)))
-    w = ops.solve_y_diffusion(r)
+    w = -ops._factor(0.0)(r.copy())  # the singular solve of Ly w = r
     assert np.max(np.abs(w.mean(axis=-1))) <= 1e-13
     rel = np.max(np.abs(ops.apply_y_diffusion(w) - r)) / np.max(np.abs(r))
     assert rel <= 1e-11
@@ -133,9 +133,9 @@ def test_solve_roundtrip_random(coeff):
 
 def test_solve_zero_and_analytic():
     ops = _ops(4, 16, constant_coefficient(1.0))
-    assert np.max(np.abs(ops.solve_y_diffusion(np.zeros((4, 16))))) == 0.0
+    assert np.max(np.abs(ops._factor(0.0)(np.zeros((4, 16))))) == 0.0
     r = np.tile(np.sin(2 * np.pi * ops.ymesh.nodes), (4, 1))
-    w = ops.solve_y_diffusion(r)
+    w = -ops._factor(0.0)(r.copy())
     assert np.max(np.abs(ops.apply_y_diffusion(w) - r)) <= 1e-12
     # grid value equals r scaled by the discrete k=1 eigenvalue ...
     lam = (2.0 - 2.0 * np.cos(2 * np.pi / 16)) * 16**2
@@ -144,26 +144,10 @@ def test_solve_zero_and_analytic():
     assert np.max(np.abs(w + r / (4 * np.pi**2))) <= 5e-4
 
 
-def test_solve_rejects_nonzero_mean():
-    rng = np.random.default_rng(5)
-    ops = _ops(8, 16)
-    with pytest.raises(ValueError, match="zero-mean"):
-        ops.solve_y_diffusion(rng.standard_normal((8, 16)) + 0.5)
-
-
-def test_shifted_solve_identity_limits():
-    ops = _ops(4, 16, constant_coefficient(1.0))
-    const = np.full((4, 16), -1.7)
-    assert np.max(np.abs(ops.solve_shifted(const, 7.3) - const)) <= 1e-12
-    rng = np.random.default_rng(11)
-    r = rng.standard_normal((4, 16))
-    assert np.max(np.abs(ops.solve_shifted(r, 1e-300) - r)) <= 1e-12
-
-
 def test_shifted_solve_analytic_mode():
     ops = _ops(4, 16, constant_coefficient(1.0))
     r = np.tile(np.sin(2 * np.pi * ops.ymesh.nodes), (4, 1))
-    w = ops.solve_shifted(r, 1.0)
+    w = ops._factor(1.0)(r.copy())  # (I - Ly) w = r - mean(r)
     lam = (2.0 - 2.0 * np.cos(2 * np.pi / 16)) * 16**2
     assert np.max(np.abs(w - r / (1.0 + lam))) <= 1e-14
     assert np.max(np.abs(w - r / (1.0 + 4 * np.pi**2))) <= 5e-4
@@ -175,10 +159,11 @@ def test_shifted_solve_residual_and_mean(coeff):
     ops = _ops(64, 16, coeff)
     assert ops.tables.x_uniform == (coeff is None)
     r = rng.standard_normal((64, 16))
-    w = ops.solve_shifted(r, 0.37)
-    residual = w - 0.37 * ops.apply_y_diffusion(w) - r
+    s = 1.0 / 0.37
+    w = ops._factor(s)(s * r)  # (I - 0.37 Ly) w = r - mean(r)
+    residual = w - 0.37 * ops.apply_y_diffusion(w) - remove_y_average(r)
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(r))
-    assert np.max(np.abs(w.mean(axis=-1) - r.mean(axis=-1))) <= 1e-12
+    assert np.max(np.abs(w.mean(axis=-1))) <= 1e-12
     for s in (0.0, 1e-300, 1.0, 1e8):
         _check_fast_solve(ops, r, s)
 
@@ -201,28 +186,13 @@ def test_solves_agree_across_slice_layouts():
     shared = GridOperators(tables)
     per_slice = GridOperators(dataclasses.replace(tables, x_uniform=False))
     r = rng.standard_normal((12, 16))
-    for c in (0.37, 5.0):
-        a, b = shared.solve_shifted(r, c), per_slice.solve_shifted(r, c)
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     # the shared block's dense R(s)^T against the per-slice factors, over the shifts' range
     for s in (0.0, 1e-300, 1e-3, 1.0, 1e8, 1e300):
         a, b = _check_fast_solve(shared, r, s), _check_fast_solve(per_slice, r, s)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-    r0 = remove_y_average(r)
-    a, b = shared.solve_y_diffusion(r0), per_slice.solve_y_diffusion(r0)
-    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
     f, bc = r[:, 0], (0.4, -1.1)
     a, b = shared.apply_effective(f, bc), per_slice.apply_effective(f, bc)
     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
-
-
-def test_shifted_solve_rejects_bad_shift():
-    ops = _ops(4, 16)
-    r = np.zeros((4, 16))
-    with pytest.raises(ValueError):
-        ops.solve_shifted(r, -1.0)
-    with pytest.raises(ValueError):
-        ops.solve_shifted(r, np.nan)
 
 
 # ------------------------------------------------------------ x-diffusion D
@@ -359,7 +329,7 @@ def test_effective_matches_composite_definition(coeff):
     x = ops.xmesh.centers
     f = np.sin(2 * np.pi * x) + 0.7 * x**2
     bc = (0.3, -0.8)
-    w = ops.solve_y_diffusion(remove_y_average(ops.apply_mixed_derivatives(f, bc)))
+    w = -ops._factor(0.0)(remove_y_average(ops.apply_mixed_derivatives(f, bc)))
     want = y_average(ops.apply_x_diffusion(f, bc))
     want -= y_average(ops.apply_mixed_derivatives(w))
     got = ops.apply_effective(f, bc)
