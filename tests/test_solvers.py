@@ -33,7 +33,7 @@ from apmm.problem import (
     constant_coefficient,
     sample_coefficient,
 )
-from apmm.reconstruct import reconstruct_micro_macro
+from apmm.reconstruct import fast_coordinate, reconstruct_micro_macro
 from apmm.solvers import (
     MicroMacroSolver,
     MicroMacroState,
@@ -226,6 +226,43 @@ def test_reference_at_a_very_long_horizon_matches_full_precision_modes():
         assert np.max(np.abs(res.final - expected)) <= 1e-10 * scale  # 1.5e-11, 5.7e-11
 
 
+def test_reference_refines_slow_pairs_on_a_small_mesh(monkeypatch):
+    # 15.7 M steps on 512 cells: the screen finds no slow pair at the first checks and one at
+    # the last two, so one run takes both sides of its empty-set exit; 8.0e-13 measured
+    # (9.3e-12 with theta left unrefined)
+    flatnonzero, slow_counts = np.flatnonzero, []
+
+    def recording_flatnonzero(a):
+        slow_counts.append(np.count_nonzero(a))
+        return flatnonzero(a)
+
+    problem = benchmark_problem(0.1, t_end=3.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "flatnonzero", recording_flatnonzero)
+        res = run_reference(problem, 512)
+    assert slow_counts[0] == 0 and slow_counts[-1] > 0
+    expected = _full_precision_reference(problem, 512, 0.05)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(res.final - expected)) <= 1e-10 * scale
+
+
+def test_reference_projection_traced_peak_at_figure1_scale():
+    # figure1's reference, 2048 cells and 419,431 steps: the 28-row basis plus about a dozen
+    # vectors, 586,331 bytes traced; one more held 2048-cell vector (16 KB) breaks the bound
+    problem = benchmark_problem(0.01, t_end=0.005)
+    mesh = make_spatial_mesh(2048)
+    x_if = mesh.interfaces
+    a_if = problem.coefficient(x_if, fast_coordinate(x_if, problem.epsilon))
+    u0 = np.array(problem.initial(mesh.centers), dtype=float)
+    tracemalloc.start()
+    try:
+        _explicit_heat_loop(u0, a_if, mesh.dx, 0.05 * mesh.dx**2, problem.t_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 600_000
+
+
 @settings(max_examples=5, deadline=None)
 @given(
     c0=st.floats(1.0, 2.0),
@@ -326,10 +363,20 @@ def test_reference_overflow_trips_the_final_state_guard(monkeypatch):
     # stretched grows data near the largest double past it as they are scaled back
     problem = dataclasses.replace(_huge_problem(1e308), t_end=1e-5)
     assert np.all(np.isfinite(run_reference(problem, 256).final))
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda t, s: (t, 1.5 * s))(*eigh(a)))
+    dsyevd = solvers.dsyevd
+    monkeypatch.setattr(
+        solvers, "dsyevd", lambda a, **kw: (lambda t, s, info: (t, 1.5 * s, info))(*dsyevd(a, **kw))
+    )
     with pytest.raises(StabilityError, match="non-finite field at the final step"):
         run_reference(problem, 256)
+
+
+def test_reference_raises_when_the_ritz_eigensolver_fails(monkeypatch):
+    # a nonzero LAPACK info is an error, as np.linalg.eigh reports it
+    dsyevd = solvers.dsyevd
+    monkeypatch.setattr(solvers, "dsyevd", lambda a, **kw: (*dsyevd(a, **kw)[:2], 3))
+    with pytest.raises(np.linalg.LinAlgError, match="dsyevd failed with info=3"):
+        run_reference(benchmark_problem(0.1, t_end=1e-4), 256)
 
 
 @pytest.mark.filterwarnings("ignore:n_cells=128 under-resolves")
