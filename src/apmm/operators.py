@@ -202,8 +202,9 @@ class GridOperators:
 
     def _step_matrices(self, s: float, eps: float) -> FloatArray:
         """The x-uniform step's (4, ny+1, ny+2) ``M``: row i of ``[G' | G' a_x | S]`` is
-        ``sum_{k<3} U[i+k] M_k`` for the padded ``U = [G | F]``, rows 0 and nx-1 adding the
-        third differences of U's first and last four rows times ``M_3``.
+        ``sum_{k<3} U[i+k] M_k`` for the padded ``U = [G | F]``, rows 0 and nx-1 adding ``(U[j]
+        - 3 U[j+1] + 3 U[j+2] - U[j+3]) M_3`` for j = 0 and nx-2: the third differences of U's
+        first and last four rows, their ghost rows included, for the one-sided wall rows.
         ``G' = R(s) (s*G + eps*(Mixed + eps*Xdiff)(F + G))``; S has the first term's y-sums."""
         t, n = self.tables, self.ny
         c, ay, j = t.centers[0], t.y_interfaces[0], np.arange(n)

@@ -41,7 +41,7 @@ _DRIFT_FLOOR = _MEAN_DRIFT_TOL * sys.float_info.min  # subnormal fields round ab
 _MODE_TOL = 1e-17  # a gain over the full steps below this is none: no second pole for it
 _KRYLOV_TOL = 1e-11  # settling tolerance of the projection, a share of the final state's norm
 _ROUNDING_LIFT = 7.4e-9  # 100 times the largest lift of max|u0| measured, 7.4e-11
-_THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0])  # an array: a tuple costs numpy 3 us
+_THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0])  # an array: a tuple costs numpy 0.5 us
 
 
 class StabilityError(RuntimeError):
@@ -311,9 +311,10 @@ class MicroMacroSolver:
     companion, the effective equation's run), onto ``alpha*dJ + kick*S``: ``dJ`` the
     differences of G's y-summed x-fluxes, ``S`` the mixed block's first-term y-sums and ``kick``
     their weight; dt*K steps the companion.  With an x-uniform coefficient the coupling terms,
-    the fast solve, S and the flux sums are three products of the padded ``[G | F]`` with the
-    step's matrices; else the coupling terms read flat slices of one padded buffer.  Over 2**24
-    steps is a ConfigError.
+    the fast solve, S and the flux sums are three products of the padded ``[G | F]``, U, with
+    the step's matrices, and the wall rows add the third differences of U's first and last four
+    rows (their ghost rows ``2*wall - first`` included) times ``M_3``; else the coupling terms
+    read flat slices of one padded buffer.  Over 2**24 steps is a ConfigError.
 
     One kernel per step size advances a working state in place: F and E in the rows of ``x =
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
@@ -413,32 +414,40 @@ class MicroMacroSolver:
 
     def _stepper(self, held: MicroMacroState, operators):
         """The step kernel of ``operators``' dt: a function advancing ``held`` a step in place."""
-        eps, ops, n, ny = self.epsilon, self.ops, self.ops.nx, self.ops.ny
+        eps, ops, n, ny, dx = self.epsilon, self.ops, self.ops.nx, self.ops.ny, self.ops.dx
         (dt, s, kick, fast, band, alpha), uniform = operators, ops._blocks == 1
         x, out = held.macro.base, np.zeros((2, n + 3))  # out: F' and E', see _load for x
         f, e, f_out, e_out, fe, fe_new = x[0], x[1], out[0], out[1], x[:, 1:-1], out[:, :n]
         f_new, e_out[:n] = out[0, :n], held.effective  # rows n .. n+2 stay 0 (dgbmv takes no m < 7)
         row_sums = np.zeros(n)  # the slice sums of G', for the guards' screen
+        ends = np.ndarray((2, 3), float, x, 8 * (n + 3), (8 * (n - 3), 8))  # E's first, last three
         if uniform:  # the products of GridOperators._step_matrices on the held [G | F], U
             u, g = held.micro.base, np.empty((n, ny + 2), order="F")  # g: [G' | dJ | S]
             u0, u1, u2, m0, m1, m2, m3 = u[:n].T, u[1 : n + 1].T, u[2 : n + 2].T, *fast
-            row = u.strides[0]  # u4: U's first and last four rows; as_strided costs 7 us
-            u4 = np.ndarray((2, 4, ny + 1), float, u, 0, (row * (n - 2), row, u.itemsize))
-            ghosts, firsts, ghost_g = u[:: n + 1], u[1 : n + 1 : n - 1], (u[0, :-1], u[-1, :-1])
-            g_micro, flux_sums, kicks, wall_rows = g[:, :-2], g[:, -2], g[:, -1], g[:: n - 1]
+            # the third differences of U's first and last four rows are one product with a
+            # stencil; g flat holds g's wall rows 0 and n-1 from entries 0 and n-1, at stride n
+            stencil, thirds = np.zeros((n + 2, 2), order="F"), np.zeros((2, ny + 1))
+            stencil[:4, 0] = stencil[n - 2 :, 1] = _THIRD_DIFFERENCE
+            third_l, third_r, thirds, u_t, g_flat = thirds[0], thirds[1], thirds.T, u.T, g.T.ravel()
+            ghost_l, first_l, first_r, ghost_r = u[0], u[1], u[-2], u[-1]
+            g_micro, flux_sums, kicks = g[:, :-2], g[:, -2], g[:, -1]
             t_left, t_right, held_f = self._wall_totals[0], self._wall_totals[1], u[1:-1, -1]
 
         def advance():
-            left, right = wall_gradients(held.effective, ops.dx)
+            (a, b, c), (p, q, r) = ends.tolist()  # wall_gradients' arithmetic, without its checks
+            left, right = (-2.0 * a + 3.0 * b - c) / dx, (2.0 * r - 3.0 * q + p) / dx
             if uniform:
-                np.negative(firsts, out=ghosts)  # ghost rows 2*wall - the first
-                daxpy(t_left, ghost_g[0], ny, left)  # in place; n, a by position
-                daxpy(t_right, ghost_g[1], ny, right)
+                np.negative(first_l, out=ghost_l)  # ghost rows 2*wall - the first, row by row:
+                np.negative(first_r, out=ghost_r)  # numpy's 2-D iterator costs 0.8 KB and 0.3 us
+                daxpy(t_left, ghost_l, ny, left)  # in place, on G's entries; n, a by position
+                daxpy(t_right, ghost_r, ny, right)
                 dgemm(1.0, u0, m0, 0.0, g, 1, 0, 1)  # trans_a = 1 (contiguous operands), beta = 0
                 dgemm(1.0, u1, m1, 1.0, g, 1, 0, 1)  # then beta = 1; overwrite_c = 1
                 dgemm(1.0, u2, m2, 1.0, g, 1, 0, 1)
-                np.add(wall_rows, np.dot(np.dot(_THIRD_DIFFERENCE, u4), m3), out=wall_rows)
-                f_new[:], micro_new = kicks, g_micro
+                dgemm(1.0, u_t, stencil, 0.0, thirds, 0, 0, 1)  # the walls' third differences
+                dgemv(1.0, m3, third_l, 1.0, g_flat, 0, 1, 0, n, 1, 1)  # times M_3, onto g's rows
+                dgemv(1.0, m3, third_r, 1.0, g_flat, 0, 1, n - 1, n, 1, 1)
+                f_new[...], micro_new = kicks, g_micro
                 # alpha*dJ + kick*S; beta and overwrite_y = 1 by position: keywords cost f2py 1 us
                 dsbmv(1, alpha, ops._jump_diffs, flux_sums, 1, 0, kick, f_out, 1, 0, 0, 1)
             else:  # 4*dx*dy times the coupling terms less their slice means by a rank-one update:
@@ -451,7 +460,7 @@ class MicroMacroSolver:
                 micro_new = held.micro = fast(coupled)  # in place
                 sums = ops._jumps(micro_new)
                 sums = np.dot(np.multiply(sums, ops.tables.x_interfaces, out=sums), ops._ones)
-                f_out[:] = 0.0
+                f_out[...] = 0.0
                 daxpy(np.diff(sums), f_out, a=alpha)  # alpha*dJ + kick*S
                 daxpy(first_sums, f_out, a=kick)  # a no-op for kick = 0
             f[0], f[-1] = left, right
@@ -462,18 +471,18 @@ class MicroMacroSolver:
             screened, trans = (g_micro, 0) if uniform else (micro_new.T, 1)
             total = dasum(screened)
             dgemv(1.0, screened, ops._ones, 0.0, row_sums, 0, 1, 0, 1, trans, 1)  # overwrite_y
-            # the screen: an IEEE sum of |x| is non-finite whenever an entry is, and for the
-            # slice sums r of G' max|r| <= sum|r| and sum|G'| <= n ny max|G'|, so a pass bounds
-            # the drift by half the exact guards' tolerance (the 2 keeps the sums' rounding from
-            # flipping a decision); a finite field whose sum overflows, or a subnormal one, fails
+            # the screen: an IEEE sum of |x| or 2-norm is non-finite whenever an entry is, and
+            # the slice sums r of G' have max|r| <= |r|_2 (sqrt(n) rounding sizes; sum|r| has n),
+            # sum|G'| <= n ny max|G'|, so a pass bounds the drift by half the guards' tolerance
+            # (the 2 for the sums' rounding); a field whose sum overflows, or a subnormal one, fails
             if not (
                 total + dasum(f_new) < math.inf
-                and 2.0 * n * dasum(row_sums) <= _MEAN_DRIFT_TOL * total
+                and 2.0 * n * dnrm2(row_sums) <= _MEAN_DRIFT_TOL * total
             ):
                 _exact_guards(micro_new, f_new, ops._ones, held.step + 1, t_new)
-            held.t, held.step, fe[:] = t_new, held.step + 1, fe_new
+            held.t, held.step, fe[...] = t_new, held.step + 1, fe_new
             if uniform:
-                held.micro[:], held_f[:] = micro_new, held.macro
+                held.micro[...], held_f[...] = micro_new, held.macro
 
         return advance
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import dasum, dgemv
+from scipy.linalg.blas import dasum, dgemv, dnrm2
 from scipy.linalg.lapack import dpttrs, dstebz, dstein
 
 from apmm import solvers
@@ -727,6 +727,7 @@ def test_emm_micro_mean_free_along_run(eps, coeff):
         pytest.param(0.3, 32, 0.01, id="0.3-kick"),  # corrector walls, 0 < w < 1, kick != 0
         pytest.param(0.3, 4, 0.31, id="0.3-nx4"),  # both one-sided wall rows reach every row
         pytest.param(1e-6, 4, 0.31, id="1e-06-nx4"),
+        pytest.param(1.0, 4, 0.31, id="1.0-nx4"),  # the smallest grid (3 cells is a ValueError)
     ],
 )
 def test_emm_fast_solve_paths_agree(eps, nx, t_end):
@@ -1124,7 +1125,7 @@ def test_emm_drift_near_the_tolerance(monkeypatch, x_uniform, share):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_blas_sums_propagate_non_finite_entries(bad):
-    # the guards' screen relies on the installed BLAS: a sum of |x| and a row sum are
+    # the guards' screen relies on the installed BLAS: a sum of |x|, a 2-norm and a row sum are
     # non-finite whenever an entry is, in every position and kernel block length; the step
     # passes G' F-ordered to dasum and dgemv, as (nx, ny) (x-uniform) or transposed (per slice)
     for size in (*range(1, 18), 64, 1024):
@@ -1132,6 +1133,7 @@ def test_blas_sums_propagate_non_finite_entries(bad):
         for k in range(size):
             x[k] = bad
             assert not math.isfinite(dasum(x))
+            assert not math.isfinite(dnrm2(x))  # of the slice sums
             x[k] = 1.0
         for rows, cols in ((size, 3), (3, size)):
             block = np.ones((rows, cols + 2), order="F")  # a column block, as g[:, :-2]
@@ -1150,7 +1152,7 @@ def test_blas_sums_propagate_non_finite_entries(bad):
 
 def test_emm_x_uniform_step_allocates_no_field():
     # the guards read held buffers: a step's allocations stay far below one (nx, ny) field
-    # (5.9 KB measured; the exact guards' |G'| alone is 32 KB)
+    # (0.24 KB measured; the exact guards' |G'| alone is 32 KB)
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 128, 32)
     held = solver._load(solver.initial_state())
     advance = solver._stepper(held, solver._step_operators(solver.dt))
@@ -1165,6 +1167,37 @@ def test_emm_x_uniform_step_allocates_no_field():
             tracemalloc.stop()
     assert held.step == 3
     assert peak < 128 * 32 * 8 // 4
+
+
+def test_emm_x_uniform_steps_allocate_nothing():
+    # after its first step a bound kernel writes held buffers only: over 100 steps at 64x16
+    # the traced peak stays within 1 KB of its start (288 B measured, f2py's returned arrays;
+    # 5.6 KB while numpy formed the wall rows' third differences)
+    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 64, 16)
+    held = solver._load(solver.initial_state())
+    advance = solver._stepper(held, solver._step_operators(solver.dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        advance()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                advance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert held.step == 101
+    assert peak - start <= 1024
+
+
+def test_emm_guards_screen_keeps_its_margin_on_a_large_grid(monkeypatch):
+    # the screen bounds the slice sums' max by their 2-norm, so healthy steps pass it also at
+    # 1024x128, where the screen on sum|r| sent steps 1 to 5 to the exact guards
+    calls = _spied_exact_guards(monkeypatch)
+    solver = MicroMacroSolver(benchmark_problem(0.01, t_end=0.01), 1024, 128)
+    assert solver.ops._blocks == 1
+    assert solver.run(n_steps=10).steps == 10
+    assert calls == []
 
 
 def test_emm_rejects_inf_initial_data():
