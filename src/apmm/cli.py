@@ -4,6 +4,9 @@ Exit codes: 0 on success, 1 on numerical failure (blow-up or lost
 ellipticity), 2 on configuration problems, an output path that cannot be
 created or written among them; argparse's own usage errors already exit
 with 2.  All CSV output is deterministic, matching the harness conventions.
+The harness and the solvers, and with them ``scipy.linalg``, are imported by
+the commands that run them, so ``cell``, ``--help`` and argument errors start
+without them.
 """
 
 from __future__ import annotations
@@ -12,22 +15,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import _fmt, _write_rows
-from .harness import ap_degeneracy_study, convergence_study, regime_comparison
 from .homogenization import homogenized_coefficient, solve_cell_problem
 from .mesh import make_cell_mesh, make_spatial_mesh
 from .problem import (
     ConfigError,
     EllipticityError,
+    StabilityError,
+    _fmt,
+    _write_rows,
     coefficient_from_name,
     parse_config,
     sample_coefficient,
-)
-from .solvers import (
-    StabilityError,
-    run_homogenized,
-    run_micro_macro,
-    run_reference,
 )
 
 
@@ -47,6 +45,8 @@ def _prepare_parent(path: str | Path) -> Path:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .solvers import run_homogenized, run_micro_macro, run_reference
+
     cfg = parse_config(args.config)
     problem = cfg.problem()
     dt_factor = cfg.resolved_dt_factor()
@@ -105,6 +105,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    from .harness import regime_comparison
+
     periods = 40.0 if args.paper_scale else 20.0
     t_end = args.t_end
     if t_end is None:
@@ -129,6 +131,8 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_ap_study(args: argparse.Namespace) -> int:
+    from .harness import ap_degeneracy_study
+
     out = _prepare_parent(args.out)
     rows = ap_degeneracy_study(n_steps=args.steps, out_path=out)
     for eps, deviation in rows:
@@ -138,6 +142,8 @@ def _cmd_ap_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    from .harness import convergence_study
+
     report = convergence_study(args.scheme, levels=args.levels)
     label = "dx" if report.scheme == "ref" else "dt"
     for resolution, err in zip(report.resolutions, report.errors):

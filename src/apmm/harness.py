@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .mesh import FloatArray, SpatialMesh
-from .problem import ConfigError, benchmark_problem, constant_coefficient, ProblemSpec
+from .problem import ConfigError, ProblemSpec, _fmt, _write_rows
+from .problem import benchmark_problem, constant_coefficient
 from .reconstruct import (
     derivative_on_fine,
     diagnostic_mesh,
@@ -33,10 +34,6 @@ from .solvers import (
     run_micro_macro,
     run_reference,
 )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def error_norms(
@@ -118,13 +115,6 @@ _SUMMARY_COLUMNS = [
     "eps", "scheme", "error_u_inf", "error_u_l2", "error_du_inf", "error_du_l2",
     "rel_error_u_inf", "rel_error_du_inf",
 ]
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
 
 
 def _write_summary(path: Path, records) -> None:

@@ -24,7 +24,8 @@ SPD and equals ``s*I - Ly`` on mean-free data (``1^T Ly = 0``), so the
 Woodbury identity gives ``w = R(s) rhs = (I - Z V^T) T^{-1} rhs`` with an
 (ny, 3) ``Z`` per block that also removes the slice mean: no node pinning,
 and no singular matrix at s = 0.  With one block, an emm step's whole fast
-update is three products of its padded ``[G | F]`` with the step's matrices.
+update is three products of its padded ``[G | F]`` with the step's matrices,
+and one per wall row with blocks the solver folds from them.
 The effective operator is one band, assembled once from the closed-form cell
 corrector and applied by BLAS to ``[left wall, macro field, right wall]``.
 Nothing here depends on a step size: a stepper builds the fast solve, the
@@ -43,6 +44,8 @@ from .problem import CoefficientTables
 
 # the step matrices' parts of E, O and C (see GridOperators._step_matrices)
 _PARTS = np.array([[1.0, -1.0, 0.0], [-2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+# C's sums' weights and the band offsets of E, O and C, held so that no step size rebuilds them
+_C_SUMS, _SHIFTS = _PARTS[:, 1:2] + _PARTS[:, 2:], np.array([[0], [1], [-1]])
 # the effective band's one-sided wall rows: q's (q0, q1, q2) at storage columns 1 to 3 and -2 to
 # -4 weigh (-3 q0, 3 q1, 3 q0 - q2, -3 q1, q2) at [4, 0] up to [0, 4] and [2, -1] down to [6, -5]
 _ONE_SIDED = np.array([[-3, 0, 3, 0, 0], [0, 3, 0, -3, 0], [0, 0, -1, 0, 1]], dtype=float)
@@ -201,10 +204,12 @@ class GridOperators:
         return solve
 
     def _step_matrices(self, s: float, eps: float) -> FloatArray:
-        """The x-uniform step's (4, ny+1, ny+2) ``M``: row i of ``[G' | G' a_x | S]`` is
-        ``sum_{k<3} U[i+k] M_k`` for the padded ``U = [G | F]``, rows 0 and nx-1 adding ``(U[j]
-        - 3 U[j+1] + 3 U[j+2] - U[j+3]) M_3`` for j = 0 and nx-2: the third differences of U's
-        first and last four rows, their ghost rows included, for the one-sided wall rows.
+        """The x-uniform step's (4, ny+1, ny+2) ``M``, each block C-ordered: row i of ``[G' | G'
+        a_x | S]`` is ``sum_{k<3} U[i+k] M_k`` for the padded ``U = [G | F]`` with ghost rows
+        ``2*wall - first``, rows 0 and nx-1 adding ``(U[j] - 3 U[j+1] + 3 U[j+2] - U[j+3]) M_3``
+        for j = 0 and nx-2, the third differences of the one-sided wall rows.  The solver folds
+        the ghosts and these differences into held blocks, so its wall rows read U's rows 1-3
+        and nx-2..nx and the wall data, never a ghost row (see ``MicroMacroSolver``).
         ``G' = R(s) (s*G + eps*(Mixed + eps*Xdiff)(F + G))``; S has the first term's y-sums."""
         t, n = self.tables, self.ny
         c, ay, j = t.centers[0], t.y_interfaces[0], np.arange(n)
@@ -216,15 +221,15 @@ class GridOperators:
         bands[1, 0], bands[1, 2] = ay - ay_prev, -c - ay_prev
         bands[1, 1] += ay
         base = np.zeros((3, n + 1, n))
-        base[:, (j + [[0], [1], [-1]]) % n, j] = bands
+        base[:, (j + _SHIFTS) % n, j] = bands
         base[0, n], base[1, n] = ax - ax[0], 2.0 * bands[1, 0]  # F's row, 0 for a constant a
         rows = np.dot(_PARTS * (eps / (4.0 * self.dx * self.dy)), base.reshape(3, -1))
         rows.reshape(4, n + 1, n)[1].ravel()[: n * n : n + 1] += s  # s*G
         rows = self._factor(s)(rows.reshape(-1, n))  # R^T of every row
-        m = np.empty((4, n + 2, n + 1)).transpose(0, 2, 1)  # each M_k Fortran-ordered
+        m = np.empty((4, n + 1, n + 2))
         m[..., :n] = rows.reshape(4, n + 1, n)
         m[..., n] = (rows @ t.x_interfaces[0]).reshape(4, n + 1)
-        m[..., n + 1] = (_PARTS[:, 1:2] + _PARTS[:, 2:]) * np.dot(base[2], self._ones)  # C's sums
+        m[..., n + 1] = _C_SUMS * np.dot(base[2], self._ones)  # C's sums
         return m
 
     # -- slow-direction and mixed operators ----------------------------------
@@ -277,9 +282,10 @@ class GridOperators:
         p_k))/(2*dx)``, whose one-sided rows reach three cells in, the ghosts ``2*wall - u``
         folded into the wall columns; rows past nx-1 weigh nothing."""
         n, dx2 = self.nx, self.dx**2
-        # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector
-        corrector = self.tables.hom.chi
-        beta = -y_average(self._centre_y_flux(self._padded(corrector, (0.0, 0.0)))) / (2 * self.dy)
+        # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; padded
+        # as the column, so that an x-uniform chi (one row, row stride 0) broadcasts by a copy
+        corrector = self._padded(0.0, (0.0, 0.0), self.tables.hom.chi)
+        beta = -y_average(self._centre_y_flux(corrector)) / (2 * self.dy)
         q = np.concatenate(([0.0], beta / (4.0 * dx2), [0.0]))  # with q_{-1} = q_nx = 0
         # storage [4 - o, m] holds the weight of p_m in row i = m - o
         k = np.zeros((7, n + 2), order="F")  # as dgbmv reads it: no copy per call

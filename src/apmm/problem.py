@@ -33,6 +33,10 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run-configuration files."""
 
 
+class StabilityError(RuntimeError):
+    """An explicit time loop produced non-finite values."""
+
+
 @dataclass(frozen=True)
 class DiffusionField:
     """Strictly positive coefficient a(x, y), 1-periodic in y.
@@ -174,7 +178,8 @@ class CoefficientTables:
 
     ``hom`` holds the effective coefficient and the correctors computed
     from them.  ``x_uniform`` records whether every row of every table is
-    identical, so that every x-slice sees the same coefficient.
+    identical, so that every x-slice sees the same coefficient; then each table
+    and ``hom.chi`` is one row, held as a read-only view at row stride 0.
     """
 
     xmesh: SpatialMesh
@@ -233,16 +238,34 @@ def sample_coefficient(
         )
 
     centers, x_interfaces, y_interfaces = at_nodes[:nx], at_nodes[nx:], at_half[:nx]
-    x_uniform = bool(all(np.all(t == t[:1]) for t in (centers, x_interfaces, y_interfaces)))
+    x_uniform = all((t[1:] == t[:-1]).all() for t in (centers, x_interfaces, y_interfaces))
     a0 = 1.0 / (np.add.reduce(1.0 / x_interfaces, axis=-1) / ymesh.n_points)  # the y-mean's bits
-    chi = _cell_corrector(1.0 / at_half, ymesh)
-    hom = HomogenizedData(xmesh, ymesh, a0_interfaces=a0, chi=chi[:nx], chi_walls=chi[nx:])
+    chi = _cell_corrector(1.0 / at_half, ymesh)  # on every row: BLAS row sums' bits vary by count
+    chi, chi_walls = chi[:nx], chi[nx:]
+    if x_uniform:  # one row of each table and of chi, as read-only views at row stride 0
+        rows = np.concatenate((at_nodes[: nx + 1 : nx], at_half[:1], chi[:1], chi_walls))
+        rows.flags.writeable = False
+        held = np.ndarray((4, nx + 1, ymesh.n_points), float, rows, 0, (rows.strides[0], 0, 8))
+        centers, x_interfaces, y_interfaces, chi = held[0, :nx], held[1], held[2, :nx], held[3, :nx]
+        chi_walls = rows[4:]
+    hom = HomogenizedData(xmesh, ymesh, a0_interfaces=a0, chi=chi, chi_walls=chi_walls)
     return CoefficientTables(xmesh, ymesh, centers, x_interfaces, y_interfaces, hom, x_uniform)
 
 
 # --------------------------------------------------------------------------
-# Run-configuration files
+# Run-configuration files and CSV output
 # --------------------------------------------------------------------------
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".17g")
+
+
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
 
 @dataclass
 class RunConfig:

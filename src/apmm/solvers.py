@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs, dsyevd
 from .homogenization import first_order_corrector, wall_gradients
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators, y_average
-from .problem import ConfigError, HomogenizedData, ProblemSpec, sample_coefficient
+from .problem import ConfigError, HomogenizedData, ProblemSpec, StabilityError, sample_coefficient
 from .reconstruct import _balanced_coefficients, fast_coordinate
 
 _MEAN_DRIFT_TOL = 1e-11
@@ -41,11 +41,16 @@ _DRIFT_FLOOR = _MEAN_DRIFT_TOL * sys.float_info.min  # subnormal fields round ab
 _MODE_TOL = 1e-17  # a gain over the full steps below this is none: no second pole for it
 _KRYLOV_TOL = 1e-11  # settling tolerance of the projection, a share of the final state's norm
 _ROUNDING_LIFT = 7.4e-9  # 100 times the largest lift of max|u0| measured, 7.4e-11
-_THIRD_DIFFERENCE = np.array([1.0, -3.0, 3.0, -1.0])  # an array: a tuple costs numpy 0.5 us
-
-
-class StabilityError(RuntimeError):
-    """An explicit time loop produced non-finite values."""
+# the x-uniform step's blocks as sums of GridOperators._step_matrices' M_0 .. M_3: M_0, M_1 and
+# M_2 for the GEMMs, then those of g's wall row 0 over U's rows 1-3 and of row nx-1 over rows
+# nx-2..nx, U's ghost rows 2*wall - first and the third differences folded in; the ghosts' wall
+# data weigh M_0 + M_3 (left) and M_2 - M_3 (right)
+_FOLD = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, 1, 0, -4], [0, 0, 1, 3], [0, 0, 0, -1],
+     [0, 0, 0, 1], [1, 0, 0, -3], [0, 1, -1, 4]],
+    dtype=float,
+)
+_GHOSTS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, -1.0]])
 
 
 def _exact_guards(micro: FloatArray, macro: FloatArray, ones: FloatArray, step: int, t: float):
@@ -312,9 +317,11 @@ class MicroMacroSolver:
     differences of G's y-summed x-fluxes, ``S`` the mixed block's first-term y-sums and ``kick``
     their weight; dt*K steps the companion.  With an x-uniform coefficient the coupling terms,
     the fast solve, S and the flux sums are three products of the padded ``[G | F]``, U, with
-    the step's matrices, and the wall rows add the third differences of U's first and last four
-    rows (their ghost rows ``2*wall - first`` included) times ``M_3``; else the coupling terms
-    read flat slices of one padded buffer.  Over 2**24 steps is a ConfigError.
+    the step's matrices; each one-sided wall row is U's three rows next to its wall times a
+    held block, into which the ghost row ``2*wall - first`` and the third differences are
+    folded, plus the wall gradient times a held row, so U's ghost rows stay 0 and no step reads
+    them.  Else the coupling terms read flat slices of one padded buffer.  Over 2**24 steps is
+    a ConfigError.
 
     One kernel per step size advances a working state in place: F and E in the rows of ``x =
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
@@ -378,16 +385,25 @@ class MicroMacroSolver:
 
     def _step_operators(self, dt: float):
         """``(dt, s, kick, fast, band, alpha)`` for dt, built when dt changes: the shift, the
-        x-uniform step's matrices or else the fast solve, and the band of ``I + dt*((1 - w) K +
-        w A)``, wall columns times the wall traces, plus ``alpha`` G's wall sums (see the class)."""
+        x-uniform step's blocks or else the fast solve, and the band of ``I + dt*((1 - w) K +
+        w A)``, wall columns times the wall traces, plus ``alpha`` G's wall sums (see the class).
+        The x-uniform blocks are one array: its k-th ny+1 rows are ``_FOLD[k]`` of
+        ``GridOperators._step_matrices``' four (M_0 to M_2, then each wall's three), and its
+        last two rows each wall's data per unit wall gradient, by ``_GHOSTS``."""
         if not sys.float_info.min <= dt <= self.dt:  # also false for nan
             raise ValueError(f"dt must satisfy 0 < dt <= {self.dt:.6g} and be normal, got {dt}")
         if self._held is None or self._held[0] != dt:
             self._held = None  # not held through the next assembly
-            eps, ops = self.epsilon, self.ops
+            eps, ops, ny = self.epsilon, self.ops, self.ops.ny
             s, weight = (eps / dt) * eps, math.exp(-(dt / eps) / eps)
-            fast = ops._step_matrices(s, eps) if ops._blocks == 1 else ops._factor(s)
-            band, alpha = ops._blended_band(weight, dt), dt / (ops.ny * ops.dx**2)
+            if ops._blocks == 1:  # M's four blocks flat, folded
+                m, fast = ops._step_matrices(s, eps).reshape(4, -1), np.empty((9 * ny + 11, ny + 2))
+                np.dot(_FOLD, m, out=fast[:-2].reshape(9, -1))
+                ghosts = np.dot(_GHOSTS, m).reshape(2, ny + 1, ny + 2)[:, :ny]  # G's rows
+                np.matmul(self._wall_totals[:, None], ghosts, out=fast[-2:, None])
+            else:
+                fast = ops._factor(s)
+            band, alpha = ops._blended_band(weight, dt), dt / (ny * ops.dx**2)
             band[:, :: ops.nx + 1] *= self._wall_traces
             band[4, 0] += alpha * self._wall_sums[0]
             band[2, -1] += alpha * self._wall_sums[1]
@@ -407,8 +423,8 @@ class MicroMacroSolver:
         G, which the steps replace and never write)."""
         n, micro, x = self.ops.nx, state.micro, np.zeros((2, self.ops.nx + 2))
         x[0, 1:-1], x[1, 1:-1] = state.macro, state.effective
-        if self.ops._blocks == 1:
-            u = np.empty((n + 2, self.ops.ny + 1))
+        if self.ops._blocks == 1:  # U's ghost rows: 0, and no step writes them
+            u = np.zeros((n + 2, self.ops.ny + 1))
             u[1:-1, :-1], u[1:-1, -1], micro = micro, state.macro, u[1:-1, :-1]
         return MicroMacroState(x[0, 1:-1], micro, x[1, 1:-1], state.t, state.step)
 
@@ -421,32 +437,30 @@ class MicroMacroSolver:
         f_new, e_out[:n] = out[0, :n], held.effective  # rows n .. n+2 stay 0 (dgbmv takes no m < 7)
         row_sums = np.zeros(n)  # the slice sums of G', for the guards' screen
         ends = np.ndarray((2, 3), float, x, 8 * (n + 3), (8 * (n - 3), 8))  # E's first, last three
-        if uniform:  # the products of GridOperators._step_matrices on the held [G | F], U
-            u, g = held.micro.base, np.empty((n, ny + 2), order="F")  # g: [G' | dJ | S]
-            u0, u1, u2, m0, m1, m2, m3 = u[:n].T, u[1 : n + 1].T, u[2 : n + 2].T, *fast
-            # the third differences of U's first and last four rows are one product with a
-            # stencil; g flat holds g's wall rows 0 and n-1 from entries 0 and n-1, at stride n
-            stencil, thirds = np.zeros((n + 2, 2), order="F"), np.zeros((2, ny + 1))
-            stencil[:4, 0] = stencil[n - 2 :, 1] = _THIRD_DIFFERENCE
-            third_l, third_r, thirds, u_t, g_flat = thirds[0], thirds[1], thirds.T, u.T, g.T.ravel()
-            ghost_l, first_l, first_r, ghost_r = u[0], u[1], u[-2], u[-1]
+        if uniform:  # the products of _step_operators' blocks with the held [G | F], U
+            u, g, k = held.micro.base, np.empty((n, ny + 2), order="F"), ny + 1  # g: [G' | dJ | S]
+            u0, u1, u2 = u[:n].T, u[1 : n + 1].T, u[2 : n + 2].T
+            # the blocks transposed, Fortran-ordered as BLAS reads them, and U's rows next to each
+            # wall flat; g flat holds g's wall rows 0 and n-1 from entries 0 and n-1, at stride n
+            blocks, (ghost_l, ghost_r) = fast.T, fast[-2:]
+            m0, m1, m2 = blocks[:, :k], blocks[:, k : 2 * k], blocks[:, 2 * k : 3 * k]
+            wall_l, wall_r = blocks[:, 3 * k : 6 * k], blocks[:, 6 * k : -2]
+            rows_l, rows_r, g_flat = u[1:4].ravel(), u[n - 2 : -1].ravel(), g.T.ravel()
             g_micro, flux_sums, kicks = g[:, :-2], g[:, -2], g[:, -1]
-            t_left, t_right, held_f = self._wall_totals[0], self._wall_totals[1], u[1:-1, -1]
+            held_f = u[1:-1, -1]
 
         def advance():
             (a, b, c), (p, q, r) = ends.tolist()  # wall_gradients' arithmetic, without its checks
             left, right = (-2.0 * a + 3.0 * b - c) / dx, (2.0 * r - 3.0 * q + p) / dx
             if uniform:
-                np.negative(first_l, out=ghost_l)  # ghost rows 2*wall - the first, row by row:
-                np.negative(first_r, out=ghost_r)  # numpy's 2-D iterator costs 0.8 KB and 0.3 us
-                daxpy(t_left, ghost_l, ny, left)  # in place, on G's entries; n, a by position
-                daxpy(t_right, ghost_r, ny, right)
-                dgemm(1.0, u0, m0, 0.0, g, 1, 0, 1)  # trans_a = 1 (contiguous operands), beta = 0
-                dgemm(1.0, u1, m1, 1.0, g, 1, 0, 1)  # then beta = 1; overwrite_c = 1
-                dgemm(1.0, u2, m2, 1.0, g, 1, 0, 1)
-                dgemm(1.0, u_t, stencil, 0.0, thirds, 0, 0, 1)  # the walls' third differences
-                dgemv(1.0, m3, third_l, 1.0, g_flat, 0, 1, 0, n, 1, 1)  # times M_3, onto g's rows
-                dgemv(1.0, m3, third_r, 1.0, g_flat, 0, 1, n - 1, n, 1, 1)
+                dgemm(1.0, u0, m0, 0.0, g, 1, 1, 1)  # trans_a, trans_b = 1 (contiguous operands),
+                dgemm(1.0, u1, m1, 1.0, g, 1, 1, 1)  # beta = 0 then 1; overwrite_c = 1
+                dgemm(1.0, u2, m2, 1.0, g, 1, 1, 1)
+                # the wall rows afresh (beta = 0), then plus the ghosts' wall data; by position
+                dgemv(1.0, wall_l, rows_l, 0.0, g_flat, 0, 1, 0, n, 0, 1)
+                dgemv(1.0, wall_r, rows_r, 0.0, g_flat, 0, 1, n - 1, n, 0, 1)
+                daxpy(ghost_l, g_flat, ny + 2, left, 0, 1, 0, n)  # in place, as g_flat is 1-D
+                daxpy(ghost_r, g_flat, ny + 2, right, 0, 1, n - 1, n)
                 f_new[...], micro_new = kicks, g_micro
                 # alpha*dJ + kick*S; beta and overwrite_y = 1 by position: keywords cost f2py 1 us
                 dsbmv(1, alpha, ops._jump_diffs, flux_sums, 1, 0, kick, f_out, 1, 0, 0, 1)

@@ -310,6 +310,37 @@ def test_cell_command(tmp_path):
     assert abs(float(proc.stdout.splitlines()[0].split("=")[1]) - 2.0) <= 1e-14
 
 
+def test_cell_help_and_argument_errors_load_no_solver(tmp_path):
+    # only the commands that run solvers import them: `cell`, `--help` and the exit-2 argument
+    # errors start without the harness, the solvers and scipy (scipy.linalg's import alone took
+    # 0.26 s of the CLI's 0.43 s)
+    script = (
+        "import sys\n"
+        "from apmm import cli\n"
+        "codes = [cli.main(['cell', '--ny', '16', '--out', 'chi.csv'])]\n"
+        "codes.append(cli.main(['cell', '--ny', '5']))\n"
+        "for argv in (['--help'], ['run'], ['converge', '--scheme', 'hmm']):\n"
+        "    try:\n"
+        "        cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        "loaded = ('scipy', 'scipy.linalg', 'apmm.solvers', 'apmm.harness')\n"
+        "print(codes, [m for m in loaded if m in sys.modules])\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 2, 0, 2, 2] []"
+    assert (tmp_path / "chi.csv").read_text().startswith("y,chi\n")
+
+
 def test_figure1_command(tmp_path, _run):
     proc = _run(
         [

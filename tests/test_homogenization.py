@@ -136,7 +136,8 @@ def test_sampled_cell_data_layout_and_pointwise_agreement():
     assert np.max(np.abs(hom.a0_interfaces - hom.a0_interfaces[0])) <= 1e-15
 
     # the tables and the data derived from them are the pointwise samples and cell data, bit for
-    # bit, and every one is C-contiguous
+    # bit; an x-dependent coefficient's are C-contiguous, an x-uniform one's tables and corrector
+    # one row each, held as read-only views at row stride 0
     x_dependent = DiffusionField(
         func=lambda x, y: 1.3
         + (0.5 + 0.4 * x) * np.sin(2.0 * np.pi * y)
@@ -153,8 +154,12 @@ def test_sampled_cell_data_layout_and_pointwise_agreement():
             assert np.array_equal(tables.centers, a(xc, ym.nodes))
             assert np.array_equal(tables.x_interfaces, a(xi, ym.nodes))
             assert np.array_equal(tables.y_interfaces, a(xc, ym.half_nodes))
+            assert tables.x_uniform == (a is not x_dependent)
             for array in (tables.centers, tables.x_interfaces, tables.y_interfaces, hom.chi):
-                assert array.flags.c_contiguous
+                if tables.x_uniform:
+                    assert array.strides == (0, 8) and not array.flags.writeable
+                else:
+                    assert array.flags.c_contiguous
             assert hom.chi_walls.flags.c_contiguous
             assert np.array_equal(hom.chi, solve_cell_problem(a, xm.centers, ym))
             assert np.array_equal(hom.chi_walls, solve_cell_problem(a, np.array([0.0, 1.0]), ym))

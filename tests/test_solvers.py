@@ -620,6 +620,28 @@ def test_emm_one_step_matches_update_formula_cases(coeff, bc_mode, share):
     assert np.max(np.abs(out.effective - e_new)) <= 1e-13
 
 
+@pytest.mark.parametrize("bc_mode", BC_MODES)
+@pytest.mark.parametrize("nx", [4, 5, 7, 16])
+def test_emm_wall_rows_match_public_operators(nx, bc_mode):
+    # the x-uniform wall rows read U's three rows next to each wall through blocks with U's ghost
+    # rows 2*wall - first folded in: at nx = 4 the two walls' rows overlap, at odd nx they meet
+    # the interior rows off the middle. A random mean-free micro field and distinct companion
+    # ends make every block and both walls' data count, for a full and a shortened step
+    problem = dataclasses.replace(benchmark_problem(0.3, 1.0, bc_mode), coefficient=SKEWED)
+    solver = MicroMacroSolver(problem, nx, 8)
+    assert solver.ops._blocks == 1
+    rng = np.random.default_rng(nx)
+    state = MicroMacroState(
+        rng.standard_normal(nx), remove_y_average(rng.standard_normal((nx, 8))),
+        rng.standard_normal(nx), t=0.0, step=0,
+    )
+    for share in (1.0, 0.37):
+        out = solver.step(state, share * solver.dt)
+        g_new, f_new, e_new = _split_update(solver, state, share * solver.dt)
+        for got, want in ((out.micro, g_new), (out.macro, f_new), (out.effective, e_new)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_emm_underflow_regime_reduces_exactly():
     # dt/eps^2 ~ 5e11: the stiff weight underflows and the slow update is
     # exactly the asymptotic one
@@ -728,6 +750,8 @@ def test_emm_micro_mean_free_along_run(eps, coeff):
         pytest.param(0.3, 4, 0.31, id="0.3-nx4"),  # both one-sided wall rows reach every row
         pytest.param(1e-6, 4, 0.31, id="1e-06-nx4"),
         pytest.param(1.0, 4, 0.31, id="1.0-nx4"),  # the smallest grid (3 cells is a ValueError)
+        pytest.param(0.3, 5, 0.31, id="0.3-nx5"),  # odd grids: the wall blocks share row 3
+        pytest.param(1e-6, 7, 0.31, id="1e-06-nx7"),
     ],
 )
 def test_emm_fast_solve_paths_agree(eps, nx, t_end):
@@ -1188,6 +1212,44 @@ def test_emm_x_uniform_steps_allocate_nothing():
             tracemalloc.stop()
     assert held.step == 101
     assert peak - start <= 1024
+
+
+def test_emm_x_uniform_ghost_rows_stay_zero():
+    # the wall rows fold U's ghost rows in: the load zeroes them once and no step writes them,
+    # with corrector walls feeding nonzero wall data into G
+    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 64, 16)
+    assert np.max(np.abs(solver._wall_totals)) > 0.0
+    held = solver._load(solver.initial_state())
+    u = held.micro.base
+    assert u.shape == (64 + 2, 16 + 1)
+    advance = solver._stepper(held, solver._step_operators(solver.dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            advance()
+            assert np.all(u[0] == 0.0) and np.all(u[-1] == 0.0)
+    assert held.step == 100 and np.max(np.abs(held.micro)) > 0.0
+
+
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_emm_x_uniform_run_holds_no_full_coefficient_tables():
+    # an x-uniform solver holds each coefficient table and the corrector as one row: after a run
+    # neither the solver, its operators nor the result's cell data keep an (nx, ny) coefficient
+    # or corrector buffer
+    nx, ny = 64, 16
+    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), nx, ny)
+    res = solver.run()
+    tables, hom = solver.tables, res.hom
+    assert tables.x_uniform and hom is tables.hom and hom.chi.shape == (nx, ny)
+    held = [tables.centers, tables.x_interfaces, tables.y_interfaces]
+    held += [hom.a0_interfaces, hom.chi, hom.chi_walls]
+    held += [v for o in (solver, solver.ops) for v in vars(o).values() if isinstance(v, np.ndarray)]
+    assert all(_root(a).nbytes < nx * ny * 8 for a in held)
+    assert _root(hom.chi).nbytes <= 6 * ny * 8  # the tables' three rows, chi's and the walls'
 
 
 def test_emm_guards_screen_keeps_its_margin_on_a_large_grid(monkeypatch):
