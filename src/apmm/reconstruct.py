@@ -6,7 +6,8 @@ Fourier coefficients of each cell's balanced trigonometric interpolant (the
 macro value in the mean mode) are blended linearly between the two bracketing
 coarse centres and summed by Horner's rule at the fine point's fast
 coordinate: one complex exponential per fine point.  Fine points beyond the
-outermost centres fall back to the nearest single-cell value.
+outermost centres take the nearest single-cell value blended linearly to 0 at
+the wall.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ def _balanced_coefficients(profiles: FloatArray) -> np.ndarray:
 def fast_coordinate(x: FloatArray, epsilon: float) -> FloatArray:
     """(x/epsilon) mod 1 for x >= 0; 0 where x/epsilon overflows, as for every float >= 2**53."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fmax(np.mod(np.divide(x, epsilon), 1.0), 0.0)  # fmax drops inf % 1 = nan
+        y = np.divide(x, epsilon)
+        y -= np.floor(y)  # exact for y >= 0, as np.mod(y, 1.0) is
+        return np.fmax(y, 0.0, out=y)  # fmax drops inf - inf = nan
 
 
 def trig_interpolate(samples: FloatArray, y_star):
@@ -77,6 +80,10 @@ def reconstruct_micro_macro(
     linearly towards the homogeneous Dirichlet wall value zero, so the
     evaluation honours the physical wall condition and its slope stays
     meaningful there.  The fast axis needs an even number (>= 4) of nodes.
+
+    The sum runs in two complex buffers held for the call, mode by mode in
+    the order of ``values * z + (start + frac * slope)``, so it has that
+    per-mode formula's bits.
     """
     macro = np.asarray(macro, dtype=float)
     micro = np.asarray(micro, dtype=float)
@@ -97,11 +104,20 @@ def reconstruct_micro_macro(
     # and mode the table holds C_L and C_{L+1} - C_L
     coeffs = _balanced_coefficients(micro) / ny
     coeffs[:, 0] += macro
-    start, slope = coeffs[:-1].T, np.diff(coeffs, axis=0).T
+    coeffs = np.ascontiguousarray(coeffs.T)  # one contiguous row per mode
+    start, slope = coeffs[:, :-1], np.diff(coeffs, axis=1)
     z = np.exp(2j * np.pi * fast_coordinate(x, epsilon))
-    values = 0.0
+    fracz = frac.astype(complex)  # the cast numpy makes for frac * slope
+    values, blend = np.empty_like(z), np.empty_like(z)
     for k in range(ny // 2, -1, -1):  # Horner's rule in z on the blended coefficients
-        values = values * z + (start[k, left] + frac * slope[k, left])
+        np.take(slope[k], left, out=blend, mode="clip")  # left is in range: no buffered out
+        blend *= fracz
+        blend += start[k].take(left, mode="clip")
+        if k < ny // 2:
+            values *= z
+            values += blend
+        else:  # the top mode starts the sum
+            values, blend = blend, values
     values = values.real.copy()
     head, tail = s < 0.0, s > nx - 1.0
     values[head] *= 2.0 * s[head] + 1.0  # 0 at the wall, 1 at the first centre
@@ -136,7 +152,8 @@ def derivative_on_fine(values: FloatArray, fine: SpatialMesh) -> FloatArray:
     two boundary cells — applied uniformly to every scheme's reconstruction
     so derivative comparisons are like-for-like.
     """
-    diagnostic_mesh(fine.n_cells)
+    if fine.n_cells < 8:  # the check diagnostic_mesh makes, without building a mesh
+        raise ValueError(f"diagnostic mesh needs >= 8 cells, got {fine.n_cells}")
     values = np.asarray(values, dtype=float)
     if values.shape != (fine.n_cells,):
         raise ValueError(f"field has shape {values.shape}, expected ({fine.n_cells},)")

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,12 +14,29 @@ from apmm.reconstruct import (
 )
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_fast_coordinate_is_zero_where_the_quotient_overflows():
     x = make_spatial_mesh(64).interfaces
     assert np.array_equal(fast_coordinate(x, 0.01), np.mod(x / 0.01, 1.0))
     # x/eps is inf for x > 0: its floats, all integers, give 0, with no warning
     for eps in (1e-310, 5e-324):
         assert np.array_equal(fast_coordinate(x, eps), np.zeros_like(x))
+    # y - floor(y) is exact for y >= 0, so it has np.mod's bits: on the reference mesh, on
+    # quotients >= 2**53 (all integers) and at x = 0 and -0.0
+    fine = make_spatial_mesh(2048)
+    cases = [(x, eps) for x in (fine.centers, fine.interfaces) for eps in (1.0, 0.37, 0.01, 1e-6)]
+    cases += [(fine.centers, 1e-20), (fine.interfaces, 1e-300)]
+    cases += [(np.array([2.0**53, 2.0**53 + 2.0, 3.0 * 2.0**60, 1.7e308]), 1.0)]
+    cases += [(np.array([0.0, -0.0]), eps) for eps in (1.0, 0.01, 5e-324)]
+    for x, eps in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fast_coordinate(x, eps)
+        assert _same_bits(got, np.fmax(np.mod(x / eps, 1.0), 0.0)), eps
+    assert np.all(fast_coordinate(fine.centers, 1e-20) == 0.0)
 
 
 def test_trig_band_limited_exact():
@@ -147,11 +167,39 @@ def _cellwise_phase_formula(macro, micro, eps, coarse, fine):
     return want
 
 
+def _per_mode_horner(macro, micro, eps, coarse, fine):
+    # the blend and Horner sum one mode at a time in fresh arrays: reconstruction's held
+    # buffers must keep these bits
+    nx, ny = micro.shape
+    x = fine.centers
+    s = x / coarse.dx - 0.5
+    left = np.clip(np.floor(s).astype(int), 0, nx - 2)
+    frac = np.clip(s - left, 0.0, 1.0)
+    coeffs = np.fft.rfft(micro, axis=-1)
+    coeffs[:, -1] = coeffs[:, -1].real
+    coeffs *= np.r_[1.0, np.full(ny // 2 - 1, 2.0), 1.0]
+    coeffs /= ny
+    coeffs[:, 0] += macro
+    start, slope = coeffs[:-1].T, np.diff(coeffs, axis=0).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(2j * np.pi * np.fmax(np.mod(x / eps, 1.0), 0.0))
+    values = 0.0
+    for k in range(ny // 2, -1, -1):
+        values = values * z + (start[k, left] + frac * slope[k, left])
+    values = values.real.copy()
+    head, tail = s < 0.0, s > nx - 1.0
+    values[head] *= 2.0 * s[head] + 1.0
+    values[tail] *= 1.0 - 2.0 * (s[tail] - (nx - 1))
+    return values
+
+
 def test_reconstruct_matches_the_cellwise_phase_formula():
     # the blended coefficients are summed by Horner's rule, so only the order of the
-    # arithmetic differs from the formula (measured <= 1.2e-14 of the largest value)
+    # arithmetic differs from the formula (measured <= 1.2e-14 of the largest value);
+    # against the per-mode Horner sum the bits are equal
     rng = np.random.default_rng(7)
-    for n_coarse, n_fine in ((16, 1500), (64, 2048), (7, 100), (64, 4096), (32, 33)):
+    grid = ((16, 1500), (64, 2048), (7, 100), (64, 4096), (32, 33), (4, 513))
+    for n_coarse, n_fine in grid:
         coarse, fine = make_spatial_mesh(n_coarse), make_spatial_mesh(n_fine)
         s = fine.centers / coarse.dx - 0.5
         assert s[0] < 0.0 and s[-1] > n_coarse - 1  # both wall half-cells hold fine points
@@ -163,6 +211,24 @@ def test_reconstruct_matches_the_cellwise_phase_formula():
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (
                     n_coarse, n_fine, ny, eps,
                 )
+                horner = _per_mode_horner(macro, micro, eps, coarse, fine)
+                assert _same_bits(got, horner), (n_coarse, n_fine, ny, eps)
+
+
+def test_reconstruct_traced_peak_at_figure1_scale():
+    # figure1's 64x16 emm field onto the 2048-cell reference: the phases, two held complex
+    # buffers and the blend's index and weights, about 249 KB traced (315 KB with fresh
+    # arrays per mode); it stays below the reference projection that sets the study's peak
+    rng = np.random.default_rng(11)
+    coarse, fine = make_spatial_mesh(64), make_spatial_mesh(2048)
+    macro, micro = rng.standard_normal(64), rng.standard_normal((64, 16))
+    tracemalloc.start()
+    try:
+        reconstruct_micro_macro(macro, micro, 0.01, coarse, fine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 280_000
 
 
 def test_reconstruct_homogenized_scaling():
