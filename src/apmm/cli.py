@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on numerical failure (blow-up or lost
 ellipticity), 2 on configuration problems, an output path that cannot be
-created or written among them; argparse's own usage errors already exit
-with 2.  All CSV output is deterministic, matching the harness conventions.
+created or written and a grid past 2**20 points an axis or too large to
+allocate among them; argparse's own usage errors already exit with 2.  All
+CSV output is deterministic, matching the harness conventions.
 The harness and the solvers, and with them ``scipy.linalg``, are imported by
 the commands that run them, so ``cell``, ``--help`` and argument errors start
 without them.
@@ -221,6 +222,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (StabilityError, EllipticityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

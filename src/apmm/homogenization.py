@@ -45,18 +45,6 @@ def _x_differences(v: FloatArray) -> FloatArray:
     return out
 
 
-def wall_gradients(values: FloatArray, dx: float) -> tuple[float, float]:
-    """Second-order one-sided gradients at the walls x = 0 and x = 1.
-
-    The stencils account for the half-cell offset of the first/last centre.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 3:
-        raise ValueError("wall_gradients needs a 1-D array with at least 3 entries")
-    (a, b, c), (x, y, z) = v[:3].tolist(), v[-3:].tolist()  # float arithmetic from here
-    return (-2.0 * a + 3.0 * b - c) / dx, (2.0 * z - 3.0 * y + x) / dx
-
-
 def homogenized_coefficient(a: DiffusionField, x, ymesh: CellMesh):
     """Harmonic y-average of a(x, .) via periodic trapezoid quadrature.
 

@@ -14,6 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
+_MAX_POINTS = 2**20  # per axis: 8 MB a vector; larger grids are rejected before any allocation
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,8 @@ class SpatialMesh:
     def __post_init__(self) -> None:
         if not isinstance(self.n_cells, (int, np.integer)):
             raise TypeError(f"n_cells must be an integer, got {self.n_cells!r}")
-        if self.n_cells < 4:
-            raise ValueError(f"n_cells must be at least 4, got {self.n_cells}")
+        if not 4 <= self.n_cells <= _MAX_POINTS:
+            raise ValueError(f"n_cells must lie in 4 .. 2**20, got {self.n_cells}")
 
     @property
     def dx(self) -> float:
@@ -61,8 +62,8 @@ class CellMesh:
     def __post_init__(self) -> None:
         if not isinstance(self.n_points, (int, np.integer)):
             raise TypeError(f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 4:
-            raise ValueError(f"n_points must be at least 4, got {self.n_points}")
+        if not 4 <= self.n_points <= _MAX_POINTS:
+            raise ValueError(f"n_points must lie in 4 .. 2**20, got {self.n_points}")
         if self.n_points % 2 != 0:
             raise ValueError(f"n_points must be even, got {self.n_points}")
 

@@ -9,11 +9,10 @@ rows ``u_ghost = 2*u_wall - u_first`` carry the Dirichlet wall data: its
 rows are the x-neighbours and its flat slices shifted by one entry the
 y-neighbours, the columns where the shift wraps patched to the periodic
 ones, so every operand is contiguous and the (nx, ny) tables fit as they are.
-``apply_y_diffusion`` keeps the flux form, as the reference the fast solve
-is tested against.  The one periodic solve in y, ``GridOperators._factor``,
-returns the mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per
-slice; ``s >= 0`` is the inverse of the time-step shift, so it stays finite
-as the shift grows without bound.
+The one periodic solve in y, ``GridOperators._factor``, returns the
+mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice; ``s >= 0``
+is the inverse of the time-step shift, so it stays finite as the shift grows
+without bound.
 ``T(s)``, ``s*I - Ly`` with the periodic link ``c`` dropped from its two
 corners, is SPD for every s >= 0; the distinct slices (one in all when the
 coefficient does not depend on x) make one tridiagonal, factored by LAPACK
@@ -61,19 +60,13 @@ def y_average(u: FloatArray) -> FloatArray:
     return np.add.reduce(u, axis=-1) / np.shape(u)[-1]  # the bits of u.mean(axis=-1)
 
 
-def remove_y_average(u: FloatArray) -> FloatArray:
-    """Fluctuating part of a micro field: subtract the per-slice y-average."""
-    return u - y_average(u)[..., None]
-
-
 class GridOperators:
     """Discrete diffusion blocks bound to one set of coefficient tables.
 
     Holds only data derived from the tables, the effective band among them,
     and writes none of it after ``__init__``; the operators of a step size are
-    built per call and held by the stepper.  All ``bc`` arguments are
-    ``(left, right)`` Dirichlet wall data: scalars for macro fields, length-ny
-    profiles (or scalars) for micro fields; ``None`` means homogeneous walls.
+    built per call and held by the stepper.  ``bc`` is ``(left, right)``
+    Dirichlet wall data; ``None`` means homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -104,13 +97,6 @@ class GridOperators:
         if u.shape != shape:
             raise ValueError(f"{what} has shape {u.shape}, expected {shape}")
         return u
-
-    def _padded_field(self, u: FloatArray, bc) -> FloatArray:
-        """:meth:`_padded` of a checked macro or micro field with Dirichlet walls ``bc``."""
-        twice = (0.0, 0.0) if bc is None else (np.multiply(2.0, bc[0]), np.multiply(2.0, bc[1]))
-        if np.ndim(u) == 1:  # a macro field is the column under a zero micro field
-            return self._padded(0.0, twice, self._checked(u, (self.nx,), "macro field")[:, None])
-        return self._padded(self._checked(u, (self.nx, self.ny), "micro field"), twice)
 
     def _padded(self, u: FloatArray, twice, column=0.0) -> FloatArray:
         """``(nx+2, ny)`` buffer of ``u + column``, ghost rows ``twice - first`` per wall."""
@@ -153,12 +139,6 @@ class GridOperators:
         return flux[1:] - flux[:-1]
 
     # -- fast-direction (periodic) operators --------------------------------
-
-    def apply_y_diffusion(self, u: FloatArray) -> FloatArray:
-        """Flux-form periodic diffusion in y at frozen x: d/dy(a d/dy u)."""
-        u = self._checked(u, (self.nx, self.ny), "micro field")
-        flux = self.tables.y_interfaces * (np.roll(u, -1, axis=1) - u) / self.dy**2
-        return flux - np.roll(flux, 1, axis=1)
 
     def _factor(self, s: float):
         """The fast solve for the shift s >= 0, built anew per call: a function that
@@ -234,14 +214,6 @@ class GridOperators:
 
     # -- slow-direction and mixed operators ----------------------------------
 
-    def apply_x_diffusion(self, u: FloatArray, bc=None) -> FloatArray:
-        """Flux-form diffusion in x: d/dx(a d/dx u), Dirichlet walls via ghosts.
-
-        Macro input is broadcast across the fast axis; the result is always
-        a micro field because the coefficient varies in y.
-        """
-        return self._x_diffusion(self._padded_field(u, bc)) / self.dx**2
-
     @staticmethod
     def _jumps(u: FloatArray) -> FloatArray:
         """Jumps of u across the x-interfaces, ``2*u`` at the walls by the odd ghosts."""
@@ -249,20 +221,6 @@ class GridOperators:
         np.subtract(u[1:], u[:-1], out=d[1:-1])
         np.multiply(u[:: len(u) - 1].T, (2.0, -2.0), out=d[:: len(u)].T)
         return d
-
-    def apply_mixed_derivatives(self, u: FloatArray, bc=None) -> FloatArray:
-        """The cross-derivative block d/dx(a d/dy u) + d/dy(a d/dx u).
-
-        The first term forms ``a * du/dy`` at cell centres (periodic centred
-        differences in y) and differences it in x with centred stencils,
-        falling back to one-sided second-order rows at the two boundary
-        cells so no coefficient value outside the domain is ever needed.
-        It vanishes identically for y-independent fields.  The second term
-        differences ``a * du/dx`` between the periodic half-nodes, so its
-        y-average telescopes to exactly zero for any input; Dirichlet traces
-        enter it through the usual ghost rule.
-        """
-        return self._mixed(self._padded_field(u, bc))[0] / (4.0 * self.dx * self.dy)
 
     def _coupling(self, macro, micro, walls, bc, eps: float) -> tuple[FloatArray, FloatArray]:
         """``4*dx*dy * (Mixed(u) + eps * Xdiff(u))`` for ``u = macro + micro`` with twice the

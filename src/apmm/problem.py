@@ -137,14 +137,14 @@ def benchmark_problem(
 
 def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
     """Closed-form corrector rows from ``b_half``, the rows of 1/a at the half-nodes."""
-    # the a0 inside the increments must be the half-node harmonic mean, so
-    # that the last increment wraps around the period exactly
-    ones = np.ones(ymesh.n_points)  # row sums by BLAS
+    # the a0 inside the increments must be the half-node harmonic mean, so that the last
+    # increment wraps around the period exactly; the row sums by np.add.reduce, whose bits per
+    # row do not depend on how many rows the call holds
     chi = np.cumsum(b_half, axis=-1, out=np.empty_like(b_half))  # then, in place, the sums
     chi -= b_half  # before each node
-    chi *= (ymesh.n_points * ymesh.dy / np.dot(b_half, ones))[:, None]  # times a0 * dy
+    chi *= (ymesh.n_points * ymesh.dy / np.add.reduce(b_half, axis=-1))[:, None]  # times a0 * dy
     chi -= ymesh.nodes
-    chi -= (np.dot(chi, ones) / ymesh.n_points)[:, None]
+    chi -= (np.add.reduce(chi, axis=-1) / ymesh.n_points)[:, None]
     chi[np.ptp(b_half, axis=-1) == 0.0] = 0.0  # a y-independent row's is 0, not rounding
     return chi
 
@@ -240,14 +240,16 @@ def sample_coefficient(
     centers, x_interfaces, y_interfaces = at_nodes[:nx], at_nodes[nx:], at_half[:nx]
     x_uniform = all((t[1:] == t[:-1]).all() for t in (centers, x_interfaces, y_interfaces))
     a0 = 1.0 / (np.add.reduce(1.0 / x_interfaces, axis=-1) / ymesh.n_points)  # the y-mean's bits
-    chi = _cell_corrector(1.0 / at_half, ymesh)  # on every row: BLAS row sums' bits vary by count
-    chi, chi_walls = chi[:nx], chi[nx:]
     if x_uniform:  # one row of each table and of chi, as read-only views at row stride 0
-        rows = np.concatenate((at_nodes[: nx + 1 : nx], at_half[:1], chi[:1], chi_walls))
+        chi = _cell_corrector(1.0 / at_half[[0, nx, nx + 1]], ymesh)  # a centre's, the walls'
+        rows = np.concatenate((at_nodes[: nx + 1 : nx], at_half[:1], chi))
         rows.flags.writeable = False
         held = np.ndarray((4, nx + 1, ymesh.n_points), float, rows, 0, (rows.strides[0], 0, 8))
         centers, x_interfaces, y_interfaces, chi = held[0, :nx], held[1], held[2, :nx], held[3, :nx]
         chi_walls = rows[4:]
+    else:
+        chi = _cell_corrector(1.0 / at_half, ymesh)
+        chi, chi_walls = chi[:nx], chi[nx:]
     hom = HomogenizedData(xmesh, ymesh, a0_interfaces=a0, chi=chi, chi_walls=chi_walls)
     return CoefficientTables(xmesh, ymesh, centers, x_interfaces, y_interfaces, hom, x_uniform)
 

@@ -41,29 +41,6 @@ def fast_coordinate(x: FloatArray, epsilon: float) -> FloatArray:
         return np.fmax(y, 0.0, out=y)  # fmax drops inf - inf = nan
 
 
-def trig_interpolate(samples: FloatArray, y_star):
-    """Evaluate the trigonometric interpolant of periodic samples at y_star.
-
-    ``samples`` live on the uniform periodic nodes j/n with n even; the
-    interpolant reproduces every band-limited function those nodes can
-    represent.  ``y_star`` (scalar or array) is wrapped into [0, 1).
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1:
-        raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
-    n = samples.shape[0]
-    if n < 4 or n % 2:
-        raise ValueError(f"need an even number (>= 4) of periodic samples, got {n}")
-    coeffs = _balanced_coefficients(samples)
-    y = np.atleast_1d(np.asarray(y_star, dtype=float)) % 1.0
-    modes = np.arange(n // 2 + 1)
-    phases = np.exp(2j * np.pi * y[:, None] * modes[None, :])
-    values = (phases @ coeffs).real / n
-    if np.ndim(y_star) == 0:
-        return float(values[0])
-    return values.reshape(np.shape(y_star))
-
-
 def reconstruct_micro_macro(
     macro: FloatArray,
     micro: FloatArray,

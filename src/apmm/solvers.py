@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg.blas import dasum, daxpy, dgbmv, dgemm, dgemv, dger, dnrm2, dsbmv
 from scipy.linalg.lapack import dpttrf, dpttrs, dsyevd
 
-from .homogenization import first_order_corrector, wall_gradients
+from .homogenization import first_order_corrector
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators, y_average
 from .problem import ConfigError, HomogenizedData, ProblemSpec, StabilityError, sample_coefficient
@@ -351,9 +351,8 @@ class MicroMacroSolver:
         self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
         # wall data per unit companion gradient (none with homogeneous walls): eps*chi for G,
         # minus its value at the wall's fast coordinate for F; twice their sum; G's flux y-sums
-        self._wall_scale = eps * (problem.bc_mode == "dirichlet_corrector")
-        profiles = self._wall_scale * self.tables.hom.chi_walls
-        # the values at the fast coordinates as trig_interpolate's, one rfft and phase row per wall
+        profiles = eps * (problem.bc_mode == "dirichlet_corrector") * self.tables.hom.chi_walls
+        # the profiles' trigonometric interpolants at the walls' fast coordinates, one rfft per wall
         y, ny = fast_coordinate(np.array([[0.0], [1.0]]), eps), self.ymesh.n_points
         z = np.exp(2j * np.pi * y * np.arange(ny // 2 + 1))[:, None]
         traces = (z @ _balanced_coefficients(profiles)[..., None]).real[:, 0, 0] / -ny
@@ -369,19 +368,6 @@ class MicroMacroSolver:
             raise StabilityError("non-finite initial data")
         micro = np.zeros((self.xmesh.n_cells, self.ymesh.n_points))
         return MicroMacroState(macro, micro, effective=macro.copy(), t=0.0, step=0)
-
-    def boundary_data(self, effective: FloatArray):
-        """Wall data for the current step, built from the companion field.
-
-        In corrector mode the micro remainder takes the scaled two-scale
-        corrector profile at each wall, and the macro value compensates it at
-        the wall's own fast coordinate so their sum vanishes where the true
-        solution does.  Homogeneous mode zeroes everything (and exhibits a
-        wall layer).
-        """
-        left, right = wall_gradients(effective, self.xmesh.dx)
-        traces, profiles = self._wall_traces, self._wall_scale * self.tables.hom.chi_walls
-        return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
     def _step_operators(self, dt: float):
         """``(dt, s, kick, fast, band, alpha)`` for dt, built when dt changes: the shift, the
@@ -450,7 +436,7 @@ class MicroMacroSolver:
             held_f = u[1:-1, -1]
 
         def advance():
-            (a, b, c), (p, q, r) = ends.tolist()  # wall_gradients' arithmetic, without its checks
+            (a, b, c), (p, q, r) = ends.tolist()  # the one-sided second-order wall gradients
             left, right = (-2.0 * a + 3.0 * b - c) / dx, (2.0 * r - 3.0 * q + p) / dx
             if uniform:
                 dgemm(1.0, u0, m0, 0.0, g, 1, 1, 1)  # trans_a, trans_b = 1 (contiguous operands),

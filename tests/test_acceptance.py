@@ -20,18 +20,18 @@ from apmm.harness import (
 )
 from apmm.homogenization import homogenized_coefficient
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.operators import GridOperators, y_average
+from apmm.operators import y_average
 from apmm.problem import (
     benchmark_coefficient,
     benchmark_problem,
     constant_coefficient,
-    sample_coefficient,
 )
-from apmm.reconstruct import (
-    reconstruct_micro_macro,
+from apmm.reconstruct import reconstruct_micro_macro
+from apmm.solvers import run_micro_macro, run_reference
+from oracle import (
+    apply_mixed_derivatives, apply_x_diffusion, apply_y_diffusion, grid_ops, orders,
     trig_interpolate,
 )
-from apmm.solvers import run_micro_macro, run_reference
 
 A0 = math.sqrt(0.21)
 
@@ -39,16 +39,6 @@ A0 = math.sqrt(0.21)
 def _report(name, ok, detail):
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-def _ops(nx, ny, coeff=None):
-    coeff = benchmark_coefficient() if coeff is None else coeff
-    tables = sample_coefficient(coeff, make_spatial_mesh(nx), make_cell_mesh(ny))
-    return GridOperators(tables)
-
-
-def _orders(errors):
-    return [math.log2(a / b) for a, b in zip(errors, errors[1:])]
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +76,7 @@ def test_a2_operator_battery():
     all_orders = []
 
     # averaging projection
-    ops = _ops(8, 16)
+    ops = grid_ops(8, 16)
     y = ops.ymesh.nodes
     checks.append(("pi const", np.max(np.abs(y_average(np.ones((8, 16))) - 1.0)) == 0.0))
     checks.append(("pi sin", abs(float(np.mean(np.sin(2 * np.pi * y)))) <= 1e-14))
@@ -94,25 +84,25 @@ def test_a2_operator_battery():
     checks.append(("pi two-mode", np.max(np.abs(y_average(u))) <= 1e-13))
 
     # fast diffusion: exact kernel, consistency, projection identity
-    ops = _ops(4, 16, constant_coefficient(1.0))
+    ops = grid_ops(4, 16, constant_coefficient(1.0))
     checks.append(
-        ("L const", np.max(np.abs(ops.apply_y_diffusion(np.ones((4, 16))))) == 0.0)
+        ("L const", np.max(np.abs(apply_y_diffusion(ops, np.ones((4, 16))))) == 0.0)
     )
     errors = []
     for ny in (16, 32, 64):
-        o = _ops(4, ny, constant_coefficient(1.0))
+        o = grid_ops(4, ny, constant_coefficient(1.0))
         w = np.tile(np.sin(2 * np.pi * o.ymesh.nodes), (4, 1))
-        errors.append(np.max(np.abs(o.apply_y_diffusion(w) + 4 * np.pi**2 * w)))
+        errors.append(np.max(np.abs(apply_y_diffusion(o, w) + 4 * np.pi**2 * w)))
     checks.append(("L err@16", errors[0] <= 0.7))
-    all_orders += _orders(errors)
-    ops = _ops(64, 16)
+    all_orders += orders(errors)
+    ops = grid_ops(64, 16)
     rng = np.random.default_rng(7)
     w = rng.standard_normal((64, 16))
     checks.append(
-        ("pi L", np.max(np.abs(y_average(ops.apply_y_diffusion(w)))) <= 1e-12)
+        ("pi L", np.max(np.abs(y_average(apply_y_diffusion(ops, w)))) <= 1e-12)
     )
     g = w - w.mean(axis=-1, keepdims=True)
-    back = ops.apply_y_diffusion(-ops._factor(0.0)(g.copy()))
+    back = apply_y_diffusion(ops, -ops._factor(0.0)(g.copy()))
     checks.append(
         ("L solve roundtrip", np.max(np.abs(back - g)) <= 1e-11 * np.max(np.abs(g)))
     )
@@ -127,26 +117,26 @@ def test_a2_operator_battery():
     # slow diffusion
     errors = []
     for nx in (32, 64, 128):
-        o = _ops(nx, 8, constant_coefficient(1.0))
+        o = grid_ops(nx, 8, constant_coefficient(1.0))
         x = o.xmesh.centers
-        got = o.apply_x_diffusion(np.sin(np.pi * x))
+        got = apply_x_diffusion(o, np.sin(np.pi * x))
         errors.append(np.max(np.abs(got[:, 0] + np.pi**2 * np.sin(np.pi * x))))
-    all_orders += _orders(errors)
-    o = _ops(32, 8, constant_coefficient(1.0))
+    all_orders += orders(errors)
+    o = grid_ops(32, 8, constant_coefficient(1.0))
     lin = 0.3 + 1.7 * o.xmesh.centers
     checks.append(
-        ("D linear", np.max(np.abs(o.apply_x_diffusion(lin, bc=(0.3, 2.0)))) <= 1e-12)
+        ("D linear", np.max(np.abs(apply_x_diffusion(o, lin, bc=(0.3, 2.0)))) <= 1e-12)
     )
 
     # mixed block
-    ops = _ops(64, 16)
+    ops = grid_ops(64, 16)
     u = np.sin(np.pi * ops.xmesh.centers)
     checks.append(
-        ("pi B", np.max(np.abs(y_average(ops.apply_mixed_derivatives(u)))) <= 1e-12)
+        ("pi B", np.max(np.abs(y_average(apply_mixed_derivatives(ops, u)))) <= 1e-12)
     )
     errors = []
     for n in (32, 64, 128):
-        o = _ops(n, n)
+        o = grid_ops(n, n)
         x, y = o.xmesh.centers, o.ymesh.nodes
         w = np.sin(np.pi * x)[:, None] * np.cos(2 * np.pi * y)[None, :]
         a = 1.1 + np.sin(2 * np.pi * y)
@@ -154,22 +144,22 @@ def test_a2_operator_battery():
         u_xy = -2 * np.pi**2 * np.cos(np.pi * x)[:, None] * np.sin(2 * np.pi * y)[None, :]
         u_x = np.pi * np.cos(np.pi * x)[:, None] * np.cos(2 * np.pi * y)[None, :]
         want = 2 * a[None, :] * u_xy + ap[None, :] * u_x
-        errors.append(np.max(np.abs(o.apply_mixed_derivatives(w) - want)))
-    all_orders += _orders(errors)
+        errors.append(np.max(np.abs(apply_mixed_derivatives(o, w) - want)))
+    all_orders += orders(errors)
 
     # effective operator: constant degeneracy and homogenized limit
-    o = _ops(64, 16, constant_coefficient(2.0))
+    o = grid_ops(64, 16, constant_coefficient(2.0))
     f = np.sin(2 * np.pi * o.xmesh.centers)
-    dev = np.max(np.abs(o.apply_effective(f) - y_average(o.apply_x_diffusion(f))))
+    dev = np.max(np.abs(o.apply_effective(f) - y_average(apply_x_diffusion(o, f))))
     checks.append(("Dbar const", dev <= 1e-12))
     errors = []
     for n in (32, 64, 128):
-        o = _ops(n, n)
+        o = grid_ops(n, n)
         f = np.sin(2 * np.pi * o.xmesh.centers)
         want = -A0 * 4 * np.pi**2 * f
         errors.append(np.max(np.abs(o.apply_effective(f) - want)) / np.max(np.abs(want)))
     checks.append(("Dbar paper@64", errors[1] <= 2e-2))
-    all_orders += _orders(errors)
+    all_orders += orders(errors)
 
     elapsed = time.perf_counter() - t0
     bad = [label for label, ok in checks if not ok]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apmm import harness
+from apmm import cli, harness, solvers
 from apmm.cli import main
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
@@ -274,10 +274,19 @@ def test_converge_command(tmp_path, _run):
         ["converge", "--scheme", "ref", "--levels", "17"],  # 2**21 reference cells
         ["converge", "--scheme", "emm", "--levels", "2000"],  # 2**2002 did not fit a float
         ["ap-study", "--steps", str(2**24 + 1)],  # any count was stepped
+        # grids past 2**20 points an axis
+        ["cell", "--ny", str(10**12)],  # numpy's MemoryError, with a traceback and exit 1
+        ["cell", "--ny", str(2**62)],  # numpy's "array is too big" ValueError, likewise
+        ["figure1", "--ref-cells", str(2**21)],  # a 2**21-cell reference ran
+        ["run", "nx", str(10**12)],  # a config at that size: numpy's MemoryError
+        ["run", "ny", str(10**12)],
     ],
-    ids=["converge-ref-levels", "converge-emm-levels", "ap-study-steps"],
+    ids=["converge-ref-levels", "converge-emm-levels", "ap-study-steps", "cell-ny-1e12",
+         "cell-ny-2**62", "figure1-ref-cells-2**21", "run-nx-1e12", "run-ny-1e12"],
 )
-def test_work_past_a_cap_exits_2_before_any_run(tmp_path, args, _run, monkeypatch):
+def test_work_past_a_cap_exits_2_before_any_run(
+    tmp_path, tmp_path_factory, args, _run, monkeypatch
+):
     def started(*_args, **_kwargs):
         raise AssertionError("the run started")
 
@@ -286,12 +295,28 @@ def test_work_past_a_cap_exits_2_before_any_run(tmp_path, args, _run, monkeypatc
         (harness, "run_micro_macro"),
         (MicroMacroSolver, "step"),
         (GridOperators, "apply_effective"),
+        (solvers, "run_micro_macro"),
+        (cli, "homogenized_coefficient"),
+        (cli, "solve_cell_problem"),
     ):
         monkeypatch.setattr(owner, name, started)
+    if args[0] == "run":  # the config outside the working directory, which stays empty
+        config = tmp_path_factory.mktemp("config") / "big.cfg"
+        args = ["run", "--config", str(_write_config(config, **{args[1]: args[2]}))]
     proc = _run(args, cwd=tmp_path)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_exits_2(tmp_path, _run, monkeypatch):
+    def exhausted(*_args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "solve_cell_problem", exhausted)
+    proc = _run(["cell", "--out", "chi.csv"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cell_command(tmp_path):

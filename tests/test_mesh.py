@@ -26,6 +26,10 @@ def test_spatial_rejects_tiny_and_non_integer():
         SpatialMesh(n_cells=0)
     with pytest.raises(TypeError):
         SpatialMesh(n_cells=8.5)
+    make_spatial_mesh(2**20)  # the largest; a mesh allocates nothing
+    for n in (2**20 + 1, 10**12, 2**62):  # past the cap: rejected before any allocation
+        with pytest.raises(ValueError, match=r"4 \.\. 2\*\*20"):
+            make_spatial_mesh(n)
 
 
 def test_cell_mesh_nodes():
@@ -45,3 +49,7 @@ def test_cell_mesh_rejects_odd_and_tiny():
         make_cell_mesh(2)
     with pytest.raises(TypeError):
         CellMesh(n_points=16.0)
+    make_cell_mesh(2**20)
+    for n in (2**20 + 2, 10**12, 2**62):  # even, past the cap
+        with pytest.raises(ValueError, match=r"4 \.\. 2\*\*20"):
+            make_cell_mesh(n)

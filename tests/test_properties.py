@@ -7,17 +7,19 @@ reproducible from what hypothesis prints.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.operators import GridOperators, remove_y_average, y_average
+from apmm.operators import GridOperators, y_average
 from apmm.problem import BC_MODES, DiffusionField, ProblemSpec, sample_coefficient
 from apmm.solvers import MicroMacroSolver, MicroMacroState, run_homogenized, run_reference
+from oracle import (
+    apply_mixed_derivatives, checked_fast_solve, remove_y_average, split_update, stepped,
+)
 
 
 def _coefficient(c0, p, q, r, phi) -> DiffusionField:
@@ -68,7 +70,7 @@ def test_mixed_block_y_average_is_its_first_terms(
     first[0] = (-3.0 * centre_flux[0] + 4.0 * centre_flux[1] - centre_flux[2]) / (2.0 * ops.dx)
     first[-1] = (3.0 * centre_flux[-1] - 4.0 * centre_flux[-2] + centre_flux[-3]) / (2.0 * ops.dx)
 
-    mixed = ops.apply_mixed_derivatives(u, bc)
+    mixed = apply_mixed_derivatives(ops, u, bc)
     scale = np.max(np.abs(mixed)) + np.max(np.abs(first))
     assert np.max(np.abs(y_average(mixed) - y_average(first))) <= 1e-13 * scale
 
@@ -107,15 +109,6 @@ def test_energy_does_not_increase(c0, p, q, r, phi, eps, t_end, dt_share, seed):
         assert np.linalg.norm(res.final) <= norm0 * (1.0 + 1e-13)
 
 
-def _checked_fast_solve(ops, rhs, s):
-    """The fast solve's contract: mean-free w with (s*I - Ly) w = rhs - mean(rhs)."""
-    w = ops._factor(s)(rhs.copy())  # the solve overwrites its rows
-    residual = s * w - ops.apply_y_diffusion(w) - remove_y_average(rhs)
-    assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(rhs))
-    assert np.max(np.abs(y_average(w))) <= 1e-13 * np.max(np.abs(w))
-    return w
-
-
 @settings(max_examples=40, deadline=1000)
 @given(
     c0=st.floats(1.0, 2.0),
@@ -140,40 +133,16 @@ def test_fast_solve_inverts_shifted_operator_on_mean_free_data(
     coeff = _coefficient(c0, p, q, r, phi)
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal((nx, 2 * half_ny)) + rng.standard_normal((nx, 1))
-    _checked_fast_solve(GridOperators(sample_coefficient(coeff, *meshes)), rhs, s)
+    checked_fast_solve(GridOperators(sample_coefficient(coeff, *meshes)), rhs, s)
     # the coefficient frozen at x0, solved as one shared block and as one block per slice
     frozen = dataclasses.replace(coeff, func=lambda x, y: coeff.func(x0 + 0.0 * x, y))
     tables = sample_coefficient(frozen, *meshes)
     assert tables.x_uniform
-    shared = _checked_fast_solve(GridOperators(tables), rhs, s)
-    per_slice = _checked_fast_solve(
+    shared = checked_fast_solve(GridOperators(tables), rhs, s)
+    per_slice = checked_fast_solve(
         GridOperators(dataclasses.replace(tables, x_uniform=False)), rhs, s
     )
     assert np.max(np.abs(shared - per_slice)) <= 1e-13 * np.max(np.abs(shared))
-
-
-def _step_by_public_operators(solver, state, dt):
-    """The transcription of test_emm_one_step_matches_update_formula, with the
-    fast solve multiplied through by s = eps**2/dt so that it holds where
-    eps**2 underflows."""
-    ops, eps = solver.ops, solver.epsilon
-    macro, micro = state.macro, state.micro
-    macro_bc, micro_bc = solver.boundary_data(state.effective)
-    total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
-    combined = macro[:, None] + micro
-    coupled = ops.apply_mixed_derivatives(combined, total_bc)
-    coupled += eps * ops.apply_x_diffusion(combined, total_bc)
-    s = (eps / dt) * eps
-    g_new = ops._factor(s)(s * micro + eps * remove_y_average(coupled))
-    w = math.exp(-(dt / eps) / eps)
-    f_new = (
-        macro
-        + dt * (1.0 - w) * ops.apply_effective(macro, macro_bc)
-        + dt * w * y_average(ops.apply_x_diffusion(macro, macro_bc))
-        + (dt * w / eps) * y_average(ops.apply_mixed_derivatives(micro, micro_bc))
-        + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
-    )
-    return f_new, g_new, state.effective + dt * ops.apply_effective(state.effective)
 
 
 @settings(max_examples=40, deadline=1000)
@@ -191,6 +160,9 @@ def _step_by_public_operators(solver, state, dt):
     last_share=st.floats(0.1, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# one state in each layout whatever the draw: q = r = 0 gives an x-uniform coefficient
+@example(1.5, 0.3, 0.0, 0.0, 0.1, -2.0, "dirichlet_corrector", 7, 3, 0.9, 0.37, 1)
+@example(1.5, 0.3, 0.2, 0.1, 0.1, -2.0, "dirichlet_corrector", 7, 3, 0.9, 0.37, 1)
 def test_emm_step_matches_public_operators(
     c0, p, q, r, phi, log_eps, bc_mode, nx, half_ny, dt_share, last_share, seed
 ):
@@ -214,7 +186,7 @@ def test_emm_step_matches_public_operators(
     )
     dt = solver.dt * last_share
     out = solver.step(state, dt)
-    expected = _step_by_public_operators(solver, state, dt)
+    expected = split_update(solver, state, dt)
     for got, want in zip((out.macro, out.micro, out.effective), expected):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -265,17 +237,6 @@ def test_emm_run_equals_its_steps(
     assert np.array_equal(res.final_micro, state.micro)
 
 
-def _stepped(u0, a_interfaces, dx, dt, t_end):
-    """The explicit flux-form scheme stepped one level at a time to t_end."""
-    n_steps = math.ceil(t_end / dt - 1e-9)
-    u = u0
-    for k in range(1, n_steps + 1):
-        h = dt if k < n_steps else t_end - (n_steps - 1) * dt
-        padded = np.concatenate(([-u[0]], u, [-u[-1]]))
-        u = u + (h / dx**2) * np.diff(a_interfaces * np.diff(padded))
-    return u, n_steps
-
-
 @pytest.mark.filterwarnings("ignore:n_cells=.* under-resolves")
 @settings(max_examples=40, deadline=1000)
 @given(
@@ -316,7 +277,7 @@ def test_modal_runs_match_stepping(
         (run_reference(problem, n, dt_factor=dt_factor), coeff(x_if, np.mod(x_if / eps, 1.0))),
         (run_homogenized(problem, hom, dt_factor=dt_factor), hom.a0_interfaces),
     ):
-        expected, n_steps = _stepped(values, a_if, mesh.dx, dt, t_end)
+        expected, n_steps = stepped(values, a_if, mesh.dx, dt, t_end)
         assert res.steps == n_steps and res.dt == dt
         # the projections on the modes carry rounding of about 1e-16 max|g|,
         # so a field decayed below 1e-5 of its start is held to that floor

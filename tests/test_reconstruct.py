@@ -10,8 +10,8 @@ from apmm.reconstruct import (
     fast_coordinate,
     reconstruct_homogenized,
     reconstruct_micro_macro,
-    trig_interpolate,
 )
+from oracle import trig_interpolate
 
 
 def _same_bits(a, b):

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dpttrs, dstebz, dstein
 from apmm import solvers
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.operators import GridOperators, remove_y_average, y_average
+from apmm.operators import GridOperators, y_average
 from apmm.harness import ap_degeneracy_study
 from apmm.problem import (
     BC_MODES,
@@ -42,6 +42,10 @@ from apmm.solvers import (
     run_homogenized,
     run_micro_macro,
     run_reference,
+)
+from oracle import (
+    apply_mixed_derivatives, apply_x_diffusion, boundary_data, remove_y_average, split_update,
+    stepped, trig_interpolate,
 )
 
 A0 = math.sqrt(0.21)
@@ -97,21 +101,6 @@ def test_reference_step_accounting():
     assert res.steps == 8
 
 
-def _stepped_reference(problem, n_cells, dt_factor):
-    """The explicit reference scheme stepped one level at a time to t_end."""
-    mesh = make_spatial_mesh(n_cells)
-    x_if = mesh.interfaces
-    a_if = problem.coefficient(x_if, np.mod(x_if / problem.epsilon, 1.0))
-    dt = dt_factor * mesh.dx**2
-    n_steps = math.ceil(problem.t_end / dt - 1e-9)
-    u = problem.initial(mesh.centers)
-    for k in range(1, n_steps + 1):
-        h = dt if k < n_steps else problem.t_end - (n_steps - 1) * dt
-        padded = np.concatenate(([-u[0]], u, [-u[-1]]))
-        u = u + (h / mesh.dx**2) * np.diff(a_if * np.diff(padded))
-    return u, n_steps
-
-
 @pytest.mark.filterwarnings("ignore:n_cells=256 under-resolves")
 @pytest.mark.parametrize("case", ["oscillatory", "stability bound", "undamped mode"])
 def test_reference_modes_match_stepping(case):
@@ -130,11 +119,13 @@ def test_reference_modes_match_stepping(case):
             t_end=0.0017,
         )
         dt_factor = 0.5
+    mesh = make_spatial_mesh(256)
+    a_if = problem.coefficient(mesh.interfaces, np.mod(mesh.interfaces / problem.epsilon, 1.0))
     dt = dt_factor / 256**2
     for t_end in (dt, 0.3 * 0.0017, 0.0017):
         horizon = dataclasses.replace(problem, t_end=t_end)
         res = run_reference(horizon, 256, dt_factor=dt_factor)
-        expected, n_steps = _stepped_reference(horizon, 256, dt_factor)
+        expected, n_steps = stepped(problem.initial(mesh.centers), a_if, mesh.dx, dt, t_end)
         assert res.steps == n_steps and res.dt == dt
         if t_end == dt:
             assert n_steps == 1
@@ -524,29 +515,6 @@ def test_emm_set_up_samples_the_coefficient_once(monkeypatch):
     assert calls["corrector"] == 1
 
 
-def _split_update(solver, state, dt):
-    """The split update by one dt, transcribed by hand from the public operators: the
-    micro, macro and companion fields."""
-    eps, ops = solver.epsilon, solver.ops
-    macro, micro = state.macro, state.micro
-    macro_bc, micro_bc = solver.boundary_data(state.effective)
-    total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
-    combined = macro[:, None] + micro
-    coupled = ops.apply_mixed_derivatives(combined, total_bc)
-    coupled += eps * ops.apply_x_diffusion(combined, total_bc)
-    s = (eps / dt) * eps
-    g_new = ops._factor(s)(s * micro + eps * remove_y_average(coupled))
-    w = math.exp(-dt / eps**2)
-    f_new = (
-        macro
-        + dt * (1.0 - w) * ops.apply_effective(macro, macro_bc)
-        + dt * w * y_average(ops.apply_x_diffusion(macro, macro_bc))
-        + (dt * w / eps) * y_average(ops.apply_mixed_derivatives(micro, micro_bc))
-        + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
-    )
-    return g_new, f_new, state.effective + dt * ops.apply_effective(state.effective)
-
-
 def test_emm_one_step_matches_update_formula():
     """Transcribe the split update once by hand and demand bitwise agreement."""
     eps = 0.7
@@ -554,7 +522,7 @@ def test_emm_one_step_matches_update_formula():
     state = solver.step(solver.initial_state())  # nonzero micro going in
     out = solver.step(state)
 
-    g_new, f_new, e_new = _split_update(solver, state, solver.dt)
+    f_new, g_new, e_new = split_update(solver, state, solver.dt)
     assert np.max(np.abs(out.micro - g_new)) <= 1e-13
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
     assert np.max(np.abs(out.effective - e_new)) <= 1e-13
@@ -571,7 +539,7 @@ def test_emm_one_step_matches_update_formula_xdep():
     out = solver.step(state)
 
     assert 0.0 < math.exp(-solver.dt / eps**2) < 1.0
-    g_new, f_new, e_new = _split_update(solver, state, solver.dt)
+    f_new, g_new, e_new = split_update(solver, state, solver.dt)
     assert np.max(np.abs(out.micro - g_new)) <= 1e-13
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
     assert np.max(np.abs(out.effective - e_new)) <= 1e-13
@@ -614,7 +582,7 @@ def test_emm_one_step_matches_update_formula_cases(coeff, bc_mode, share):
     dt = share * solver.dt
     out = solver.step(state, dt)
 
-    g_new, f_new, e_new = _split_update(solver, state, dt)
+    f_new, g_new, e_new = split_update(solver, state, dt)
     assert np.max(np.abs(out.micro - g_new)) <= 1e-13
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
     assert np.max(np.abs(out.effective - e_new)) <= 1e-13
@@ -637,7 +605,7 @@ def test_emm_wall_rows_match_public_operators(nx, bc_mode):
     )
     for share in (1.0, 0.37):
         out = solver.step(state, share * solver.dt)
-        g_new, f_new, e_new = _split_update(solver, state, share * solver.dt)
+        f_new, g_new, e_new = split_update(solver, state, share * solver.dt)
         for got, want in ((out.micro, g_new), (out.macro, f_new), (out.effective, e_new)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -652,17 +620,12 @@ def test_emm_underflow_regime_reduces_exactly():
     out = solver.step(state)
 
     ops, dt = solver.ops, solver.dt
-    macro_bc, micro_bc = solver.boundary_data(state.effective)
-    total_bc = (macro_bc[0] + micro_bc[0], macro_bc[1] + micro_bc[1])
-    combined = state.macro[:, None] + state.micro
-    coupled = ops.apply_mixed_derivatives(combined, total_bc)
-    coupled += eps * ops.apply_x_diffusion(combined, total_bc)
-    s = (eps / dt) * eps
-    g_new = ops._factor(s)(s * state.micro + eps * remove_y_average(coupled))
+    macro_bc, micro_bc = boundary_data(solver, state.effective)
+    g_new = split_update(solver, state, dt)[1]  # the fast update, whatever the weight
     f_new = (
         state.macro
         + dt * ops.apply_effective(state.macro, macro_bc)
-        + dt * y_average(ops.apply_x_diffusion(g_new, micro_bc))
+        + dt * y_average(apply_x_diffusion(ops, g_new, micro_bc))
     )
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
     e_new = state.effective + dt * ops.apply_effective(state.effective)
@@ -681,7 +644,7 @@ def test_emm_constant_coefficient_degenerates_to_euler():
     euler = state.macro.copy()
     for _ in range(10):
         state = solver.step(state)
-        euler = euler + solver.dt * y_average(solver.ops.apply_x_diffusion(euler))
+        euler = euler + solver.dt * y_average(apply_x_diffusion(solver.ops, euler))
         assert np.max(np.abs(state.micro)) == 0.0  # B p and (I-Pi) D p vanish
         assert np.max(np.abs(state.macro - euler)) <= 1e-12
 
@@ -711,7 +674,7 @@ def test_emm_single_step_ap_degeneracy():
     for eps in (1e-4, 1e-6):
         solver = MicroMacroSolver(benchmark_problem(eps, t_end=1.0), 64, 16)
         f = np.sin(2 * np.pi * solver.xmesh.centers)
-        bf = solver.ops.apply_mixed_derivatives(f)
+        bf = apply_mixed_derivatives(solver.ops, f)
         g = solver.ops._factor(0.0)(eps * remove_y_average(bf))  # s = 0: the eps -> 0 step
         state = MicroMacroState(macro=f.copy(), micro=g, effective=f.copy(), t=0.0, step=0)
         out = solver.step(state)
@@ -1271,7 +1234,7 @@ def test_emm_rejects_inf_initial_data():
 def test_emm_homogeneous_walls_mode():
     # boundary data collapses to zeros in dirichlet_homogeneous mode
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01, bc_mode="dirichlet_homogeneous"), 16, 8)
-    macro_bc, micro_bc = solver.boundary_data(solver.initial_state().effective)
+    macro_bc, micro_bc = boundary_data(solver, solver.initial_state().effective)
     assert macro_bc == (0.0, 0.0)
     assert np.max(np.abs(micro_bc[0])) == 0.0
     assert np.max(np.abs(micro_bc[1])) == 0.0
@@ -1283,9 +1246,7 @@ def test_emm_corrector_walls_cancel_totals():
     eps = 0.1
     solver = MicroMacroSolver(benchmark_problem(eps, t_end=0.01), 32, 16)
     state = solver.step(solver.initial_state())
-    macro_bc, micro_bc = solver.boundary_data(state.effective)
-    from apmm.reconstruct import trig_interpolate
-
+    macro_bc, micro_bc = boundary_data(solver, state.effective)
     left_total = macro_bc[0] + trig_interpolate(micro_bc[0], 0.0)
     right_total = macro_bc[1] + trig_interpolate(micro_bc[1], (1.0 / eps) % 1.0)
     assert abs(left_total) <= 1e-14
