@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import FloatArray, SpatialMesh
+from .mesh import _MAX_POINTS, FloatArray, SpatialMesh
 from .problem import ConfigError, ProblemSpec, _fmt, _write_rows
 from .problem import benchmark_problem, constant_coefficient
 from .reconstruct import (
@@ -58,11 +58,12 @@ def error_norms(
 
 def reference_cells(epsilon: float, periods_per_oscillation: float = 20.0) -> int:
     """Fine-mesh size for the reference run: the least power of two from 1024 up
-    with `periods_per_oscillation` cells per coefficient period.  Past 2**20
-    cells (8 MB a vector, about 20 in the Krylov basis) it is a ConfigError."""
-    needed = periods_per_oscillation / float(epsilon)
-    if not needed <= 2**20:  # also true for inf and nan
-        raise ConfigError(f"eps={epsilon:g} needs {needed:.3g} > 2**20 ref cells; set --ref-cells")
+    with `periods_per_oscillation` cells per coefficient period.  Past the
+    meshes' cap, 2**20 cells (8 MB a vector, about 20 in the Krylov basis), it
+    is a ConfigError."""
+    needed, cap = periods_per_oscillation / float(epsilon), f"2**{_MAX_POINTS.bit_length() - 1}"
+    if not needed <= _MAX_POINTS:  # also true for inf and nan
+        raise ConfigError(f"eps={epsilon:g} needs {needed:.3g} > {cap} ref cells; set --ref-cells")
     fraction, exponent = math.frexp(needed)  # needed = fraction * 2**exponent, 0.5 <= fraction < 1
     return max(1024, 2 ** (exponent - 1 if fraction == 0.5 else exponent))
 

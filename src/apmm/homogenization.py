@@ -27,16 +27,15 @@ def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise ValueError("macro_gradient needs a 1-D array with at least 3 entries")
-    out = _x_differences(v)
+    out = _x_differences(v, np.empty_like(v))
     out /= 2.0 * dx
     return out
 
 
-def _x_differences(v: FloatArray) -> FloatArray:
-    """``2*dx`` times :func:`macro_gradient` on axis 0, unchecked, also of (nx, ny); both
-    one-sided rows at once: ``-3 v0 + 4 v1 - v2 = 4 (v1 - v0) - (v2 - v0)``, and mirrored."""
+def _x_differences(v: FloatArray, out: FloatArray) -> FloatArray:
+    """``2*dx`` times :func:`macro_gradient` on axis 0 into out, unchecked, also of (nx, ny);
+    both one-sided rows at once: ``-3 v0 + 4 v1 - v2 = 4 (v1 - v0) - (v2 - v0)``, and mirrored."""
     n = v.shape[0]
-    out = np.empty_like(v)
     np.subtract(v[2:], v[:-2], out=out[1:-1])
     ends = out[:: n - 1]
     np.subtract(v[1 :: n - 2], v[: n - 1 : n - 2], out=ends)

@@ -8,7 +8,8 @@ Every stencil reads a contiguous (nx+2, ny) copy of its field whose ghost
 rows ``u_ghost = 2*u_wall - u_first`` carry the Dirichlet wall data: its
 rows are the x-neighbours and its flat slices shifted by one entry the
 y-neighbours, the columns where the shift wraps patched to the periodic
-ones, so every operand is contiguous and the (nx, ny) tables fit as they are.
+ones, so every operand is contiguous and the (nx, ny) tables fit as they are;
+the stencils write into buffers their caller passes, none of their own.
 The one periodic solve in y, ``GridOperators._factor``, returns the
 mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice; ``s >= 0``
 is the inverse of the time-step shift, so it stays finite as the shift grows
@@ -28,13 +29,14 @@ and one per wall row with blocks the solver folds from them.
 The effective operator is one band, assembled once from the closed-form cell
 corrector and applied by BLAS to ``[left wall, macro field, right wall]``.
 Nothing here depends on a step size: a stepper builds the fast solve, the
-step's matrices and the band with its stiffness blend for each step size.
+step's matrices and the band with its stiffness blend for each step size, and
+the x-dependent step's kernel holds the stencils' buffers (``_coupling``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
+from scipy.linalg.blas import daxpy, dgbmv, dgemv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import _x_differences
@@ -65,8 +67,8 @@ class GridOperators:
 
     Holds only data derived from the tables, the effective band among them,
     and writes none of it after ``__init__``; the operators of a step size are
-    built per call and held by the stepper.  ``bc`` is ``(left, right)``
-    Dirichlet wall data; ``None`` means homogeneous walls.
+    built per call and held by the stepper, with the buffers its stencils fill.
+    ``bc`` is ``(left, right)`` Dirichlet wall data; ``None`` means homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -98,45 +100,45 @@ class GridOperators:
             raise ValueError(f"{what} has shape {u.shape}, expected {shape}")
         return u
 
-    def _padded(self, u: FloatArray, twice, column=0.0) -> FloatArray:
-        """``(nx+2, ny)`` buffer of ``u + column``, ghost rows ``twice - first`` per wall."""
-        p = np.empty((self.nx + 2, self.ny))
+    def _padded(self, u: FloatArray, twice, column, p: FloatArray) -> FloatArray:
+        """``u + column`` into the (nx+2, ny) buffer p, ghost rows ``twice - first`` per wall."""
         np.copyto(p[1:-1], column)  # broadcast by a copy: a broadcast ufunc operand costs a buffer
         p[1:-1] += u
         np.subtract(twice[0], p[1], out=p[0])
         np.subtract(twice[1], p[-2], out=p[-1])
         return p
 
-    def _centre_y_flux(self, p: FloatArray) -> FloatArray:
-        """``2*dy * a du/dy`` at the cell centres of a padded field, centred differences."""
+    def _centre_y_flux(self, p: FloatArray, out: FloatArray) -> FloatArray:
+        """``2*dy * a du/dy`` at the cell centres of a padded field, centred, into (nx, ny) out."""
         f, ny = p.ravel(), self.ny
-        out = np.subtract(f[ny + 1 : 1 - ny], f[ny - 1 : -1 - ny]).reshape(self.nx, ny)
-        np.subtract(p[1:-1, 1::-1], p[1:-1, :-3:-1], out=out[:, :: ny - 1])  # the wrapped columns
+        np.subtract(f[ny + 1 : 1 - ny], f[ny - 1 : -1 - ny], out=out.ravel())
+        np.subtract(p[1:-1, 1], p[1:-1, -1], out=out[:, 0])  # the wrapped columns, one call each:
+        np.subtract(p[1:-1, 0], p[1:-1, -2], out=out[:, -1])  # as one, numpy buffers them (7.6 KB)
         out *= self.tables.centers
         return out
 
-    def _mixed(self, p: FloatArray) -> tuple[FloatArray, FloatArray]:
-        """``4*dx*dy`` times the mixed block of a padded field, and the y-sums of its
-        first term, those of the whole block (the second term's telescope to zero)."""
-        out = _x_differences(self._centre_y_flux(p))  # 2*dx times the gradient
-        first_sums = np.dot(out, self._ones)
-        half = np.empty_like(p)  # 2 * u at the half-nodes j + 1/2
-        f, h = p.ravel(), half.ravel()
+    def _mixed(self, p, out, half, work, sums) -> FloatArray:
+        """``4*dx*dy`` times the mixed block of a padded field into the ``(nx, ny)`` out, and the
+        y-sums of its first term, those of the whole block (the second term's telescope to zero),
+        into the ``(nx,)`` sums; ``half`` ``(nx+2, ny)`` and ``work`` ``(nx, ny)`` are scratch."""
+        _x_differences(self._centre_y_flux(p, work), out)  # 2*dx times the gradient
+        dgemv(1.0, out.T, self._ones, 0.0, sums, 0, 1, 0, 1, 1, 1)  # trans, overwrite_y by position
+        f, h = p.ravel(), half.ravel()  # 2 * u at the half-nodes j + 1/2
         np.add(f[:-1], f[1:], out=h[:-1])
         np.add(p[:, -1], p[:, 0], out=half[:, -1])
-        flux = half[2:] - half[:-2]  # 4*dx * du/dx there, times a below
+        flux = np.subtract(half[2:], half[:-2], out=work)  # 4*dx * du/dx there, times a below
         flux *= self.tables.y_interfaces
         # flux_{j+1/2} - flux_{j-1/2}, into the spent rows of the half-node buffer
         g = flux.ravel()
         np.subtract(g[1:], g[:-1], out=h[1 : g.size])
         np.subtract(flux[:, 0], flux[:, -1], out=half[:-2, 0])
         out += half[:-2]
-        return out, first_sums
+        return out
 
-    def _x_diffusion(self, p: FloatArray) -> FloatArray:
-        """``dx**2`` times the flux-form x-diffusion of a padded field."""
-        flux = np.multiply(p[1:] - p[:-1], self.tables.x_interfaces)
-        return flux[1:] - flux[:-1]
+    def _x_diffusion(self, p: FloatArray, flux: FloatArray, out: FloatArray) -> FloatArray:
+        """``dx**2`` times the x-diffusion of a padded field into (nx, ny) out, fluxes in flux."""
+        np.multiply(np.subtract(p[1:], p[:-1], out=flux), self.tables.x_interfaces, out=flux)
+        return np.subtract(flux[1:], flux[:-1], out=out)
 
     # -- fast-direction (periodic) operators --------------------------------
 
@@ -175,10 +177,12 @@ class GridOperators:
         cof += (k * (k / (n * (s + sigma)))[:, None]).reshape(9, m)  # T^{-1} V k q^T, q k^T here
         zt = cof.T.reshape(m, 3, 3) @ tv.transpose(1, 0, 2)
 
-        def solve(rows: FloatArray) -> FloatArray:
-            # the slices sharing a block are one column each, one batch row per block
+        def solve(rows: FloatArray, vt_w=None, product=None) -> FloatArray:
+            # the slices sharing a block are one column each, one batch row per block; V^T w and
+            # Z V^T w into the (rows, 3) vt_w and (m, k, ny) product when given, else fresh ones
             w = dpttrs(d, e, rows.reshape(-1, m * n).T, overwrite_b=1)[0].T.reshape(rows.shape)
-            w -= ((w @ self._v).reshape(m, -1, 3) @ zt).reshape(rows.shape)
+            vt_w = np.matmul(w, self._v, out=vt_w).reshape(m, -1, 3)
+            w -= np.matmul(vt_w, zt, out=product).reshape(rows.shape)
             return w
 
         return solve
@@ -215,23 +219,21 @@ class GridOperators:
     # -- slow-direction and mixed operators ----------------------------------
 
     @staticmethod
-    def _jumps(u: FloatArray) -> FloatArray:
-        """Jumps of u across the x-interfaces, ``2*u`` at the walls by the odd ghosts."""
-        d = np.empty((len(u) + 1,) + u.shape[1:])
-        np.subtract(u[1:], u[:-1], out=d[1:-1])
-        np.multiply(u[:: len(u) - 1].T, (2.0, -2.0), out=d[:: len(u)].T)
-        return d
+    def _jumps(u: FloatArray, out: FloatArray) -> FloatArray:
+        """Jumps of u across the x-interfaces into out, ``2*u`` at the walls by the odd ghosts."""
+        np.subtract(u[1:], u[:-1], out=out[1:-1])
+        np.multiply(u[:: len(u) - 1].T, (2.0, -2.0), out=out[:: len(u)].T)
+        return out
 
-    def _coupling(self, macro, micro, walls, bc, eps: float) -> tuple[FloatArray, FloatArray]:
+    def _coupling(self, macro, micro, twice, eps: float, out, sums, scratch) -> None:
         """``4*dx*dy * (Mixed(u) + eps * Xdiff(u))`` for ``u = macro + micro`` with twice the
-        wall data ``bc[k] * walls[k]``, padded once, and the y-sums of the mixed block (see
-        :meth:`_mixed`); unchecked."""
-        p = self._padded(micro, (bc[0] * walls[0], bc[1] * walls[1]), macro[:, None])
-        out, first_sums = self._mixed(p)
-        x_diffusion = self._x_diffusion(p)
-        x_diffusion *= 4.0 * self.dy * eps / self.dx
-        out += x_diffusion
-        return out, first_sums
+        wall data ``twice``, padded once, into the ``(nx, ny)`` out, and the y-sums of the mixed
+        block into the ``(nx,)`` sums (see :meth:`_mixed`); ``scratch`` is ``(nx+2, ny)`` padded
+        and half-node buffers and an ``(nx, ny)`` work one; unchecked."""
+        p, half, work = scratch
+        self._mixed(self._padded(micro, twice, macro[:, None], p), out, half, work, sums)
+        x_diffusion = self._x_diffusion(p, half[:-1], work).ravel()
+        daxpy(x_diffusion, out.ravel(), x_diffusion.size, 4.0 * self.dy * eps / self.dx)  # in place
 
     def _assemble_effective(self) -> FloatArray:
         """``dgbmv`` storage (kl = 2, ku = 4) of the effective operator ``K`` acting on
@@ -242,8 +244,8 @@ class GridOperators:
         n, dx2 = self.nx, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; padded
         # as the column, so that an x-uniform chi (one row, row stride 0) broadcasts by a copy
-        corrector = self._padded(0.0, (0.0, 0.0), self.tables.hom.chi)
-        beta = -y_average(self._centre_y_flux(corrector)) / (2 * self.dy)
+        corrector = self._padded(0.0, (0.0, 0.0), self.tables.hom.chi, np.empty((n + 2, self.ny)))
+        beta = -y_average(self._centre_y_flux(corrector, np.empty((n, self.ny)))) / (2 * self.dy)
         q = np.concatenate(([0.0], beta / (4.0 * dx2), [0.0]))  # with q_{-1} = q_nx = 0
         # storage [4 - o, m] holds the weight of p_m in row i = m - o
         k = np.zeros((7, n + 2), order="F")  # as dgbmv reads it: no copy per call

@@ -32,7 +32,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs, dsyevd
 
 from .homogenization import first_order_corrector
 from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
-from .operators import GridOperators, y_average
+from .operators import GridOperators
 from .problem import ConfigError, HomogenizedData, ProblemSpec, StabilityError, sample_coefficient
 from .reconstruct import _balanced_coefficients, fast_coordinate
 
@@ -325,11 +325,13 @@ class MicroMacroSolver:
 
     One kernel per step size advances a working state in place: F and E in the rows of ``x =
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
-    F' and E' in buffers held per step size.  ``run`` loads once, fetches the step operators when
-    dt changes, freeing the full steps' before a shortened last step's are built, and enters
-    numpy's error state once; ``step`` loads afresh, enters it per call and returns that state.
-    Each step screens its new fields with BLAS sums into held buffers and runs the exact
-    non-finite and drift guards, ``_exact_guards``, only where that screen fails.
+    F' and E' in buffers held per step size; else the kernel holds the coupling's padded,
+    half-node and work buffers, which the jumps and the Woodbury product reuse once spent, and
+    a spare field, G's of the step before, into which G' goes.  ``run`` loads once, fetches the
+    step operators when dt changes, freeing the full steps' before a shortened last step's are
+    built, and enters numpy's error state once; ``step`` loads afresh, enters it per call and
+    returns that state.  Each step screens its new fields with BLAS sums into held buffers and
+    runs the exact non-finite and drift guards, ``_exact_guards``, only where that screen fails.
     """
 
     def __init__(
@@ -405,13 +407,14 @@ class MicroMacroSolver:
         return held  # its buffers are this call's own
 
     def _load(self, state: MicroMacroState) -> MicroMacroState:
-        """A working state for :meth:`_stepper` in the buffers the class names (else the caller's
-        G, which the steps replace and never write)."""
+        """A working state for :meth:`_stepper` in buffers of its own, as the class names them."""
         n, micro, x = self.ops.nx, state.micro, np.zeros((2, self.ops.nx + 2))
         x[0, 1:-1], x[1, 1:-1] = state.macro, state.effective
         if self.ops._blocks == 1:  # U's ghost rows: 0, and no step writes them
             u = np.zeros((n + 2, self.ops.ny + 1))
             u[1:-1, :-1], u[1:-1, -1], micro = micro, state.macro, u[1:-1, :-1]
+        else:  # the steps write G' into G's buffer of the step before
+            micro = np.array(micro, dtype=float, order="C")
         return MicroMacroState(x[0, 1:-1], micro, x[1, 1:-1], state.t, state.step)
 
     def _stepper(self, held: MicroMacroState, operators):
@@ -434,6 +437,10 @@ class MicroMacroSolver:
             rows_l, rows_r, g_flat = u[1:4].ravel(), u[n - 2 : -1].ravel(), g.T.ravel()
             g_micro, flux_sums, kicks = g[:, :-2], g[:, -2], g[:, -1]
             held_f = u[1:-1, -1]
+        else:  # the coupling's scratch (padded, half-node, work), shared with the sums after it
+            scratch = (np.empty((n + 2, ny)), np.empty((n + 2, ny)), np.empty((n, ny)))
+            spare, first_sums, flux_sums = np.empty((n, ny)), np.empty(n), np.empty(n + 1)
+            jumps, vt_w, product = scratch[1][:-1], np.empty((n, 3)), scratch[2].reshape(n, 1, ny)
 
         def advance():
             (a, b, c), (p, q, r) = ends.tolist()  # the one-sided second-order wall gradients
@@ -452,17 +459,21 @@ class MicroMacroSolver:
                 dsbmv(1, alpha, ops._jump_diffs, flux_sums, 1, 0, kick, f_out, 1, 0, 0, 1)
             else:  # 4*dx*dy times the coupling terms less their slice means by a rank-one update:
                 # the fast solve removes them only to rounding, and G' of a y-independent one is 0
-                macro, micro, walls = held.macro, held.micro, (left, right)
-                coupled, first_sums = ops._coupling(macro, micro, self._wall_totals, walls, eps)
-                dger(-1.0, ops._ones, y_average(coupled), a=coupled.T, overwrite_a=1)
+                nonlocal spare  # G' goes into the spare, the buffer of the G before this one
+                micro, coupled = held.micro, spare
+                twice = (self._wall_totals[0] * left, self._wall_totals[1] * right)
+                ops._coupling(held.macro, micro, twice, eps, coupled, first_sums, scratch)
+                # the slice means, then less them, F-ordered as f2py passes it uncopied; by position
+                dgemv(1.0 / ny, coupled.T, ops._ones, 0.0, row_sums, 0, 1, 0, 1, 1, 1)
+                dger(-1.0, ops._ones, row_sums, 1, 1, coupled.T, 1, 1, 1)  # overwrite_a = 1
                 coupled *= eps / (4.0 * ops.dx * ops.dy)
-                daxpy(micro.ravel(), coupled.ravel(), a=s)  # coupled += s * micro, in place
-                micro_new = held.micro = fast(coupled)  # in place
-                sums = ops._jumps(micro_new)
-                sums = np.dot(np.multiply(sums, ops.tables.x_interfaces, out=sums), ops._ones)
-                f_out[...] = 0.0
-                daxpy(np.diff(sums), f_out, a=alpha)  # alpha*dJ + kick*S
-                daxpy(first_sums, f_out, a=kick)  # a no-op for kick = 0
+                daxpy(micro.ravel(), coupled.ravel(), micro.size, s)  # coupled += s * micro
+                micro_new = held.micro = fast(coupled, vt_w, product)  # in place
+                spare = micro
+                np.multiply(ops._jumps(micro_new, jumps), ops.tables.x_interfaces, out=jumps)
+                dgemv(alpha, jumps.T, ops._ones, 0.0, flux_sums, 0, 1, 0, 1, 1, 1)
+                np.subtract(flux_sums[1:], flux_sums[:-1], out=f_new)  # alpha*dJ + kick*S
+                daxpy(first_sums, f_out, n, kick)  # a no-op for kick = 0
             f[0], f[-1] = left, right
             dgbmv(n + 3, n + 2, 2, 4, 1.0, band, f, 1, 0, 1.0, f_out, 1, 0, 0, 1)
             dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, e, 1, 0, 1.0, e_out, 1, 0, 0, 1)

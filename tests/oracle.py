@@ -31,12 +31,18 @@ def remove_y_average(u):
     return u - y_average(u)[..., None]
 
 
+def _fresh(ops, rows):
+    """A fresh ``(nx + rows, ny)`` buffer for the stencils of ``ops`` to write."""
+    return np.empty((ops.nx + rows, ops.ny))
+
+
 def _padded_field(ops, u, bc):
     """``ops._padded`` of a checked macro or micro field with Dirichlet walls ``bc``."""
     twice = (0.0, 0.0) if bc is None else (np.multiply(2.0, bc[0]), np.multiply(2.0, bc[1]))
     if np.ndim(u) == 1:  # a macro field is the column under a zero micro field
-        return ops._padded(0.0, twice, ops._checked(u, (ops.nx,), "macro field")[:, None])
-    return ops._padded(ops._checked(u, (ops.nx, ops.ny), "micro field"), twice)
+        macro = ops._checked(u, (ops.nx,), "macro field")[:, None]
+        return ops._padded(0.0, twice, macro, _fresh(ops, 2))
+    return ops._padded(ops._checked(u, (ops.nx, ops.ny), "micro field"), twice, 0.0, _fresh(ops, 2))
 
 
 def apply_y_diffusion(ops, u):
@@ -49,14 +55,15 @@ def apply_y_diffusion(ops, u):
 def apply_x_diffusion(ops, u, bc=None):
     """Flux-form diffusion in x: d/dx(a d/dx u), Dirichlet walls ``bc`` (scalars or length-ny
     profiles) via ghosts; a micro field, also of a macro u, as the coefficient varies in y."""
-    return ops._x_diffusion(_padded_field(ops, u, bc)) / ops.dx**2
+    return ops._x_diffusion(_padded_field(ops, u, bc), _fresh(ops, 1), _fresh(ops, 0)) / ops.dx**2
 
 
 def apply_mixed_derivatives(ops, u, bc=None):
     """The cross-derivative block d/dx(a d/dy u) + d/dy(a d/dx u): ``a du/dy`` at the centres
     differenced in x, one-sided at the boundary cells, and ``a du/dx`` differenced between the
     periodic half-nodes, whose y-average telescopes to exactly zero."""
-    return ops._mixed(_padded_field(ops, u, bc))[0] / (4.0 * ops.dx * ops.dy)
+    p, out, half, work = _padded_field(ops, u, bc), _fresh(ops, 0), _fresh(ops, 2), _fresh(ops, 0)
+    return ops._mixed(p, out, half, work, np.empty(ops.nx)) / (4.0 * ops.dx * ops.dy)
 
 
 def checked_fast_solve(ops, rhs, s):

@@ -189,7 +189,7 @@ def test_macro_gradient_quadratic_exact():
 def test_x_gradient_applies_macro_stencil_per_column():
     rng = np.random.default_rng(3)
     v = rng.standard_normal((10, 4))
-    grad = _x_differences(v) / (2.0 * 0.1)
+    grad = _x_differences(v, np.empty_like(v)) / (2.0 * 0.1)
     for j in range(4):
         assert np.array_equal(grad[:, j], macro_gradient(v[:, j], 0.1))
 
