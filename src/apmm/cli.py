@@ -46,7 +46,7 @@ def _prepare_parent(path: str | Path) -> Path:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .solvers import run_homogenized, run_micro_macro, run_reference
+    from .solvers import MicroMacroSolver, run_homogenized, run_reference
 
     cfg = parse_config(args.config)
     problem = cfg.problem()
@@ -59,7 +59,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         x = result.mesh.centers
         slow = result.final
     elif cfg.scheme == "emm":
-        result = run_micro_macro(problem, cfg.nx, cfg.ny, dt_factor=dt_factor)
+        result = MicroMacroSolver(problem, cfg.nx, cfg.ny, dt_factor=dt_factor).run()
         x = result.xmesh.centers
         slow = result.final_macro
         micro = result.final_micro
@@ -134,11 +134,11 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 def _cmd_ap_study(args: argparse.Namespace) -> int:
     from .harness import ap_degeneracy_study
 
-    out = _prepare_parent(args.out)
-    rows = ap_degeneracy_study(n_steps=args.steps, out_path=out)
+    # the study makes the output's directory once it has accepted the step count
+    rows = ap_degeneracy_study(n_steps=args.steps, out_path=args.out)
     for eps, deviation in rows:
         print(f"eps={eps:g}  deviation={deviation:.6e}")
-    print(out)
+    print(Path(args.out))
     return 0
 
 

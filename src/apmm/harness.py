@@ -13,6 +13,7 @@ the in-memory report objects.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,12 +29,7 @@ from .reconstruct import (
     reconstruct_homogenized,
     reconstruct_micro_macro,
 )
-from .solvers import (
-    MicroMacroSolver,
-    run_homogenized,
-    run_micro_macro,
-    run_reference,
-)
+from .solvers import MicroMacroSolver, run_homogenized, run_reference
 
 
 def error_norms(
@@ -143,6 +139,8 @@ def regime_comparison(
     pointwise curves go to one CSV per regime, and the error norms are
     appended to summary.csv.  Files for completed regimes are flushed before
     later regimes run, so a failing case leaves the earlier results on disk.
+    Epsilons whose curve files, ``regime_eps_{eps:g}.csv``, share a name are a
+    ConfigError before any run or directory, as every bad input.
     """
     eps_values = tuple(float(e) for e in eps_values)
     try:  # every problem and reference mesh is checked before any run or directory
@@ -152,6 +150,10 @@ def regime_comparison(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     n_refs = [int(ref_cells or reference_cells(e, periods_per_oscillation)) for e in eps_values]
+    csv_names = [f"regime_eps_{eps:g}.csv" for eps in eps_values]
+    if len(set(csv_names)) < len(csv_names):  # a later regime's file would overwrite one
+        clash = max(csv_names, key=csv_names.count)
+        raise ConfigError(f"eps values {list(eps_values)} share the curve file {clash}")
     if not eps_values:
         return RunReport(records=(), summary_path=None)
     out = Path(out_dir)
@@ -159,11 +161,11 @@ def regime_comparison(
     summary_path = out / "summary.csv"
 
     records: list[RegimeRecord] = []
-    for eps, problem, n_ref in zip(eps_values, problems, n_refs):
+    for eps, problem, n_ref, csv_name in zip(eps_values, problems, n_refs, csv_names):
         t0 = time.perf_counter()
         ref = run_reference(problem, n_ref)
         t1 = time.perf_counter()
-        emm = run_micro_macro(problem, 64, 16)
+        emm = MicroMacroSolver(problem, 64, 16).run()
         t2 = time.perf_counter()
         hmm = run_homogenized(problem, emm.hom)
         wall_times = {"ref": t1 - t0, "emm": t2 - t1, "hmm": time.perf_counter() - t2}
@@ -187,7 +189,7 @@ def regime_comparison(
             scale = float(np.max(np.abs(reference)))
             relative_errors[name] = errors[name][0] / scale if scale else math.nan
 
-        csv_path = out / f"regime_eps_{eps:g}.csv"
+        csv_path = out / csv_name
         rows = ([_fmt(col[i]) for col in columns.values()] for i in range(fine.n_cells))
         _write_rows(csv_path, list(columns), rows)
         records.append(RegimeRecord(eps, n_ref, errors, relative_errors, wall_times, str(csv_path)))
@@ -208,20 +210,28 @@ def ap_degeneracy_study(
     exactly ``n_steps`` full steps of the solver's default dt; the reported
     deviation max|F - F_eff| measures how completely the splitting collapses
     onto the asymptotic scheme as epsilon shrinks.  The Euler comparison field
-    does not depend on epsilon and is integrated once.
+    does not depend on epsilon and is integrated once.  A step count that is no
+    integer in 1 .. 2**24 is a ConfigError before any solver or directory.
     """
+    integral = isinstance(n_steps, numbers.Integral) and not isinstance(n_steps, bool)
+    if not (integral and 1 <= n_steps <= 2**24):  # True is Integral, but no step count
+        raise ConfigError(f"n_steps must be an integer in 1 .. 2**24, got {n_steps!r}")
+    if out_path is not None:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[float, float]] = []
     euler = None
     for eps in eps_values:
         problem = benchmark_problem(float(eps), t_end=1.0)
         solver = MicroMacroSolver(problem, 64, 16)
-        result = solver.run(n_steps=n_steps)  # first: it rejects a step count past its cap
+        state = solver.initial_state()
+        for _ in range(n_steps):
+            state = solver.step(state)
         if euler is None:
             u = np.asarray(problem.initial(solver.xmesh.centers), dtype=float)
             for _ in range(n_steps):
                 u = u + solver.dt * solver.ops.apply_effective(u)
             euler = u
-        deviation = float(np.max(np.abs(result.final_macro - euler)))
+        deviation = float(np.max(np.abs(state.macro - euler)))
         rows.append((float(eps), deviation))
     if out_path is not None:
         _write_rows(Path(out_path), ["eps", "deviation"], ([_fmt(e), _fmt(d)] for e, d in rows))
@@ -282,10 +292,10 @@ def _temporal_study(levels: int) -> ConvergenceReport:
     problem = benchmark_problem(0.5, t_end=0.02)
     # reference factor sits 8x below the finest level so its own bias is small
     ref_factor = base / 2 ** (levels + 2)
-    reference = run_micro_macro(problem, 64, 16, dt_factor=ref_factor)
+    reference = MicroMacroSolver(problem, 64, 16, dt_factor=ref_factor).run()
     dts, errors = [], []
     for k in range(levels):
-        run = run_micro_macro(problem, 64, 16, dt_factor=base / 2**k)
+        run = MicroMacroSolver(problem, 64, 16, dt_factor=base / 2**k).run()
         dts.append(run.dt)
         errors.append(float(np.max(np.abs(run.final_macro - reference.final_macro))))
     order = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])

@@ -241,12 +241,17 @@ class GridOperators:
         u_{m-1}``), ``diff(abar * diff(p))/dx**2`` minus ``grad(beta * (p_{k+2} -
         p_k))/(2*dx)``, whose one-sided rows reach three cells in, the ghosts ``2*wall - u``
         folded into the wall columns; rows past nx-1 weigh nothing."""
-        n, dx2 = self.nx, self.dx**2
-        # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; padded
-        # as the column, so that an x-uniform chi (one row, row stride 0) broadcasts by a copy
-        corrector = self._padded(0.0, (0.0, 0.0), self.tables.hom.chi, np.empty((n + 2, self.ny)))
-        beta = -y_average(self._centre_y_flux(corrector, np.empty((n, self.ny)))) / (2 * self.dy)
-        q = np.concatenate(([0.0], beta / (4.0 * dx2), [0.0]))  # with q_{-1} = q_nx = 0
+        n, m, dx2 = self.nx, self._blocks, self.dx**2
+        # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; beta
+        # from chi's distinct rows (one for an x-uniform chi), as _centre_y_flux forms its bits
+        chi, flux = self.tables.hom.chi[:m], np.empty((m, self.ny))
+        c, f = chi.ravel(), flux.ravel()
+        np.subtract(c[2:], c[:-2], out=f[1:-1])  # then the wrapped columns
+        np.subtract(chi[:, 1], chi[:, -1], out=flux[:, 0])
+        np.subtract(chi[:, 0], chi[:, -2], out=flux[:, -1])
+        flux *= self.tables.centers[:m]
+        beta = -y_average(flux) / (2 * self.dy)
+        q = np.concatenate(([0.0], np.broadcast_to(beta / (4 * dx2), n), [0.0]))  # q_-1 = q_nx = 0
         # storage [4 - o, m] holds the weight of p_m in row i = m - o
         k = np.zeros((7, n + 2), order="F")  # as dgbmv reads it: no copy per call
         k[5, :-3] = -q[1:-2]  # minus the centred drift, o = -1, 1, 3

@@ -6,22 +6,21 @@ Three schemes share one explicit finite-volume backbone:
   along the diagonal y = x/epsilon, the accuracy yardstick;
 - ``run_homogenized``: the effective equation with the harmonic-average
   coefficient plus the first-order two-scale corrector at the final time;
-- ``MicroMacroSolver`` / ``run_micro_macro``: the stiff two-scale splitting
-  scheme whose micro part is integrated implicitly in the fast direction.
+- ``MicroMacroSolver``: the stiff two-scale splitting scheme whose micro
+  part is integrated implicitly in the fast direction.
 
 All schemes use a fixed step dt = dt_factor * dx**2 with the final step
 shortened to land exactly on t_end, abort with ``StabilityError`` when a
 field stops being finite, and return the final state only.  The explicit
 runs are not stepped: their final state, a polynomial of the step matrix
 applied to the initial data, comes from a rational Krylov projection.
-Trajectories of the splitting scheme come from
-``MicroMacroSolver.initial_state`` and ``step``.
+A trajectory of the splitting scheme is ``MicroMacroSolver.initial_state``
+followed by ``step``, each step at the solver's one dt.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -306,9 +305,9 @@ class MicroMacroSolver:
     implicit fast update ``(I - (dt/epsilon**2) Ly) G' = G + (dt/epsilon) r``, with ``r`` the
     fluctuating part of the coupling terms, is multiplied through by ``s = (epsilon/dt)*epsilon``
     and solved on the mean-free subspace: ``(s*I - Ly) G' = s*G + epsilon*r``.  ``s`` underflows
-    to zero without error and, as ``step`` takes only a normal dt, never overflows, so this one
-    solve holds for every epsilon, and at ``s = 0`` it is the singular cell solve, whose ``G'``
-    is the O(epsilon) corrector limit.  The slow update blends the effective operator ``K`` with
+    to zero without error and, as every step is normal, never overflows, so this one solve holds
+    for every epsilon, and at ``s = 0`` it is the singular cell solve, whose ``G'`` is the
+    O(epsilon) corrector limit.  The slow update blends the effective operator ``K`` with
     the plain averaged diffusion through the stiffness weight ``w = exp(-dt/epsilon**2)``, which
     underflows to zero in the strongly oscillatory regime, exactly as the splitting is designed
     to do.  ``F'`` is one band product per step, of ``I + dt*((1 - w) K + w A)`` (``A`` that plain
@@ -320,18 +319,20 @@ class MicroMacroSolver:
     the step's matrices; each one-sided wall row is U's three rows next to its wall times a
     held block, into which the ghost row ``2*wall - first`` and the third differences are
     folded, plus the wall gradient times a held row, so U's ghost rows stay 0 and no step reads
-    them.  Else the coupling terms read flat slices of one padded buffer.  Over 2**24 steps is
-    a ConfigError.
+    them.  Else the coupling terms read flat slices of one padded buffer.  The constructor fixes
+    dt and the last step, shortened to land on t_end: over 2**24 steps, or a step below the
+    normal range, is a ConfigError.
 
     One kernel per step size advances a working state in place: F and E in the rows of ``x =
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
     F' and E' in buffers held per step size; else the kernel holds the coupling's padded,
     half-node and work buffers, which the jumps and the Woodbury product reuse once spent, and
-    a spare field, G's of the step before, into which G' goes.  ``run`` loads once, fetches the
-    step operators when dt changes, freeing the full steps' before a shortened last step's are
-    built, and enters numpy's error state once; ``step`` loads afresh, enters it per call and
-    returns that state.  Each step screens its new fields with BLAS sums into held buffers and
-    runs the exact non-finite and drift guards, ``_exact_guards``, only where that screen fails.
+    a spare field, G's of the step before, into which G' goes.  ``run`` loads once, binds the
+    full steps' kernel, then frees its operators before the last step's are built, and enters
+    numpy's error state once; ``step`` advances a state by dt: it loads afresh, enters the error
+    state per call and returns the new state.  Each step screens its new fields with BLAS sums
+    into held buffers and runs the exact non-finite and drift guards, ``_exact_guards``, only
+    where that screen fails.
     """
 
     def __init__(
@@ -344,9 +345,13 @@ class MicroMacroSolver:
         _validate_dt_factor(dt_factor, problem.coefficient.a_max)
         self.problem = problem
         self.xmesh = make_spatial_mesh(n_x)
-        self.dt = dt_factor * self.xmesh.dx**2
-        if not problem.t_end / self.dt <= 2**24:  # about 20 minutes of 64x16 steps
-            raise ConfigError(f"t_end={problem.t_end:g} takes over 2**24 steps of dt={self.dt:.3g}")
+        self.dt = dt = dt_factor * self.xmesh.dx**2
+        if not problem.t_end / dt <= 2**24:  # about 20 minutes of 64x16 steps
+            raise ConfigError(f"t_end={problem.t_end:g} takes over 2**24 steps of dt={dt:.3g}")
+        self._steps = _step_count(problem.t_end, dt)  # the last step lands on t_end, <= dt
+        self._last_dt = last = min(problem.t_end - (self._steps - 1) * dt, dt)
+        if not sys.float_info.min <= last:  # s = (eps/dt)*eps would overflow
+            raise ConfigError(f"dt_factor={dt_factor:g} gives a subnormal step of {last:.3g}")
         self.ymesh = make_cell_mesh(n_y)
         self.tables = sample_coefficient(problem.coefficient, self.xmesh, self.ymesh)
         self.ops = GridOperators(self.tables)
@@ -399,11 +404,11 @@ class MicroMacroSolver:
             self._held = (dt, s, kick, fast, band, alpha)
         return self._held
 
-    def step(self, state: MicroMacroState, dt: float | None = None) -> MicroMacroState:
-        """Advance one level (by a normal 0 < dt <= self.dt): fast solve, then slow update."""
+    def step(self, state: MicroMacroState) -> MicroMacroState:
+        """Advance one level by dt: fast solve, then slow update."""
         held = self._load(state)
         with np.errstate(over="ignore", invalid="ignore"):  # the guards report non-finite fields
-            self._stepper(held, self._step_operators(self.dt if dt is None else float(dt)))()
+            self._stepper(held, self._step_operators(self.dt))()
         return held  # its buffers are this call's own
 
     def _load(self, state: MicroMacroState) -> MicroMacroState:
@@ -497,21 +502,9 @@ class MicroMacroSolver:
 
         return advance
 
-    def run(self, n_steps: int | None = None) -> MicroMacroResult:
-        """Iterate to t_end (or for exactly n_steps full steps when given)."""
-        if n_steps is None:
-            total = _step_count(self.problem.t_end, self.dt)
-            # not past the step the stability bound allows, for all rounding
-            last_dt = min(self.problem.t_end - (total - 1) * self.dt, self.dt)
-        else:
-            try:  # int() ran 1.9999 and True as 1 step
-                total = -1 if isinstance(n_steps, bool) else operator.index(n_steps)
-            except TypeError:
-                total = -1
-            if not 1 <= total <= 2**24:  # the horizon's cap
-                raise ConfigError(f"n_steps must be an integer in 1 .. 2**24, got {n_steps!r}")
-            last_dt = self.dt
-
+    def run(self) -> MicroMacroResult:
+        """Iterate to t_end: full steps of dt, then a shortened last one where t_end needs it."""
+        total, last_dt = self._steps, self._last_dt
         held, full = self._load(self.initial_state()), total - (last_dt != self.dt)
         with np.errstate(over="ignore", invalid="ignore"):  # entered once: it costs 2 us
             if full:
@@ -527,12 +520,3 @@ class MicroMacroSolver:
             total, self.dt, self.tables.hom,
         )
 
-
-def run_micro_macro(
-    problem: ProblemSpec,
-    n_x: int,
-    n_y: int,
-    dt_factor: float = 0.2,
-) -> MicroMacroResult:
-    """Convenience wrapper: build a MicroMacroSolver and run it to t_end."""
-    return MicroMacroSolver(problem, n_x, n_y, dt_factor=dt_factor).run()

@@ -135,6 +135,15 @@ def split_update(solver, state, dt):
     return f_new, g_new, state.effective + dt * ops.apply_effective(state.effective)
 
 
+def step_by(solver, state, dt):
+    """A step of a normal 0 < dt <= solver.dt from ``state`` by the solver's own kernel, as
+    ``run`` takes its shortened last step; ``step`` always takes solver.dt."""
+    held = solver._load(state)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guards report non-finite fields
+        solver._stepper(held, solver._step_operators(dt))()
+    return held
+
+
 def stepped(u0, a_interfaces, dx, dt, t_end):
     """The explicit flux-form scheme with odd wall ghosts, stepped one level at a time to
     t_end, the last step shortened to land on it: the final field and the step count."""

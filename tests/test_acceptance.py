@@ -27,7 +27,7 @@ from apmm.problem import (
     constant_coefficient,
 )
 from apmm.reconstruct import reconstruct_micro_macro
-from apmm.solvers import run_micro_macro, run_reference
+from apmm.solvers import MicroMacroSolver, run_reference
 from oracle import (
     apply_mixed_derivatives, apply_x_diffusion, apply_y_diffusion, grid_ops, orders,
     trig_interpolate,
@@ -272,7 +272,7 @@ def test_a5_uniform_stability_in_epsilon():
     # 1e-100 and underflows to 0 at 1e-300, the singular end of the solve
     regimes = (1.0, 1e-1, 1e-2, 1e-4, 1e-8, 1e-12, 1e-100, 1e-300)
     for eps in regimes:
-        res = run_micro_macro(benchmark_problem(eps, t_end=0.02), 64, 16)
+        res = MicroMacroSolver(benchmark_problem(eps, t_end=0.02), 64, 16).run()
         assert np.all(np.isfinite(res.final_macro))
         assert np.all(np.isfinite(res.final_micro))
         worst = max(worst, float(np.max(np.abs(res.final_macro))))
@@ -351,7 +351,7 @@ def test_a8_wall_layer_and_corrector_boundary_data():
     edges = {}
     inner = {}
     for mode in ("dirichlet_homogeneous", "dirichlet_corrector"):
-        res = run_micro_macro(benchmark_problem(eps, t_end=t_end, bc_mode=mode), 64, 16)
+        res = MicroMacroSolver(benchmark_problem(eps, t_end=t_end, bc_mode=mode), 64, 16).run()
         u = reconstruct_micro_macro(
             res.final_macro, res.final_micro, eps, res.xmesh, fine
         )

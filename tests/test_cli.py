@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apmm import cli, harness, solvers
+from apmm import cli, harness
 from apmm.cli import main
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import GridOperators
 from apmm.problem import benchmark_coefficient, parse_config, sample_coefficient
-from apmm.solvers import MicroMacroSolver, run_micro_macro
+from apmm.solvers import MicroMacroSolver
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -101,7 +101,7 @@ def test_run_micro_macro_where_eps_squared_underflows(tmp_path, _run):
     # the eps = 1e-11 run of the same config sits O(eps) from the limit:
     # measured 3.4e-11
     near = parse_config(_write_config(tmp_path / "near.cfg", epsilon=1e-11, **keys))
-    base = run_micro_macro(near.problem(), 16, 8).final_micro / 1e-11
+    base = MicroMacroSolver(near.problem(), 16, 8).run().final_micro / 1e-11
     assert np.max(np.abs(scaled - base)) <= 1e-10 * np.max(np.abs(base))
 
 
@@ -199,6 +199,29 @@ def test_run_rejects_bad_configs(tmp_path, _run):
             assert key in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.filterwarnings("ignore:n_cells=.* under-resolves")
+def test_run_emm_step_below_the_normal_range_exits_2(tmp_path, _run):
+    # a subnormal dt overflowed the fast solve's shift: the emm run raised the step operators'
+    # ValueError, a traceback and exit 1, where the same config as a ref run exits 0
+    keys = dict(epsilon=0.1, nx=16, ny=8, t_end=1e-305, dt_factor=1e-306, output="out/run")
+    ref = _write_config(tmp_path / "ref.cfg", scheme="ref", **keys)
+    assert _run(["run", "--config", str(ref)], cwd=tmp_path).returncode == 0
+    emm = _write_config(tmp_path / "emm.cfg", scheme="emm", **{**keys, "output": "emm/run"})
+    proc = _run(["run", "--config", str(emm)], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "a subnormal step" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "emm").exists()
+
+
+@pytest.mark.parametrize("steps", ["0", str(2**24 + 1)])
+def test_rejected_ap_study_makes_no_directory(tmp_path, steps, _run):
+    # the output's directory was made before the study checked its step count
+    proc = _run(["ap-study", "--steps", steps, "--out", "d/sub/ap.csv"], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "n_steps" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -210,6 +233,7 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         ["figure1", "--eps", "1e-310"],  # 20/eps overflows; the count was never found
         ["figure1", "--ref-cells", "3"],
         ["figure1", "--ref-cells", "5"],  # a mesh, but too coarse for the derivative stencils
+        ["figure1", "--eps", "0.1234561", "0.1234562"],  # one curve file for both, overwritten
         ["cell", "--ny", "5"],
         ["cell", "--coeff", "constant:nan"],
         ["cell", "--coeff", "constant:inf"],
@@ -224,6 +248,7 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         "figure1-eps-1e-310",
         "figure1-ref-cells",
         "figure1-ref-cells-5",
+        "figure1-eps-colliding-curve-files",
         "cell-ny",
         "cell-coeff-nan",
         "cell-coeff-inf",
@@ -292,10 +317,9 @@ def test_work_past_a_cap_exits_2_before_any_run(
 
     for owner, name in (
         (harness, "run_reference"),
-        (harness, "run_micro_macro"),
+        (MicroMacroSolver, "run"),
         (MicroMacroSolver, "step"),
         (GridOperators, "apply_effective"),
-        (solvers, "run_micro_macro"),
         (cli, "homogenized_coefficient"),
         (cli, "solve_cell_problem"),
     ):

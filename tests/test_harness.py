@@ -115,7 +115,7 @@ def test_regime_comparison_rejects_coarse_ref_cells_before_any_work(tmp_path, mo
     def refuse(*args, **kwargs):
         raise AssertionError("a solver ran")
 
-    for name in ("run_reference", "run_micro_macro", "run_homogenized"):
+    for name in ("run_reference", "MicroMacroSolver", "run_homogenized"):
         monkeypatch.setattr(harness, name, refuse)
     out = tmp_path / "untouched"
     for ref_cells in (5, 7):  # meshes, but too coarse for the derivative stencils
@@ -128,7 +128,7 @@ def test_regime_comparison_rejects_unbuildable_reference_before_any_work(tmp_pat
     def refuse(*args, **kwargs):
         raise AssertionError("a solver ran")
 
-    for name in ("run_reference", "run_micro_macro", "run_homogenized"):
+    for name in ("run_reference", "MicroMacroSolver", "run_homogenized"):
         monkeypatch.setattr(harness, name, refuse)
     out = tmp_path / "untouched"
     for eps in (1e-6, 1e-300, 1e-310):  # 2**25 cells, a 1002-bit count, an infinite one
@@ -139,6 +139,21 @@ def test_regime_comparison_rejects_unbuildable_reference_before_any_work(tmp_pat
         regime_comparison(eps_values=(0.5, 2.0), out_dir=out, t_end=0.002, ref_cells=64)
     with pytest.raises(ConfigError, match="t_end must be"):
         regime_comparison(eps_values=(0.5,), out_dir=out, t_end=math.nan, ref_cells=64)
+    assert not out.exists()
+
+
+def test_regime_comparison_rejects_colliding_curve_files(tmp_path, monkeypatch):
+    # eps values that print alike shared one regime_eps_{eps:g}.csv: the later run overwrote
+    # the earlier one, while summary.csv and both records still named it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("run_reference", "MicroMacroSolver", "run_homogenized"):
+        monkeypatch.setattr(harness, name, refuse)
+    out = tmp_path / "untouched"
+    for eps_values in ((0.1234561, 0.1234562), (0.5, 0.1, 0.5)):
+        with pytest.raises(ConfigError, match="share the curve file regime_eps_0\\.\\d+\\.csv"):
+            regime_comparison(eps_values=eps_values, out_dir=out, t_end=0.002, ref_cells=64)
     assert not out.exists()
 
 
@@ -234,10 +249,22 @@ def test_ap_degeneracy_study_shrinks_with_epsilon(tmp_path):
     assert float(lines[1].split(",")[1]) == devs[0]
 
 
-def test_ap_degeneracy_study_rejects_bad_step_count():
-    for n_steps in (0, 2**24 + 1):
-        with pytest.raises(ConfigError, match="n_steps"):
-            ap_degeneracy_study(eps_values=(0.1,), n_steps=n_steps)
+def test_ap_degeneracy_study_rejects_bad_step_count(tmp_path, monkeypatch):
+    # counts past the cap, and non-integers: int() ran 1.9999 and True as one step, and nan
+    # failed with numpy's bare conversion error; all before a solver or the output's directory
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver was built")
+
+    out = tmp_path / "untouched" / "ap.csv"
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "MicroMacroSolver", refuse)
+        for n_steps in (0, 2**24 + 1, 1.9999, 2.5, math.nan, True, "3"):
+            with pytest.raises(ConfigError, match="n_steps must be an integer"):
+                ap_degeneracy_study(eps_values=(0.1,), n_steps=n_steps, out_path=out)
+    assert not out.parent.exists()
+    rows = ap_degeneracy_study(eps_values=(0.1,), n_steps=np.int64(3), out_path=out)
+    assert rows == ap_degeneracy_study(eps_values=(0.1,), n_steps=3)
+    assert float(out.read_text().splitlines()[1].split(",")[1]) == rows[0][1]
 
 
 def test_convergence_study_rejects_bad_inputs():

@@ -18,7 +18,7 @@ from apmm.operators import GridOperators, y_average
 from apmm.problem import BC_MODES, DiffusionField, ProblemSpec, sample_coefficient
 from apmm.solvers import MicroMacroSolver, MicroMacroState, run_homogenized, run_reference
 from oracle import (
-    apply_mixed_derivatives, checked_fast_solve, remove_y_average, split_update, stepped,
+    apply_mixed_derivatives, checked_fast_solve, remove_y_average, split_update, step_by, stepped,
 )
 
 
@@ -185,7 +185,7 @@ def test_emm_step_matches_public_operators(
         step=0,
     )
     dt = solver.dt * last_share
-    out = solver.step(state, dt)
+    out = step_by(solver, state, dt)
     expected = split_update(solver, state, dt)
     for got, want in zip((out.macro, out.micro, out.effective), expected):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -211,7 +211,7 @@ def test_emm_run_equals_its_steps(
     c0, p, q, r, phi, x_uniform, x0, log_eps, bc_mode, nx, half_ny, full_steps, last_share
 ):
     # run() is a loop of step() bit for bit, whatever step operators the solver held
-    # before: its full steps, then a shortened last one
+    # before: its full steps, then a shortened last one by the same kernel
     coeff = _coefficient(c0, p, q, r, phi)
     if x_uniform:  # frozen at x0
         coeff = dataclasses.replace(coeff, func=lambda x, y, a=coeff.func: a(x0 + 0.0 * x, y))
@@ -226,13 +226,13 @@ def test_emm_run_equals_its_steps(
     )
     solver = MicroMacroSolver(problem, nx, 2 * half_ny, dt_factor=dt_factor)
     assert solver.tables.x_uniform or not x_uniform
-    solver.step(solver.initial_state(), dt=0.5 * dt)  # leaves another step size's operators
+    step_by(solver, solver.initial_state(), 0.5 * dt)  # leaves another step size's operators
     res = solver.run()
     assert res.steps == full_steps + 1
     state = solver.initial_state()
     for _ in range(full_steps):
         state = solver.step(state)
-    state = solver.step(state, dt=problem.t_end - full_steps * dt)
+    state = step_by(solver, state, problem.t_end - full_steps * dt)
     assert np.array_equal(res.final_macro, state.macro)
     assert np.array_equal(res.final_micro, state.micro)
 

@@ -7,6 +7,7 @@ terms shows up even where the dynamics would hide it.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -40,12 +41,11 @@ from apmm.solvers import (
     StabilityError,
     _explicit_heat_loop,
     run_homogenized,
-    run_micro_macro,
     run_reference,
 )
 from oracle import (
     apply_mixed_derivatives, apply_x_diffusion, boundary_data, remove_y_average, split_update,
-    stepped, trig_interpolate,
+    step_by, stepped, trig_interpolate,
 )
 
 A0 = math.sqrt(0.21)
@@ -603,7 +603,7 @@ def test_emm_one_step_matches_update_formula_cases(coeff, bc_mode, share):
     state = solver.step(solver.initial_state())  # nonzero micro going in
     assert np.max(np.abs(state.micro)) > 0.0
     dt = share * solver.dt
-    out = solver.step(state, dt)
+    out = step_by(solver, state, dt)
 
     f_new, g_new, e_new = split_update(solver, state, dt)
     assert np.max(np.abs(out.micro - g_new)) <= 1e-13
@@ -627,7 +627,7 @@ def test_emm_wall_rows_match_public_operators(nx, bc_mode):
         rng.standard_normal(nx), t=0.0, step=0,
     )
     for share in (1.0, 0.37):
-        out = solver.step(state, share * solver.dt)
+        out = step_by(solver, state, share * solver.dt)
         f_new, g_new, e_new = split_update(solver, state, share * solver.dt)
         for got, want in ((out.micro, g_new), (out.macro, f_new), (out.effective, e_new)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -772,21 +772,21 @@ def test_emm_blend_stays_out_of_the_effective_operator():
     for share in np.linspace(0.5, 1.0, 50, endpoint=False):
         dt = share * solver.dt
         other = MicroMacroSolver(problem, 16, 8)
-        want, state = other.step(state, dt=dt), solver.step(state, dt=dt)
+        want, state = step_by(other, state, dt), step_by(solver, state, dt)
         assert np.array_equal(state.macro, want.macro)
         assert np.array_equal(state.micro, want.micro)
 
 
 @pytest.fixture(scope="module")
 def emm_eps_1e11():
-    return run_micro_macro(benchmark_problem(1e-11, t_end=0.001), 32, 8)
+    return MicroMacroSolver(benchmark_problem(1e-11, t_end=0.001), 32, 8).run()
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-15, 1e-100, 1e-160, 1e-300])
 def test_emm_runs_uniformly_at_tiny_eps(eps, emm_eps_1e11):
     # one fast solve for every eps, also where eps**2 underflows:
     # the micro field stays mean-free and keeps its O(eps) corrector shape
-    res = run_micro_macro(benchmark_problem(eps, t_end=0.001), 32, 8)
+    res = MicroMacroSolver(benchmark_problem(eps, t_end=0.001), 32, 8).run()
     g = res.final_micro
     assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * np.max(np.abs(g))
     # the eps = 1e-11 run sits O(eps) from the limit: measured 6.2e-12 .. 6.9e-12
@@ -802,7 +802,7 @@ def test_emm_runs_uniformly_at_tiny_eps(eps, emm_eps_1e11):
 def test_emm_runs_at_subnormal_eps(eps, emm_eps_1e11):
     # 1/eps overflows here: the right wall's fast coordinate and the
     # reconstruction's were NaN, and the first step's fields non-finite
-    res = run_micro_macro(benchmark_problem(eps, t_end=0.001), 32, 8)
+    res = MicroMacroSolver(benchmark_problem(eps, t_end=0.001), 32, 8).run()
     g = res.final_micro
     assert np.all(np.isfinite(res.final_macro)) and np.all(np.isfinite(g))
     assert np.max(np.abs(g.mean(axis=-1))) <= 1e-11 * np.max(np.abs(g))
@@ -860,25 +860,22 @@ def test_ap_degeneracy_holds_where_eps_squared_underflows():
     assert all(math.isfinite(dev) and dev <= 1e-12 for _, dev in rows)
 
 
-def test_emm_step_count_and_overrides():
+def test_emm_step_count():
+    # run() takes t_end's steps, the last one shortened; step() one of the solver's dt
     problem = benchmark_problem(0.5, t_end=0.01)
     solver = MicroMacroSolver(problem, 16, 8)
     res = solver.run()
     assert res.steps == math.ceil(0.01 / solver.dt - 1e-9)
-
-    fixed = solver.run(n_steps=5)
-    assert fixed.steps == 5
-    with pytest.raises(ValueError):
-        solver.run(n_steps=0)
+    state = solver.step(solver.initial_state())
+    assert state.step == 1 and state.t == solver.dt
 
 
 @pytest.mark.parametrize("share", [0.0, -1.0, math.nan, math.inf, 10.0, 1e-306])
-def test_emm_step_rejects_bad_dt(share, monkeypatch):
+def test_emm_step_operators_reject_bad_dt(share, monkeypatch):
     # 0 divided by zero, a negative dt failed in dpttrf, nan and inf only after
     # a full step's work, 10*dt ran past the stability bound, and a subnormal
     # dt overflowed s = (eps/dt)*eps
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
-    state = solver.initial_state()
 
     def built(*args):
         raise AssertionError("a step operator was built")
@@ -886,8 +883,24 @@ def test_emm_step_rejects_bad_dt(share, monkeypatch):
     for name in ("_factor", "_step_matrices", "_blended_band"):
         monkeypatch.setattr(GridOperators, name, built)
     with pytest.raises(ValueError, match="dt must satisfy"):
-        solver.step(state, dt=share * solver.dt)
+        solver._step_operators(share * solver.dt)
     assert solver._held is None  # rejected before any work
+
+
+def test_emm_rejects_a_step_below_the_normal_range():
+    # a subnormal dt, or a normal one whose last step is subnormal, overflowed s = (eps/dt)*eps:
+    # run() raised the step operators' ValueError, a traceback from `apmm run`
+    problem = benchmark_problem(0.1, t_end=1e-305)
+    with pytest.raises(ConfigError, match="a subnormal step"):
+        MicroMacroSolver(problem, 16, 8, dt_factor=1e-306)  # dt = 3.9e-309
+    dt = 1e-297 / 16**2
+    last = dataclasses.replace(problem, t_end=dt * (1.0 + 4e-9))  # 4e-9 * dt is subnormal
+    with pytest.raises(ConfigError, match="a subnormal step"):
+        MicroMacroSolver(last, 16, 8, dt_factor=1e-297)
+    # the least normal dt is allowed
+    tiny = sys.float_info.min
+    solver = MicroMacroSolver(dataclasses.replace(problem, t_end=4 * tiny), 16, 8, 256 * tiny)
+    assert solver.dt == tiny and solver.run().steps == 4
 
 
 def test_emm_run_keeps_small_caches():
@@ -904,12 +917,10 @@ def test_emm_run_keeps_small_caches():
         res = solver.run()
         assert 0.0 < t_end - (res.steps - 1) * solver.dt < solver.dt  # a shortened last step
         assert solver._held is None
-        solver.run(n_steps=2)
-        assert solver._held is None
         # 50 distinct step sizes: each step's operators are freed by the next
         state, held = solver.initial_state(), None
         for share in np.linspace(0.5, 1.0, 50, endpoint=False):
-            state = solver.step(state, dt=share * solver.dt)
+            state = step_by(solver, state, share * solver.dt)
             assert solver._held[0] == share * solver.dt
             assert held is None or held() is None
             held = weakref.ref(solver._held[3])
@@ -977,34 +988,22 @@ def test_emm_run_frees_each_step_size_and_its_buffers(monkeypatch, x_uniform):
 @pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
 def test_emm_run_starts_from_no_stale_state(x_uniform):
     # neither a run's held buffers nor the operators of other step sizes leak into the next run,
-    # and step() leaves its input state as it was
+    # and a step leaves its input state as it was
     solver = _with_layout(MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8), x_uniform)
     first = solver.run()
     results = [solver.run()]
     state = solver.initial_state()
     for share in (0.3, 0.7, 1.0):
         before = [a.copy() for a in (state.macro, state.micro, state.effective)]
-        after = solver.step(state, dt=share * solver.dt)
+        after = step_by(solver, state, share * solver.dt)
         assert all(map(np.array_equal, (state.macro, state.micro, state.effective), before))
         state = after
     results.append(solver.run())
-    assert solver.run(n_steps=3).steps == 3
+    assert solver.step(state).step == 4
     results.append(solver.run())
     for res in results:
         assert np.array_equal(res.final_macro, first.final_macro)
         assert np.array_equal(res.final_micro, first.final_micro)
-
-
-def test_emm_run_takes_only_integral_step_counts():
-    # int() ran 1.9999 and True as one step, and nan failed with numpy's bare conversion error
-    solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), 16, 8)
-    for bad in (1.9999, 2.5, math.nan, True, "3"):
-        with pytest.raises(ConfigError, match="n_steps must be an integer"):
-            solver.run(n_steps=bad)
-    res, expected = solver.run(n_steps=np.int64(3)), solver.run(n_steps=3)
-    assert res.steps == type(res.steps)(3) == 3 and type(res.steps) is int
-    assert np.array_equal(res.final_macro, expected.final_macro)
-    assert np.array_equal(res.final_micro, expected.final_micro)
 
 
 def test_emm_rejects_a_horizon_past_the_step_cap():
@@ -1052,8 +1051,11 @@ def test_emm_subnormal_micro_field_is_no_drift():
     for bc_mode in BC_MODES:
         problem = ProblemSpec(a, 1e-156, lambda x: np.sin(np.pi * x) + x * (1.0 - x), bc_mode)
         for nx in (4, 8, 9, 12):
-            micro = MicroMacroSolver(problem, nx, 4).run(n_steps=10).final_micro
-            assert 0.0 < np.max(np.abs(micro)) < np.finfo(float).tiny
+            solver = MicroMacroSolver(problem, nx, 4)
+            state = solver.initial_state()
+            for _ in range(10):
+                state = solver.step(state)
+            assert 0.0 < np.max(np.abs(state.micro)) < np.finfo(float).tiny
 
 
 def _spied_exact_guards(monkeypatch):
@@ -1071,7 +1073,7 @@ def _spied_exact_guards(monkeypatch):
 @pytest.mark.parametrize("x_uniform", [True, False], ids=["products", "per_slice"])
 def test_emm_healthy_steps_pass_the_guards_screen(monkeypatch, x_uniform):
     # the screen of sums decides every healthy step, in every regime and wall mode, through
-    # run() and step(): the exact guards never run
+    # run(), step() and shortened steps: the exact guards never run
     calls = _spied_exact_guards(monkeypatch)
     for eps in (1.0, 0.1, 0.01, 1e-6):
         for bc_mode in BC_MODES:
@@ -1081,7 +1083,7 @@ def test_emm_healthy_steps_pass_the_guards_screen(monkeypatch, x_uniform):
                 assert solver.run().steps > 1
                 state = solver.initial_state()
                 for share in (1.0, 0.5, 1.0):
-                    state = solver.step(state, dt=share * solver.dt)
+                    state = step_by(solver, state, share * solver.dt)
     assert calls == []
 
 
@@ -1271,7 +1273,12 @@ def test_emm_guards_screen_keeps_its_margin_on_a_large_grid(monkeypatch):
     calls = _spied_exact_guards(monkeypatch)
     solver = MicroMacroSolver(benchmark_problem(0.01, t_end=0.01), 1024, 128)
     assert solver.ops._blocks == 1
-    assert solver.run(n_steps=10).steps == 10
+    held = solver._load(solver.initial_state())
+    advance = solver._stepper(held, solver._step_operators(solver.dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(10):
+            advance()
+    assert held.step == 10
     assert calls == []
 
 
