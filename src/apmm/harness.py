@@ -206,33 +206,29 @@ def ap_degeneracy_study(
 ) -> tuple[tuple[float, float], ...]:
     """Deviation of the splitting's slow field from plain effective Euler.
 
-    Both integrations start from the benchmark initial data on 64x16 and take
-    exactly ``n_steps`` full steps of the solver's default dt; the reported
-    deviation max|F - F_eff| measures how completely the splitting collapses
-    onto the asymptotic scheme as epsilon shrinks.  The Euler comparison field
-    does not depend on epsilon and is integrated once.  A step count that is no
-    integer in 1 .. 2**24 is a ConfigError before any solver or directory.
+    Each run starts from the benchmark initial data on 64x16 and takes exactly
+    ``n_steps`` full steps of the solver's default dt; the reported deviation
+    max|F - F_eff|, ``F_eff`` the run's own companion (``dt*K`` Euler from the same
+    data), measures how completely the splitting collapses onto the asymptotic
+    scheme as epsilon shrinks.  A step count that is no integer in 1 .. 2**24, or
+    an epsilon outside (0, 1], is a ConfigError before any solver or directory.
     """
     integral = isinstance(n_steps, numbers.Integral) and not isinstance(n_steps, bool)
     if not (integral and 1 <= n_steps <= 2**24):  # True is Integral, but no step count
         raise ConfigError(f"n_steps must be an integer in 1 .. 2**24, got {n_steps!r}")
+    try:  # every problem is checked before any solver or directory
+        problems = [benchmark_problem(float(eps), t_end=1.0) for eps in eps_values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[float, float]] = []
-    euler = None
-    for eps in eps_values:
-        problem = benchmark_problem(float(eps), t_end=1.0)
+    for problem in problems:
         solver = MicroMacroSolver(problem, 64, 16)
         state = solver.initial_state()
         for _ in range(n_steps):
             state = solver.step(state)
-        if euler is None:
-            u = np.asarray(problem.initial(solver.xmesh.centers), dtype=float)
-            for _ in range(n_steps):
-                u = u + solver.dt * solver.ops.apply_effective(u)
-            euler = u
-        deviation = float(np.max(np.abs(state.macro - euler)))
-        rows.append((float(eps), deviation))
+        rows.append((problem.epsilon, float(np.max(np.abs(state.macro - state.effective)))))
     if out_path is not None:
         _write_rows(Path(out_path), ["eps", "deviation"], ([_fmt(e), _fmt(d)] for e, d in rows))
     return tuple(rows)

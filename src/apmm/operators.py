@@ -108,20 +108,20 @@ class GridOperators:
         np.subtract(twice[1], p[-2], out=p[-1])
         return p
 
-    def _centre_y_flux(self, p: FloatArray, out: FloatArray) -> FloatArray:
-        """``2*dy * a du/dy`` at the cell centres of a padded field, centred, into (nx, ny) out."""
-        f, ny = p.ravel(), self.ny
-        np.subtract(f[ny + 1 : 1 - ny], f[ny - 1 : -1 - ny], out=out.ravel())
-        np.subtract(p[1:-1, 1], p[1:-1, -1], out=out[:, 0])  # the wrapped columns, one call each:
-        np.subtract(p[1:-1, 0], p[1:-1, -2], out=out[:, -1])  # as one, numpy buffers them (7.6 KB)
-        out *= self.tables.centers
+    def _centre_y_flux(self, u: FloatArray, out: FloatArray) -> FloatArray:
+        """``2*dy * a du/dy`` at the cell centres of contiguous (k, ny) rows u into (k, ny) out."""
+        f = u.ravel()
+        np.subtract(f[2:], f[:-2], out=out.ravel()[1:-1])
+        np.subtract(u[:, 1], u[:, -1], out=out[:, 0])  # the wrapped columns, one call each:
+        np.subtract(u[:, 0], u[:, -2], out=out[:, -1])  # as one, numpy buffers them (7.6 KB)
+        out *= self.tables.centers[: len(u)]
         return out
 
     def _mixed(self, p, out, half, work, sums) -> FloatArray:
         """``4*dx*dy`` times the mixed block of a padded field into the ``(nx, ny)`` out, and the
         y-sums of its first term, those of the whole block (the second term's telescope to zero),
         into the ``(nx,)`` sums; ``half`` ``(nx+2, ny)`` and ``work`` ``(nx, ny)`` are scratch."""
-        _x_differences(self._centre_y_flux(p, work), out)  # 2*dx times the gradient
+        _x_differences(self._centre_y_flux(p[1:-1], work), out)  # 2*dx times the gradient
         dgemv(1.0, out.T, self._ones, 0.0, sums, 0, 1, 0, 1, 1, 1)  # trans, overwrite_y by position
         f, h = p.ravel(), half.ravel()  # 2 * u at the half-nodes j + 1/2
         np.add(f[:-1], f[1:], out=h[:-1])
@@ -243,13 +243,8 @@ class GridOperators:
         folded into the wall columns; rows past nx-1 weigh nothing."""
         n, m, dx2 = self.nx, self._blocks, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; beta
-        # from chi's distinct rows (one for an x-uniform chi), as _centre_y_flux forms its bits
-        chi, flux = self.tables.hom.chi[:m], np.empty((m, self.ny))
-        c, f = chi.ravel(), flux.ravel()
-        np.subtract(c[2:], c[:-2], out=f[1:-1])  # then the wrapped columns
-        np.subtract(chi[:, 1], chi[:, -1], out=flux[:, 0])
-        np.subtract(chi[:, 0], chi[:, -2], out=flux[:, -1])
-        flux *= self.tables.centers[:m]
+        # from chi's distinct rows (one for an x-uniform chi)
+        flux = self._centre_y_flux(self.tables.hom.chi[:m], np.empty((m, self.ny)))
         beta = -y_average(flux) / (2 * self.dy)
         q = np.concatenate(([0.0], np.broadcast_to(beta / (4 * dx2), n), [0.0]))  # q_-1 = q_nx = 0
         # storage [4 - o, m] holds the weight of p_m in row i = m - o

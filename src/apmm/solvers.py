@@ -15,7 +15,7 @@ field stops being finite, and return the final state only.  The explicit
 runs are not stepped: their final state, a polynomial of the step matrix
 applied to the initial data, comes from a rational Krylov projection.
 A trajectory of the splitting scheme is ``MicroMacroSolver.initial_state``
-followed by ``step``, each step at the solver's one dt.
+followed by ``step``s at the solver's one dt, each by ``run``'s kernel driver.
 """
 
 from __future__ import annotations
@@ -327,12 +327,11 @@ class MicroMacroSolver:
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
     F' and E' in buffers held per step size; else the kernel holds the coupling's padded,
     half-node and work buffers, which the jumps and the Woodbury product reuse once spent, and
-    a spare field, G's of the step before, into which G' goes.  ``run`` loads once, binds the
-    full steps' kernel, then frees its operators before the last step's are built, and enters
-    numpy's error state once; ``step`` advances a state by dt: it loads afresh, enters the error
-    state per call and returns the new state.  Each step screens its new fields with BLAS sums
-    into held buffers and runs the exact non-finite and drift guards, ``_exact_guards``, only
-    where that screen fails.
+    a spare field, G's of the step before, into which G' goes.  One driver, ``_advance``, binds
+    a step size's kernel once, runs it a count of steps in numpy's error state and frees it:
+    ``run`` loads once and advances by its full steps, then its last; ``step`` loads afresh and
+    advances one dt.  Each step screens its new fields with BLAS sums into held buffers and
+    runs the exact non-finite and drift guards, ``_exact_guards``, only where that screen fails.
     """
 
     def __init__(
@@ -407,9 +406,15 @@ class MicroMacroSolver:
     def step(self, state: MicroMacroState) -> MicroMacroState:
         """Advance one level by dt: fast solve, then slow update."""
         held = self._load(state)
-        with np.errstate(over="ignore", invalid="ignore"):  # the guards report non-finite fields
-            self._stepper(held, self._step_operators(self.dt))()
+        self._advance(held, self.dt, 1)
         return held  # its buffers are this call's own
+
+    def _advance(self, held: MicroMacroState, dt: float, count: int) -> None:
+        """Advance the working state ``held`` by ``count`` steps of dt, one kernel bound."""
+        with np.errstate(over="ignore", invalid="ignore"):  # the guards report non-finite fields
+            advance = self._stepper(held, self._step_operators(dt))
+            for _ in range(count):
+                advance()
 
     def _load(self, state: MicroMacroState) -> MicroMacroState:
         """A working state for :meth:`_stepper` in buffers of its own, as the class names them."""
@@ -506,14 +511,9 @@ class MicroMacroSolver:
         """Iterate to t_end: full steps of dt, then a shortened last one where t_end needs it."""
         total, last_dt = self._steps, self._last_dt
         held, full = self._load(self.initial_state()), total - (last_dt != self.dt)
-        with np.errstate(over="ignore", invalid="ignore"):  # entered once: it costs 2 us
-            if full:
-                advance = self._stepper(held, self._step_operators(self.dt))
-                for _ in range(full):
-                    advance()
-                del advance  # the full steps' operators are not held through the next assembly
-            if full < total:
-                self._stepper(held, self._step_operators(last_dt))()
+        for dt, count in ((self.dt, full), (last_dt, total - full)):
+            if count:  # each kernel is freed before the next step size's operators are built
+                self._advance(held, dt, count)
         self._held = None  # a finished run holds no step operators (memory)
         return MicroMacroResult(  # copies: no buffer of the run stays alive
             self.xmesh, self.ymesh, held.macro.copy(), held.micro.copy(),

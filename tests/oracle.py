@@ -139,8 +139,7 @@ def step_by(solver, state, dt):
     """A step of a normal 0 < dt <= solver.dt from ``state`` by the solver's own kernel, as
     ``run`` takes its shortened last step; ``step`` always takes solver.dt."""
     held = solver._load(state)
-    with np.errstate(over="ignore", invalid="ignore"):  # the guards report non-finite fields
-        solver._stepper(held, solver._step_operators(dt))()
+    solver._advance(held, dt, 1)
     return held
 
 

@@ -267,6 +267,19 @@ def test_ap_degeneracy_study_rejects_bad_step_count(tmp_path, monkeypatch):
     assert float(out.read_text().splitlines()[1].split(",")[1]) == rows[0][1]
 
 
+def test_ap_degeneracy_study_rejects_bad_eps_before_any_directory(tmp_path, monkeypatch):
+    # an eps outside (0, 1] was a bare ValueError, raised after the output's directory was made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver was built")
+
+    out = tmp_path / "apx" / "sub" / "ap.csv"
+    monkeypatch.setattr(harness, "MicroMacroSolver", refuse)
+    for eps_values in ((2.0,), (0.1, 0.0), (1e-3, math.nan)):
+        with pytest.raises(ConfigError, match="epsilon must lie in"):
+            ap_degeneracy_study(eps_values=eps_values, n_steps=1, out_path=out)
+    assert not (tmp_path / "apx").exists()
+
+
 def test_convergence_study_rejects_bad_inputs():
     for scheme in ("ref", "emm"):
         for levels in (2, 17):

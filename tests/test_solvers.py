@@ -707,6 +707,18 @@ def test_emm_single_step_ap_degeneracy():
     assert 50.0 <= devs[1e-4] / devs[1e-6] <= 200.0  # measured 100.0
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_emm_companion_is_effective_euler_over_a_study(eps):
+    # the AP study reads the companion as the dt*K Euler run over all its steps, not one
+    solver = MicroMacroSolver(benchmark_problem(eps, t_end=1.0), 64, 16)
+    state = solver.initial_state()
+    u = state.macro.copy()
+    for _ in range(100):
+        state = solver.step(state)
+        u = u + solver.dt * solver.ops.apply_effective(u)
+    assert np.max(np.abs(state.effective - u)) <= 1e-14 * np.max(np.abs(u))  # measured 8.9e-16
+
+
 @pytest.mark.parametrize("coeff", [None, X_DEPENDENT], ids=["x_uniform", "x_dependent"])
 @pytest.mark.parametrize("eps", [1.0, 0.1, 1e-6, 1e-300])
 def test_emm_micro_mean_free_along_run(eps, coeff):
