@@ -30,7 +30,7 @@ from .problem import (
 )
 
 
-def _checked(option: str, build, *args):
+def _from_option(option: str, build, *args):
     """``build(*args)``, with a rejected command-line value as a ConfigError."""
     try:
         return build(*args)
@@ -63,7 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         x = result.xmesh.centers
         slow = result.final_macro
         micro = result.final_micro
-        y_nodes = result.ymesh.nodes
+        y_nodes = result.hom.ymesh.nodes
     else:  # hmm: the oscillatory column holds the scaled corrector
         meshes = make_spatial_mesh(cfg.nx), make_cell_mesh(cfg.ny)
         hom = sample_coefficient(problem.coefficient, *meshes).hom
@@ -73,9 +73,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         micro = problem.epsilon * result.corrector
         y_nodes = hom.ymesh.nodes
 
-    _prepare_parent(cfg.output)  # after the run: a rejected config leaves nothing behind
-    written = []
-    f_path = Path(f"{cfg.output}_F.csv")
+    written = []  # the files' directory is made after the run: a rejected config leaves none
+    f_path = _prepare_parent(f"{cfg.output}_F.csv")
     _write_rows(f_path, ["x", "F"], ([_fmt(xi), _fmt(fi)] for xi, fi in zip(x, slow)))
     written.append(f_path)
 
@@ -155,7 +154,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_cell(args: argparse.Namespace) -> int:
     coeff = coefficient_from_name(args.coeff)
-    ymesh = _checked("--ny", make_cell_mesh, args.ny)
+    ymesh = _from_option("--ny", make_cell_mesh, args.ny)
     a0 = homogenized_coefficient(coeff, 0.5, ymesh)
     chi = solve_cell_problem(coeff, 0.5, ymesh)
     print(f"a0 = {_fmt(a0)}")

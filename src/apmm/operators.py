@@ -36,7 +36,7 @@ the x-dependent step's kernel holds the stencils' buffers (``_coupling``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dgbmv, dgemv
+from scipy.linalg.blas import daxpy, dgemv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .homogenization import _x_differences
@@ -68,7 +68,6 @@ class GridOperators:
     Holds only data derived from the tables, the effective band among them,
     and writes none of it after ``__init__``; the operators of a step size are
     built per call and held by the stepper, with the buffers its stencils fill.
-    ``bc`` is ``(left, right)`` Dirichlet wall data; ``None`` means homogeneous walls.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -92,13 +91,6 @@ class GridOperators:
             self._jump_diffs[1, :: self.nx - 1] = -3.0  # the corners
 
     # -- helpers ------------------------------------------------------------
-
-    @staticmethod
-    def _checked(u: FloatArray, shape: tuple[int, ...], what: str) -> FloatArray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != shape:
-            raise ValueError(f"{what} has shape {u.shape}, expected {shape}")
-        return u
 
     def _padded(self, u: FloatArray, twice, column, p: FloatArray) -> FloatArray:
         """``u + column`` into the (nx+2, ny) buffer p, ghost rows ``twice - first`` per wall."""
@@ -237,10 +229,15 @@ class GridOperators:
 
     def _assemble_effective(self) -> FloatArray:
         """``dgbmv`` storage (kl = 2, ku = 4) of the effective operator ``K`` acting on
-        ``[left, u, right]``: row i weighs the padded field ``p_{i-2} .. p_{i+4}`` (``p_m =
-        u_{m-1}``), ``diff(abar * diff(p))/dx**2`` minus ``grad(beta * (p_{k+2} -
-        p_k))/(2*dx)``, whose one-sided rows reach three cells in, the ghosts ``2*wall - u``
-        folded into the wall columns; rows past nx-1 weigh nothing."""
+        ``[left, u, right]``: the y-averaged x-diffusion minus the y-averaged cross-derivative of
+        ``w``, the periodic solve of the fluctuating cross-derivative data ``d * g`` (``d`` the
+        centred x-gradient of the padded field ``p``, ``g = (a_{j+1/2} - a_{j-1/2})/dy``).  With
+        scalar walls ``w = d * chi`` for the fixed ``chi`` of ``Ly chi = g``, so row i weighs
+        ``p_{i-2} .. p_{i+4}`` (``p_m = u_{m-1}``), ``diff(abar * diff(p))/dx**2`` minus
+        ``grad(beta * (p_{k+2} - p_k))/(2*dx)``: ``abar`` the y-averaged x-interface coefficient,
+        ``beta`` the y-average of ``a * dchi/dy``.  The one-sided rows reach three cells in, the
+        ghosts ``2*wall - u`` are folded into the wall columns, and rows past nx-1 weigh nothing;
+        a y-profile wall has no such band, its ``w`` not being ``d * chi``."""
         n, m, dx2 = self.nx, self._blocks, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; beta
         # from chi's distinct rows (one for an x-uniform chi)
@@ -277,24 +274,3 @@ class GridOperators:
         self._add_flux(band, dt * weight)
         band[3, 1:-1] += 1.0
         return band
-
-    def apply_effective(self, macro: FloatArray, bc=None) -> FloatArray:
-        """Upscaled diffusion block acting on a macro field.
-
-        The y-averaged x-diffusion minus the y-averaged cross-derivative of
-        ``w``, the periodic solve of the fluctuating cross-derivative data.
-        With scalar walls that data is ``d * g``, where ``d`` is the centred
-        x-gradient of the ghost-padded field ``p`` and ``g = (a_{j+1/2} -
-        a_{j-1/2})/dy``.  So ``w = d * chi`` for the fixed solution ``chi``
-        of ``Ly chi = g``, and the block is the 1-D stencil
-        ``diff(abar * diff(p))/dx**2 - grad(beta * d)``: ``abar`` is the
-        y-averaged x-interface coefficient, ``beta`` the y-average of
-        ``a * dchi/dy`` (zero for a y-independent coefficient), applied as one
-        band.  A y-profile wall raises ``TypeError``: ``w`` would no longer be
-        ``d * chi``.
-        """
-        macro = self._checked(macro, (self.nx,), "macro field")
-        bc = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
-        padded = np.concatenate(([bc[0]], macro, [bc[1]]))
-        # three zero rows past nx: scipy's dgbmv takes no m < kl + ku + 1 = 7
-        return dgbmv(self.nx + 3, self.nx + 2, 2, 4, 1.0, self._effective_band, padded)[:-3]

@@ -21,7 +21,7 @@ from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatia
 BC_MODES = ("dirichlet_corrector", "dirichlet_homogeneous")
 SCHEMES = ("ref", "emm", "hmm")
 
-_PERIODICITY_TOL = 1e-14
+_PERIODICITY_TOL = 1e-14  # both relative to the declared a_max, so that they scale with a
 _BOUND_SLACK = 1e-12
 
 
@@ -193,7 +193,8 @@ class CoefficientTables:
 
 def _check_values(values: FloatArray, a: DiffusionField, names, split: int) -> None:
     """Reject non-finite, non-positive or out-of-bounds samples, naming the table on error."""
-    low, high = a.a_min - _BOUND_SLACK, a.a_max + _BOUND_SLACK
+    slack = _BOUND_SLACK * a.a_max
+    low, high = a.a_min - slack, a.a_max + slack
     vmin, vmax = float(values.min()), float(values.max())  # nan if any entry is
     if 0.0 < vmin and low <= vmin and vmax <= high and vmax < np.inf:  # nan fails each
         return
@@ -229,9 +230,9 @@ def sample_coefficient(
     _check_values(at_nodes, a, ("centers", "x_interfaces"), nx)
     _check_values(at_half, a, ("y_interfaces", "wall_half_nodes"), nx)
 
-    wrap = np.abs(at_nodes[:, 0] - a(x, 1.0))
-    if not float(wrap.max()) <= _PERIODICITY_TOL:  # also true for nan
-        name = "centers" if not wrap[:nx].max() <= _PERIODICITY_TOL else "x_interfaces"
+    wrap, tol = np.abs(at_nodes[:, 0] - a(x, 1.0)), _PERIODICITY_TOL * a.a_max
+    if not float(wrap.max()) <= tol:  # also true for nan
+        name = "centers" if not wrap[:nx].max() <= tol else "x_interfaces"
         raise ValueError(
             f"coefficient is not 1-periodic in y on the {name!r} rows: "
             f"|a(x,0) - a(x,1)| up to {wrap.max():.3e}"

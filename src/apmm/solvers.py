@@ -30,7 +30,7 @@ from scipy.linalg.blas import dasum, daxpy, dgbmv, dgemm, dgemv, dger, dnrm2, ds
 from scipy.linalg.lapack import dpttrf, dpttrs, dsyevd
 
 from .homogenization import first_order_corrector
-from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
+from .mesh import FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators
 from .problem import ConfigError, HomogenizedData, ProblemSpec, StabilityError, sample_coefficient
 from .reconstruct import _balanced_coefficients, fast_coordinate
@@ -289,7 +289,6 @@ class MicroMacroResult:
     """Final state of a splitting run."""
 
     xmesh: SpatialMesh
-    ymesh: CellMesh
     final_macro: FloatArray  # (nx,)
     final_micro: FloatArray  # (nx, ny)
     steps: int
@@ -516,7 +515,7 @@ class MicroMacroSolver:
                 self._advance(held, dt, count)
         self._held = None  # a finished run holds no step operators (memory)
         return MicroMacroResult(  # copies: no buffer of the run stays alive
-            self.xmesh, self.ymesh, held.macro.copy(), held.micro.copy(),
+            self.xmesh, held.macro.copy(), held.micro.copy(),
             total, self.dt, self.tables.hom,
         )
 

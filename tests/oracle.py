@@ -2,12 +2,14 @@
 
 The fused step of :class:`apmm.solvers.MicroMacroSolver` applies held matrices and bands;
 the functions here spell out the same update with flux-form stencils on ghost-padded
-fields, built on the tables and private kernels of :class:`apmm.operators.GridOperators`.
+fields, built on the tables, the effective band and the private kernels of
+:class:`apmm.operators.GridOperators`.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg.blas import dgbmv
 
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import GridOperators, y_average
@@ -31,6 +33,26 @@ def remove_y_average(u):
     return u - y_average(u)[..., None]
 
 
+def checked(u, shape, what):
+    """u as a float array, a ``ValueError`` naming ``what`` unless it has the given shape."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != shape:
+        raise ValueError(f"{what} has shape {u.shape}, expected {shape}")
+    return u
+
+
+def apply_effective(ops, macro, bc=None):
+    """The effective operator ``K`` of ``ops`` on a macro field with scalar Dirichlet walls
+    ``bc`` (``None``: homogeneous): its held band (see ``GridOperators._assemble_effective``)
+    applied by ``dgbmv`` to ``[left, macro, right]``.  A y-profile wall raises ``TypeError``:
+    the band's ``w = d * chi`` holds for scalar walls only."""
+    macro = checked(macro, (ops.nx,), "macro field")
+    bc = (0.0, 0.0) if bc is None else (float(bc[0]), float(bc[1]))
+    padded = np.concatenate(([bc[0]], macro, [bc[1]]))
+    # three zero rows past nx: scipy's dgbmv takes no m < kl + ku + 1 = 7
+    return dgbmv(ops.nx + 3, ops.nx + 2, 2, 4, 1.0, ops._effective_band, padded)[:-3]
+
+
 def _fresh(ops, rows):
     """A fresh ``(nx + rows, ny)`` buffer for the stencils of ``ops`` to write."""
     return np.empty((ops.nx + rows, ops.ny))
@@ -40,14 +62,14 @@ def _padded_field(ops, u, bc):
     """``ops._padded`` of a checked macro or micro field with Dirichlet walls ``bc``."""
     twice = (0.0, 0.0) if bc is None else (np.multiply(2.0, bc[0]), np.multiply(2.0, bc[1]))
     if np.ndim(u) == 1:  # a macro field is the column under a zero micro field
-        macro = ops._checked(u, (ops.nx,), "macro field")[:, None]
+        macro = checked(u, (ops.nx,), "macro field")[:, None]
         return ops._padded(0.0, twice, macro, _fresh(ops, 2))
-    return ops._padded(ops._checked(u, (ops.nx, ops.ny), "micro field"), twice, 0.0, _fresh(ops, 2))
+    return ops._padded(checked(u, (ops.nx, ops.ny), "micro field"), twice, 0.0, _fresh(ops, 2))
 
 
 def apply_y_diffusion(ops, u):
     """Flux-form periodic diffusion in y at frozen x: d/dy(a d/dy u)."""
-    u = ops._checked(u, (ops.nx, ops.ny), "micro field")
+    u = checked(u, (ops.nx, ops.ny), "micro field")
     flux = ops.tables.y_interfaces * (np.roll(u, -1, axis=1) - u) / ops.dy**2
     return flux - np.roll(flux, 1, axis=1)
 
@@ -127,12 +149,12 @@ def split_update(solver, state, dt):
     w = math.exp(-(dt / eps) / eps)
     f_new = (
         macro
-        + dt * (1.0 - w) * ops.apply_effective(macro, macro_bc)
+        + dt * (1.0 - w) * apply_effective(ops, macro, macro_bc)
         + dt * w * y_average(apply_x_diffusion(ops, macro, macro_bc))
         + (dt * w / eps) * y_average(apply_mixed_derivatives(ops, micro, micro_bc))
         + dt * y_average(apply_x_diffusion(ops, g_new, micro_bc))
     )
-    return f_new, g_new, state.effective + dt * ops.apply_effective(state.effective)
+    return f_new, g_new, state.effective + dt * apply_effective(ops, state.effective)
 
 
 def step_by(solver, state, dt):

@@ -14,7 +14,6 @@ from apmm import cli, harness
 from apmm.cli import main
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
-from apmm.operators import GridOperators
 from apmm.problem import benchmark_coefficient, parse_config, sample_coefficient
 from apmm.solvers import MicroMacroSolver
 
@@ -85,6 +84,16 @@ def test_run_micro_macro_outputs(tmp_path, _run):
     meta_text = meta.read_text()
     assert "scheme = emm" in meta_text
     assert "dt_factor = 0.2" in meta_text
+
+
+def test_run_output_naming_a_directory(tmp_path, _run):
+    # an output ending in "/" names a directory: the run makes it for its files
+    keys = dict(epsilon=0.1, nx=16, ny=8, t_end=0.001, scheme="emm", output="res/")
+    proc = _run(["run", "--config", str(_write_config(tmp_path / "run.cfg", **keys))], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in (tmp_path / "res").iterdir()) == [
+        "_F.csv", "_G.csv", "_meta.txt"
+    ]
 
 
 def test_run_micro_macro_where_eps_squared_underflows(tmp_path, _run):
@@ -298,6 +307,7 @@ def test_converge_command(tmp_path, _run):
     [
         ["converge", "--scheme", "ref", "--levels", "17"],  # 2**21 reference cells
         ["converge", "--scheme", "emm", "--levels", "2000"],  # 2**2002 did not fit a float
+        ["converge", "--scheme", "emm", "--levels", "14"],  # a reference run past 2**24 steps
         ["ap-study", "--steps", str(2**24 + 1)],  # any count was stepped
         # grids past 2**20 points an axis
         ["cell", "--ny", str(10**12)],  # numpy's MemoryError, with a traceback and exit 1
@@ -306,8 +316,8 @@ def test_converge_command(tmp_path, _run):
         ["run", "nx", str(10**12)],  # a config at that size: numpy's MemoryError
         ["run", "ny", str(10**12)],
     ],
-    ids=["converge-ref-levels", "converge-emm-levels", "ap-study-steps", "cell-ny-1e12",
-         "cell-ny-2**62", "figure1-ref-cells-2**21", "run-nx-1e12", "run-ny-1e12"],
+    ids=["converge-ref-levels", "converge-emm-levels", "converge-emm-levels-14", "ap-study-steps",
+         "cell-ny-1e12", "cell-ny-2**62", "figure1-ref-cells-2**21", "run-nx-1e12", "run-ny-1e12"],
 )
 def test_work_past_a_cap_exits_2_before_any_run(
     tmp_path, tmp_path_factory, args, _run, monkeypatch
@@ -319,7 +329,6 @@ def test_work_past_a_cap_exits_2_before_any_run(
         (harness, "run_reference"),
         (MicroMacroSolver, "run"),
         (MicroMacroSolver, "step"),
-        (GridOperators, "apply_effective"),
         (cli, "homogenized_coefficient"),
         (cli, "solve_cell_problem"),
     ):

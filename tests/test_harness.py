@@ -10,7 +10,6 @@ import pytest
 from apmm import harness
 from apmm.harness import (
     RegimeRecord,
-    RunReport,
     ap_degeneracy_study,
     convergence_study,
     error_norms,
@@ -95,14 +94,6 @@ def test_regime_record_accepts_consistent_norms():
         RegimeRecord(**_record_kwargs(u_hmm=(math.nan, 1e-2)))
 
 
-def test_run_report_lookup():
-    rec = RegimeRecord(**_record_kwargs())
-    report = RunReport(records=(rec,), summary_path="summary.csv")
-    assert report.record_for(0.1) is rec
-    with pytest.raises(KeyError):
-        report.record_for(0.5)
-
-
 def test_regime_comparison_empty_is_a_no_op(tmp_path):
     out = tmp_path / "untouched"
     report = regime_comparison(eps_values=(), out_dir=out)
@@ -184,7 +175,7 @@ def test_regime_comparison_outputs_are_deterministic(tmp_path):
     assert lines[1].split(",")[1] == "emm"
     assert lines[2].split(",")[1] == "hmm"
 
-    rec = reports[0].record_for(0.5)
+    rec = next(r for r in reports[0].records if r.epsilon == 0.5)
     assert rec.n_ref == 128
     # the CSV stores full-precision values: spot-check one against the record
     first = csv_a.decode().splitlines()[1].split(",")
@@ -196,7 +187,7 @@ def test_regime_comparison_record_matches_files(tmp_path):
     report = regime_comparison(
         eps_values=(0.5,), out_dir=tmp_path / "r", t_end=0.002, ref_cells=128
     )
-    rec = report.record_for(0.5)
+    rec = next(r for r in report.records if r.epsilon == 0.5)
     data = np.genfromtxt(rec.csv_path, delimiter=",", names=True)
     mesh = make_spatial_mesh(128)
     assert sorted(rec.errors) == ["du_emm", "du_hmm", "u_emm", "u_hmm"]
@@ -232,7 +223,8 @@ def test_regime_comparison_relative_errors_of_an_all_zero_reference_are_nan(tmp_
         lambda problem, n: dataclasses.replace(run_reference(problem, n), final=np.zeros(n)),
     )
     report = regime_comparison(eps_values=(0.5,), out_dir=tmp_path, t_end=0.002, ref_cells=128)
-    assert all(math.isnan(v) for v in report.record_for(0.5).relative_errors.values())
+    rec = next(r for r in report.records if r.epsilon == 0.5)
+    assert all(math.isnan(v) for v in rec.relative_errors.values())
     for line in Path(report.summary_path).read_text().splitlines()[1:]:
         assert line.split(",")[-2:] == ["nan", "nan"]
 

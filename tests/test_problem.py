@@ -146,6 +146,25 @@ def test_sample_coefficient_checks_periodicity_at_every_sampled_x():
         sample_coefficient(a, make_spatial_mesh(8), make_cell_mesh(8))
 
 
+@pytest.mark.parametrize("scale", [100.0, 1e6])
+def test_sample_coefficient_tolerances_scale_with_the_coefficient(scale):
+    # the rounding of a(x, 1) - a(x, 0) scales with a: at 100x it is 2.8e-14, which an absolute
+    # periodicity tolerance of 1e-14 rejected
+    a = DiffusionField(
+        func=lambda x, y: scale * (1.1 + np.sin(2.0 * np.pi * y)) + 0.0 * x,
+        a_min=0.1 * scale,
+        a_max=2.1 * scale,
+    )
+    assert sample_coefficient(a, make_spatial_mesh(8), make_cell_mesh(8)).x_uniform
+
+
+def test_sample_coefficient_bound_slack_scales_with_the_coefficient():
+    # a million times over its declared a_max, inside an absolute slack of 1e-12
+    tiny = DiffusionField(func=lambda x, y: 1e-14 + 0.0 * x * y, a_min=1e-20, a_max=1e-20)
+    with pytest.raises(EllipticityError, match="leaves declared bounds"):
+        sample_coefficient(tiny, make_spatial_mesh(4), make_cell_mesh(4))
+
+
 # the points of each sampled family on the 4x4 grid: cell centres or interfaces (walls
 # included) in x, nodes or half-nodes in y; every coordinate is exact in binary
 _FAMILIES = {

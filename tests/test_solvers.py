@@ -44,8 +44,8 @@ from apmm.solvers import (
     run_reference,
 )
 from oracle import (
-    apply_mixed_derivatives, apply_x_diffusion, boundary_data, remove_y_average, split_update,
-    step_by, stepped, trig_interpolate,
+    apply_effective, apply_mixed_derivatives, apply_x_diffusion, boundary_data, remove_y_average,
+    split_update, step_by, stepped, trig_interpolate,
 )
 
 A0 = math.sqrt(0.21)
@@ -647,11 +647,11 @@ def test_emm_underflow_regime_reduces_exactly():
     g_new = split_update(solver, state, dt)[1]  # the fast update, whatever the weight
     f_new = (
         state.macro
-        + dt * ops.apply_effective(state.macro, macro_bc)
+        + dt * apply_effective(ops, state.macro, macro_bc)
         + dt * y_average(apply_x_diffusion(ops, g_new, micro_bc))
     )
     assert np.max(np.abs(out.macro - f_new)) <= 1e-13
-    e_new = state.effective + dt * ops.apply_effective(state.effective)
+    e_new = state.effective + dt * apply_effective(ops, state.effective)
     assert np.max(np.abs(out.effective - e_new)) <= 1e-13
 
 
@@ -701,7 +701,7 @@ def test_emm_single_step_ap_degeneracy():
         g = solver.ops._factor(0.0)(eps * remove_y_average(bf))  # s = 0: the eps -> 0 step
         state = MicroMacroState(macro=f.copy(), micro=g, effective=f.copy(), t=0.0, step=0)
         out = solver.step(state)
-        target = f + solver.dt * solver.ops.apply_effective(f)
+        target = f + solver.dt * apply_effective(solver.ops, f)
         devs[eps] = float(np.max(np.abs(out.macro - target)))
     assert devs[1e-4] <= 1e-4  # measured 2.9e-5
     assert 50.0 <= devs[1e-4] / devs[1e-6] <= 200.0  # measured 100.0
@@ -715,7 +715,7 @@ def test_emm_companion_is_effective_euler_over_a_study(eps):
     u = state.macro.copy()
     for _ in range(100):
         state = solver.step(state)
-        u = u + solver.dt * solver.ops.apply_effective(u)
+        u = u + solver.dt * apply_effective(solver.ops, u)
     assert np.max(np.abs(state.effective - u)) <= 1e-14 * np.max(np.abs(u))  # measured 8.9e-16
 
 
@@ -771,15 +771,15 @@ def test_emm_fast_solve_paths_agree(eps, nx, t_end):
 
 
 def test_emm_blend_stays_out_of_the_effective_operator():
-    # the step blends the stiffness weight into the band's F-block in place: the E-block,
-    # which apply_effective reads, must stay K, and no step may depend on earlier steps' dt
+    # the step blends the stiffness weight into the band's F-block in place: the E-block, which
+    # the oracle's apply_effective reads, must stay K, and no step may depend on earlier steps' dt
     problem = benchmark_problem(0.1, t_end=0.01)
     solver = MicroMacroSolver(problem, 16, 8)
     assert 0.0 < math.exp(-solver.dt / 0.1**2) < 1.0
     solver.run()  # its full steps and a shortened last one
     fresh = GridOperators(solver.tables)
     f, bc = np.sin(3.0 * solver.xmesh.centers), (0.4, -1.1)
-    assert np.array_equal(solver.ops.apply_effective(f, bc), fresh.apply_effective(f, bc))
+    assert np.array_equal(apply_effective(solver.ops, f, bc), apply_effective(fresh, f, bc))
     state = solver.step(solver.initial_state())
     for share in np.linspace(0.5, 1.0, 50, endpoint=False):
         dt = share * solver.dt
