@@ -13,6 +13,7 @@ route to the same corrector, used as a cross-check in the test suite.
 from __future__ import annotations
 
 import numpy as np
+from numpy import multiply, subtract
 
 from .mesh import CellMesh, FloatArray
 from .problem import DiffusionField, HomogenizedData, _cell_corrector
@@ -27,21 +28,22 @@ def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 3:
         raise ValueError("macro_gradient needs a 1-D array with at least 3 entries")
-    out = _x_differences(v, np.empty_like(v))
+    out = _x_differences(v, np.empty_like(v))()
     out /= 2.0 * dx
     return out
 
 
-def _x_differences(v: FloatArray, out: FloatArray) -> FloatArray:
-    """``2*dx`` times :func:`macro_gradient` on axis 0 into out, unchecked, also of (nx, ny);
-    both one-sided rows at once: ``-3 v0 + 4 v1 - v2 = 4 (v1 - v0) - (v2 - v0)``, and mirrored."""
-    n = v.shape[0]
-    np.subtract(v[2:], v[:-2], out=out[1:-1])
-    ends = out[:: n - 1]
-    np.subtract(v[1 :: n - 2], v[: n - 1 : n - 2], out=ends)
-    ends *= 4.0
-    ends -= out[1 : n - 1 : max(n - 3, 1)]
-    return out
+def _x_differences(v: FloatArray, out: FloatArray):
+    """A function writing ``2*dx`` times :func:`macro_gradient` on axis 0 into out and returning it,
+    unchecked, also of (nx, ny); one-sided rows ``-3 v0 + 4 v1 - v2 = 4 (v1 - v0) - (v2 - v0)``."""
+    n = len(v)
+    def differences(ahead=v[2:], behind=v[:-2], inner=out[1:-1], ends=out[:: n - 1], out=out,
+                    seconds=v[1::n - 2], firsts=v[:-1:n - 2], thirds=out[1:-1:max(n - 3, 1)]):
+        subtract(ahead, behind, inner)
+        multiply(subtract(seconds, firsts, ends), 4.0, ends)
+        subtract(ends, thirds, ends)
+        return out
+    return differences
 
 
 def homogenized_coefficient(a: DiffusionField, x, ymesh: CellMesh):

@@ -8,34 +8,35 @@ Every stencil reads a contiguous (nx+2, ny) copy of its field whose ghost
 rows ``u_ghost = 2*u_wall - u_first`` carry the Dirichlet wall data: its
 rows are the x-neighbours and its flat slices shifted by one entry the
 y-neighbours, the columns where the shift wraps patched to the periodic
-ones, so every operand is contiguous and the (nx, ny) tables fit as they are;
-the stencils write into buffers their caller passes, none of their own.
+ones, so every operand is contiguous and the (nx, ny) tables fit as they are.
+A stencil is a binder: given buffers its caller owns, it returns a function
+that runs it there, each view sliced once into a default argument, its ufuncs
+called by name with ``out`` by position (80 ns a call less than ``out=``).
 The one periodic solve in y, ``GridOperators._factor``, returns the
 mean-free ``w`` with ``(s*I - Ly) w = rhs - mean(rhs)`` per slice; ``s >= 0``
 is the inverse of the time-step shift, so it stays finite as the shift grows
-without bound.
-``T(s)``, ``s*I - Ly`` with the periodic link ``c`` dropped from its two
-corners, is SPD for every s >= 0; the distinct slices (one in all when the
+without bound.  ``T(s)``, ``s*I - Ly`` less the periodic link ``c`` in its
+corners, is SPD for every s >= 0; the distinct slices (one when the
 coefficient does not depend on x) make one tridiagonal, factored by LAPACK
-once per s, and the slices sharing a block are the columns of one
-right-hand side.  With ``V = [e_0, e_{ny-1}, 1]`` and ``sigma`` the slice
-mean of ``a/dy**2``, ``A = s*I - Ly + (sigma/ny) 1 1^T = T + V M V^T`` is
-SPD and equals ``s*I - Ly`` on mean-free data (``1^T Ly = 0``), so the
-Woodbury identity gives ``w = R(s) rhs = (I - Z V^T) T^{-1} rhs`` with an
-(ny, 3) ``Z`` per block that also removes the slice mean: no node pinning,
+once per s, the slices sharing a block the columns of one right-hand side.
+With ``V = [e_0, e_{ny-1}, 1]`` and ``sigma`` the slice mean of ``a/dy**2``,
+``A = s*I - Ly + (sigma/ny) 1 1^T = T + V M V^T`` is SPD and equals ``s*I -
+Ly`` on mean-free data, so Woodbury gives ``w = (I - Z V^T) T^{-1} rhs`` with
+an (ny, 3) ``Z`` per block that also removes the slice mean: no node pinning,
 and no singular matrix at s = 0.  With one block, an emm step's whole fast
 update is three products of its padded ``[G | F]`` with the step's matrices,
 and one per wall row with blocks the solver folds from them.
 The effective operator is one band, assembled once from the closed-form cell
 corrector and applied by BLAS to ``[left wall, macro field, right wall]``.
 Nothing here depends on a step size: a stepper builds the fast solve, the
-step's matrices and the band with its stiffness blend for each step size, and
-the x-dependent step's kernel holds the stencils' buffers (``_coupling``).
+step's matrices and the band with its stiffness blend per step size, and the
+x-dependent step's kernel binds the stencils to its buffers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy import add, copyto, matmul, multiply, subtract
 from scipy.linalg.blas import daxpy, dgemv
 from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -67,7 +68,7 @@ class GridOperators:
 
     Holds only data derived from the tables, the effective band among them,
     and writes none of it after ``__init__``; the operators of a step size are
-    built per call and held by the stepper, with the buffers its stencils fill.
+    built per call and held by the stepper, whose kernel binds the stencils once.
     """
 
     def __init__(self, tables: CoefficientTables):
@@ -85,60 +86,79 @@ class GridOperators:
         self._x_sums = np.add.reduce(tables.x_interfaces, axis=-1)  # y-sums of x-interface a,
         self._x_sums[:: self.nx] *= 2.0  # the wall rows doubled by the ghost rule
         self._effective_band = self._assemble_effective()
-        if self._blocks == 1:  # dsbmv storage (k = 1) of the differences of :meth:`_jumps`
+        if self._blocks == 1:  # dsbmv storage (k = 1) of the differences of the x-jumps
             self._jump_diffs = np.ones((2, self.nx), order="F")
             self._jump_diffs[1] = -2.0
             self._jump_diffs[1, :: self.nx - 1] = -3.0  # the corners
 
     # -- helpers ------------------------------------------------------------
 
-    def _padded(self, u: FloatArray, twice, column, p: FloatArray) -> FloatArray:
-        """``u + column`` into the (nx+2, ny) buffer p, ghost rows ``twice - first`` per wall."""
-        np.copyto(p[1:-1], column)  # broadcast by a copy: a broadcast ufunc operand costs a buffer
-        p[1:-1] += u
-        np.subtract(twice[0], p[1], out=p[0])
-        np.subtract(twice[1], p[-2], out=p[-1])
-        return p
+    def _padded(self, column, walls, p: FloatArray):
+        """A function ``pad(u, left, right)``: ``u + column`` into the (nx+2, ny) buffer p, and the
+        ghost rows ``walls[k] * scale - first`` for the wall scales left and right."""
+        def pad(u, left, right, inner=p[1:-1], g_l=p[0], u_l=p[1], u_r=p[-2], g_r=p[-1],
+                w_l=walls[0], w_r=walls[1], column=column):
+            copyto(inner, column)  # broadcast by a copy: a broadcast ufunc operand costs a buffer
+            add(inner, u, inner)
+            subtract(multiply(w_l, left, g_l), u_l, g_l)
+            subtract(multiply(w_r, right, g_r), u_r, g_r)
+        return pad
 
-    def _centre_y_flux(self, u: FloatArray, out: FloatArray) -> FloatArray:
-        """``2*dy * a du/dy`` at the cell centres of contiguous (k, ny) rows u into (k, ny) out."""
-        f = u.ravel()
-        np.subtract(f[2:], f[:-2], out=out.ravel()[1:-1])
-        np.subtract(u[:, 1], u[:, -1], out=out[:, 0])  # the wrapped columns, one call each:
-        np.subtract(u[:, 0], u[:, -2], out=out[:, -1])  # as one, numpy buffers them (7.6 KB)
-        out *= self.tables.centers[: len(u)]
-        return out
+    def _centre_y_flux(self, u: FloatArray, out: FloatArray):
+        """A function writing ``2*dy * a du/dy`` at the cell centres of contiguous (k, ny) rows u
+        into (k, ny) out, and returning out."""
+        def flux(ahead=u.ravel()[2:], behind=u.ravel()[:-2], inner=out.ravel()[1:-1], u0=u[:, 0],
+                 u1=u[:, 1], u2=u[:, -2], u3=u[:, -1], o0=out[:, 0], o1=out[:, -1], out=out,
+                 a=self.tables.centers[: len(u)]):
+            subtract(ahead, behind, inner)
+            subtract(u1, u3, o0)  # the wrapped columns, one call each:
+            subtract(u0, u2, o1)  # as one, numpy buffers them (7.6 KB)
+            return multiply(out, a, out)
+        return flux
 
-    def _mixed(self, p, out, half, work, sums) -> FloatArray:
-        """``4*dx*dy`` times the mixed block of a padded field into the ``(nx, ny)`` out, and the
-        y-sums of its first term, those of the whole block (the second term's telescope to zero),
-        into the ``(nx,)`` sums; ``half`` ``(nx+2, ny)`` and ``work`` ``(nx, ny)`` are scratch."""
-        _x_differences(self._centre_y_flux(p[1:-1], work), out)  # 2*dx times the gradient
-        dgemv(1.0, out.T, self._ones, 0.0, sums, 0, 1, 0, 1, 1, 1)  # trans, overwrite_y by position
-        f, h = p.ravel(), half.ravel()  # 2 * u at the half-nodes j + 1/2
-        np.add(f[:-1], f[1:], out=h[:-1])
-        np.add(p[:, -1], p[:, 0], out=half[:, -1])
-        flux = np.subtract(half[2:], half[:-2], out=work)  # 4*dx * du/dx there, times a below
-        flux *= self.tables.y_interfaces
-        # flux_{j+1/2} - flux_{j-1/2}, into the spent rows of the half-node buffer
-        g = flux.ravel()
-        np.subtract(g[1:], g[:-1], out=h[1 : g.size])
-        np.subtract(flux[:, 0], flux[:, -1], out=half[:-2, 0])
-        out += half[:-2]
-        return out
+    def _mixed(self, p, half, work, sums):
+        """A binder of ``4*dx*dy`` times the mixed block of a padded field p: ``bind(out)`` is a
+        function writing it into the (nx, ny) out, and the y-sums of its first term, those of the
+        whole block (the second term's telescope to zero), into the (nx,) sums; ``half`` (nx+2,
+        ny) and ``work`` (nx, ny) are scratch, their views sliced once for every out."""
+        f, h, g = p.ravel(), half.ravel(), work.ravel()
+        def bind(out, y_flux=self._centre_y_flux(p[1:-1], work), behind=f[:-1], ahead=f[1:],
+                 nodes=h[:-1], last=p[:, -1], first=p[:, 0], wrapped=half[:, -1], above=half[2:],
+                 below=half[:-2], g_ahead=g[1:], g_behind=g[:-1], spent=h[1 : g.size],
+                 spent_0=half[:-2, 0], w0=work[:, 0], w1=work[:, -1], ones=self._ones,
+                 a=self.tables.y_interfaces):
+            def mixed(differences=_x_differences(work, out), out_t=out.T):
+                y_flux()
+                differences()  # 2*dx times the gradient
+                dgemv(1.0, out_t, ones, 0.0, sums, 0, 1, 0, 1, 1, 1)  # trans, overwrite_y
+                add(behind, ahead, nodes)  # 2 * u at the half-nodes j + 1/2
+                add(last, first, wrapped)
+                subtract(above, below, work)  # 4*dx * du/dx there, times a below
+                multiply(work, a, work)
+                # flux_{j+1/2} - flux_{j-1/2}, into the spent rows of the half-node buffer
+                subtract(g_ahead, g_behind, spent)
+                subtract(w0, w1, spent_0)
+                return add(out, below, out)
+            return mixed
+        return bind
 
-    def _x_diffusion(self, p: FloatArray, flux: FloatArray, out: FloatArray) -> FloatArray:
-        """``dx**2`` times the x-diffusion of a padded field into (nx, ny) out, fluxes in flux."""
-        np.multiply(np.subtract(p[1:], p[:-1], out=flux), self.tables.x_interfaces, out=flux)
-        return np.subtract(flux[1:], flux[:-1], out=out)
+    def _x_diffusion(self, p: FloatArray, flux: FloatArray, out: FloatArray):
+        """A function writing ``dx**2`` times the x-diffusion of a padded field p into the (nx, ny)
+        out, its fluxes in flux, and returning out."""
+        def x_diffusion(up=p[1:], down=p[:-1], ahead=flux[1:], behind=flux[:-1], flux=flux,
+                        out=out, a=self.tables.x_interfaces):
+            multiply(subtract(up, down, flux), a, flux)
+            return subtract(ahead, behind, out)
+        return x_diffusion
 
     # -- fast-direction (periodic) operators --------------------------------
 
     def _factor(self, s: float):
-        """The fast solve for the shift s >= 0, built anew per call: a function that
-        overwrites its (k*blocks, ny) rows ``rhs``, one per slice (k = 1 unless there is one
-        block), with the mean-free ``w``, ``(s*I - Ly) w = rhs - mean(rhs)`` per slice, by
-        one ``dpttrs`` with ``T(s)``'s ``dpttrf`` factors and ``w -= Z (V^T w)``; unchecked.
+        """The fast solve for the shift s >= 0, built anew per call: a binder of C-ordered
+        (k*blocks, ny) rows ``rhs``, one per slice (k = 1 unless there is one block), to a
+        function overwriting them with the mean-free ``w``, ``(s*I - Ly) w = rhs - mean(rhs)``
+        per slice, by one ``dpttrs`` with ``T(s)``'s ``dpttrf`` factors and ``w -= Z (V^T w)``,
+        and returning them; unchecked.
 
         ``Z = T^{-1} V (M^{-1} + V^T T^{-1} V)^{-1} + 1 q^T`` is Woodbury's correction for
         ``M = [[0, -c, 0], [-c, 0, 0], [0, 0, sigma/ny]]`` plus the mean projection: ``T 1
@@ -169,15 +189,19 @@ class GridOperators:
         cof += (k * (k / (n * (s + sigma)))[:, None]).reshape(9, m)  # T^{-1} V k q^T, q k^T here
         zt = cof.T.reshape(m, 3, 3) @ tv.transpose(1, 0, 2)
 
-        def solve(rows: FloatArray, vt_w=None, product=None) -> FloatArray:
-            # the slices sharing a block are one column each, one batch row per block; V^T w and
-            # Z V^T w into the (rows, 3) vt_w and (m, k, ny) product when given, else fresh ones
-            w = dpttrs(d, e, rows.reshape(-1, m * n).T, overwrite_b=1)[0].T.reshape(rows.shape)
-            vt_w = np.matmul(w, self._v, out=vt_w).reshape(m, -1, 3)
-            w -= np.matmul(vt_w, zt, out=product).reshape(rows.shape)
-            return w
-
-        return solve
+        def bind(rows: FloatArray, vt_w=None, product=None):  # V^T w and Z V^T w into the given
+            if vt_w is None:  # (rows, 3) vt_w and (m, k, ny) product, else into fresh ones
+                vt_w, product = np.empty((len(rows), 3)), np.empty((m, len(rows) // m, n))
+            def solve(columns=rows.reshape(-1, m * n).T, vt_blocks=vt_w.reshape(m, -1, 3),
+                      flat=rows.ravel(), correction=product.ravel(), rows=rows, vt_w=vt_w,
+                      product=product, v=self._v) -> FloatArray:
+                dpttrs(d, e, columns, 1)  # overwrite_b by position: in place, as rows is C-ordered
+                matmul(rows, v, vt_w)
+                matmul(vt_blocks, zt, product)
+                daxpy(correction, flat, flat.size, -1.0)  # w -= Z V^T w, in place
+                return rows
+            return solve
+        return bind
 
     def _step_matrices(self, s: float, eps: float) -> FloatArray:
         """The x-uniform step's (4, ny+1, ny+2) ``M``, each block C-ordered: row i of ``[G' | G'
@@ -201,7 +225,7 @@ class GridOperators:
         base[0, n], base[1, n] = ax - ax[0], 2.0 * bands[1, 0]  # F's row, 0 for a constant a
         rows = np.dot(_PARTS * (eps / (4.0 * self.dx * self.dy)), base.reshape(3, -1))
         rows.reshape(4, n + 1, n)[1].ravel()[: n * n : n + 1] += s  # s*G
-        rows = self._factor(s)(rows.reshape(-1, n))  # R^T of every row
+        rows = self._factor(s)(rows.reshape(-1, n))()  # R^T of every row
         m = np.empty((4, n + 1, n + 2))
         m[..., :n] = rows.reshape(4, n + 1, n)
         m[..., n] = (rows @ t.x_interfaces[0]).reshape(4, n + 1)
@@ -209,23 +233,6 @@ class GridOperators:
         return m
 
     # -- slow-direction and mixed operators ----------------------------------
-
-    @staticmethod
-    def _jumps(u: FloatArray, out: FloatArray) -> FloatArray:
-        """Jumps of u across the x-interfaces into out, ``2*u`` at the walls by the odd ghosts."""
-        np.subtract(u[1:], u[:-1], out=out[1:-1])
-        np.multiply(u[:: len(u) - 1].T, (2.0, -2.0), out=out[:: len(u)].T)
-        return out
-
-    def _coupling(self, macro, micro, twice, eps: float, out, sums, scratch) -> None:
-        """``4*dx*dy * (Mixed(u) + eps * Xdiff(u))`` for ``u = macro + micro`` with twice the
-        wall data ``twice``, padded once, into the ``(nx, ny)`` out, and the y-sums of the mixed
-        block into the ``(nx,)`` sums (see :meth:`_mixed`); ``scratch`` is ``(nx+2, ny)`` padded
-        and half-node buffers and an ``(nx, ny)`` work one; unchecked."""
-        p, half, work = scratch
-        self._mixed(self._padded(micro, twice, macro[:, None], p), out, half, work, sums)
-        x_diffusion = self._x_diffusion(p, half[:-1], work).ravel()
-        daxpy(x_diffusion, out.ravel(), x_diffusion.size, 4.0 * self.dy * eps / self.dx)  # in place
 
     def _assemble_effective(self) -> FloatArray:
         """``dgbmv`` storage (kl = 2, ku = 4) of the effective operator ``K`` acting on
@@ -241,7 +248,7 @@ class GridOperators:
         n, m, dx2 = self.nx, self._blocks, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; beta
         # from chi's distinct rows (one for an x-uniform chi)
-        flux = self._centre_y_flux(self.tables.hom.chi[:m], np.empty((m, self.ny)))
+        flux = self._centre_y_flux(self.tables.hom.chi[:m], np.empty((m, self.ny)))()
         beta = -y_average(flux) / (2 * self.dy)
         q = np.concatenate(([0.0], np.broadcast_to(beta / (4 * dx2), n), [0.0]))  # q_-1 = q_nx = 0
         # storage [4 - o, m] holds the weight of p_m in row i = m - o

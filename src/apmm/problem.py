@@ -21,8 +21,8 @@ from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatia
 BC_MODES = ("dirichlet_corrector", "dirichlet_homogeneous")
 SCHEMES = ("ref", "emm", "hmm")
 
-_PERIODICITY_TOL = 1e-14  # both relative to the declared a_max, so that they scale with a
-_BOUND_SLACK = 1e-12
+_PERIODICITY_TOL = 1e-14  # both relative to the declared a_max, so that they scale with a;
+_BOUND_SLACK, _FLOOR_SLACK = 1e-12, 1e-6  # below a_min the slack is at most 1e-6 * a_min too
 
 
 class EllipticityError(ValueError):
@@ -194,7 +194,7 @@ class CoefficientTables:
 def _check_values(values: FloatArray, a: DiffusionField, names, split: int) -> None:
     """Reject non-finite, non-positive or out-of-bounds samples, naming the table on error."""
     slack = _BOUND_SLACK * a.a_max
-    low, high = a.a_min - slack, a.a_max + slack
+    low, high = a.a_min - min(slack, _FLOOR_SLACK * a.a_min), a.a_max + slack
     vmin, vmax = float(values.min()), float(values.max())  # nan if any entry is
     if 0.0 < vmin and low <= vmin and vmax <= high and vmax < np.inf:  # nan fails each
         return

@@ -20,13 +20,15 @@ followed by ``step``s at the solver's one dt, each by ``run``'s kernel driver.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dasum, daxpy, dgbmv, dgemm, dgemv, dger, dnrm2, dsbmv
+from numpy import multiply, subtract
+from scipy.linalg.blas import dasum, daxpy, dgbmv, dgemm, dgemv, dger, dnrm2, dsbmv, dscal
 from scipy.linalg.lapack import dpttrf, dpttrs, dsyevd
 
 from .homogenization import first_order_corrector
@@ -50,6 +52,7 @@ _FOLD = np.array(
     dtype=float,
 )
 _GHOSTS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, -1.0]])
+_WALL_JUMPS = np.array([2.0, -2.0])  # the x-jumps of G at the walls per wall value (odd ghosts)
 
 
 def _exact_guards(micro: FloatArray, macro: FloatArray, ones: FloatArray, step: int, t: float):
@@ -325,12 +328,13 @@ class MicroMacroSolver:
     One kernel per step size advances a working state in place: F and E in the rows of ``x =
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
     F' and E' in buffers held per step size; else the kernel holds the coupling's padded,
-    half-node and work buffers, which the jumps and the Woodbury product reuse once spent, and
-    a spare field, G's of the step before, into which G' goes.  One driver, ``_advance``, binds
-    a step size's kernel once, runs it a count of steps in numpy's error state and frees it:
-    ``run`` loads once and advances by its full steps, then its last; ``step`` loads afresh and
-    advances one dt.  Each step screens its new fields with BLAS sums into held buffers and
-    runs the exact non-finite and drift guards, ``_exact_guards``, only where that screen fails.
+    half-node and work buffers, which the jumps and the Woodbury product reuse, and a spare G
+    field into which G' goes, and binds their views once (the G fields' per order of the two,
+    at its first step).  One driver, ``_advance``, binds a step size's kernel once, runs it a
+    count of steps in numpy's error state and frees it: ``run`` loads once and advances by its
+    full steps, then its last; ``step`` loads afresh and advances one dt.  Each step screens its
+    new fields with BLAS sums into held buffers and runs the exact non-finite and drift guards,
+    ``_exact_guards``, only where that screen fails.
     """
 
     def __init__(
@@ -446,10 +450,41 @@ class MicroMacroSolver:
             rows_l, rows_r, g_flat = u[1:4].ravel(), u[n - 2 : -1].ravel(), g.T.ravel()
             g_micro, flux_sums, kicks = g[:, :-2], g[:, -2], g[:, -1]
             held_f = u[1:-1, -1]
-        else:  # the coupling's scratch (padded, half-node, work), shared with the sums after it
-            scratch = (np.empty((n + 2, ny)), np.empty((n + 2, ny)), np.empty((n, ny)))
-            spare, first_sums, flux_sums = np.empty((n, ny)), np.empty(n), np.empty(n + 1)
-            jumps, vt_w, product = scratch[1][:-1], np.empty((n, 3)), scratch[2].reshape(n, 1, ny)
+        else:  # the coupling's padded, half-node and work buffers, shared with the sums after it
+            padded, half, work = np.empty((n + 2, ny)), np.empty((n + 2, ny)), np.empty((n, ny))
+            first_sums, flux_sums, vt_w = np.empty(n), np.empty(n + 1), np.empty((n, 3))
+            pad = ops._padded(held.macro[:, None], self._wall_totals, padded)  # F + G, padded once
+            jumps, mixed = half[:-1], ops._mixed(padded, half, work, first_sums)
+            x_diffusion, product = ops._x_diffusion(padded, jumps, work), work.reshape(n, 1, ny)
+            jumps_t, jumps_in, jump_walls, x_flat = jumps.T, jumps[1:-1], jumps[::n].T, work.ravel()
+            ahead, behind, x_weight = flux_sums[1:], flux_sums[:-1], 4.0 * ops.dy * eps / dx
+
+            def bind(micro, coupled):  # the step from G in micro to G' in coupled
+                def update(left, right, block=mixed(coupled), solve=fast(coupled, vt_w, product),
+                           coupled_t=coupled.T, up=coupled[1:], down=coupled[:-1],
+                           walls=coupled[:: n - 1].T, flat=coupled.ravel(), old=micro.ravel()):
+                    pad(micro, left, right)
+                    block()
+                    x_diffusion()
+                    daxpy(x_flat, flat, x_flat.size, x_weight)  # 4*dx*dy*(Mixed + eps*Xdiff)(F+G)
+                    # less the slice means: the solve leaves rounding, G' of a y-independent one 0
+                    dgemv(1.0 / ny, coupled_t, ops._ones, 0.0, row_sums, 0, 1, 0, 1, 1, 1)
+                    dger(-1.0, ops._ones, row_sums, 1, 1, coupled_t, 1, 1, 1)  # overwrite_a = 1
+                    dscal(eps / (4.0 * dx * ops.dy), flat)
+                    daxpy(old, flat, old.size, s)  # coupled += s * micro
+                    solve()  # in place; then the x-jumps of G', 2*G' at the walls (odd ghosts)
+                    subtract(up, down, jumps_in)
+                    multiply(walls, _WALL_JUMPS, jump_walls)
+                    multiply(jumps, ops.tables.x_interfaces, jumps)
+                    dgemv(alpha, jumps_t, ops._ones, 0.0, flux_sums, 0, 1, 0, 1, 1, 1)
+                    subtract(ahead, behind, f_new)  # alpha*dJ + kick*S
+                    daxpy(first_sums, f_out, n, kick)  # a no-op for kick = 0
+                    return coupled, coupled_t
+                return update
+            def alternating(micro, spare):  # G' goes into the spare, the buffer of the G before
+                yield (first := bind(micro, spare))  # this one; each order bound at its first step
+                yield from itertools.cycle((bind(spare, micro), first))
+            orders = alternating(held.micro, np.empty((n, ny)))
 
         def advance():
             (a, b, c), (p, q, r) = ends.tolist()  # the one-sided second-order wall gradients
@@ -466,29 +501,15 @@ class MicroMacroSolver:
                 f_new[...], micro_new = kicks, g_micro
                 # alpha*dJ + kick*S; beta and overwrite_y = 1 by position: keywords cost f2py 1 us
                 dsbmv(1, alpha, ops._jump_diffs, flux_sums, 1, 0, kick, f_out, 1, 0, 0, 1)
-            else:  # 4*dx*dy times the coupling terms less their slice means by a rank-one update:
-                # the fast solve removes them only to rounding, and G' of a y-independent one is 0
-                nonlocal spare  # G' goes into the spare, the buffer of the G before this one
-                micro, coupled = held.micro, spare
-                twice = (self._wall_totals[0] * left, self._wall_totals[1] * right)
-                ops._coupling(held.macro, micro, twice, eps, coupled, first_sums, scratch)
-                # the slice means, then less them, F-ordered as f2py passes it uncopied; by position
-                dgemv(1.0 / ny, coupled.T, ops._ones, 0.0, row_sums, 0, 1, 0, 1, 1, 1)
-                dger(-1.0, ops._ones, row_sums, 1, 1, coupled.T, 1, 1, 1)  # overwrite_a = 1
-                coupled *= eps / (4.0 * ops.dx * ops.dy)
-                daxpy(micro.ravel(), coupled.ravel(), micro.size, s)  # coupled += s * micro
-                micro_new = held.micro = fast(coupled, vt_w, product)  # in place
-                spare = micro
-                np.multiply(ops._jumps(micro_new, jumps), ops.tables.x_interfaces, out=jumps)
-                dgemv(alpha, jumps.T, ops._ones, 0.0, flux_sums, 0, 1, 0, 1, 1, 1)
-                np.subtract(flux_sums[1:], flux_sums[:-1], out=f_new)  # alpha*dJ + kick*S
-                daxpy(first_sums, f_out, n, kick)  # a no-op for kick = 0
+            else:
+                micro_new, micro_t = next(orders)(left, right)
+                held.micro = micro_new
             f[0], f[-1] = left, right
             dgbmv(n + 3, n + 2, 2, 4, 1.0, band, f, 1, 0, 1.0, f_out, 1, 0, 0, 1)
             dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, e, 1, 0, 1.0, e_out, 1, 0, 0, 1)
             t_new = held.t + dt
             # G' F-ordered, as f2py passes it uncopied (and flat to dasum); trans by position
-            screened, trans = (g_micro, 0) if uniform else (micro_new.T, 1)
+            screened, trans = (g_micro, 0) if uniform else (micro_t, 1)
             total = dasum(screened)
             dgemv(1.0, screened, ops._ones, 0.0, row_sums, 0, 1, 0, 1, trans, 1)  # overwrite_y
             # the screen: an IEEE sum of |x| or 2-norm is non-finite whenever an entry is, and

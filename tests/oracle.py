@@ -59,12 +59,14 @@ def _fresh(ops, rows):
 
 
 def _padded_field(ops, u, bc):
-    """``ops._padded`` of a checked macro or micro field with Dirichlet walls ``bc``."""
-    twice = (0.0, 0.0) if bc is None else (np.multiply(2.0, bc[0]), np.multiply(2.0, bc[1]))
+    """``ops._padded`` of a checked macro or micro field with Dirichlet walls ``bc``, in a fresh
+    buffer: the wall data ``bc`` scaled by 2, the ghost rows ``2*bc - first``."""
+    walls, p = (0.0, 0.0) if bc is None else bc, _fresh(ops, 2)
     if np.ndim(u) == 1:  # a macro field is the column under a zero micro field
-        macro = checked(u, (ops.nx,), "macro field")[:, None]
-        return ops._padded(0.0, twice, macro, _fresh(ops, 2))
-    return ops._padded(checked(u, (ops.nx, ops.ny), "micro field"), twice, 0.0, _fresh(ops, 2))
+        ops._padded(checked(u, (ops.nx,), "macro field")[:, None], walls, p)(0.0, 2.0, 2.0)
+    else:
+        ops._padded(0.0, walls, p)(checked(u, (ops.nx, ops.ny), "micro field"), 2.0, 2.0)
+    return p
 
 
 def apply_y_diffusion(ops, u):
@@ -77,7 +79,8 @@ def apply_y_diffusion(ops, u):
 def apply_x_diffusion(ops, u, bc=None):
     """Flux-form diffusion in x: d/dx(a d/dx u), Dirichlet walls ``bc`` (scalars or length-ny
     profiles) via ghosts; a micro field, also of a macro u, as the coefficient varies in y."""
-    return ops._x_diffusion(_padded_field(ops, u, bc), _fresh(ops, 1), _fresh(ops, 0)) / ops.dx**2
+    p = _padded_field(ops, u, bc)
+    return ops._x_diffusion(p, _fresh(ops, 1), _fresh(ops, 0))() / ops.dx**2
 
 
 def apply_mixed_derivatives(ops, u, bc=None):
@@ -85,12 +88,12 @@ def apply_mixed_derivatives(ops, u, bc=None):
     differenced in x, one-sided at the boundary cells, and ``a du/dx`` differenced between the
     periodic half-nodes, whose y-average telescopes to exactly zero."""
     p, out, half, work = _padded_field(ops, u, bc), _fresh(ops, 0), _fresh(ops, 2), _fresh(ops, 0)
-    return ops._mixed(p, out, half, work, np.empty(ops.nx)) / (4.0 * ops.dx * ops.dy)
+    return ops._mixed(p, half, work, np.empty(ops.nx))(out)() / (4.0 * ops.dx * ops.dy)
 
 
 def checked_fast_solve(ops, rhs, s):
     """The fast solve's contract: mean-free w with (s*I - Ly) w = rhs - mean(rhs)."""
-    w = ops._factor(s)(rhs.copy())  # the solve overwrites its rows
+    w = ops._factor(s)(rhs.copy())()  # the solve overwrites its rows
     residual = s * w - apply_y_diffusion(ops, w) - remove_y_average(rhs)
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(rhs))
     assert np.max(np.abs(y_average(w))) <= 1e-13 * np.max(np.abs(w))
@@ -145,7 +148,7 @@ def split_update(solver, state, dt):
     coupled = apply_mixed_derivatives(ops, combined, total_bc)
     coupled += eps * apply_x_diffusion(ops, combined, total_bc)
     s = (eps / dt) * eps
-    g_new = ops._factor(s)(s * micro + eps * remove_y_average(coupled))
+    g_new = ops._factor(s)(s * micro + eps * remove_y_average(coupled))()
     w = math.exp(-(dt / eps) / eps)
     f_new = (
         macro

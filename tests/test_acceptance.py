@@ -102,16 +102,16 @@ def test_a2_operator_battery():
         ("pi L", np.max(np.abs(y_average(apply_y_diffusion(ops, w)))) <= 1e-12)
     )
     g = w - w.mean(axis=-1, keepdims=True)
-    back = apply_y_diffusion(ops, -ops._factor(0.0)(g.copy()))
+    back = apply_y_diffusion(ops, -ops._factor(0.0)(g.copy())())
     checks.append(
         ("L solve roundtrip", np.max(np.abs(back - g)) <= 1e-11 * np.max(np.abs(g)))
     )
     # the shifted solve (I - c Ly) w' = w - mean(w) at s = 1/c: a constant has no mean-free
     # part even where s is 1e300, and w' is mean-free
-    shifted = ops._factor(1e300)(np.full((64, 16), 0.25e300))
+    shifted = ops._factor(1e300)(np.full((64, 16), 0.25e300))()
     checks.append(("shift const", np.max(np.abs(shifted)) <= 1e-12))
     s = 1.0 / 3.0
-    shifted = ops._factor(s)(s * w)
+    shifted = ops._factor(s)(s * w)()
     checks.append(("shift mean", np.max(np.abs(shifted.mean(axis=-1))) <= 1e-12))
 
     # slow diffusion

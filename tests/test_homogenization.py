@@ -88,7 +88,7 @@ def test_corrector_matches_generic_elliptic_solve():
         ops = GridOperators(sample_coefficient(a, xm, ym))
         ay = ops.tables.y_interfaces
         rhs = -(ay - np.roll(ay, 1, axis=1)) / ym.dy
-        chi_generic = -ops._factor(0.0)(rhs.copy())
+        chi_generic = -ops._factor(0.0)(rhs.copy())()
         chi_closed = solve_cell_problem(a, xm.centers, ym)
         diff = np.max(np.abs(chi_generic - chi_closed))
         assert diff <= tol, f"ny={ny}: routes differ by {diff}"
@@ -189,7 +189,7 @@ def test_macro_gradient_quadratic_exact():
 def test_x_gradient_applies_macro_stencil_per_column():
     rng = np.random.default_rng(3)
     v = rng.standard_normal((10, 4))
-    grad = _x_differences(v, np.empty_like(v)) / (2.0 * 0.1)
+    grad = _x_differences(v, np.empty_like(v))() / (2.0 * 0.1)
     for j in range(4):
         assert np.array_equal(grad[:, j], macro_gradient(v[:, j], 0.1))
 

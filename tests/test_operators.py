@@ -119,7 +119,7 @@ def test_solve_roundtrip_random(coeff):
     ops = grid_ops(64, 16, coeff)
     assert ops.tables.x_uniform == (coeff is None)
     r = remove_y_average(rng.standard_normal((64, 16)))
-    w = -ops._factor(0.0)(r.copy())  # the singular solve of Ly w = r
+    w = -ops._factor(0.0)(r.copy())()  # the singular solve of Ly w = r
     assert np.max(np.abs(w.mean(axis=-1))) <= 1e-13
     rel = np.max(np.abs(apply_y_diffusion(ops, w) - r)) / np.max(np.abs(r))
     assert rel <= 1e-11
@@ -127,9 +127,9 @@ def test_solve_roundtrip_random(coeff):
 
 def test_solve_zero_and_analytic():
     ops = grid_ops(4, 16, constant_coefficient(1.0))
-    assert np.max(np.abs(ops._factor(0.0)(np.zeros((4, 16))))) == 0.0
+    assert np.max(np.abs(ops._factor(0.0)(np.zeros((4, 16)))())) == 0.0
     r = np.tile(np.sin(2 * np.pi * ops.ymesh.nodes), (4, 1))
-    w = -ops._factor(0.0)(r.copy())
+    w = -ops._factor(0.0)(r.copy())()
     assert np.max(np.abs(apply_y_diffusion(ops, w) - r)) <= 1e-12
     # grid value equals r scaled by the discrete k=1 eigenvalue ...
     lam = (2.0 - 2.0 * np.cos(2 * np.pi / 16)) * 16**2
@@ -141,7 +141,7 @@ def test_solve_zero_and_analytic():
 def test_shifted_solve_analytic_mode():
     ops = grid_ops(4, 16, constant_coefficient(1.0))
     r = np.tile(np.sin(2 * np.pi * ops.ymesh.nodes), (4, 1))
-    w = ops._factor(1.0)(r.copy())  # (I - Ly) w = r - mean(r)
+    w = ops._factor(1.0)(r.copy())()  # (I - Ly) w = r - mean(r)
     lam = (2.0 - 2.0 * np.cos(2 * np.pi / 16)) * 16**2
     assert np.max(np.abs(w - r / (1.0 + lam))) <= 1e-14
     assert np.max(np.abs(w - r / (1.0 + 4 * np.pi**2))) <= 5e-4
@@ -154,7 +154,7 @@ def test_shifted_solve_residual_and_mean(coeff):
     assert ops.tables.x_uniform == (coeff is None)
     r = rng.standard_normal((64, 16))
     s = 1.0 / 0.37
-    w = ops._factor(s)(s * r)  # (I - 0.37 Ly) w = r - mean(r)
+    w = ops._factor(s)(s * r)()  # (I - 0.37 Ly) w = r - mean(r)
     residual = w - 0.37 * apply_y_diffusion(ops, w) - remove_y_average(r)
     assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(r))
     assert np.max(np.abs(w.mean(axis=-1))) <= 1e-12
@@ -314,7 +314,7 @@ def test_effective_matches_composite_definition(coeff):
     x = ops.xmesh.centers
     f = np.sin(2 * np.pi * x) + 0.7 * x**2
     bc = (0.3, -0.8)
-    w = -ops._factor(0.0)(remove_y_average(apply_mixed_derivatives(ops, f, bc)))
+    w = -ops._factor(0.0)(remove_y_average(apply_mixed_derivatives(ops, f, bc)))()
     want = y_average(apply_x_diffusion(ops, f, bc))
     want -= y_average(apply_mixed_derivatives(ops, w))
     got = apply_effective(ops, f, bc)

@@ -165,6 +165,19 @@ def test_sample_coefficient_bound_slack_scales_with_the_coefficient():
         sample_coefficient(tiny, make_spatial_mesh(4), make_cell_mesh(4))
 
 
+@pytest.mark.parametrize("low", [1e-30, 0.5e-20, 0.999e-20])
+def test_sample_coefficient_rejects_samples_far_below_a_tiny_a_min(low):
+    # a_min under 1e-12 * a_max put the whole slack 1e-12 * a_max below a_min, so any positive
+    # sample passed: the cell data divided by values up to ten orders under the declared floor
+    a = DiffusionField(func=lambda x, y: low + 0.0 * x * y, a_min=1e-20, a_max=1.0)
+    with pytest.raises(EllipticityError, match="leaves declared bounds"):
+        sample_coefficient(a, make_spatial_mesh(4), make_cell_mesh(4))
+    # a_min itself, and a sample a rounding below it, still pass
+    for value in (1e-20, 1e-20 * (1.0 - 1e-15)):
+        fine = DiffusionField(func=lambda x, y: value + 0.0 * x * y, a_min=1e-20, a_max=1.0)
+        assert sample_coefficient(fine, make_spatial_mesh(4), make_cell_mesh(4)).x_uniform
+
+
 # the points of each sampled family on the 4x4 grid: cell centres or interfaces (walls
 # included) in x, nodes or half-nodes in y; every coordinate is exact in binary
 _FAMILIES = {

@@ -698,7 +698,7 @@ def test_emm_single_step_ap_degeneracy():
         solver = MicroMacroSolver(benchmark_problem(eps, t_end=1.0), 64, 16)
         f = np.sin(2 * np.pi * solver.xmesh.centers)
         bf = apply_mixed_derivatives(solver.ops, f)
-        g = solver.ops._factor(0.0)(eps * remove_y_average(bf))  # s = 0: the eps -> 0 step
+        g = solver.ops._factor(0.0)(eps * remove_y_average(bf))()  # s = 0: the eps -> 0 step
         state = MicroMacroState(macro=f.copy(), micro=g, effective=f.copy(), t=0.0, step=0)
         out = solver.step(state)
         target = f + solver.dt * apply_effective(solver.ops, f)
@@ -858,7 +858,9 @@ def test_emm_fast_average_drift_trips_the_guard(monkeypatch, x_uniform):
         monkeypatch.setattr(
             solver.ops,
             "_factor",
-            lambda s: lambda rows, *out, solve=factor(s): solve(rows, *out) + 1e-3,
+            lambda s: lambda rows, *out, bind=factor(s): (
+                lambda solve=bind(rows, *out): np.add(solve(), 1e-3, out=rows)
+            ),
         )
     with pytest.raises(StabilityError, match="fast-average drift"):
         solver.step(solver.initial_state())
@@ -1139,7 +1141,9 @@ def test_emm_drift_near_the_tolerance(monkeypatch, x_uniform, share):
         monkeypatch.setattr(
             solver.ops,
             "_factor",
-            lambda s: lambda rows, *out, solve=factor(s): solve(rows, *out) + drift,
+            lambda s: lambda rows, *out, bind=factor(s): (
+                lambda solve=bind(rows, *out): np.add(solve(), drift, out=rows)
+            ),
         )
     calls = _spied_exact_guards(monkeypatch)
     if share < 1.0:
@@ -1219,16 +1223,18 @@ def test_emm_x_uniform_steps_allocate_nothing():
 
 
 def test_emm_x_dependent_steps_allocate_no_field():
-    # after its first step the x-dependent kernel writes held buffers only: over 50 steps at
-    # 128x32 the traced peak stays far below one (nx, ny) field, 32 KB (2.6 KB measured: the
-    # walls' data rows, f2py's and numpy's small returns; 167 KB with its arrays built per step)
+    # once both orders of its two G buffers are bound, each at its first step, the x-dependent
+    # kernel writes held buffers only: over 50 steps at 128x32 the traced peak stays far below
+    # one (nx, ny) field, 32 KB (1.3 KB measured: np.matmul's iterators, Python's floats and
+    # tuples; 2.6 KB with the walls' data rows made per step, 167 KB with its arrays per step)
     problem = dataclasses.replace(benchmark_problem(0.1, t_end=0.01), coefficient=X_DEPENDENT)
     solver = MicroMacroSolver(problem, 128, 32)
     assert solver.ops._blocks == 128
     held = solver._load(solver.initial_state())
     advance = solver._stepper(held, solver._step_operators(solver.dt))
     with np.errstate(over="ignore", invalid="ignore"):
-        advance()
+        advance()  # binds G -> spare
+        advance()  # binds spare -> G
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -1237,8 +1243,29 @@ def test_emm_x_dependent_steps_allocate_no_field():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert held.step == 51
+    assert held.step == 52
     assert peak - start <= 128 * 32 * 8 // 8
+
+
+@pytest.mark.parametrize("full", [5, 6])
+@pytest.mark.parametrize("n_x, n_y", [(16, 8), (128, 32)])
+def test_emm_x_dependent_run_equals_its_steps(n_x, n_y, full):
+    # run() binds one kernel for its full steps, which alternates the two G buffers (G' goes
+    # into the spare, each order bound at its first step), and one for its shortened last step;
+    # step() binds afresh per call.  An odd and an even count of full steps end on either buffer
+    base = dataclasses.replace(benchmark_problem(0.1, t_end=1.0), coefficient=X_DEPENDENT)
+    dt = MicroMacroSolver(base, n_x, n_y).dt
+    solver = MicroMacroSolver(dataclasses.replace(base, t_end=(full + 0.5) * dt), n_x, n_y)
+    assert solver.ops._blocks == n_x and solver._steps == full + 1
+    assert 0.0 < solver._last_dt < dt
+    res = solver.run()
+    state = solver.initial_state()
+    for _ in range(full):
+        state = solver.step(state)
+    state = step_by(solver, state, solver._last_dt)
+    assert state.step == res.steps and np.max(np.abs(state.micro)) > 0.0
+    assert np.array_equal(res.final_macro, state.macro)
+    assert np.array_equal(res.final_micro, state.micro)
 
 
 def test_emm_x_uniform_ghost_rows_stay_zero():
