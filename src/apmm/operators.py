@@ -116,31 +116,28 @@ class GridOperators:
             return multiply(out, a, out)
         return flux
 
-    def _mixed(self, p, half, work, sums):
-        """A binder of ``4*dx*dy`` times the mixed block of a padded field p: ``bind(out)`` is a
-        function writing it into the (nx, ny) out, and the y-sums of its first term, those of the
-        whole block (the second term's telescope to zero), into the (nx,) sums; ``half`` (nx+2,
-        ny) and ``work`` (nx, ny) are scratch, their views sliced once for every out."""
+    def _mixed(self, p, half, work, sums, out):
+        """A function writing ``4*dx*dy`` times the mixed block of a padded field p into the (nx,
+        ny) out and the y-sums of its first term, those of the whole block (the second term's
+        telescope to zero), into sums; ``half`` (nx+2, ny) and ``work`` (nx, ny) are scratch."""
         f, h, g = p.ravel(), half.ravel(), work.ravel()
-        def bind(out, y_flux=self._centre_y_flux(p[1:-1], work), behind=f[:-1], ahead=f[1:],
-                 nodes=h[:-1], last=p[:, -1], first=p[:, 0], wrapped=half[:, -1], above=half[2:],
-                 below=half[:-2], g_ahead=g[1:], g_behind=g[:-1], spent=h[1 : g.size],
-                 spent_0=half[:-2, 0], w0=work[:, 0], w1=work[:, -1], ones=self._ones,
-                 a=self.tables.y_interfaces):
-            def mixed(differences=_x_differences(work, out), out_t=out.T):
-                y_flux()
-                differences()  # 2*dx times the gradient
-                dgemv(1.0, out_t, ones, 0.0, sums, 0, 1, 0, 1, 1, 1)  # trans, overwrite_y
-                add(behind, ahead, nodes)  # 2 * u at the half-nodes j + 1/2
-                add(last, first, wrapped)
-                subtract(above, below, work)  # 4*dx * du/dx there, times a below
-                multiply(work, a, work)
-                # flux_{j+1/2} - flux_{j-1/2}, into the spent rows of the half-node buffer
-                subtract(g_ahead, g_behind, spent)
-                subtract(w0, w1, spent_0)
-                return add(out, below, out)
-            return mixed
-        return bind
+        def mixed(y_flux=self._centre_y_flux(p[1:-1], work), differences=_x_differences(work, out),
+                  behind=f[:-1], ahead=f[1:], nodes=h[:-1], last=p[:, -1], first=p[:, 0],
+                  wrapped=half[:, -1], above=half[2:], below=half[:-2], g_ahead=g[1:],
+                  g_behind=g[:-1], spent=h[1 : g.size], spent_0=half[:-2, 0], w0=work[:, 0],
+                  w1=work[:, -1], out_t=out.T, ones=self._ones, a=self.tables.y_interfaces):
+            y_flux()
+            differences()  # 2*dx times the gradient
+            dgemv(1.0, out_t, ones, 0.0, sums, 0, 1, 0, 1, 1, 1)  # trans, overwrite_y
+            add(behind, ahead, nodes)  # 2 * u at the half-nodes j + 1/2
+            add(last, first, wrapped)
+            subtract(above, below, work)  # 4*dx * du/dx there, times a below
+            multiply(work, a, work)
+            # flux_{j+1/2} - flux_{j-1/2}, into the spent rows of the half-node buffer
+            subtract(g_ahead, g_behind, spent)
+            subtract(w0, w1, spent_0)
+            return add(out, below, out)
+        return mixed
 
     def _x_diffusion(self, p: FloatArray, flux: FloatArray, out: FloatArray):
         """A function writing ``dx**2`` times the x-diffusion of a padded field p into the (nx, ny)

@@ -20,7 +20,6 @@ followed by ``step``s at the solver's one dt, each by ``run``'s kernel driver.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import warnings
@@ -328,13 +327,13 @@ class MicroMacroSolver:
     One kernel per step size advances a working state in place: F and E in the rows of ``x =
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
     F' and E' in buffers held per step size; else the kernel holds the coupling's padded,
-    half-node and work buffers, which the jumps and the Woodbury product reuse, and a spare G
-    field into which G' goes, and binds their views once (the G fields' per order of the two,
-    at its first step).  One driver, ``_advance``, binds a step size's kernel once, runs it a
-    count of steps in numpy's error state and frees it: ``run`` loads once and advances by its
-    full steps, then its last; ``step`` loads afresh and advances one dt.  Each step screens its
-    new fields with BLAS sums into held buffers and runs the exact non-finite and drift guards,
-    ``_exact_guards``, only where that screen fails.
+    half-node and work buffers, which the jumps and the Woodbury product reuse, and one for the
+    coupling terms, and solves G' in G's own buffer; it binds every view once.  One driver,
+    ``_advance``, binds a step size's kernel once, runs it a count of steps in numpy's error
+    state and frees it: ``run`` loads once and advances by its full steps, then its last;
+    ``step`` loads afresh and advances one dt.  Each step screens its new fields with BLAS sums
+    into held buffers and runs the exact non-finite and drift guards, ``_exact_guards``, only
+    where that screen fails.
     """
 
     def __init__(
@@ -426,7 +425,7 @@ class MicroMacroSolver:
         if self.ops._blocks == 1:  # U's ghost rows: 0, and no step writes them
             u = np.zeros((n + 2, self.ops.ny + 1))
             u[1:-1, :-1], u[1:-1, -1], micro = micro, state.macro, u[1:-1, :-1]
-        else:  # the steps write G' into G's buffer of the step before
+        else:  # the steps solve G' in this buffer
             micro = np.array(micro, dtype=float, order="C")
         return MicroMacroState(x[0, 1:-1], micro, x[1, 1:-1], state.t, state.step)
 
@@ -450,41 +449,36 @@ class MicroMacroSolver:
             rows_l, rows_r, g_flat = u[1:4].ravel(), u[n - 2 : -1].ravel(), g.T.ravel()
             g_micro, flux_sums, kicks = g[:, :-2], g[:, -2], g[:, -1]
             held_f = u[1:-1, -1]
-        else:  # the coupling's padded, half-node and work buffers, shared with the sums after it
-            padded, half, work = np.empty((n + 2, ny)), np.empty((n + 2, ny)), np.empty((n, ny))
-            first_sums, flux_sums, vt_w = np.empty(n), np.empty(n + 1), np.empty((n, 3))
-            pad = ops._padded(held.macro[:, None], self._wall_totals, padded)  # F + G, padded once
-            jumps, mixed = half[:-1], ops._mixed(padded, half, work, first_sums)
-            x_diffusion, product = ops._x_diffusion(padded, jumps, work), work.reshape(n, 1, ny)
-            jumps_t, jumps_in, jump_walls, x_flat = jumps.T, jumps[1:-1], jumps[::n].T, work.ravel()
-            ahead, behind, x_weight = flux_sums[1:], flux_sums[:-1], 4.0 * ops.dy * eps / dx
+        else:  # the coupling's padded, half-node, work and r buffers, shared with the sums after it
+            (padded, half), (work, coupled) = np.empty((2, n + 2, ny)), np.empty((2, n, ny))
+            kicks, flux_sums, micro, jumps = np.empty(n), np.empty(n + 1), held.micro, half[:-1]
 
-            def bind(micro, coupled):  # the step from G in micro to G' in coupled
-                def update(left, right, block=mixed(coupled), solve=fast(coupled, vt_w, product),
-                           coupled_t=coupled.T, up=coupled[1:], down=coupled[:-1],
-                           walls=coupled[:: n - 1].T, flat=coupled.ravel(), old=micro.ravel()):
-                    pad(micro, left, right)
-                    block()
-                    x_diffusion()
-                    daxpy(x_flat, flat, x_flat.size, x_weight)  # 4*dx*dy*(Mixed + eps*Xdiff)(F+G)
-                    # less the slice means: the solve leaves rounding, G' of a y-independent one 0
-                    dgemv(1.0 / ny, coupled_t, ops._ones, 0.0, row_sums, 0, 1, 0, 1, 1, 1)
-                    dger(-1.0, ops._ones, row_sums, 1, 1, coupled_t, 1, 1, 1)  # overwrite_a = 1
-                    dscal(eps / (4.0 * dx * ops.dy), flat)
-                    daxpy(old, flat, old.size, s)  # coupled += s * micro
-                    solve()  # in place; then the x-jumps of G', 2*G' at the walls (odd ghosts)
-                    subtract(up, down, jumps_in)
-                    multiply(walls, _WALL_JUMPS, jump_walls)
-                    multiply(jumps, ops.tables.x_interfaces, jumps)
-                    dgemv(alpha, jumps_t, ops._ones, 0.0, flux_sums, 0, 1, 0, 1, 1, 1)
-                    subtract(ahead, behind, f_new)  # alpha*dJ + kick*S
-                    daxpy(first_sums, f_out, n, kick)  # a no-op for kick = 0
-                    return coupled, coupled_t
-                return update
-            def alternating(micro, spare):  # G' goes into the spare, the buffer of the G before
-                yield (first := bind(micro, spare))  # this one; each order bound at its first step
-                yield from itertools.cycle((bind(spare, micro), first))
-            orders = alternating(held.micro, np.empty((n, ny)))
+            def update(left, right, pad=ops._padded(held.macro[:, None], self._wall_totals, padded),
+                       mixed=ops._mixed(padded, half, work, kicks, coupled),
+                       x_diffusion=ops._x_diffusion(padded, jumps, work), micro=micro,
+                       solve=fast(micro, np.empty((n, 3)), work.reshape(n, 1, ny)), micro_t=micro.T,
+                       flat=micro.ravel(), r_flat=coupled.ravel(), x_flat=work.ravel(),
+                       coupled_t=coupled.T, up=micro[1:], down=micro[:-1], walls=micro[:: n - 1].T,
+                       jumps=jumps, jumps_t=jumps.T, jumps_in=jumps[1:-1], jump_walls=jumps[::n].T,
+                       ahead=flux_sums[1:], behind=flux_sums[:-1], x_weight=4.0 * ops.dy * eps / dx,
+                       r_weight=eps / (4.0 * dx * ops.dy)):  # F + G padded once, views sliced once
+                pad(micro, left, right)
+                mixed()
+                x_diffusion()
+                daxpy(x_flat, r_flat, x_flat.size, x_weight)  # 4*dx*dy*(Mixed + eps*Xdiff)(F+G)
+                # less the slice means: the solve leaves rounding, G' of a y-independent one 0
+                dgemv(1.0 / ny, coupled_t, ops._ones, 0.0, row_sums, 0, 1, 0, 1, 1, 1)
+                dger(-1.0, ops._ones, row_sums, 1, 1, coupled_t, 1, 1, 1)  # overwrite_a = 1
+                dscal(s, flat)  # s*G + eps*r in G's own buffer: nothing reads G after this
+                daxpy(r_flat, flat, flat.size, r_weight)
+                solve()  # in place; then the x-jumps of G', 2*G' at the walls (odd ghosts)
+                subtract(up, down, jumps_in)
+                multiply(walls, _WALL_JUMPS, jump_walls)
+                multiply(jumps, ops.tables.x_interfaces, jumps)
+                dgemv(alpha, jumps_t, ops._ones, 0.0, flux_sums, 0, 1, 0, 1, 1, 1)
+                subtract(ahead, behind, f_new)  # alpha*dJ + kick*S
+                daxpy(kicks, f_out, n, kick)  # a no-op for kick = 0
+                return micro, micro_t
 
         def advance():
             (a, b, c), (p, q, r) = ends.tolist()  # the one-sided second-order wall gradients
@@ -502,8 +496,7 @@ class MicroMacroSolver:
                 # alpha*dJ + kick*S; beta and overwrite_y = 1 by position: keywords cost f2py 1 us
                 dsbmv(1, alpha, ops._jump_diffs, flux_sums, 1, 0, kick, f_out, 1, 0, 0, 1)
             else:
-                micro_new, micro_t = next(orders)(left, right)
-                held.micro = micro_new
+                micro_new, micro_t = update(left, right)
             f[0], f[-1] = left, right
             dgbmv(n + 3, n + 2, 2, 4, 1.0, band, f, 1, 0, 1.0, f_out, 1, 0, 0, 1)
             dgbmv(n + 3, n + 2, 2, 4, dt, ops._effective_band, e, 1, 0, 1.0, e_out, 1, 0, 0, 1)

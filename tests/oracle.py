@@ -3,7 +3,8 @@
 The fused step of :class:`apmm.solvers.MicroMacroSolver` applies held matrices and bands;
 the functions here spell out the same update with flux-form stencils on ghost-padded
 fields, built on the tables, the effective band and the private kernels of
-:class:`apmm.operators.GridOperators`.
+:class:`apmm.operators.GridOperators`: each stencil is given fresh buffers, its output among
+them, and the function it returns is run once.
 """
 
 import math
@@ -88,7 +89,7 @@ def apply_mixed_derivatives(ops, u, bc=None):
     differenced in x, one-sided at the boundary cells, and ``a du/dx`` differenced between the
     periodic half-nodes, whose y-average telescopes to exactly zero."""
     p, out, half, work = _padded_field(ops, u, bc), _fresh(ops, 0), _fresh(ops, 2), _fresh(ops, 0)
-    return ops._mixed(p, half, work, np.empty(ops.nx))(out)() / (4.0 * ops.dx * ops.dy)
+    return ops._mixed(p, half, work, np.empty(ops.nx), out)() / (4.0 * ops.dx * ops.dy)
 
 
 def checked_fast_solve(ops, rhs, s):

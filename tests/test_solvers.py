@@ -1223,18 +1223,16 @@ def test_emm_x_uniform_steps_allocate_nothing():
 
 
 def test_emm_x_dependent_steps_allocate_no_field():
-    # once both orders of its two G buffers are bound, each at its first step, the x-dependent
-    # kernel writes held buffers only: over 50 steps at 128x32 the traced peak stays far below
-    # one (nx, ny) field, 32 KB (1.3 KB measured: np.matmul's iterators, Python's floats and
-    # tuples; 2.6 KB with the walls' data rows made per step, 167 KB with its arrays per step)
+    # the x-dependent kernel, bound once, writes held buffers only: over 50 steps at 128x32 the
+    # traced peak stays far below one (nx, ny) field, 32 KB (about 2 KB measured: np.matmul's
+    # iterators, Python's floats and tuples; 167 KB with the kernel's arrays made per step)
     problem = dataclasses.replace(benchmark_problem(0.1, t_end=0.01), coefficient=X_DEPENDENT)
     solver = MicroMacroSolver(problem, 128, 32)
     assert solver.ops._blocks == 128
     held = solver._load(solver.initial_state())
     advance = solver._stepper(held, solver._step_operators(solver.dt))
     with np.errstate(over="ignore", invalid="ignore"):
-        advance()  # binds G -> spare
-        advance()  # binds spare -> G
+        advance()  # warms numpy's and BLAS's first-call state
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -1243,16 +1241,39 @@ def test_emm_x_dependent_steps_allocate_no_field():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert held.step == 52
+    assert held.step == 51
     assert peak - start <= 128 * 32 * 8 // 8
+
+
+def test_emm_x_dependent_run_binds_the_fast_solve_once_per_step_size(monkeypatch):
+    # G' is solved in G's own buffer, so a run binds the fast solve to it once for its full
+    # steps and once for its shortened last step, however many full steps it takes
+    base = dataclasses.replace(benchmark_problem(0.1, t_end=1.0), coefficient=X_DEPENDENT)
+    dt = MicroMacroSolver(base, 16, 8).dt
+    solver = MicroMacroSolver(dataclasses.replace(base, t_end=6.5 * dt), 16, 8)
+    assert solver.ops._blocks == 16 and solver._steps == 7 and 0.0 < solver._last_dt < dt
+    factor, bound = solver.ops._factor, []
+
+    def factoring(s):
+        bind = factor(s)
+
+        def binding(*args):
+            bound.append(s)
+            return bind(*args)
+
+        return binding
+
+    monkeypatch.setattr(solver.ops, "_factor", factoring)
+    solver.run()
+    assert len(bound) == 2 and bound[0] < bound[1]  # s = eps**2/dt grows as dt shrinks
 
 
 @pytest.mark.parametrize("full", [5, 6])
 @pytest.mark.parametrize("n_x, n_y", [(16, 8), (128, 32)])
 def test_emm_x_dependent_run_equals_its_steps(n_x, n_y, full):
-    # run() binds one kernel for its full steps, which alternates the two G buffers (G' goes
-    # into the spare, each order bound at its first step), and one for its shortened last step;
-    # step() binds afresh per call.  An odd and an even count of full steps end on either buffer
+    # run() binds one kernel for its full steps and one for its shortened last step, each
+    # solving G' in the working state's own G buffer; step() binds afresh per call.  An odd and
+    # an even count of full steps, so that no state of the kernel kept by parity goes unseen
     base = dataclasses.replace(benchmark_problem(0.1, t_end=1.0), coefficient=X_DEPENDENT)
     dt = MicroMacroSolver(base, n_x, n_y).dt
     solver = MicroMacroSolver(dataclasses.replace(base, t_end=(full + 0.5) * dt), n_x, n_y)
