@@ -66,12 +66,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         y_nodes = result.hom.ymesh.nodes
     else:  # hmm: the oscillatory column holds the scaled corrector
         meshes = make_spatial_mesh(cfg.nx), make_cell_mesh(cfg.ny)
-        hom = sample_coefficient(problem.coefficient, *meshes).hom
-        result = run_homogenized(problem, hom, dt_factor=dt_factor)
+        tables = sample_coefficient(problem.coefficient, *meshes)
+        result = run_homogenized(problem, tables, dt_factor=dt_factor)
         x = result.mesh.centers
         slow = result.final
         micro = problem.epsilon * result.corrector
-        y_nodes = hom.ymesh.nodes
+        y_nodes = tables.ymesh.nodes
 
     written = []  # the files' directory is made after the run: a rejected config leaves none
     f_path = _prepare_parent(f"{cfg.output}_F.csv")

@@ -247,7 +247,7 @@ def convergence_study(scheme: str, levels: int = 4) -> ConvergenceReport:
     """
     # past 16 levels the ref study's finest mesh has over 2**20 cells; from 14 levels the emm
     # study's reference run needs over 2**24 steps, past the solver's cap, and stops before any run
-    if not 3 <= levels <= 16:
+    if not (isinstance(levels, numbers.Integral) and 3 <= levels <= 16):  # True is below 3
         raise ConfigError(f"need 3 to 16 refinement levels, got {levels}")
     if scheme == "ref":
         return _spatial_study(levels)

@@ -3,8 +3,8 @@
 In one space dimension the effective coefficient is the harmonic y-average
 of a(x, .), and the periodic cell corrector has a closed form built from
 the cumulative integral of 1/a.  The functions here evaluate both at given
-points x; the cell data of a whole tensor grid (``HomogenizedData``) is
-derived from the checked coefficient samples by
+points x; the cell data of a whole tensor grid are fields of its
+``CoefficientTables``, derived from the checked coefficient samples by
 :func:`apmm.problem.sample_coefficient`.  The fast periodic solve at s = 0,
 ``GridOperators._factor(0.0)`` in :mod:`apmm.operators`, is an independent
 route to the same corrector, used as a cross-check in the test suite.
@@ -16,7 +16,7 @@ import numpy as np
 from numpy import multiply, subtract
 
 from .mesh import CellMesh, FloatArray
-from .problem import DiffusionField, HomogenizedData, _cell_corrector
+from .problem import CoefficientTables, DiffusionField, _cell_corrector
 
 
 def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
@@ -77,7 +77,7 @@ def solve_cell_problem(a: DiffusionField, x, ymesh: CellMesh) -> FloatArray:
     return chi[0] if x.ndim == 0 else chi
 
 
-def first_order_corrector(hom: HomogenizedData, macro: FloatArray) -> FloatArray:
+def first_order_corrector(hom: CoefficientTables, macro: FloatArray) -> FloatArray:
     """First-order two-scale corrector chi(x_i, y_j) * d/dx macro at x_i.
 
     The macro gradient uses centred differences inside and one-sided

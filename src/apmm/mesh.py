@@ -9,6 +9,7 @@ all index arithmetic on it is modulo the node count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 from numpy.typing import NDArray
@@ -83,9 +84,9 @@ class CellMesh:
 
 def make_spatial_mesh(n_cells: int) -> SpatialMesh:
     """Build the cell-centred spatial mesh with ``n_cells`` cells."""
-    return SpatialMesh(n_cells=int(n_cells))
+    return SpatialMesh(n_cells=index(n_cells))
 
 
 def make_cell_mesh(n_points: int) -> CellMesh:
     """Build the periodic cell mesh with ``n_points`` (even) nodes."""
-    return CellMesh(n_points=int(n_points))
+    return CellMesh(n_points=index(n_points))

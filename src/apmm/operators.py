@@ -245,7 +245,7 @@ class GridOperators:
         n, m, dx2 = self.nx, self._blocks, self.dx**2
         # chi of Ly chi = g, the cell problem with its data's sign flipped, is -corrector; beta
         # from chi's distinct rows (one for an x-uniform chi)
-        flux = self._centre_y_flux(self.tables.hom.chi[:m], np.empty((m, self.ny)))()
+        flux = self._centre_y_flux(self.tables.chi[:m], np.empty((m, self.ny)))()
         beta = -y_average(flux) / (2 * self.dy)
         q = np.concatenate(([0.0], np.broadcast_to(beta / (4 * dx2), n), [0.0]))  # q_-1 = q_nx = 0
         # storage [4 - o, m] holds the weight of p_m in row i = m - o

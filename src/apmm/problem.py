@@ -4,7 +4,8 @@ A diffusion coefficient is a strictly positive field a(x, y) that is
 1-periodic in the fast variable y.  A problem specification bundles the
 coefficient with the scale parameter, initial data, horizon and the
 boundary treatment used by the micro-macro scheme.  The equation has no
-forcing term.
+forcing term.  The samples of a coefficient on a tensor grid and the cell
+data derived from them are one record, ``CoefficientTables``.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ class DiffusionField:
     a_max: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a_min <= self.a_max and 1.0 / float(self.a_min) < np.inf):
+        # an infinite a_max makes the samples' bound slack nan, so every check passes
+        if not (0.0 < self.a_min <= self.a_max < np.inf and 1.0 / float(self.a_min) < np.inf):
             raise ValueError(  # the cell data divide by a, so 1/a_min must not overflow
-                f"need 0 < a_min <= a_max and a finite 1/a_min, got {self.a_min}, {self.a_max}"
+                f"need 0 < a_min <= a_max < inf, a finite 1/a_min, got {self.a_min}, {self.a_max}"
             )
 
     def __call__(self, x, y) -> FloatArray:
@@ -149,37 +151,22 @@ def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
     return chi
 
 
-@dataclass(frozen=True)
-class HomogenizedData:
-    """Cell data on a tensor grid, derived by :func:`sample_coefficient`.
-
-    - ``a0_interfaces``: effective coefficient (harmonic y-mean) at all nx+1
-      cell interfaces, walls included
-    - ``chi``: corrector at (centre, node) pairs, shape (nx, ny), zero y-mean
-    - ``chi_walls``: corrector profiles at x = 0 and x = 1, shape (2, ny)
-    """
-
-    xmesh: SpatialMesh
-    ymesh: CellMesh
-    a0_interfaces: FloatArray
-    chi: FloatArray
-    chi_walls: FloatArray
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False, slots=True)  # slots: every emm result keeps one
 class CoefficientTables:
     """Coefficient samples on the tensor grid, and the cell data they give.
 
-    All tables are direct pointwise evaluations (no averaging):
+    The three sample tables are direct pointwise evaluations (no averaging):
 
     - ``centers[i, j]``      = a(x_i, y_j)
     - ``x_interfaces[k, j]`` = a(k*dx, y_j), k = 0 .. nx (walls included)
     - ``y_interfaces[i, j]`` = a(x_i, (j+1/2)*dy), the periodic half-nodes
 
-    ``hom`` holds the effective coefficient and the correctors computed
-    from them.  ``x_uniform`` records whether every row of every table is
-    identical, so that every x-slice sees the same coefficient; then each table
-    and ``hom.chi`` is one row, held as a read-only view at row stride 0.
+    The cell data derived from them are ``a0_interfaces``, the effective coefficient (harmonic
+    y-mean) at all nx+1 interfaces, walls included; ``chi``, the zero-mean corrector at (centre,
+    node) pairs, shape (nx, ny); and ``chi_walls``, its profiles at x = 0 and x = 1, (2, ny).
+    ``x_uniform`` records whether every row of every sample table is identical, so that every
+    x-slice sees the same coefficient; then each of them and ``chi`` is one row, held as a
+    read-only view at row stride 0.
     """
 
     xmesh: SpatialMesh
@@ -187,7 +174,9 @@ class CoefficientTables:
     centers: FloatArray
     x_interfaces: FloatArray
     y_interfaces: FloatArray
-    hom: HomogenizedData
+    a0_interfaces: FloatArray
+    chi: FloatArray
+    chi_walls: FloatArray
     x_uniform: bool = False
 
 
@@ -251,8 +240,9 @@ def sample_coefficient(
     else:
         chi = _cell_corrector(1.0 / at_half, ymesh)
         chi, chi_walls = chi[:nx], chi[nx:]
-    hom = HomogenizedData(xmesh, ymesh, a0_interfaces=a0, chi=chi, chi_walls=chi_walls)
-    return CoefficientTables(xmesh, ymesh, centers, x_interfaces, y_interfaces, hom, x_uniform)
+    return CoefficientTables(
+        xmesh, ymesh, centers, x_interfaces, y_interfaces, a0, chi, chi_walls, x_uniform
+    )
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs, dsyevd
 from .homogenization import first_order_corrector
 from .mesh import FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators
-from .problem import ConfigError, HomogenizedData, ProblemSpec, StabilityError, sample_coefficient
+from .problem import CoefficientTables, ConfigError, ProblemSpec, StabilityError, sample_coefficient
 from .reconstruct import _balanced_coefficients, fast_coordinate
 
 _MEAN_DRIFT_TOL = 1e-11
@@ -248,7 +248,7 @@ def run_reference(
 
 def run_homogenized(
     problem: ProblemSpec,
-    hom: HomogenizedData,
+    hom: CoefficientTables,
     dt_factor: float = 0.2,
 ) -> HomogenizedResult:
     """Explicit run of the effective equation on hom's macro mesh.
@@ -288,14 +288,14 @@ class MicroMacroState:
 
 @dataclass(frozen=True)
 class MicroMacroResult:
-    """Final state of a splitting run."""
+    """Final state of a splitting run; ``hom`` is the solver's own coefficient tables."""
 
     xmesh: SpatialMesh
     final_macro: FloatArray  # (nx,)
     final_micro: FloatArray  # (nx, ny)
     steps: int
     dt: float
-    hom: HomogenizedData
+    hom: CoefficientTables
 
 
 class MicroMacroSolver:
@@ -359,7 +359,7 @@ class MicroMacroSolver:
         self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
         # wall data per unit companion gradient (none with homogeneous walls): eps*chi for G,
         # minus its value at the wall's fast coordinate for F; twice their sum; G's flux y-sums
-        profiles = eps * (problem.bc_mode == "dirichlet_corrector") * self.tables.hom.chi_walls
+        profiles = eps * (problem.bc_mode == "dirichlet_corrector") * self.tables.chi_walls
         # the profiles' trigonometric interpolants at the walls' fast coordinates, one rfft per wall
         y, ny = fast_coordinate(np.array([[0.0], [1.0]]), eps), self.ymesh.n_points
         z = np.exp(2j * np.pi * y * np.arange(ny // 2 + 1))[:, None]
@@ -530,6 +530,6 @@ class MicroMacroSolver:
         self._held = None  # a finished run holds no step operators (memory)
         return MicroMacroResult(  # copies: no buffer of the run stays alive
             self.xmesh, held.macro.copy(), held.micro.copy(),
-            total, self.dt, self.tables.hom,
+            total, self.dt, self.tables,
         )
 

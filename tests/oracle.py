@@ -133,7 +133,7 @@ def boundary_data(solver, effective):
     fast coordinate; zeros with homogeneous walls."""
     left, right = wall_gradients(effective, solver.xmesh.dx)
     scale = solver.epsilon * (solver.problem.bc_mode == "dirichlet_corrector")
-    traces, profiles = solver._wall_traces, scale * solver.tables.hom.chi_walls
+    traces, profiles = solver._wall_traces, scale * solver.tables.chi_walls
     return (traces[0] * left, traces[1] * right), (profiles[0] * left, profiles[1] * right)
 
 

@@ -149,7 +149,7 @@ def test_run_homogenized_writes_scaled_corrector(tmp_path, _run):
     micro = g_data["G"].reshape(32, 16)
     hom = sample_coefficient(
         benchmark_coefficient(), make_spatial_mesh(32), make_cell_mesh(16)
-    ).hom
+    )
     expected = 0.1 * first_order_corrector(hom, macro)
     assert np.max(np.abs(micro - expected)) <= 1e-12
     assert np.max(np.abs(g_data["y"].reshape(32, 16)[0] - hom.ymesh.nodes)) == 0.0

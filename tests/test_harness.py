@@ -274,7 +274,7 @@ def test_ap_degeneracy_study_rejects_bad_eps_before_any_directory(tmp_path, monk
 
 def test_convergence_study_rejects_bad_inputs():
     for scheme in ("ref", "emm"):
-        for levels in (2, 17):
+        for levels in (2, 17, 3.5):
             with pytest.raises(ConfigError, match="levels"):
                 convergence_study(scheme, levels=levels)
     with pytest.raises(ConfigError, match="scheme"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -126,7 +127,7 @@ def test_harmonic_mean_below_arithmetic():
 
 def test_sampled_cell_data_layout_and_pointwise_agreement():
     xm, ym = make_spatial_mesh(8), make_cell_mesh(16)
-    hom = sample_coefficient(benchmark_coefficient(), xm, ym).hom
+    hom = sample_coefficient(benchmark_coefficient(), xm, ym)
     assert hom.a0_interfaces.shape == (9,)
     assert hom.chi.shape == (8, 16)
     assert hom.chi_walls.shape == (2, 16)
@@ -149,23 +150,25 @@ def test_sampled_cell_data_layout_and_pointwise_agreement():
         for nx, ny in ((4, 4), (8, 4), (64, 16), (128, 32)):
             xm, ym = make_spatial_mesh(nx), make_cell_mesh(ny)
             tables = sample_coefficient(a, xm, ym)
-            hom = tables.hom
             xc, xi = xm.centers[:, None], xm.interfaces[:, None]
             assert np.array_equal(tables.centers, a(xc, ym.nodes))
             assert np.array_equal(tables.x_interfaces, a(xi, ym.nodes))
             assert np.array_equal(tables.y_interfaces, a(xc, ym.half_nodes))
             assert tables.x_uniform == (a is not x_dependent)
-            for array in (tables.centers, tables.x_interfaces, tables.y_interfaces, hom.chi):
+            for array in (tables.centers, tables.x_interfaces, tables.y_interfaces, tables.chi):
                 if tables.x_uniform:
                     assert array.strides == (0, 8) and not array.flags.writeable
                 else:
                     assert array.flags.c_contiguous
-            assert hom.chi_walls.flags.c_contiguous
-            assert np.array_equal(hom.chi, solve_cell_problem(a, xm.centers, ym))
-            assert np.array_equal(hom.chi_walls, solve_cell_problem(a, np.array([0.0, 1.0]), ym))
-            assert np.array_equal(hom.a0_interfaces, homogenized_coefficient(a, xm.interfaces, ym))
-    hom = sample_coefficient(x_dependent, xm, ym).hom
+            assert tables.chi_walls.flags.c_contiguous
+            assert np.array_equal(tables.chi, solve_cell_problem(a, xm.centers, ym))
+            assert np.array_equal(tables.chi_walls, solve_cell_problem(a, np.array([0.0, 1.0]), ym))
+            a0 = homogenized_coefficient(a, xm.interfaces, ym)
+            assert np.array_equal(tables.a0_interfaces, a0)
+    hom = sample_coefficient(x_dependent, xm, ym)
     assert np.max(np.abs(hom.chi_walls[0] - hom.chi_walls[1])) > 0.1  # x-dependent indeed
+    with pytest.raises(dataclasses.FrozenInstanceError):  # the cell data stay as sampled
+        hom.chi = np.zeros_like(hom.chi)
 
 
 def test_corrector_rows_do_not_depend_on_the_rows_in_the_call():
@@ -211,7 +214,7 @@ def test_wall_gradients_quadratic_exact():
 
 def test_first_order_corrector_linear_macro():
     xm, ym = make_spatial_mesh(8), make_cell_mesh(16)
-    hom = sample_coefficient(benchmark_coefficient(), xm, ym).hom
+    hom = sample_coefficient(benchmark_coefficient(), xm, ym)
     macro = 0.75 * xm.centers
     u1 = first_order_corrector(hom, macro)
     assert u1.shape == (8, 16)

@@ -24,8 +24,10 @@ def test_spatial_rejects_tiny_and_non_integer():
         make_spatial_mesh(3)
     with pytest.raises(ValueError):
         SpatialMesh(n_cells=0)
-    with pytest.raises(TypeError):
-        SpatialMesh(n_cells=8.5)
+    for build, n in ((SpatialMesh, 8.5), (make_spatial_mesh, 8.5), (make_spatial_mesh, "64")):
+        with pytest.raises(TypeError):  # an integer, neither truncated nor parsed
+            build(n)
+    assert make_spatial_mesh(np.int64(8)).n_cells == 8
     make_spatial_mesh(2**20)  # the largest; a mesh allocates nothing
     for n in (2**20 + 1, 10**12, 2**62):  # past the cap: rejected before any allocation
         with pytest.raises(ValueError, match=r"4 \.\. 2\*\*20"):
@@ -47,8 +49,9 @@ def test_cell_mesh_rejects_odd_and_tiny():
         make_cell_mesh(7)
     with pytest.raises(ValueError):
         make_cell_mesh(2)
-    with pytest.raises(TypeError):
-        CellMesh(n_points=16.0)
+    for build in (CellMesh, make_cell_mesh):
+        with pytest.raises(TypeError):
+            build(16.0)
     make_cell_mesh(2**20)
     for n in (2**20 + 2, 10**12, 2**62):  # even, past the cap
         with pytest.raises(ValueError, match=r"4 \.\. 2\*\*20"):

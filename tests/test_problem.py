@@ -60,6 +60,14 @@ def test_diffusion_field_bound_validation():
     DiffusionField(func=lambda x, y: 1.0 + 0 * x, a_min=1e-300, a_max=1.0)  # 1/a_min is finite
 
 
+def test_diffusion_field_rejects_infinite_a_max():
+    # with a_max = inf the sampling slack 1e-12 * inf makes the lower bound inf - inf = nan, so
+    # every sample would pass, and the explicit stability bound 1/(2*a_max) is 0
+    for a_min in (1.0, np.inf):
+        with pytest.raises(ValueError, match="a_max < inf"):
+            DiffusionField(func=lambda x, y: 1.0 + 0 * x, a_min=a_min, a_max=np.inf)
+
+
 def test_problem_spec_validation():
     g = lambda x: np.sin(2 * np.pi * x)
     a = benchmark_coefficient()

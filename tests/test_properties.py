@@ -100,7 +100,7 @@ def test_energy_does_not_increase(c0, p, q, r, phi, eps, t_end, dt_share, seed):
 
     problem = ProblemSpec(coefficient=coeff, epsilon=eps, initial=initial, t_end=t_end)
     dt_factor = dt_share / (2.0 * coeff.a_max)
-    hom = sample_coefficient(coeff, make_spatial_mesh(64), make_cell_mesh(16)).hom
+    hom = sample_coefficient(coeff, make_spatial_mesh(64), make_cell_mesh(16))
     for res in (
         run_reference(problem, 128, dt_factor=dt_factor),
         run_homogenized(problem, hom, dt_factor=dt_factor),
@@ -272,7 +272,7 @@ def test_modal_runs_match_stepping(
     t_end = (full_steps + last_share) * dt
     problem = ProblemSpec(coefficient=coeff, epsilon=eps, initial=initial, t_end=t_end)
     x_if = mesh.interfaces
-    hom = sample_coefficient(coeff, mesh, make_cell_mesh(8)).hom
+    hom = sample_coefficient(coeff, mesh, make_cell_mesh(8))
     for res, a_if in (
         (run_reference(problem, n, dt_factor=dt_factor), coeff(x_if, np.mod(x_if / eps, 1.0))),
         (run_homogenized(problem, hom, dt_factor=dt_factor), hom.a0_interfaces),

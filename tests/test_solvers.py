@@ -395,7 +395,7 @@ def test_huge_data_scale_exactly():
     # by a power of two, so they are the 1e307 runs scaled
     hom = sample_coefficient(
         benchmark_problem(0.1).coefficient, make_spatial_mesh(64), make_cell_mesh(16)
-    ).hom
+    )
     base_ref = run_reference(_huge_problem(1e307), 256).final
     base_hmm = run_homogenized(_huge_problem(1e307), hom).final
     for amplitude in (5e307, 1.7e308):
@@ -425,7 +425,7 @@ def test_homogenized_equals_reference_for_constant_coefficient(value):
         initial=lambda x: np.sin(2 * np.pi * x),
         t_end=0.01,
     )
-    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(8)).hom
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(8))
     u_hmm = run_homogenized(problem, hom, dt_factor=0.2)
     u_ref = run_reference(problem, 64, dt_factor=0.2)
     assert u_hmm.steps == u_ref.steps
@@ -435,7 +435,7 @@ def test_homogenized_equals_reference_for_constant_coefficient(value):
 
 def test_homogenized_analytic_decay():
     problem = benchmark_problem(0.1, t_end=0.02)
-    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(16)).hom
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(64), make_cell_mesh(16))
     res = run_homogenized(problem, hom)
     x = res.mesh.centers
     exact = math.exp(-A0 * 4 * math.pi**2 * 0.02) * np.sin(2 * np.pi * x)
@@ -450,7 +450,7 @@ def test_homogenized_zero_data():
         initial=lambda x: np.zeros(np.shape(x)),
         t_end=0.001,
     )
-    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8)).hom
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8))
     res = run_homogenized(problem, hom)
     assert np.max(np.abs(res.final)) == 0.0
     assert np.max(np.abs(res.corrector)) == 0.0
@@ -458,14 +458,14 @@ def test_homogenized_zero_data():
 
 def test_homogenized_rejects_inf_initial_data():
     problem = _inf_initial_problem()
-    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8)).hom
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(16), make_cell_mesh(8))
     with pytest.raises(StabilityError, match="non-finite initial data"):
         run_homogenized(problem, hom)
 
 
 def test_homogenized_corrector_consistency():
     problem = benchmark_problem(0.1, t_end=0.002)
-    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(32), make_cell_mesh(16)).hom
+    hom = sample_coefficient(problem.coefficient, make_spatial_mesh(32), make_cell_mesh(16))
     res = run_homogenized(problem, hom)
     assert res.corrector.shape == (32, 16)
     assert np.max(np.abs(res.corrector - first_order_corrector(hom, res.final))) == 0.0
@@ -685,8 +685,8 @@ def test_emm_constant_coefficient_keeps_g_at_wall_rounding(ny):
         t_end=0.01,
     )
     solver = MicroMacroSolver(problem, 8, ny)
-    assert np.max(np.abs(solver.tables.hom.chi)) == 0.0
-    assert np.max(np.abs(solver.tables.hom.chi_walls)) == 0.0
+    assert np.max(np.abs(solver.tables.chi)) == 0.0
+    assert np.max(np.abs(solver.tables.chi_walls)) == 0.0
     assert np.max(np.abs(solver.run().final_micro)) == 0.0
 
 
@@ -1318,13 +1318,13 @@ def test_emm_x_uniform_run_holds_no_full_coefficient_tables():
     nx, ny = 64, 16
     solver = MicroMacroSolver(benchmark_problem(0.1, t_end=0.01), nx, ny)
     res = solver.run()
-    tables, hom = solver.tables, res.hom
-    assert tables.x_uniform and hom is tables.hom and hom.chi.shape == (nx, ny)
+    tables = solver.tables
+    assert tables.x_uniform and res.hom is tables and tables.chi.shape == (nx, ny)
     held = [tables.centers, tables.x_interfaces, tables.y_interfaces]
-    held += [hom.a0_interfaces, hom.chi, hom.chi_walls]
+    held += [tables.a0_interfaces, tables.chi, tables.chi_walls]
     held += [v for o in (solver, solver.ops) for v in vars(o).values() if isinstance(v, np.ndarray)]
     assert all(_root(a).nbytes < nx * ny * 8 for a in held)
-    assert _root(hom.chi).nbytes <= 6 * ny * 8  # the tables' three rows, chi's and the walls'
+    assert _root(tables.chi).nbytes <= 6 * ny * 8  # the tables' three rows, chi's and the walls'
 
 
 def test_emm_guards_screen_keeps_its_margin_on_a_large_grid(monkeypatch):
