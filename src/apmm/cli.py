@@ -16,7 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .homogenization import homogenized_coefficient, solve_cell_problem
 from .mesh import make_cell_mesh, make_spatial_mesh
 from .problem import (
     ConfigError,
@@ -155,11 +154,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 def _cmd_cell(args: argparse.Namespace) -> int:
     coeff = coefficient_from_name(args.coeff)
     ymesh = _from_option("--ny", make_cell_mesh, args.ny)
-    a0 = homogenized_coefficient(coeff, 0.5, ymesh)
-    chi = solve_cell_problem(coeff, 0.5, ymesh)
-    print(f"a0 = {_fmt(a0)}")
+    # every named coefficient is x-independent: the record's first row is its cell data
+    tables = sample_coefficient(coeff, make_spatial_mesh(4), ymesh)
+    print(f"a0 = {_fmt(tables.a0_interfaces[0])}")
     out = _prepare_parent(args.out)
-    rows = ([_fmt(yj), _fmt(cj)] for yj, cj in zip(ymesh.nodes, chi))
+    rows = ([_fmt(yj), _fmt(cj)] for yj, cj in zip(ymesh.nodes, tables.chi[0]))
     _write_rows(out, ["y", "chi"], rows)
     print(out)
     return 0

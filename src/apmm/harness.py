@@ -139,11 +139,11 @@ def regime_comparison(
     eps_values = tuple(float(e) for e in eps_values)
     try:  # every problem and reference mesh is checked before any run or directory
         problems = [benchmark_problem(eps, t_end=t_end) for eps in eps_values]
-        if ref_cells is not None:
-            diagnostic_mesh(int(ref_cells))
-    except ValueError as exc:
+        fine = None if ref_cells is None else diagnostic_mesh(ref_cells)
+    except (TypeError, ValueError) as exc:  # TypeError: a count that is no integer
         raise ConfigError(str(exc)) from exc
-    n_refs = [int(ref_cells or reference_cells(e, periods_per_oscillation)) for e in eps_values]
+    n_refs = [reference_cells(e, periods_per_oscillation) if fine is None else fine.n_cells
+              for e in eps_values]
     csv_names = [f"regime_eps_{eps:g}.csv" for eps in eps_values]
     if len(set(csv_names)) < len(csv_names):  # a later regime's file would overwrite one
         clash = max(csv_names, key=csv_names.count)

@@ -1,13 +1,12 @@
-"""Periodic cell problems, the first-order corrector and macro gradients.
+"""Macro gradients and the first-order two-scale corrector.
 
-In one space dimension the effective coefficient is the harmonic y-average
-of a(x, .), and the periodic cell corrector has a closed form built from
-the cumulative integral of 1/a.  The functions here evaluate both at given
-points x; the cell data of a whole tensor grid are fields of its
-``CoefficientTables``, derived from the checked coefficient samples by
-:func:`apmm.problem.sample_coefficient`.  The fast periodic solve at s = 0,
-``GridOperators._factor(0.0)`` in :mod:`apmm.operators`, is an independent
-route to the same corrector, used as a cross-check in the test suite.
+The cell data come by one route: the effective coefficient (the harmonic y-average of
+a(x, .)) and the periodic cell corrector are fields of the ``CoefficientTables`` record that
+:func:`apmm.problem.sample_coefficient` derives from the checked coefficient samples of a
+tensor grid, at its interfaces (``a0_interfaces``), centres (``chi``) and walls
+(``chi_walls``).  The corrector's closed form integrates 1/a over the half-nodes; the fast
+periodic solve at s = 0, ``GridOperators._factor(0.0)`` in :mod:`apmm.operators`, is an
+independent route to it, used as a cross-check in the test suite.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 from numpy import multiply, subtract
 
-from .mesh import CellMesh, FloatArray
-from .problem import CoefficientTables, DiffusionField, _cell_corrector
+from .mesh import FloatArray
+from .problem import CoefficientTables
 
 
 def macro_gradient(values: FloatArray, dx: float) -> FloatArray:
@@ -44,37 +43,6 @@ def _x_differences(v: FloatArray, out: FloatArray):
         subtract(ends, thirds, ends)
         return out
     return differences
-
-
-def homogenized_coefficient(a: DiffusionField, x, ymesh: CellMesh):
-    """Harmonic y-average of a(x, .) via periodic trapezoid quadrature.
-
-    On the equispaced periodic mesh the trapezoid rule reduces to the node
-    mean and converges geometrically for analytic coefficients.  Scalar x
-    gives a float; an array of x gives an array.
-    """
-    x = np.asarray(x, dtype=float)
-    out = 1.0 / (1.0 / a(x[..., None], ymesh.nodes)).mean(axis=-1)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def solve_cell_problem(a: DiffusionField, x, ymesh: CellMesh) -> FloatArray:
-    """Zero-mean periodic cell corrector chi(x, .) on the mesh nodes.
-
-    Closed form: chi(y) = a0(x) * int_0^y 1/a(x, s) ds - y, shifted to zero
-    node mean.  The cumulative integral accumulates the midpoint (half-node)
-    samples of 1/a between consecutive nodes — the staggered counterpart of
-    the trapezoid rule, equally accurate, and chosen because it reproduces
-    the flux-form discrete cell problem exactly: the generic periodic
-    elliptic solver returns the same corrector up to full-period quadrature
-    roundoff.  Scalar x gives shape (n_points,); an array of x gives shape
-    (len(x), n_points).
-    """
-    x = np.asarray(x, dtype=float)
-    chi = _cell_corrector(np.atleast_2d(1.0 / a(x[..., None], ymesh.half_nodes)), ymesh)
-    return chi[0] if x.ndim == 0 else chi
 
 
 def first_order_corrector(hom: CoefficientTables, macro: FloatArray) -> FloatArray:

@@ -138,7 +138,9 @@ def benchmark_problem(
 
 
 def _cell_corrector(b_half: FloatArray, ymesh: CellMesh) -> FloatArray:
-    """Closed-form corrector rows from ``b_half``, the rows of 1/a at the half-nodes."""
+    """Closed-form corrector rows from ``b_half``, the rows of 1/a at the half-nodes:
+    chi(y) = a0 * int_0^y 1/a - y at zero node mean, whose half-node sums reproduce the
+    flux-form discrete cell problem exactly."""
     # the a0 inside the increments must be the half-node harmonic mean, so that the last
     # increment wraps around the period exactly; the row sums by np.add.reduce, whose bits per
     # row do not depend on how many rows the call holds

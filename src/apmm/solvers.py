@@ -1,6 +1,6 @@
 """Time integrators for the oscillatory diffusion problem.
 
-Three schemes share one explicit finite-volume backbone:
+Three schemes on a finite-volume mesh in x; the two explicit ones share one Krylov evaluation:
 
 - ``run_reference``: brute force on a fine grid with the coefficient sampled
   along the diagonal y = x/epsilon, the accuracy yardstick;
@@ -33,7 +33,9 @@ from scipy.linalg.lapack import dpttrf, dpttrs, dsyevd
 from .homogenization import first_order_corrector
 from .mesh import FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators
-from .problem import CoefficientTables, ConfigError, ProblemSpec, StabilityError, sample_coefficient
+from .problem import (
+    CoefficientTables, ConfigError, ProblemSpec, StabilityError, _check_values, sample_coefficient,
+)
 from .reconstruct import _balanced_coefficients, fast_coordinate
 
 _MEAN_DRIFT_TOL = 1e-11
@@ -226,7 +228,8 @@ def run_reference(
     """Fine-grid explicit run with the coefficient frozen along the diagonal.
 
     The interface coefficient is a(x, (x/epsilon) mod 1) evaluated directly
-    at the fine interfaces; the walls take homogeneous Dirichlet ghosts.
+    at the fine interfaces, whose samples are checked as ``sample_coefficient``
+    checks its tables; the walls take homogeneous Dirichlet ghosts.
     """
     mesh = make_spatial_mesh(n_cells)
     a = problem.coefficient
@@ -239,7 +242,8 @@ def run_reference(
             stacklevel=2,
         )
     x_if = mesh.interfaces
-    a_if = np.asarray(a(x_if, fast_coordinate(x_if, problem.epsilon)), dtype=float)
+    a_if = a(x_if, fast_coordinate(x_if, problem.epsilon))
+    _check_values(a_if, a, ("reference interfaces",), a_if.size)  # dt's bound assumes a_max
     dt = dt_factor * mesh.dx**2
     u0 = np.array(problem.initial(mesh.centers), dtype=float)  # overwritten by the loop
     final, steps = _explicit_heat_loop(u0, a_if, mesh.dx, dt, problem.t_end)

@@ -14,6 +14,7 @@ from apmm import cli, harness
 from apmm.cli import main
 from apmm.homogenization import first_order_corrector
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
+from apmm.operators import GridOperators
 from apmm.problem import benchmark_coefficient, parse_config, sample_coefficient
 from apmm.solvers import MicroMacroSolver
 
@@ -329,8 +330,7 @@ def test_work_past_a_cap_exits_2_before_any_run(
         (harness, "run_reference"),
         (MicroMacroSolver, "run"),
         (MicroMacroSolver, "step"),
-        (cli, "homogenized_coefficient"),
-        (cli, "solve_cell_problem"),
+        (cli, "sample_coefficient"),
     ):
         monkeypatch.setattr(owner, name, started)
     if args[0] == "run":  # the config outside the working directory, which stays empty
@@ -346,7 +346,7 @@ def test_memory_error_exits_2(tmp_path, _run, monkeypatch):
     def exhausted(*_args):
         raise MemoryError("Unable to allocate 7.28 TiB")
 
-    monkeypatch.setattr(cli, "solve_cell_problem", exhausted)
+    monkeypatch.setattr(cli, "sample_coefficient", exhausted)
     proc = _run(["cell", "--out", "chi.csv"], cwd=tmp_path)
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
@@ -362,10 +362,22 @@ def test_cell_command(tmp_path):
     lines = (tmp_path / "chi.csv").read_text().splitlines()
     assert lines[0] == "y,chi"
     assert len(lines) == 257  # default 256 nodes
+    # the corrector agrees with the independent route, the fast periodic solve at s = 0
+    chi = np.loadtxt(tmp_path / "chi.csv", delimiter=",", skiprows=1)[:, 1]
+    meshes = make_spatial_mesh(4), make_cell_mesh(256)
+    ops = GridOperators(sample_coefficient(benchmark_coefficient(), *meshes))
+    ay = ops.tables.y_interfaces
+    rhs = -(ay - np.roll(ay, 1, axis=1)) / ops.dy
+    elliptic = -ops._factor(0.0)(rhs.copy())()[0]  # the solve takes C-ordered rows
+    assert np.max(np.abs(chi - elliptic)) <= 1e-12 * np.max(np.abs(elliptic))
 
-    proc = _run_subprocess(["cell", "--coeff", "constant:2.0", "--ny", "16"], cwd=tmp_path)
+    proc = _run_subprocess(
+        ["cell", "--coeff", "constant:2.0", "--ny", "16", "--out", "flat.csv"], cwd=tmp_path
+    )
     assert proc.returncode == 0
     assert abs(float(proc.stdout.splitlines()[0].split("=")[1]) - 2.0) <= 1e-14
+    flat = np.loadtxt(tmp_path / "flat.csv", delimiter=",", skiprows=1)
+    assert flat.shape == (16, 2) and np.all(flat[:, 1] == 0.0)
 
 
 def test_cell_help_and_argument_errors_load_no_solver(tmp_path):

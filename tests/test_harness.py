@@ -112,6 +112,9 @@ def test_regime_comparison_rejects_coarse_ref_cells_before_any_work(tmp_path, mo
     for ref_cells in (5, 7):  # meshes, but too coarse for the derivative stencils
         with pytest.raises(ValueError, match="needs >= 8 cells"):
             regime_comparison(eps_values=(0.5,), out_dir=out, ref_cells=ref_cells)
+    for ref_cells in (128.9, "64"):  # counts that are no integers: they ran on 128 and 64 cells
+        with pytest.raises(ConfigError, match="cannot be interpreted as an integer"):
+            regime_comparison(eps_values=(0.5,), out_dir=out, ref_cells=ref_cells)
     assert not out.exists()
 
 

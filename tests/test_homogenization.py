@@ -4,17 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from apmm.homogenization import (
-    _x_differences,
-    first_order_corrector,
-    homogenized_coefficient,
-    macro_gradient,
-    solve_cell_problem,
-)
+from apmm.homogenization import _x_differences, first_order_corrector, macro_gradient
 from apmm.mesh import make_cell_mesh, make_spatial_mesh
 from apmm.operators import GridOperators
 from apmm.problem import (
     DiffusionField,
+    _cell_corrector,
     benchmark_coefficient,
     constant_coefficient,
     sample_coefficient,
@@ -24,54 +19,56 @@ from oracle import apply_y_diffusion, wall_gradients
 SQRT_021 = math.sqrt(0.21)
 
 
+def _cell_data(a, ny, nx=4):
+    """The record of ``a`` on nx x ny: its cell data at every interface, centre and wall."""
+    return sample_coefficient(a, make_spatial_mesh(nx), make_cell_mesh(ny))
+
+
 def test_effective_coefficient_benchmark():
     # harmonic mean of 1.1 + sin(2 pi y) has the closed form sqrt(1.1^2 - 1)
-    ym = make_cell_mesh(256)
-    a0 = homogenized_coefficient(benchmark_coefficient(), 0.5, ym)
-    assert isinstance(a0, float)
-    assert abs(a0 - SQRT_021) <= 1e-10
+    a0 = _cell_data(benchmark_coefficient(), 256).a0_interfaces
+    assert np.max(np.abs(a0 - SQRT_021)) <= 1e-10
 
 
 def test_effective_coefficient_shifted_cosine():
     a = DiffusionField(func=lambda x, y: 2.0 + np.cos(2 * np.pi * y) + 0 * x, a_min=1.0, a_max=3.0)
-    a0 = homogenized_coefficient(a, 0.0, make_cell_mesh(256))
-    assert abs(a0 - math.sqrt(3.0)) <= 1e-10
+    a0 = _cell_data(a, 256).a0_interfaces
+    assert np.max(np.abs(a0 - math.sqrt(3.0))) <= 1e-10
 
 
 def test_effective_coefficient_spectral_convergence():
     # periodic trapezoid converges geometrically: ny=64 is already at 1e-10
     a = benchmark_coefficient()
-    coarse = abs(homogenized_coefficient(a, 0.0, make_cell_mesh(64)) - SQRT_021)
-    assert coarse <= 1e-10
+    coarse = np.abs(_cell_data(a, 64).a0_interfaces - SQRT_021)
+    assert np.max(coarse) <= 1e-10
 
 
 def test_effective_coefficient_constant_and_arrays():
-    ym = make_cell_mesh(16)
-    assert homogenized_coefficient(constant_coefficient(0.7), 0.1, ym) == pytest.approx(0.7, abs=1e-14)
-    x = np.linspace(0, 1, 9)
-    vals = homogenized_coefficient(benchmark_coefficient(), x, ym)
+    a0 = _cell_data(constant_coefficient(0.7), 16).a0_interfaces
+    assert np.max(np.abs(a0 - 0.7)) <= 1e-14
+    vals = _cell_data(benchmark_coefficient(), 16, nx=8).a0_interfaces
     assert vals.shape == (9,)
     assert np.max(np.abs(vals - vals[0])) <= 1e-15  # y-only coefficient
 
 
 def test_effective_coefficient_tracks_x():
     a = DiffusionField(func=lambda x, y: 1.5 + x + 0 * y, a_min=1.4, a_max=2.6)
-    x = np.array([0.0, 0.25, 1.0])
-    vals = homogenized_coefficient(a, x, make_cell_mesh(8))
-    assert np.allclose(vals, 1.5 + x, atol=1e-13)
+    tables = _cell_data(a, 8)
+    assert np.allclose(tables.a0_interfaces, 1.5 + tables.xmesh.interfaces, atol=1e-13)
 
 
 def test_corrector_zero_for_constant():
-    chi = solve_cell_problem(constant_coefficient(2.0), 0.3, make_cell_mesh(16))
-    assert chi.shape == (16,)
-    assert np.max(np.abs(chi)) <= 1e-14
+    tables = _cell_data(constant_coefficient(2.0), 16)
+    assert tables.chi.shape == (4, 16)
+    assert np.max(np.abs(tables.chi)) <= 1e-14
+    assert np.max(np.abs(tables.chi_walls)) <= 1e-14
 
 
 def test_corrector_zero_mean_and_shapes():
-    ym = make_cell_mesh(32)
-    chi = solve_cell_problem(benchmark_coefficient(), np.linspace(0, 1, 5), ym)
-    assert chi.shape == (5, 32)
-    assert np.max(np.abs(chi.mean(axis=-1))) <= 1e-14
+    tables = _cell_data(benchmark_coefficient(), 32, nx=5)
+    assert tables.chi.shape == (5, 32)
+    for chi in (tables.chi, tables.chi_walls):
+        assert np.max(np.abs(chi.mean(axis=-1))) <= 1e-14
 
 
 def test_corrector_matches_generic_elliptic_solve():
@@ -90,7 +87,7 @@ def test_corrector_matches_generic_elliptic_solve():
         ay = ops.tables.y_interfaces
         rhs = -(ay - np.roll(ay, 1, axis=1)) / ym.dy
         chi_generic = -ops._factor(0.0)(rhs.copy())()
-        chi_closed = solve_cell_problem(a, xm.centers, ym)
+        chi_closed = ops.tables.chi
         diff = np.max(np.abs(chi_generic - chi_closed))
         assert diff <= tol, f"ny={ny}: routes differ by {diff}"
         # and comfortably inside the contract tolerance
@@ -102,7 +99,7 @@ def test_corrector_discrete_residual():
     a = benchmark_coefficient()
     xm, ym = make_spatial_mesh(4), make_cell_mesh(64)
     ops = GridOperators(sample_coefficient(a, xm, ym))
-    chi = solve_cell_problem(a, xm.centers, ym)
+    chi = ops.tables.chi
     ay = ops.tables.y_interfaces
     rhs = -(ay - np.roll(ay, 1, axis=1)) / ym.dy
     scale = np.max(np.abs(rhs))
@@ -119,10 +116,10 @@ def test_harmonic_mean_below_arithmetic():
             a_min=c0 - c1 - 1e-9,
             a_max=c0 + c1 + 1e-9,
         )
-        ym = make_cell_mesh(128)
-        a0 = homogenized_coefficient(a, 0.0, ym)
-        node_mean = float(a(0.0, ym.nodes).mean())
-        assert c0 - c1 - 1e-9 <= a0 <= node_mean + 1e-12
+        tables = _cell_data(a, 128)
+        node_mean = float(tables.centers[0].mean())
+        assert c0 - c1 - 1e-9 <= tables.a0_interfaces.min()
+        assert tables.a0_interfaces.max() <= node_mean + 1e-12
 
 
 def test_sampled_cell_data_layout_and_pointwise_agreement():
@@ -137,7 +134,8 @@ def test_sampled_cell_data_layout_and_pointwise_agreement():
     assert np.max(np.abs(hom.a0_interfaces - hom.a0_interfaces[0])) <= 1e-15
 
     # the tables and the data derived from them are the pointwise samples and cell data, bit for
-    # bit; an x-dependent coefficient's are C-contiguous, an x-uniform one's tables and corrector
+    # bit (the harmonic node mean, the closed-form corrector of the half-node samples); an
+    # x-dependent coefficient's are C-contiguous, an x-uniform one's tables and corrector
     # one row each, held as read-only views at row stride 0
     x_dependent = DiffusionField(
         func=lambda x, y: 1.3
@@ -161,9 +159,9 @@ def test_sampled_cell_data_layout_and_pointwise_agreement():
                 else:
                     assert array.flags.c_contiguous
             assert tables.chi_walls.flags.c_contiguous
-            assert np.array_equal(tables.chi, solve_cell_problem(a, xm.centers, ym))
-            assert np.array_equal(tables.chi_walls, solve_cell_problem(a, np.array([0.0, 1.0]), ym))
-            a0 = homogenized_coefficient(a, xm.interfaces, ym)
+            for chi, x in ((tables.chi, xc), (tables.chi_walls, np.array([[0.0], [1.0]]))):
+                assert np.array_equal(chi, _cell_corrector(1.0 / a(x, ym.half_nodes), ym))
+            a0 = 1.0 / (1.0 / a(xi, ym.nodes)).mean(axis=-1)
             assert np.array_equal(tables.a0_interfaces, a0)
     hom = sample_coefficient(x_dependent, xm, ym)
     assert np.max(np.abs(hom.chi_walls[0] - hom.chi_walls[1])) > 0.1  # x-dependent indeed
@@ -176,9 +174,10 @@ def test_corrector_rows_do_not_depend_on_the_rows_in_the_call():
     # rows have the bits of the same rows in a call on every centre and wall
     for nx, ny in ((4, 4), (64, 16), (128, 32), (256, 64)):
         xm, ym = make_spatial_mesh(nx), make_cell_mesh(ny)
-        x, rows = np.concatenate((xm.centers, [0.0, 1.0])), [0, nx, nx + 1]
-        full = solve_cell_problem(benchmark_coefficient(), x, ym)
-        assert np.array_equal(solve_cell_problem(benchmark_coefficient(), x[rows], ym), full[rows])
+        x, rows = np.concatenate((xm.centers, [0.0, 1.0]))[:, None], [0, nx, nx + 1]
+        b_half = 1.0 / benchmark_coefficient()(x, ym.half_nodes)
+        full = _cell_corrector(b_half, ym)
+        assert np.array_equal(_cell_corrector(b_half[rows], ym), full[rows])
 
 
 def test_macro_gradient_quadratic_exact():

@@ -28,6 +28,7 @@ from apmm.problem import (
     BC_MODES,
     ConfigError,
     DiffusionField,
+    EllipticityError,
     ProblemSpec,
     _cell_corrector,
     benchmark_problem,
@@ -325,6 +326,27 @@ def test_reference_rejects_unstable_dt():
         run_reference(benchmark_problem(0.5, t_end=0.01), 64, dt_factor=0.9)
     with pytest.raises(ConfigError):
         run_reference(_heat_problem(), 64, dt_factor=0.0)
+
+
+def test_reference_checks_its_coefficient_samples():
+    # the samples on the fine interfaces are checked as sample_coefficient checks its tables;
+    # unchecked, a coefficient of -1 ran 820 steps to max|final| = 3.3e44, as dt's stability
+    # bound holds only for samples within the declared a_max
+    for func, message in (
+        (lambda x, y: -1.0 + 0.0 * x * y, "has non-positive entry"),
+        (lambda x, y: 3.0 + 0.0 * x * y, "leaves declared bounds"),
+        (lambda x, y: np.where(x > 0.5, np.nan, 1.5) + 0.0 * y, "contains non-finite entries"),
+    ):
+        problem = ProblemSpec(
+            coefficient=DiffusionField(func, a_min=1.0, a_max=2.0),
+            epsilon=1.0,
+            initial=lambda x: np.sin(np.pi * x),
+            t_end=0.01,
+        )
+        with pytest.raises(EllipticityError, match=f"'reference interfaces' {message}"):
+            run_reference(problem, 64)
+        with pytest.raises(EllipticityError):
+            MicroMacroSolver(problem, 16, 8)
 
 
 def _huge_problem(amplitude, coefficient=None):
