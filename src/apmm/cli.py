@@ -29,14 +29,6 @@ from .problem import (
 )
 
 
-def _from_option(option: str, build, *args):
-    """``build(*args)``, with a rejected command-line value as a ConfigError."""
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ConfigError(f"{option}: {exc}") from exc
-
-
 def _prepare_parent(path: str | Path) -> Path:
     path = Path(path)
     if path.parent != Path("."):
@@ -118,10 +110,12 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
         periods_per_oscillation=periods,
     )
     for rec in report.records:
+        times = rec.wall_times
         print(
             f"eps={rec.epsilon:g}: ref N={rec.n_ref}, max errors "
             f"emm={rec.errors['u_emm'][0]:.3e} hmm={rec.errors['u_hmm'][0]:.3e}, relative "
-            f"emm={rec.relative_errors['u_emm']:.3e} hmm={rec.relative_errors['u_hmm']:.3e} "
+            f"emm={rec.relative_errors['u_emm']:.3e} hmm={rec.relative_errors['u_hmm']:.3e}, "
+            f"seconds ref={times['ref']:.3g} emm={times['emm']:.3g} hmm={times['hmm']:.3g} "
             f"-> {rec.csv_path}"
         )
     if report.summary_path is not None:
@@ -153,7 +147,10 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_cell(args: argparse.Namespace) -> int:
     coeff = coefficient_from_name(args.coeff)
-    ymesh = _from_option("--ny", make_cell_mesh, args.ny)
+    try:
+        ymesh = make_cell_mesh(args.ny)
+    except ValueError as exc:
+        raise ConfigError(f"--ny: {exc}") from exc
     # every named coefficient is x-independent: the record's first row is its cell data
     tables = sample_coefficient(coeff, make_spatial_mesh(4), ymesh)
     print(f"a0 = {_fmt(tables.a0_interfaces[0])}")

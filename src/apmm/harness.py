@@ -6,8 +6,8 @@ reference mesh: the curve CSV writes it, and ``RegimeRecord`` and
 
 Every CSV is written deterministically — fixed column order, floats rendered
 with 17 significant digits, ``\\n`` line endings, no timestamps — so identical
-configurations produce byte-identical files.  Wall-clock timings live only in
-the in-memory report objects.
+configurations produce byte-identical files.  Wall-clock timings stay out of
+them, in the report objects (``apmm figure1`` prints them).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .reconstruct import (
     reconstruct_homogenized,
     reconstruct_micro_macro,
 )
-from .solvers import MicroMacroSolver, run_homogenized, run_reference
+from .solvers import _MAX_STEPS, MicroMacroSolver, run_homogenized, run_reference
 
 
 def error_norms(
@@ -74,7 +74,8 @@ class RegimeRecord:
     numerical x-derivatives.  ``relative_errors`` maps the same columns to
     the max norm divided by max|u_ref| (``du_*``: max|du_ref|), NaN where
     that reference column is all zero.  ``wall_times`` maps ``ref``,
-    ``emm`` and ``hmm`` to each run's seconds.
+    ``emm`` and ``hmm`` to each run's seconds; ``emm``'s times ``run()`` only, as its
+    solver is built before any run.
     """
 
     epsilon: float
@@ -134,7 +135,8 @@ def regime_comparison(
     appended to summary.csv.  Files for completed regimes are flushed before
     later regimes run, so a failing case leaves the earlier results on disk.
     Epsilons whose curve files, ``regime_eps_{eps:g}.csv``, share a name are a
-    ConfigError before any run or directory, as every bad input.
+    ConfigError before any run or directory, as every bad input; the ``emm`` solvers are
+    built first, so a horizon past their step cap is one too.
     """
     eps_values = tuple(float(e) for e in eps_values)
     try:  # every problem and reference mesh is checked before any run or directory
@@ -150,16 +152,17 @@ def regime_comparison(
         raise ConfigError(f"eps values {list(eps_values)} share the curve file {clash}")
     if not eps_values:
         return RunReport(records=(), summary_path=None)
+    emms = [MicroMacroSolver(problem, 64, 16) for problem in problems]  # checks the step cap
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / "summary.csv"
 
     records: list[RegimeRecord] = []
-    for eps, problem, n_ref, csv_name in zip(eps_values, problems, n_refs, csv_names):
+    for eps, problem, n_ref, csv_name, solver in zip(eps_values, problems, n_refs, csv_names, emms):
         t0 = time.perf_counter()
         ref = run_reference(problem, n_ref)
         t1 = time.perf_counter()
-        emm = MicroMacroSolver(problem, 64, 16).run()
+        emm = solver.run()
         t2 = time.perf_counter()
         hmm = run_homogenized(problem, emm.hom)
         wall_times = {"ref": t1 - t0, "emm": t2 - t1, "hmm": time.perf_counter() - t2}
@@ -208,7 +211,7 @@ def ap_degeneracy_study(
     an epsilon outside (0, 1], is a ConfigError before any solver or directory.
     """
     integral = isinstance(n_steps, numbers.Integral) and not isinstance(n_steps, bool)
-    if not (integral and 1 <= n_steps <= 2**24):  # True is Integral, but no step count
+    if not (integral and 1 <= n_steps <= _MAX_STEPS):  # True is Integral, but no step count
         raise ConfigError(f"n_steps must be an integer in 1 .. 2**24, got {n_steps!r}")
     try:  # every problem is checked before any solver or directory
         problems = [benchmark_problem(float(eps), t_end=1.0) for eps in eps_values]
@@ -269,7 +272,7 @@ def _spatial_study(levels: int) -> ConvergenceReport:
     sizes = [32 * 2**k for k in range(levels)]
     errors = []
     for n in sizes:
-        result = run_reference(problem, n, dt_factor=0.05)
+        result = run_reference(problem, n)
         exact = amplitude * np.sin(np.pi * result.mesh.centers)
         errors.append(float(np.max(np.abs(result.final - exact))))
     dxs = [1.0 / n for n in sizes]

@@ -73,8 +73,6 @@ class GridOperators:
 
     def __init__(self, tables: CoefficientTables):
         self.tables = tables
-        self.xmesh = tables.xmesh
-        self.ymesh = tables.ymesh
         self.nx = tables.xmesh.n_cells
         self.ny = tables.ymesh.n_points
         self.dx = tables.xmesh.dx

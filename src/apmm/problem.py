@@ -21,6 +21,7 @@ from .mesh import CellMesh, FloatArray, SpatialMesh, make_cell_mesh, make_spatia
 
 BC_MODES = ("dirichlet_corrector", "dirichlet_homogeneous")
 SCHEMES = ("ref", "emm", "hmm")
+DT_FACTORS = {"ref": 0.05, "emm": 0.2, "hmm": 0.2}  # each scheme's default dt / dx**2
 
 _PERIODICITY_TOL = 1e-14  # both relative to the declared a_max, so that they scale with a;
 _BOUND_SLACK, _FLOOR_SLACK = 1e-12, 1e-6  # below a_min the slack is at most 1e-6 * a_min too
@@ -277,9 +278,7 @@ class RunConfig:
     output: str = "run"
 
     def resolved_dt_factor(self) -> float:
-        if self.dt_factor is not None:
-            return self.dt_factor
-        return 0.05 if self.scheme == "ref" else 0.2
+        return DT_FACTORS[self.scheme] if self.dt_factor is None else self.dt_factor
 
     def problem(self) -> ProblemSpec:
         base = benchmark_problem(self.epsilon, self.t_end, self.bc)

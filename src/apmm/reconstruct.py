@@ -24,13 +24,10 @@ def _balanced_coefficients(profiles: FloatArray) -> np.ndarray:
     The returned rows satisfy  u(y) = Re(sum_k C[k] e^{2*pi*i*k*y}) / n  with
     the Nyquist coefficient forced real, i.e. that mode is a pure cosine.
     """
-    n = profiles.shape[-1]
     coeffs = np.fft.rfft(profiles, axis=-1)
     coeffs[..., -1] = coeffs[..., -1].real
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    return coeffs * weights
+    coeffs[..., 1:-1] *= 2.0  # the interpolant's weights: 1 for the mean and Nyquist, else 2
+    return coeffs
 
 
 def fast_coordinate(x: FloatArray, epsilon: float) -> FloatArray:

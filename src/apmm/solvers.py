@@ -34,10 +34,12 @@ from .homogenization import first_order_corrector
 from .mesh import FloatArray, SpatialMesh, make_cell_mesh, make_spatial_mesh
 from .operators import GridOperators
 from .problem import (
-    CoefficientTables, ConfigError, ProblemSpec, StabilityError, _check_values, sample_coefficient,
+    DT_FACTORS, CoefficientTables, ConfigError, ProblemSpec, StabilityError, _check_values,
+    sample_coefficient,
 )
 from .reconstruct import _balanced_coefficients, fast_coordinate
 
+_MAX_STEPS = 2**24  # the emm cap: about 20 minutes of 64x16 steps
 _MEAN_DRIFT_TOL = 1e-11
 _DRIFT_FLOOR = _MEAN_DRIFT_TOL * sys.float_info.min  # subnormal fields round absolutely
 _MODE_TOL = 1e-17  # a gain over the full steps below this is none: no second pole for it
@@ -84,6 +86,8 @@ def _validate_dt_factor(dt_factor: float, a_max: float) -> None:
 
 
 def _step_count(t_end: float, dt: float) -> int:
+    if not t_end / dt < math.inf:  # the explicit runs have no step cap, but need a finite count
+        raise ConfigError(f"t_end={t_end:g} takes too many steps of dt={dt:.3g} to count")
     return max(1, int(math.ceil(t_end / dt - 1e-9)))
 
 
@@ -223,7 +227,7 @@ def _explicit_heat_loop(
 def run_reference(
     problem: ProblemSpec,
     n_cells: int,
-    dt_factor: float = 0.05,
+    dt_factor: float = DT_FACTORS["ref"],
 ) -> MacroResult:
     """Fine-grid explicit run with the coefficient frozen along the diagonal.
 
@@ -253,7 +257,7 @@ def run_reference(
 def run_homogenized(
     problem: ProblemSpec,
     hom: CoefficientTables,
-    dt_factor: float = 0.2,
+    dt_factor: float = DT_FACTORS["hmm"],
 ) -> HomogenizedResult:
     """Explicit run of the effective equation on hom's macro mesh.
 
@@ -345,27 +349,26 @@ class MicroMacroSolver:
         problem: ProblemSpec,
         n_x: int,
         n_y: int,
-        dt_factor: float = 0.2,
+        dt_factor: float = DT_FACTORS["emm"],
     ):
         _validate_dt_factor(dt_factor, problem.coefficient.a_max)
         self.problem = problem
         self.xmesh = make_spatial_mesh(n_x)
         self.dt = dt = dt_factor * self.xmesh.dx**2
-        if not problem.t_end / dt <= 2**24:  # about 20 minutes of 64x16 steps
+        if not problem.t_end / dt <= _MAX_STEPS:
             raise ConfigError(f"t_end={problem.t_end:g} takes over 2**24 steps of dt={dt:.3g}")
         self._steps = _step_count(problem.t_end, dt)  # the last step lands on t_end, <= dt
         self._last_dt = last = min(problem.t_end - (self._steps - 1) * dt, dt)
         if not sys.float_info.min <= last:  # s = (eps/dt)*eps would overflow
             raise ConfigError(f"dt_factor={dt_factor:g} gives a subnormal step of {last:.3g}")
-        self.ymesh = make_cell_mesh(n_y)
-        self.tables = sample_coefficient(problem.coefficient, self.xmesh, self.ymesh)
+        self.tables = sample_coefficient(problem.coefficient, self.xmesh, make_cell_mesh(n_y))
         self.ops = GridOperators(self.tables)
         self.epsilon = eps = float(problem.epsilon)  # a numpy eps would warn as 1/eps**2 overflows
         # wall data per unit companion gradient (none with homogeneous walls): eps*chi for G,
         # minus its value at the wall's fast coordinate for F; twice their sum; G's flux y-sums
         profiles = eps * (problem.bc_mode == "dirichlet_corrector") * self.tables.chi_walls
         # the profiles' trigonometric interpolants at the walls' fast coordinates, one rfft per wall
-        y, ny = fast_coordinate(np.array([[0.0], [1.0]]), eps), self.ymesh.n_points
+        y, ny = fast_coordinate(np.array([[0.0], [1.0]]), eps), self.ops.ny
         z = np.exp(2j * np.pi * y * np.arange(ny // 2 + 1))[:, None]
         traces = (z @ _balanced_coefficients(profiles)[..., None]).real[:, 0, 0] / -ny
         self._wall_traces = traces.tolist()
@@ -378,7 +381,7 @@ class MicroMacroSolver:
         macro = np.asarray(self.problem.initial(self.xmesh.centers), dtype=float)
         if not np.all(np.isfinite(macro)):  # before numpy warns on inf - inf
             raise StabilityError("non-finite initial data")
-        micro = np.zeros((self.xmesh.n_cells, self.ymesh.n_points))
+        micro = np.zeros((self.ops.nx, self.ops.ny))
         return MicroMacroState(macro, micro, effective=macro.copy(), t=0.0, step=0)
 
     def _step_operators(self, dt: float):

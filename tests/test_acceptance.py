@@ -77,10 +77,10 @@ def test_a2_operator_battery():
 
     # averaging projection
     ops = grid_ops(8, 16)
-    y = ops.ymesh.nodes
+    y = ops.tables.ymesh.nodes
     checks.append(("pi const", np.max(np.abs(y_average(np.ones((8, 16))) - 1.0)) == 0.0))
     checks.append(("pi sin", abs(float(np.mean(np.sin(2 * np.pi * y)))) <= 1e-14))
-    u = np.sin(2 * np.pi * ops.xmesh.centers)[:, None] * np.cos(4 * np.pi * y)[None, :]
+    u = np.sin(2 * np.pi * ops.tables.xmesh.centers)[:, None] * np.cos(4 * np.pi * y)[None, :]
     checks.append(("pi two-mode", np.max(np.abs(y_average(u))) <= 1e-13))
 
     # fast diffusion: exact kernel, consistency, projection identity
@@ -91,7 +91,7 @@ def test_a2_operator_battery():
     errors = []
     for ny in (16, 32, 64):
         o = grid_ops(4, ny, constant_coefficient(1.0))
-        w = np.tile(np.sin(2 * np.pi * o.ymesh.nodes), (4, 1))
+        w = np.tile(np.sin(2 * np.pi * o.tables.ymesh.nodes), (4, 1))
         errors.append(np.max(np.abs(apply_y_diffusion(o, w) + 4 * np.pi**2 * w)))
     checks.append(("L err@16", errors[0] <= 0.7))
     all_orders += orders(errors)
@@ -118,26 +118,26 @@ def test_a2_operator_battery():
     errors = []
     for nx in (32, 64, 128):
         o = grid_ops(nx, 8, constant_coefficient(1.0))
-        x = o.xmesh.centers
+        x = o.tables.xmesh.centers
         got = apply_x_diffusion(o, np.sin(np.pi * x))
         errors.append(np.max(np.abs(got[:, 0] + np.pi**2 * np.sin(np.pi * x))))
     all_orders += orders(errors)
     o = grid_ops(32, 8, constant_coefficient(1.0))
-    lin = 0.3 + 1.7 * o.xmesh.centers
+    lin = 0.3 + 1.7 * o.tables.xmesh.centers
     checks.append(
         ("D linear", np.max(np.abs(apply_x_diffusion(o, lin, bc=(0.3, 2.0)))) <= 1e-12)
     )
 
     # mixed block
     ops = grid_ops(64, 16)
-    u = np.sin(np.pi * ops.xmesh.centers)
+    u = np.sin(np.pi * ops.tables.xmesh.centers)
     checks.append(
         ("pi B", np.max(np.abs(y_average(apply_mixed_derivatives(ops, u)))) <= 1e-12)
     )
     errors = []
     for n in (32, 64, 128):
         o = grid_ops(n, n)
-        x, y = o.xmesh.centers, o.ymesh.nodes
+        x, y = o.tables.xmesh.centers, o.tables.ymesh.nodes
         w = np.sin(np.pi * x)[:, None] * np.cos(2 * np.pi * y)[None, :]
         a = 1.1 + np.sin(2 * np.pi * y)
         ap = 2 * np.pi * np.cos(2 * np.pi * y)
@@ -149,13 +149,13 @@ def test_a2_operator_battery():
 
     # effective operator: constant degeneracy and homogenized limit
     o = grid_ops(64, 16, constant_coefficient(2.0))
-    f = np.sin(2 * np.pi * o.xmesh.centers)
+    f = np.sin(2 * np.pi * o.tables.xmesh.centers)
     dev = np.max(np.abs(apply_effective(o, f) - y_average(apply_x_diffusion(o, f))))
     checks.append(("Dbar const", dev <= 1e-12))
     errors = []
     for n in (32, 64, 128):
         o = grid_ops(n, n)
-        f = np.sin(2 * np.pi * o.xmesh.centers)
+        f = np.sin(2 * np.pi * o.tables.xmesh.centers)
         want = -A0 * 4 * np.pi**2 * f
         errors.append(np.max(np.abs(apply_effective(o, f) - want)) / np.max(np.abs(want)))
     checks.append(("Dbar paper@64", errors[1] <= 2e-2))

@@ -3,6 +3,7 @@ working dirs, and the ``python -m apmm.cli`` entry point once as a subprocess.""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,6 +157,7 @@ def test_run_homogenized_writes_scaled_corrector(tmp_path, _run):
     assert np.max(np.abs(g_data["y"].reshape(32, 16)[0] - hom.ymesh.nodes)) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:n_cells=.* under-resolves")  # the ref runs at eps = 0.1
 def test_run_rejects_bad_configs(tmp_path, _run):
     bad = _write_config(tmp_path / "bad.cfg", epsilon=0.1, fluxcap=3)
     assert _run(["run", "--config", str(bad)], cwd=tmp_path).returncode == 2
@@ -189,13 +191,20 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     # every rejection comes before the output directory is made, also where
-    # only the solver sees it: dt_factor, and the emm step cap
-    for keys in ({"dt_factor": "nan"}, {"dt_factor": 0.9}, {"scheme": "emm", "t_end": 1e300}):
+    # only the solver sees it: dt_factor, the emm step cap, and an explicit run's
+    # step count past the floats (OverflowError, a traceback and exit 1)
+    late = ({"dt_factor": "nan"}, {"dt_factor": 0.9}, {"scheme": "emm", "t_end": 1e300},
+            {"scheme": "ref", "t_end": 1e308}, {"scheme": "hmm", "t_end": 1e308})
+    for keys in late:
         path = _write_config(tmp_path / "late.cfg", epsilon=0.1, output="late/run", **keys)
         proc = _run(["run", "--config", str(path)], cwd=tmp_path)
         assert proc.returncode == 2, (keys, proc.stderr)
         assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr
         assert not (tmp_path / "late").exists()
+    # the explicit runs are not stepped, so no step cap applies: a count that is a float runs
+    for scheme in ("ref", "hmm"):
+        path = _write_config(tmp_path / "far.cfg", scheme=scheme, t_end=1e300, output="far")
+        assert _run(["run", "--config", str(path)], cwd=tmp_path).returncode == 0
 
     # non-finite and subnormal values: a NaN passed the old <= tests, an
     # infinite t_end overflowed the step count, and t_end = 1e-320 overflowed
@@ -314,11 +323,16 @@ def test_converge_command(tmp_path, _run):
         ["cell", "--ny", str(10**12)],  # numpy's MemoryError, with a traceback and exit 1
         ["cell", "--ny", str(2**62)],  # numpy's "array is too big" ValueError, likewise
         ["figure1", "--ref-cells", str(2**21)],  # a 2**21-cell reference ran
+        # past the emm step cap: the references ran and the directory was made before the cap
+        # check, and at 1e308 the first reference's step count overflowed
+        ["figure1", "--t-end", "1000"],
+        ["figure1", "--t-end", "1e308"],
         ["run", "nx", str(10**12)],  # a config at that size: numpy's MemoryError
         ["run", "ny", str(10**12)],
     ],
     ids=["converge-ref-levels", "converge-emm-levels", "converge-emm-levels-14", "ap-study-steps",
-         "cell-ny-1e12", "cell-ny-2**62", "figure1-ref-cells-2**21", "run-nx-1e12", "run-ny-1e12"],
+         "cell-ny-1e12", "cell-ny-2**62", "figure1-ref-cells-2**21", "figure1-t-end-1000",
+         "figure1-t-end-1e308", "run-nx-1e12", "run-ny-1e12"],
 )
 def test_work_past_a_cap_exits_2_before_any_run(
     tmp_path, tmp_path_factory, args, _run, monkeypatch
@@ -427,6 +441,10 @@ def test_figure1_command(tmp_path, _run):
     assert (tmp_path / "fig" / "summary.csv").exists()
     assert "eps=0.5" in proc.stdout
     assert "relative emm=" in proc.stdout
+    # the regime's line carries the three schemes' seconds, which no CSV holds
+    (line,) = [line for line in proc.stdout.splitlines() if line.startswith("eps=")]
+    times = re.search(r", seconds ref=(\S+) emm=(\S+) hmm=(\S+) -> ", line)
+    assert times and all(float(t) >= 0.0 for t in times.groups()), line
 
 
 def test_ap_study_command(tmp_path, _run):

@@ -45,9 +45,9 @@ def test_y_average_constant():
 
 def test_y_average_kills_full_periods():
     ops = grid_ops(8, 16)
-    y = ops.ymesh.nodes
+    y = ops.tables.ymesh.nodes
     assert np.max(np.abs(y_average(np.tile(np.sin(2 * np.pi * y), (8, 1))))) <= 1e-14
-    u = np.sin(2 * np.pi * ops.xmesh.centers)[:, None] * np.cos(4 * np.pi * y)[None, :]
+    u = np.sin(2 * np.pi * ops.tables.xmesh.centers)[:, None] * np.cos(4 * np.pi * y)[None, :]
     assert np.max(np.abs(y_average(u))) <= 1e-13
 
 
@@ -71,7 +71,7 @@ def test_L_consistency_unit_coefficient():
     errors = []
     for ny in (16, 32, 64):
         ops = grid_ops(4, ny, constant_coefficient(1.0))
-        u = np.tile(np.sin(2 * np.pi * ops.ymesh.nodes), (4, 1))
+        u = np.tile(np.sin(2 * np.pi * ops.tables.ymesh.nodes), (4, 1))
         errors.append(np.max(np.abs(apply_y_diffusion(ops, u) + 4 * np.pi**2 * u)))
     assert errors[0] <= 0.7  # measured 0.505 at ny=16
     for order in orders(errors):
@@ -83,7 +83,7 @@ def test_L_consistency_oscillatory_coefficient():
     errors = []
     for ny in (16, 32, 64):
         ops = grid_ops(4, ny)
-        y = ops.ymesh.nodes
+        y = ops.tables.ymesh.nodes
         u = np.tile(np.sin(2 * np.pi * y), (4, 1))
         ap = 2 * np.pi * np.cos(2 * np.pi * y)
         a = 1.1 + np.sin(2 * np.pi * y)
@@ -128,7 +128,7 @@ def test_solve_roundtrip_random(coeff):
 def test_solve_zero_and_analytic():
     ops = grid_ops(4, 16, constant_coefficient(1.0))
     assert np.max(np.abs(ops._factor(0.0)(np.zeros((4, 16)))())) == 0.0
-    r = np.tile(np.sin(2 * np.pi * ops.ymesh.nodes), (4, 1))
+    r = np.tile(np.sin(2 * np.pi * ops.tables.ymesh.nodes), (4, 1))
     w = -ops._factor(0.0)(r.copy())()
     assert np.max(np.abs(apply_y_diffusion(ops, w) - r)) <= 1e-12
     # grid value equals r scaled by the discrete k=1 eigenvalue ...
@@ -140,7 +140,7 @@ def test_solve_zero_and_analytic():
 
 def test_shifted_solve_analytic_mode():
     ops = grid_ops(4, 16, constant_coefficient(1.0))
-    r = np.tile(np.sin(2 * np.pi * ops.ymesh.nodes), (4, 1))
+    r = np.tile(np.sin(2 * np.pi * ops.tables.ymesh.nodes), (4, 1))
     w = ops._factor(1.0)(r.copy())()  # (I - Ly) w = r - mean(r)
     lam = (2.0 - 2.0 * np.cos(2 * np.pi / 16)) * 16**2
     assert np.max(np.abs(w - r / (1.0 + lam))) <= 1e-14
@@ -187,7 +187,7 @@ def test_D_analytic_and_degenerate():
     errors = []
     for nx in (32, 64, 128):
         ops = grid_ops(nx, 8, constant_coefficient(1.0))
-        x = ops.xmesh.centers
+        x = ops.tables.xmesh.centers
         got = apply_x_diffusion(ops, np.sin(np.pi * x))
         errors.append(np.max(np.abs(got[:, 0] + np.pi**2 * np.sin(np.pi * x))))
     assert errors[1] <= 2.5e-3  # measured 1.98e-3 at nx=64
@@ -196,7 +196,7 @@ def test_D_analytic_and_degenerate():
 
     ops = grid_ops(32, 8, constant_coefficient(1.0))
     assert np.max(np.abs(apply_x_diffusion(ops, np.zeros(32)))) == 0.0
-    lin = 0.3 + 1.7 * ops.xmesh.centers
+    lin = 0.3 + 1.7 * ops.tables.xmesh.centers
     # ghost rule reproduces the linear extension when the walls match
     assert np.max(np.abs(apply_x_diffusion(ops, lin, bc=(0.3, 2.0)))) <= 1e-12
 
@@ -205,7 +205,7 @@ def test_D_consistency_oscillatory_coefficient():
     errors = []
     for n in (32, 64, 128):
         ops = grid_ops(n, n)
-        x, y = ops.xmesh.centers, ops.ymesh.nodes
+        x, y = ops.tables.xmesh.centers, ops.tables.ymesh.nodes
         got = apply_x_diffusion(ops, np.sin(np.pi * x))
         want = -np.pi**2 * np.sin(np.pi * x)[:, None] * (1.1 + np.sin(2 * np.pi * y))[None, :]
         errors.append(np.max(np.abs(got - want)))
@@ -226,7 +226,7 @@ def test_D_validates_shapes():
 
 def test_B_macro_input_interior():
     ops = grid_ops(64, 16)
-    x, y = ops.xmesh.centers, ops.ymesh.nodes
+    x, y = ops.tables.xmesh.centers, ops.tables.ymesh.nodes
     got = apply_mixed_derivatives(ops, np.sin(np.pi * x))
     want = 2 * np.pi * np.cos(2 * np.pi * y)[None, :] * (np.pi * np.cos(np.pi * x))[:, None]
     assert np.max(np.abs(got[1:-1] - want[1:-1])) <= 0.2  # measured 0.134
@@ -234,7 +234,7 @@ def test_B_macro_input_interior():
 
 def test_B_y_only_field_with_matching_traces():
     ops = grid_ops(64, 16)
-    profile = np.cos(2 * np.pi * ops.ymesh.nodes)
+    profile = np.cos(2 * np.pi * ops.tables.ymesh.nodes)
     u = np.tile(profile, (64, 1))
     got = apply_mixed_derivatives(ops, u, bc=(profile, profile))
     assert np.max(np.abs(got)) <= 1e-12
@@ -242,13 +242,13 @@ def test_B_y_only_field_with_matching_traces():
 
 def test_B_projection_vanishes_for_macro_input():
     ops = grid_ops(64, 16)
-    u = np.sin(np.pi * ops.xmesh.centers)
+    u = np.sin(np.pi * ops.tables.xmesh.centers)
     assert np.max(np.abs(y_average(apply_mixed_derivatives(ops, u)))) <= 1e-12
 
 
 def test_B_constant_coefficient_macro_degeneracy():
     ops = grid_ops(64, 16, constant_coefficient(2.0))
-    u = np.sin(np.pi * ops.xmesh.centers)
+    u = np.sin(np.pi * ops.tables.xmesh.centers)
     assert np.max(np.abs(apply_mixed_derivatives(ops, u))) == 0.0
 
 
@@ -257,7 +257,7 @@ def test_B_consistency_smooth_micro_field():
     errors = []
     for n in (32, 64, 128):
         ops = grid_ops(n, n)
-        x, y = ops.xmesh.centers, ops.ymesh.nodes
+        x, y = ops.tables.xmesh.centers, ops.tables.ymesh.nodes
         u = np.sin(np.pi * x)[:, None] * np.cos(2 * np.pi * y)[None, :]
         a = 1.1 + np.sin(2 * np.pi * y)
         ap = 2 * np.pi * np.cos(2 * np.pi * y)
@@ -274,7 +274,7 @@ def test_B_consistency_smooth_micro_field():
 
 def test_effective_constant_coefficient_degenerates():
     ops = grid_ops(64, 16, constant_coefficient(2.0))
-    x = ops.xmesh.centers
+    x = ops.tables.xmesh.centers
     f = np.sin(2 * np.pi * x) + 0.3 * x * (1 - x)
     got = apply_effective(ops, f)
     want = y_average(apply_x_diffusion(ops, f))
@@ -287,7 +287,7 @@ def test_effective_matches_homogenized_limit():
     errors = []
     for n in (32, 64, 128):
         ops = grid_ops(n, n)
-        f = np.sin(2 * np.pi * ops.xmesh.centers)
+        f = np.sin(2 * np.pi * ops.tables.xmesh.centers)
         want = -A0 * 4 * np.pi**2 * f
         rel = np.max(np.abs(apply_effective(ops, f) - want)) / np.max(np.abs(want))
         errors.append(rel)
@@ -311,7 +311,7 @@ def test_effective_matches_composite_definition(coeff):
     # the y-averaged x-diffusion minus the y-averaged cross-derivative of
     # the periodic solve of the fluctuating cross-derivative data
     ops = grid_ops(48, 16, coeff)
-    x = ops.xmesh.centers
+    x = ops.tables.xmesh.centers
     f = np.sin(2 * np.pi * x) + 0.7 * x**2
     bc = (0.3, -0.8)
     w = -ops._factor(0.0)(remove_y_average(apply_mixed_derivatives(ops, f, bc)))()
