@@ -31,8 +31,7 @@ from .problem import (
 
 def _prepare_parent(path: str | Path) -> Path:
     path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 

@@ -9,10 +9,10 @@ Three schemes on a finite-volume mesh in x; the two explicit ones share one Kryl
 - ``MicroMacroSolver``: the stiff two-scale splitting scheme whose micro
   part is integrated implicitly in the fast direction.
 
-All schemes use a fixed step dt = dt_factor * dx**2 with the final step
-shortened to land exactly on t_end, abort with ``StabilityError`` when a
-field stops being finite, and return the final state only.  The explicit
-runs are not stepped: their final state, a polynomial of the step matrix
+All schemes take their step dt = dt_factor * dx**2, step count and final step,
+shortened to land exactly on t_end, from one function, ``_time_grid``, abort
+with ``StabilityError`` when a field stops being finite, and return the final
+state only.  The explicit runs are not stepped: their final state, a polynomial of the step matrix
 applied to the initial data, comes from a rational Krylov projection.
 A trajectory of the splitting scheme is ``MicroMacroSolver.initial_state``
 followed by ``step``s at the solver's one dt, each by ``run``'s kernel driver.
@@ -74,7 +74,12 @@ def _exact_guards(micro: FloatArray, macro: FloatArray, ones: FloatArray, step: 
         )
 
 
-def _validate_dt_factor(dt_factor: float, a_max: float) -> None:
+def _time_grid(
+    t_end: float, dt_factor: float, dx: float, a_max: float, cap: float = sys.float_info.max
+) -> tuple[float, int, float]:
+    """``(dt, steps, last)`` of every integrator: ``dt = dt_factor * dx**2`` for a factor in
+    ``(0, 1/(2*a_max)]``, ``steps`` steps, the last one ``last <= dt``, landing on t_end.  A
+    step of 0, or a count ``t_end/dt`` over ``cap`` (by default: not finite), is a ConfigError."""
     if not dt_factor > 0.0:  # also true for nan
         raise ConfigError(f"dt_factor must be positive, got {dt_factor}")
     limit = 1.0 / (2.0 * a_max)
@@ -83,12 +88,11 @@ def _validate_dt_factor(dt_factor: float, a_max: float) -> None:
             f"dt_factor={dt_factor} violates the diffusion stability bound "
             f"1/(2*a_max) = {limit:.6g}"
         )
-
-
-def _step_count(t_end: float, dt: float) -> int:
-    if not t_end / dt < math.inf:  # the explicit runs have no step cap, but need a finite count
-        raise ConfigError(f"t_end={t_end:g} takes too many steps of dt={dt:.3g} to count")
-    return max(1, int(math.ceil(t_end / dt - 1e-9)))
+    dt = dt_factor * dx**2
+    if dt == 0.0 or not t_end / dt <= cap:  # a step of 0 takes infinitely many
+        raise ConfigError(f"t_end={t_end:g} takes over {cap:.17g} steps of dt={dt:.3g}")
+    steps = max(1, math.ceil(t_end / dt - 1e-9))
+    return dt, steps, min(t_end - (steps - 1) * dt, dt)
 
 
 @dataclass(frozen=True)
@@ -107,10 +111,10 @@ class HomogenizedResult(MacroResult):
 
 
 def _explicit_heat_loop(
-    u0: FloatArray, a_interfaces: FloatArray, dx: float, dt: float, t_end: float
-) -> tuple[FloatArray, int]:
-    """Final state and step count of the explicit flux-form scheme shared by
-    the reference and effective runs, from a rational Krylov projection.
+    u0: FloatArray, a_interfaces: FloatArray, dx: float, dt: float, steps: int, last: float
+) -> FloatArray:
+    """Final state of the explicit flux-form scheme shared by the reference and
+    effective runs over ``_time_grid``'s steps, from a rational Krylov projection.
 
     One step is ``u + B u`` with ``B`` the symmetric tridiagonal flux
     difference times ``r = dt/dx**2`` (the odd wall ghosts count the wall
@@ -128,23 +132,22 @@ def _explicit_heat_loop(
     """
     if not np.all(np.isfinite(u0)):  # before numpy warns on inf - inf
         raise StabilityError("non-finite initial data")
-    n_steps = _step_count(t_end, dt)
-    last_ratio = (t_end - (n_steps - 1) * dt) / dt
+    last_ratio = last / dt
     peak = np.max(np.abs(u0))
     if peak == 0.0:
-        return np.zeros(u0.shape[0]), n_steps
+        return np.zeros(u0.shape[0])
     # f(B) is linear: evaluate it on u0 / 2**shift, whose max is in [1, 2), so that the
     # norm neither overflows nor loses subnormal digits, and scale back exactly
     shift = math.frexp(peak)[1] - 1
     np.ldexp(u0, -shift, out=u0)  # in place: a copy would be alive at the basis' peak
-    full, n, norm = n_steps - 1, u0.shape[0], dnrm2(u0)
+    full, n, norm = steps - 1, u0.shape[0], dnrm2(u0)
     flux = (dt / dx**2) * a_interfaces
     diag = -(flux[:-1] + flux[1:])
     diag[[0, -1]] -= flux[[0, -1]]
     weights = -flux  # B's quadratic form per squared jump; the odd ghosts double the wall jumps
     weights[[0, -1]] *= 0.5
     bound = 2.0 * np.max(flux[:-1] + flux[1:])  # Gershgorin: every mu >= -bound
-    gamma = 0.1 * n_steps
+    gamma = 0.1 * steps
     poles = [dpttrf(1.0 - gamma * diag, -gamma * flux[1:-1])[:2]]
     if not full or abs(1.0 - bound) > _MODE_TOL ** (1.0 / full):  # a mode near -2 keeps a gain
         poles.append(dpttrf(1.0 + 2.0 * gamma + gamma * diag, gamma * flux[1:-1])[:2])
@@ -166,7 +169,7 @@ def _explicit_heat_loop(
     basis = np.empty((4, n))  # grown in place, four rows at a time
     basis[0] = u0 / norm
     proj, prev = np.zeros((64, 64)), np.zeros(64)  # V^T B V (lower), the last check's coordinates
-    last = best = math.inf  # the last move, and the least that halved the one before
+    before = best = math.inf  # the last move, and the least that halved the one before
     stalls = m = 0
     while True:
         np.multiply(flux, jumps_of(basis[m]), out=jumps)  # the fluxes, then B v, in place
@@ -202,12 +205,12 @@ def _explicit_heat_loop(
                 break
             # settled: the move and the next one, extrapolated, are below the tolerance,
             # and the slow residuals bound the gains' errors, (n - 1) rho**2 / gap, as tightly
-            if moved <= _KRYLOV_TOL and moved**2 <= _KRYLOV_TOL * last:
+            if moved <= _KRYLOV_TOL and moved**2 <= _KRYLOV_TOL * before:
                 edges = np.concatenate(([-np.inf], theta, [np.inf]))
                 gap = np.minimum(theta[slow] - edges[slow], edges[slow + 2] - theta[slow])
                 if np.all(full * rho**2 * np.abs(parts[slow]) <= _KRYLOV_TOL * size * gap):
                     break
-            prev[:m], last = coords, moved
+            prev[:m], before = coords, moved
         if m == basis.shape[0]:  # no view of the basis is alive here
             basis.resize((min(m + 4, n), n), refcheck=False)
         if m == proj.shape[0]:
@@ -220,8 +223,8 @@ def _explicit_heat_loop(
     with np.errstate(over="ignore"):  # reported below
         np.ldexp(final, shift, out=final)
     if not np.all(np.isfinite(final)):
-        raise StabilityError(f"non-finite field at the final step (t={t_end:.6g})")
-    return final, n_steps
+        raise StabilityError(f"non-finite field at the final step, step {steps}")
+    return final
 
 
 def run_reference(
@@ -237,7 +240,7 @@ def run_reference(
     """
     mesh = make_spatial_mesh(n_cells)
     a = problem.coefficient
-    _validate_dt_factor(dt_factor, a.a_max)
+    dt, steps, last = _time_grid(problem.t_end, dt_factor, mesh.dx, a.a_max)
     needed = 16.0 / problem.epsilon
     if n_cells < needed:
         warnings.warn(
@@ -248,9 +251,8 @@ def run_reference(
     x_if = mesh.interfaces
     a_if = a(x_if, fast_coordinate(x_if, problem.epsilon))
     _check_values(a_if, a, ("reference interfaces",), a_if.size)  # dt's bound assumes a_max
-    dt = dt_factor * mesh.dx**2
     u0 = np.array(problem.initial(mesh.centers), dtype=float)  # overwritten by the loop
-    final, steps = _explicit_heat_loop(u0, a_if, mesh.dx, dt, problem.t_end)
+    final = _explicit_heat_loop(u0, a_if, mesh.dx, dt, steps, last)
     return MacroResult(mesh=mesh, final=final, steps=steps, dt=dt)
 
 
@@ -265,10 +267,9 @@ def run_homogenized(
     evaluated from it; a corrector that overflows is a StabilityError.
     """
     mesh = hom.xmesh
-    _validate_dt_factor(dt_factor, problem.coefficient.a_max)
-    dt = dt_factor * mesh.dx**2
+    dt, steps, last = _time_grid(problem.t_end, dt_factor, mesh.dx, problem.coefficient.a_max)
     u0 = np.array(problem.initial(mesh.centers), dtype=float)  # overwritten by the loop
-    final, steps = _explicit_heat_loop(u0, hom.a0_interfaces, mesh.dx, dt, problem.t_end)
+    final = _explicit_heat_loop(u0, hom.a0_interfaces, mesh.dx, dt, steps, last)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         corrector = first_order_corrector(hom, final)
     if not np.all(np.isfinite(corrector)):
@@ -328,9 +329,9 @@ class MicroMacroSolver:
     the step's matrices; each one-sided wall row is U's three rows next to its wall times a
     held block, into which the ghost row ``2*wall - first`` and the third differences are
     folded, plus the wall gradient times a held row, so U's ghost rows stay 0 and no step reads
-    them.  Else the coupling terms read flat slices of one padded buffer.  The constructor fixes
-    dt and the last step, shortened to land on t_end: over 2**24 steps, or a step below the
-    normal range, is a ConfigError.
+    them.  Else the coupling terms read flat slices of one padded buffer.  The constructor takes
+    dt, the step count and the last step, shortened to land on t_end, from ``_time_grid`` with
+    the cap ``_MAX_STEPS``; a last step below the normal range is a ConfigError.
 
     One kernel per step size advances a working state in place: F and E in the rows of ``x =
     [left, F, right; 0, E, 0]``, with one block G in the padded ``[G | F]``, U, and the products,
@@ -351,15 +352,12 @@ class MicroMacroSolver:
         n_y: int,
         dt_factor: float = DT_FACTORS["emm"],
     ):
-        _validate_dt_factor(dt_factor, problem.coefficient.a_max)
         self.problem = problem
         self.xmesh = make_spatial_mesh(n_x)
-        self.dt = dt = dt_factor * self.xmesh.dx**2
-        if not problem.t_end / dt <= _MAX_STEPS:
-            raise ConfigError(f"t_end={problem.t_end:g} takes over 2**24 steps of dt={dt:.3g}")
-        self._steps = _step_count(problem.t_end, dt)  # the last step lands on t_end, <= dt
-        self._last_dt = last = min(problem.t_end - (self._steps - 1) * dt, dt)
-        if not sys.float_info.min <= last:  # s = (eps/dt)*eps would overflow
+        self.dt, self._steps, self._last_dt = _time_grid(
+            problem.t_end, dt_factor, self.xmesh.dx, problem.coefficient.a_max, _MAX_STEPS
+        )
+        if not sys.float_info.min <= (last := self._last_dt):  # s = (eps/dt)*eps would overflow
             raise ConfigError(f"dt_factor={dt_factor:g} gives a subnormal step of {last:.3g}")
         self.tables = sample_coefficient(problem.coefficient, self.xmesh, make_cell_mesh(n_y))
         self.ops = GridOperators(self.tables)

@@ -191,10 +191,12 @@ def test_run_rejects_bad_configs(tmp_path, _run):
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
     # every rejection comes before the output directory is made, also where
-    # only the solver sees it: dt_factor, the emm step cap, and an explicit run's
-    # step count past the floats (OverflowError, a traceback and exit 1)
+    # only the solver sees it: dt_factor, the emm step cap, an explicit run's
+    # step count past the floats (OverflowError, a traceback and exit 1) and a
+    # step that underflows to 0 (ZeroDivisionError, a traceback and exit 1)
     late = ({"dt_factor": "nan"}, {"dt_factor": 0.9}, {"scheme": "emm", "t_end": 1e300},
-            {"scheme": "ref", "t_end": 1e308}, {"scheme": "hmm", "t_end": 1e308})
+            {"scheme": "ref", "t_end": 1e308}, {"scheme": "hmm", "t_end": 1e308},
+            *({"scheme": scheme, "dt_factor": 5e-324} for scheme in ("ref", "hmm", "emm")))
     for keys in late:
         path = _write_config(tmp_path / "late.cfg", epsilon=0.1, output="late/run", **keys)
         proc = _run(["run", "--config", str(path)], cwd=tmp_path)

@@ -41,6 +41,7 @@ from apmm.solvers import (
     MicroMacroState,
     StabilityError,
     _explicit_heat_loop,
+    _time_grid,
     run_homogenized,
     run_reference,
 )
@@ -246,9 +247,10 @@ def test_reference_projection_traced_peak_at_figure1_scale():
     x_if = mesh.interfaces
     a_if = problem.coefficient(x_if, fast_coordinate(x_if, problem.epsilon))
     u0 = np.array(problem.initial(mesh.centers), dtype=float)
+    grid = _time_grid(problem.t_end, 0.05, mesh.dx, problem.coefficient.a_max)
     tracemalloc.start()
     try:
-        _explicit_heat_loop(u0, a_if, mesh.dx, 0.05 * mesh.dx**2, problem.t_end)
+        _explicit_heat_loop(u0, a_if, mesh.dx, *grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -368,7 +370,7 @@ def test_reference_detects_blowup():
     mesh = make_spatial_mesh(16)
     u0 = 1.0 * ((mesh.centers > 0.3) & (mesh.centers < 0.6))
     with pytest.raises(StabilityError, match="non-finite field at the final step"):
-        _explicit_heat_loop(u0, np.ones(17), mesh.dx, 2.0 * mesh.dx**2, 10.0)
+        _explicit_heat_loop(u0, np.ones(17), mesh.dx, 2.0 * mesh.dx**2, 1280, 2.0 * mesh.dx**2)
 
 
 def test_reference_overflow_trips_the_final_state_guard(monkeypatch):
@@ -896,12 +898,16 @@ def test_ap_degeneracy_holds_where_eps_squared_underflows():
     assert all(math.isfinite(dev) and dev <= 1e-12 for _, dev in rows)
 
 
-def test_emm_step_count():
-    # run() takes t_end's steps, the last one shortened; step() one of the solver's dt
-    problem = benchmark_problem(0.5, t_end=0.01)
+@pytest.mark.parametrize("horizon", [7.0 - 1e-10, 7.0, 7.0 + 5e-10, 7.4, 0.3])
+def test_emm_step_count(horizon):
+    # run() takes t_end's steps, the last one shortened, on the explicit runs' grid: a horizon
+    # within 1e-9 steps of an integer k takes k, the last clipped to dt; step() one dt
+    problem = benchmark_problem(1.0, t_end=horizon * 0.2 / 16**2)
     solver = MicroMacroSolver(problem, 16, 8)
     res = solver.run()
-    assert res.steps == math.ceil(0.01 / solver.dt - 1e-9)
+    assert res.steps == solver._steps == math.ceil(problem.t_end / solver.dt - 1e-9)
+    assert 0.0 < solver._last_dt <= solver.dt
+    assert run_reference(problem, 16, dt_factor=0.2).steps == res.steps
     state = solver.step(solver.initial_state())
     assert state.step == 1 and state.t == solver.dt
 
